@@ -1,69 +1,26 @@
 """Hot numeric kernels: simplex grids, batch scoring, winner scans.
 
-Each kernel has a numba ``@njit`` implementation and a pure-numpy twin that
-produces bitwise-identical output (both accumulate scores over attributes in
-declared order).  The active backend is chosen by the ``UDET_BACKEND``
-environment variable (``numba``, ``numpy``, or ``auto``; default ``auto``
-picks numba when it imports) and can be switched at runtime with
-`set_backend`.  ``tests/test_kernels.py`` compares the two.
+Plain numpy, laid out for the admissible-set grid of up to ~100k points:
+
+- `simplex_compositions` builds the integer grid in closed form (stars and
+  bars), and `simplex_grid` caches its float weights once per (G, k) as one
+  read-only, attribute-major array, so `grid[:, j]` is contiguous.
+- `score_grid` accumulates candidate-major, one contiguous row per
+  candidate, and returns the (points, candidates) view of that buffer.
+- `winner_stats` scans those candidate rows; it copies only when handed a
+  row-major (points, candidates) array.
+
+Every result is bitwise what the plain per-point loops in
+``tests/test_kernels.py`` compute.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is the optional ``udet[numba]`` extra; fall back to numpy
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-BACKENDS = ("numba", "numpy")
-
-
-def _backend_from_env() -> str:
-    requested = os.environ.get("UDET_BACKEND", "auto").strip().lower()
-    if requested == "auto" or requested == "":
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if requested not in BACKENDS:
-        raise ValueError(
-            f"UDET_BACKEND must be one of 'auto', 'numba', 'numpy'; got {requested!r}")
-    if requested == "numba" and not _HAVE_NUMBA:
-        raise ImportError("UDET_BACKEND=numba but numba is not importable")
-    return requested
-
-
-_ACTIVE = _backend_from_env()
-
-
-def active_backend() -> str:
-    """Name of the backend kernels currently dispatch to."""
-    return _ACTIVE
-
-
-def set_backend(name: str) -> None:
-    """Switch kernels to ``numba`` or ``numpy`` at runtime."""
-    global _ACTIVE
-    if name not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")
-    if name == "numba" and not _HAVE_NUMBA:
-        raise ImportError("numba backend requested but numba is not importable")
-    _ACTIVE = name
-    simplex_compositions.cache_clear()
 
 
 def composition_count(total: int, parts: int) -> int:
@@ -71,151 +28,72 @@ def composition_count(total: int, parts: int) -> int:
     return math.comb(total + parts - 1, parts - 1)
 
 
-def _compositions_np(total: int, parts: int) -> np.ndarray:
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    blocks = []
-    for first in range(total + 1):
-        rest = _compositions_np(total - first, parts - 1)
-        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack((head, rest)))
-    return np.vstack(blocks)
-
-
-@njit(cache=True)
-def _compositions_nb(total: int, parts: int, count: int) -> np.ndarray:  # pragma: no cover
-    out = np.zeros((count, parts), dtype=np.int64)
-    comp = np.zeros(parts, dtype=np.int64)
-    comp[parts - 1] = total
-    idx = 0
-    while True:
-        for t in range(parts):
-            out[idx, t] = comp[t]
-        idx += 1
-        if idx == count:
-            break
-        j = parts - 2
-        tail = 0
-        while j >= 0:
-            tail = 0
-            for t in range(j + 1, parts):
-                tail += comp[t]
-            if tail > 0:
-                break
-            j -= 1
-        comp[j] += 1
-        for t in range(j + 1, parts):
-            comp[t] = 0
-        comp[parts - 1] = tail - 1
-    return out
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Stars and bars: the k-1 bar positions among total+k-1 slots, in
+    lexicographic order, give the compositions in lexicographic order."""
+    if total < 0 or parts < 1:
+        raise ValueError("total must be >= 0 and parts >= 1")
+    count = composition_count(total, parts)
+    bars = np.fromiter(
+        chain.from_iterable(combinations(range(total + parts - 1), parts - 1)),
+        dtype=np.int64, count=count * (parts - 1)).reshape(count, parts - 1)
+    slots = np.empty((count, parts + 1), dtype=np.int64)
+    slots[:, 0] = -1
+    slots[:, 1:parts] = bars
+    slots[:, parts] = total + parts - 1
+    return np.diff(slots, axis=1) - 1
 
 
 @lru_cache(maxsize=128)
 def simplex_compositions(total: int, parts: int) -> np.ndarray:
     """All non-negative integer vectors summing to `total`, lexicographically
     ascending.  The result is cached and marked read-only."""
-    if total < 0 or parts < 1:
-        raise ValueError("total must be >= 0 and parts >= 1")
-    if _ACTIVE == "numba":
-        out = _compositions_nb(total, parts, composition_count(total, parts))
-    else:
-        out = _compositions_np(total, parts)
+    out = _compositions(total, parts)
     out.setflags(write=False)
     return out
 
 
-def _score_grid_np(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    n_pts, k = weights.shape
-    n_c = matrix.shape[0]
-    scores = np.zeros((n_pts, n_c))
-    for j in range(k):
-        scores += weights[:, j : j + 1] * matrix[:, j][None, :]
-    return scores
+@lru_cache(maxsize=16)
+def simplex_grid(total: int, parts: int) -> np.ndarray:
+    """`simplex_compositions(total, parts) / total` as float64 weights.
+
+    Cached and read-only; the (n_points, parts) result is a view of one
+    attribute-major buffer.  The integer grid is not kept alongside it.
+    """
+    if total < 1:
+        raise ValueError("total must be >= 1")
+    comps = _compositions(total, parts)
+    weights = np.empty((parts, comps.shape[0]), dtype=np.float64)
+    np.divide(comps.T, float(total), out=weights)
+    weights.setflags(write=False)
+    return weights.T
 
 
-@njit(cache=True)
-def _score_grid_nb(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:  # pragma: no cover
-    n_pts, k = weights.shape
-    n_c = matrix.shape[0]
-    scores = np.zeros((n_pts, n_c))
-    for p in range(n_pts):
-        for c in range(n_c):
-            acc = 0.0
-            for j in range(k):
-                acc += weights[p, j] * matrix[c, j]
-            scores[p, c] = acc
-    return scores
+_BLOCK_POINTS = 8192
 
 
 def score_grid(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Weighted scores for every (weight vector, candidate) pair.
 
     `weights` is (n_points, k) on the simplex, `matrix` is the (n_candidates,
-    k) normalized score matrix; the result is (n_points, n_candidates).
-    Accumulation runs over attributes in declared order on both backends, so
-    the two paths agree bitwise.
+    k) normalized score matrix; the result is (n_points, n_candidates), a
+    view of a candidate-major buffer.  Each entry is accumulated from 0.0
+    over attributes in declared order.
     """
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    if _ACTIVE == "numba":
-        return _score_grid_nb(weights, matrix)
-    return _score_grid_np(weights, matrix)
-
-
-def _winner_stats_np(scores: np.ndarray, eps: float):
-    n_pts, n_c = scores.shape
-    mx = scores.max(axis=1)
-    member = scores >= (mx - eps)[:, None]
-    unique_rows = member.sum(axis=1) == 1
-    ever_unique = (member & unique_rows[:, None]).any(axis=0)
-    in_winner_set = member.any(axis=0)
-    beats_all = np.zeros((n_c, n_c), dtype=np.bool_)
-    tie_all = np.zeros((n_c, n_c), dtype=np.bool_)
-    for a in range(n_c):
-        tie_all[a, a] = True
-        for b in range(n_c):
-            if a == b:
-                continue
-            d = scores[:, a] - scores[:, b]
-            beats_all[a, b] = bool(np.all(d > eps))
-            tie_all[a, b] = bool(np.all(np.abs(d) <= eps))
-    return ever_unique, in_winner_set, beats_all, tie_all
-
-
-@njit(cache=True)
-def _winner_stats_nb(scores: np.ndarray, eps: float):  # pragma: no cover
-    n_pts, n_c = scores.shape
-    ever_unique = np.zeros(n_c, dtype=np.bool_)
-    in_winner_set = np.zeros(n_c, dtype=np.bool_)
-    beats_all = np.ones((n_c, n_c), dtype=np.bool_)
-    tie_all = np.ones((n_c, n_c), dtype=np.bool_)
-    for a in range(n_c):
-        beats_all[a, a] = False
-    for p in range(n_pts):
-        mx = scores[p, 0]
-        for c in range(1, n_c):
-            if scores[p, c] > mx:
-                mx = scores[p, c]
-        thr = mx - eps
-        count = 0
-        last = 0
-        for c in range(n_c):
-            if scores[p, c] >= thr:
-                in_winner_set[c] = True
-                count += 1
-                last = c
-        if count == 1:
-            ever_unique[last] = True
-        for a in range(n_c):
-            for b in range(n_c):
-                if a == b:
-                    continue
-                d = scores[p, a] - scores[p, b]
-                if not (d > eps):
-                    beats_all[a, b] = False
-                if not (abs(d) <= eps):
-                    tie_all[a, b] = False
-    return ever_unique, in_winner_set, beats_all, tie_all
+    weights = np.asarray(weights, dtype=np.float64)
+    matrix = np.asarray(matrix, dtype=np.float64)
+    n_pts, k = weights.shape
+    scores = np.zeros((matrix.shape[0], n_pts))
+    # The products go through a cache-sized buffer, one block of points at a time.
+    term = np.empty((matrix.shape[0], min(n_pts, _BLOCK_POINTS)))
+    for start in range(0, n_pts, _BLOCK_POINTS):
+        block = scores[:, start : start + _BLOCK_POINTS]
+        products = term[:, : block.shape[1]]
+        for j in range(k):
+            np.multiply(matrix[:, j : j + 1], weights[start : start + _BLOCK_POINTS, j],
+                        out=products)
+            block += products
+    return scores.T
 
 
 def winner_stats(scores: np.ndarray, eps: float):
@@ -226,10 +104,31 @@ def winner_stats(scores: np.ndarray, eps: float):
     some row; `in_winner_set[c]` — c is within `eps` of some row's maximum;
     `beats_all[a, b]` — a exceeds b by more than `eps` in every row;
     `tie_all[a, b]` — a and b are within `eps` in every row.
+
+    Each unordered pair needs one difference d = s_a - s_b, since
+    s_b - s_a == -d exactly in round-to-nearest; a NaN in d makes every
+    test false, as it does row by row.
     """
-    scores = np.ascontiguousarray(scores, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
     if scores.shape[0] < 1:
         raise ValueError("winner_stats requires at least one score row")
-    if _ACTIVE == "numba":
-        return _winner_stats_nb(scores, eps)
-    return _winner_stats_np(scores, eps)
+    rows = np.ascontiguousarray(scores.T)
+    n_c = rows.shape[0]
+    top = rows[0].copy()
+    for c in range(1, n_c):
+        np.maximum(top, rows[c], out=top)
+    member = rows >= top - eps
+    unique_points = member.sum(axis=0, dtype=np.int32) == 1
+    in_winner_set = member.any(axis=1)
+    ever_unique = (member & unique_points).any(axis=1)
+    beats_all = np.zeros((n_c, n_c), dtype=np.bool_)
+    tie_all = np.eye(n_c, dtype=np.bool_)
+    diff = np.empty(rows.shape[1])
+    for a in range(n_c):
+        for b in range(a + 1, n_c):
+            np.subtract(rows[a], rows[b], out=diff)
+            lo, hi = diff.min(), diff.max()
+            beats_all[a, b] = lo > eps
+            beats_all[b, a] = -hi > eps
+            tie_all[a, b] = tie_all[b, a] = max(hi, -lo) <= eps
+    return ever_unique, in_winner_set, beats_all, tie_all

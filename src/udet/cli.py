@@ -3,8 +3,9 @@
 Reports are byte-deterministic for identical inputs and flags: orderings are
 fixed, numbers render with at most 12 significant digits, and timestamps
 appear only under ``--timestamps``.  Exit codes: 0 success, 1 parse or
-validation error, 2 semantic error (infeasible constraints, contradictory
-premises), 3 trilemma counterexample found.
+validation error (including a bad flag value), 2 semantic error (infeasible
+constraints, contradictory premises, more declared criteria than the
+response space can enumerate), 3 trilemma counterexample found.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from . import __version__, corpus
 from .dsl import ParseError, SourceDocument, format_number, parse_instance
-from .errors import ContradictoryPremises, InfeasibleConstraints
+from .errors import ContradictoryPremises, InfeasibleConstraints, ResponseSpaceTooLarge
 from .model import EPS_WEIGHT, Instance, ORDINAL
 from .policy import PolicyDecision, decide
 from .responses import (
@@ -208,7 +209,7 @@ def cmd_analyze(args, stdout, stderr) -> int:
         instance = dataclasses.replace(instance, decisiveness_required=True)
     try:
         adm, semantics, space, verdicts, report, decision = _analysis(instance, args.grid)
-    except (InfeasibleConstraints, ContradictoryPremises) as exc:
+    except (InfeasibleConstraints, ContradictoryPremises, ResponseSpaceTooLarge) as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_SEMANTIC
 
@@ -310,7 +311,7 @@ def cmd_check(args, stdout, stderr) -> int:
     try:
         for instance in instances:
             reports.append(check_trilemma(instance, grid_G=args.grid))
-    except (InfeasibleConstraints, ContradictoryPremises) as exc:
+    except (InfeasibleConstraints, ContradictoryPremises, ResponseSpaceTooLarge) as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_SEMANTIC
 
@@ -571,6 +572,9 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     args = build_parser().parse_args(argv)
+    if getattr(args, "grid", None) is not None and args.grid < 1:
+        stderr.write("error: --grid must be a positive integer\n")
+        return EXIT_PARSE
     if args.command == "analyze":
         return cmd_analyze(args, stdout, stderr)
     if args.command == "check":

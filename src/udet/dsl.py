@@ -9,6 +9,7 @@ emits a canonical form whose re-parse is structurally identical.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -162,7 +163,14 @@ class _LineParser:
         tok = self.take(what)
         if tok.kind != "number":
             raise self.error(f"expected {what}, got '{tok.text}'", tok)
-        return float(tok.text), tok
+        return self.value(tok), tok
+
+    def value(self, tok: _Token) -> float:
+        """The number token's value; literals beyond float range are errors."""
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise self.error("number out of range", tok)
+        return value
 
     def string(self, what: str = "a quoted string") -> tuple[str, _Token]:
         tok = self.take(what)
@@ -309,7 +317,7 @@ def _parse_statement(p: _LineParser, b: _Builder) -> None:
         if schema.kind == NUMERIC:
             if tok.kind != "number":
                 raise p.error(f"numeric attribute '{attr.text}' requires a number", tok)
-            value = float(tok.text)
+            value = p.value(tok)
         else:
             if tok.kind != "ident":
                 raise p.error(f"ordinal attribute '{attr.text}' requires a level name", tok)

@@ -2,9 +2,11 @@
 
 Given a validated instance this module computes the min-max normalized score
 matrix, evaluates weighted criteria, enumerates the admissible weight
-vectors (exact interval algebra for two attributes, a simplex grid
-otherwise), and derives the compatible answer set, the underdetermination
+vectors (exact interval algebra for two attributes, otherwise the simplex
+grid that `_kernels.simplex_grid` builds once per (G, k) and shares
+read-only), and derives the compatible answer set, the underdetermination
 flag, the entailed winner when one exists, and the preference closure.
+Scores and winner statistics come from the numpy kernels in `_kernels`.
 """
 
 from __future__ import annotations
@@ -77,8 +79,9 @@ class AdmissibleSet:
     `kind` is ``exact_threshold`` (two attributes, interval algebra over the
     first attribute's weight), ``grid`` (simplex grid filtered by bounds), or
     ``singleton`` (a pin constraint fixes one vector).  `vectors` holds the
-    enumerated rows for grid/singleton kinds; `alpha_interval` holds the
-    admissible range of the first attribute's weight for the exact kind.
+    enumerated rows for grid/singleton kinds, read-only: without bounds it is
+    the shared cached grid itself.  `alpha_interval` holds the admissible
+    range of the first attribute's weight for the exact kind.
     """
 
     attributes: tuple[str, ...]
@@ -248,6 +251,7 @@ def admissible_set(instance: Instance, grid_G: int | None = None,
 
     pinned = _pin_vector(instance)
     if pinned is not None:
+        pinned.setflags(write=False)
         return AdmissibleSet(attrs, instance.constraints, SINGLETON,
                              vectors=pinned[None, :])
 
@@ -279,22 +283,25 @@ def admissible_set(instance: Instance, grid_G: int | None = None,
                              alpha_interval=(lo, hi))
 
     g = grid_G if grid_G is not None else default_grid_subdivisions(k)
-    comps = _kernels.simplex_compositions(g, k)
-    weights = comps.astype(np.float64) / float(g)
-    keep = np.ones(weights.shape[0], dtype=bool)
-    for bound in _bounds(instance.constraints):
-        col = weights[:, attrs.index(bound.attribute)]
-        if bound.op == "<=":
-            keep &= col <= bound.value + EPS_WEIGHT
-        elif bound.op == ">=":
-            keep &= col >= bound.value - EPS_WEIGHT
-        else:
-            keep &= np.abs(col - bound.value) <= EPS_WEIGHT
-    if not keep.any():
-        raise InfeasibleConstraints(
-            f"no point of the {g}-subdivision simplex grid satisfies the bounds")
+    weights = _kernels.simplex_grid(g, k)
+    bounds = _bounds(instance.constraints)
+    if bounds:
+        keep = np.ones(weights.shape[0], dtype=bool)
+        for bound in bounds:
+            col = weights[:, attrs.index(bound.attribute)]
+            if bound.op == "<=":
+                keep &= col <= bound.value + EPS_WEIGHT
+            elif bound.op == ">=":
+                keep &= col >= bound.value - EPS_WEIGHT
+            else:
+                keep &= np.abs(col - bound.value) <= EPS_WEIGHT
+        if not keep.any():
+            raise InfeasibleConstraints(
+                f"no point of the {g}-subdivision simplex grid satisfies the bounds")
+        weights = weights.T[:, keep].T  # stays attribute-major
+        weights.setflags(write=False)
     return AdmissibleSet(attrs, instance.constraints, GRID, grid_subdivisions=g,
-                         vectors=np.ascontiguousarray(weights[keep]))
+                         vectors=weights)
 
 
 def _exact_eval_weights(matrix: ScoreMatrix, lo: float, hi: float) -> np.ndarray:

@@ -19,20 +19,3 @@ def scholarship_text() -> str:
 @pytest.fixture
 def scholarship(scholarship_text):
     return parse_instance(SourceDocument(scholarship_text, "scholarship.udet"))
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """One pass/fail line per acceptance criterion at the end of the run."""
-    lines: list[tuple[str, str]] = []
-    for status, label in (("passed", "PASS"), ("failed", "FAIL"), ("error", "FAIL")):
-        for report in terminalreporter.stats.get(status, []):
-            if getattr(report, "when", "call") != "call":
-                continue
-            if "test_acceptance.py" in report.nodeid:
-                name = report.nodeid.split("::")[-1]
-                lines.append((name, label))
-    if not lines:
-        return
-    terminalreporter.write_sep("-", "acceptance criteria")
-    for name, label in sorted(lines):
-        terminalreporter.write_line(f"{name}: {label}")

@@ -110,6 +110,27 @@ def test_analyze_grid_override(corpus_dir):
     assert doc["parameters"]["enumeration"] == "grid"
 
 
+@pytest.mark.parametrize("grid", ["0", "-3"])
+@pytest.mark.parametrize("command", ["analyze", "check", "policy"])
+def test_grid_below_one_is_a_usage_error(corpus_dir, command, grid):
+    path = path_of(corpus_dir, "company_priorities")
+    code, out, err = run_cli([command, path, "--grid", grid])
+    assert code == 1 and out == ""
+    assert err == "error: --grid must be a positive integer\n"
+
+
+def test_too_many_criteria_exit_2(corpus_dir, tmp_path):
+    source = (corpus_dir / "scholarship.udet").read_text()
+    source += "".join(f"criterion c{i} {{ gpa: {i / 16}, need: {1 - i / 16} }}\n"
+                      for i in range(11))  # 2 declared + 11 = 13 criteria
+    path = tmp_path / "crowded.udet"
+    path.write_text(source, encoding="utf-8")
+    for argv in (["analyze", str(path)], ["check", str(path)]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err == "error: 13 criteria declared; enumeration is capped at 12\n"
+
+
 def test_analyze_timestamps_flag(corpus_dir):
     path = path_of(corpus_dir, "scholarship")
     _, plain, _ = run_cli(["analyze", path, "--format", "json"])

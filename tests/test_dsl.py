@@ -124,6 +124,16 @@ def test_number_forms(scholarship_text):
     assert parse(text).fact_value("A", "gpa") == -2.5
 
 
+def test_non_finite_numbers_rejected(scholarship_text):
+    bad = err(scholarship_text.replace("fact A.gpa = 9.5", "fact A.gpa = 1e400"))
+    line = scholarship_text.split("\n").index("fact A.gpa = 9.5") + 1
+    assert (bad.message, bad.line, bad.column) == ("number out of range", line, 14)
+    text = scholarship_text + "criterion huge { gpa: -1e999, need: 1.0 }\n"
+    bad = err(text)
+    assert (bad.message, bad.line, bad.column) == (
+        "number out of range", text.count("\n"), 23)
+
+
 def test_question_escapes_round_trip(scholarship):
     tricky = dataclasses.replace(
         scholarship, question='He said "hi"\nthen left \\ quickly')

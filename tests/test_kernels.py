@@ -1,37 +1,11 @@
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from itertools import product
 
 import numpy as np
 import pytest
 
-import udet
 from udet import _kernels as K
-
-
-def _numba_importable() -> bool:
-    # The same test `_kernels` applies when it decides whether numba is usable.
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-HAVE_NUMBA = _numba_importable()
-USABLE_BACKENDS = tuple(b for b in K.BACKENDS if b != "numba" or HAVE_NUMBA)
-
-
-@pytest.fixture
-def both_backends():
-    """Yields the tuple of backends usable here (numpy always, numba when it
-    imports), restoring the original backend afterwards."""
-    original = K.active_backend()
-    yield USABLE_BACKENDS
-    K.set_backend(original)
 
 
 def brute_compositions(total: int, parts: int) -> np.ndarray:
@@ -41,14 +15,12 @@ def brute_compositions(total: int, parts: int) -> np.ndarray:
 
 @pytest.mark.parametrize("total,parts", [(0, 1), (5, 1), (0, 3), (1, 2), (10, 2),
                                          (10, 3), (7, 4), (4, 5)])
-def test_compositions_match_bruteforce_and_backends(total, parts, both_backends):
+def test_compositions_match_bruteforce_and_backends(total, parts):
     expected = brute_compositions(total, parts)
     assert K.composition_count(total, parts) == expected.shape[0]
-    for backend in both_backends:
-        K.set_backend(backend)
-        got = K.simplex_compositions(total, parts)
-        assert np.array_equal(got, expected), backend
-        assert got.dtype == np.int64
+    got = K.simplex_compositions(total, parts)
+    assert np.array_equal(got, expected)
+    assert got.dtype == np.int64
 
 
 def test_compositions_cached_and_readonly():
@@ -72,21 +44,20 @@ def plain_score_grid(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def test_score_grid_backends_bitwise_identical(both_backends):
+def test_score_grid_backends_bitwise_identical():
     rng = np.random.default_rng(7)
     for n_pts, n_c, k in [(1, 2, 1), (17, 3, 2), (200, 5, 4), (50, 2, 7)]:
         weights = rng.random((n_pts, k))
         weights /= weights.sum(axis=1, keepdims=True)
         matrix = rng.random((n_c, k))
+        matrix[-1] = -0.0  # sums start from 0.0, so these score +0.0
         expected = plain_score_grid(weights, matrix)
-        results = {}
-        for backend in both_backends:
-            K.set_backend(backend)
-            results[backend] = K.score_grid(weights, matrix)
-            # every entry, bitwise: the declared-order accumulation is the contract
-            assert np.array_equal(results[backend], expected), backend
-        if "numba" in results:
-            assert np.array_equal(results["numba"], results["numpy"])
+        # every entry, bitwise: the declared-order accumulation is the contract,
+        # for row-major and attribute-major weights alike
+        for layout in (weights, np.asfortranarray(weights)):
+            got = K.score_grid(layout, matrix)
+            assert got.shape == (n_pts, n_c)
+            assert got.tobytes() == expected.tobytes()
 
 
 def brute_winner_stats(scores: np.ndarray, eps: float):
@@ -114,7 +85,7 @@ def brute_winner_stats(scores: np.ndarray, eps: float):
     return ever_unique, in_winner, beats_all, tie_all
 
 
-def test_winner_stats_backends_and_bruteforce(both_backends):
+def test_winner_stats_backends_and_bruteforce():
     rng = np.random.default_rng(11)
     eps = 1e-9
     cases = []
@@ -136,11 +107,9 @@ def test_winner_stats_backends_and_bruteforce(both_backends):
     cases.append((dyadic, 0.25))
     for scores, eps in cases:
         expected = brute_winner_stats(scores, eps)
-        for backend in both_backends:
-            K.set_backend(backend)
-            got = K.winner_stats(scores, eps)
-            for g, e in zip(got, expected):
-                assert np.array_equal(g, e), backend
+        got = K.winner_stats(scores, eps)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e)
 
 
 def test_winner_stats_rejects_empty():
@@ -148,50 +117,56 @@ def test_winner_stats_rejects_empty():
         K.winner_stats(np.empty((0, 3)), 1e-9)
 
 
-def test_set_backend_rejects_unknown():
+def test_winner_stats_same_for_row_and_column_major_input():
+    rng = np.random.default_rng(5)
+    weights = K.simplex_grid(12, 4)
+    matrix = np.round(rng.random((6, 4)) * 4) / 4  # dyadic: exact ties occur
+    view = K.score_grid(weights, matrix)  # the candidate-major view itself
+    assert not view.flags.c_contiguous
+    expected = brute_winner_stats(np.ascontiguousarray(view), 1e-9)
+    for scores in (view, np.ascontiguousarray(view), np.asfortranarray(view)):
+        got = K.winner_stats(scores, 1e-9)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e)
+
+
+def test_winner_stats_grid_sized_with_ties_and_near_ties():
+    eps = 1e-9
+    rng = np.random.default_rng(13)
+    weights = K.simplex_compositions(30, 3) / 30
+    scores = np.array(K.score_grid(weights, rng.random((6, 3))))
+    scores[:, 1] = scores[:, 0]  # exact tie everywhere
+    scores[:, 2] = scores[:, 0] + eps / 2  # near-tie everywhere, beats nothing
+    scores[:, 3] = scores[:, 0] + 2 * eps  # beats 0, 1, 2 everywhere
+    scores[::7, 4] = scores[::7, 3]  # exact ties at some points only
+    scores[5::11, 5] = scores[5::11, 4] - eps / 4  # near-ties at some points
+    expected = brute_winner_stats(scores, eps)
+    assert expected[3][0, 1] and expected[3][0, 2] and expected[2][3, 0]
+    got = K.winner_stats(scores, eps)
+    for g, e in zip(got, expected):
+        assert np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("parts", [3, 4, 5, 6])
+def test_default_grids_are_complete_and_lexicographic(parts):
+    from udet.semantics import default_grid_subdivisions
+    total = default_grid_subdivisions(parts)
+    comps = K.simplex_compositions(total, parts)
+    assert comps.shape == (K.composition_count(total, parts), parts)
+    assert np.all(comps >= 0) and np.all(comps.sum(axis=1) == total)
+    step = np.diff(comps, axis=0)
+    first = (step != 0).argmax(axis=1)
+    assert np.all(step[np.arange(step.shape[0]), first] > 0)  # strictly ascending
+
+
+def test_simplex_grid_cached_readonly_and_equal_to_compositions():
+    grid = K.simplex_grid(9, 4)
+    assert grid is K.simplex_grid(9, 4)
+    expected = K.simplex_compositions(9, 4).astype(np.float64) / 9.0
+    assert grid.shape == expected.shape
+    assert np.ascontiguousarray(grid).tobytes() == expected.tobytes()
+    assert grid[:, 0].flags.c_contiguous  # attribute-major
     with pytest.raises(ValueError):
-        K.set_backend("fortran")
-
-
-def test_numba_backend_matches_numpy_bitwise(both_backends):
-    pytest.importorskip("numba")
-    rng = np.random.default_rng(3)
-    matrix = rng.random((6, 4))
-    results = {}
-    for backend in ("numba", "numpy"):
-        K.set_backend(backend)
-        weights = K.simplex_compositions(8, 4) / 8.0
-        scores = K.score_grid(weights, matrix)
-        results[backend] = (weights, scores, *K.winner_stats(scores, 1e-9))
-    for got, ref in zip(results["numba"], results["numpy"]):
-        assert np.array_equal(got, ref)
-
-
-# The directory holding the `udet` under test, so the child imports this copy.
-_UDET_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(udet.__file__)))
-
-
-def _backend_in_subprocess(env_value: str) -> subprocess.CompletedProcess:
-    code = "import udet._kernels as k; print(k.active_backend())"
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": _UDET_ROOT,
-             "UDET_BACKEND": env_value},
-        capture_output=True, text=True)
-
-
-def test_env_flag_selects_backend():
-    proc = _backend_in_subprocess("numpy")
-    assert proc.returncode == 0 and proc.stdout.strip() == "numpy", proc.stderr
-    proc = _backend_in_subprocess("fortran")
-    assert proc.returncode != 0
-    assert "UDET_BACKEND must be one of" in proc.stderr
-    proc = _backend_in_subprocess("numba")
-    if HAVE_NUMBA:
-        assert proc.returncode == 0 and proc.stdout.strip() == "numba", proc.stderr
-    else:
-        assert proc.returncode != 0
-        assert "UDET_BACKEND=numba but numba is not importable" in proc.stderr
-    proc = _backend_in_subprocess("auto")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ("numba" if HAVE_NUMBA else "numpy")
+        grid[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        K.simplex_grid(0, 3)

@@ -154,6 +154,37 @@ def test_admissible_grid_counts():
     assert np.all(adm.vectors >= 0.0)
 
 
+def _three_attribute_instance(**overrides):
+    inst = build_two_numeric("three", {"A": (1, 2), "B": (2, 1), "C": (0, 0)})
+    attrs = inst.attributes + (dataclasses.replace(inst.attributes[0], name="z"),)
+    facts = inst.facts + tuple(Fact(c, "z", float(i)) for i, c in enumerate("ABC"))
+    return dataclasses.replace(inst, attributes=attrs, facts=facts, **overrides)
+
+
+def test_admissible_vectors_are_read_only():
+    pinned = build_scholarship(constraints=(PinConstraint("merit_first"),))
+    bounded = _three_attribute_instance(constraints=(BoundConstraint("x", "<=", 0.5),))
+    for adm in (admissible_set(_three_attribute_instance()), admissible_set(bounded),
+                admissible_set(pinned)):
+        with pytest.raises(ValueError):
+            adm.vectors[0, 0] = 0.25
+    # the shared grid is untouched, so the next request sees the same rows
+    again = admissible_set(_three_attribute_instance())
+    assert np.all(again.vectors.sum(axis=1) > 1.0 - 1e-9)
+
+
+def test_bounded_grid_keeps_the_rows_of_a_plain_filter():
+    from udet import _kernels
+    bounds = (BoundConstraint("x", "<=", 0.5), BoundConstraint("y", ">=", 0.2),
+              BoundConstraint("z", "=", 0.3))
+    adm = admissible_set(_three_attribute_instance(constraints=bounds), grid_G=20)
+    weights = _kernels.simplex_compositions(20, 3).astype(np.float64) / 20.0
+    keep = ((weights[:, 0] <= 0.5 + 1e-9) & (weights[:, 1] >= 0.2 - 1e-9)
+            & (np.abs(weights[:, 2] - 0.3) <= 1e-9))
+    assert adm.vectors.shape == (int(keep.sum()), 3)
+    assert np.ascontiguousarray(adm.vectors).tobytes() == weights[keep].tobytes()
+
+
 def test_admissible_bounds_filter_grid():
     inst = build_two_numeric("b", {"A": (1, 2), "B": (2, 1)})
     adm = admissible_set(inst, grid_G=10, mode="grid")
