@@ -16,7 +16,6 @@ from .errors import (
     ContradictoryPremises,
     CorpusCorrupt,
     InfeasibleConstraints,
-    NoUsableBranch,
     ResponseSpaceTooLarge,
     UdetError,
     UndeclaredReference,
@@ -45,22 +44,21 @@ from .responses import (
     Response,
     ResponseEvaluator,
     Verdict,
-    evaluate,
     u_assistive_score,
 )
 from .semantics import (
     EPS_SCORE,
     AdmissibleSet,
+    Analysis,
     ScoreMatrix,
     SemanticsResult,
     WinnerOutcome,
     WinnerStats,
     admissible_set,
+    analyze,
     compatible_answers,
     default_grid_subdivisions,
-    entails_preference,
     normalize,
-    score,
     winner_statistics,
     winners_at,
 )
@@ -80,17 +78,17 @@ __all__ = [
     "OrdinalScale", "PinConstraint", "PreferencePremise", "Violation",
     "WeightConstraint", "validate", "EPS_WEIGHT",
     "ParseError", "SourceDocument", "parse_instance", "serialize_instance",
-    "EPS_SCORE", "AdmissibleSet", "ScoreMatrix", "SemanticsResult",
-    "WinnerOutcome", "WinnerStats", "admissible_set", "compatible_answers",
-    "default_grid_subdivisions", "entails_preference", "normalize", "score",
+    "EPS_SCORE", "AdmissibleSet", "Analysis", "ScoreMatrix", "SemanticsResult",
+    "WinnerOutcome", "WinnerStats", "admissible_set", "analyze",
+    "compatible_answers", "default_grid_subdivisions", "normalize",
     "winner_statistics", "winners_at",
     "Clarify", "Conditional", "Decisive", "Equivalence", "Refuse", "Response",
-    "ResponseEvaluator", "Verdict", "evaluate", "u_assistive_score",
+    "ResponseEvaluator", "Verdict", "u_assistive_score",
     "GeneratorConfig", "PairwiseCheck", "ResponseSpace", "TrilemmaReport",
     "check_trilemma", "enumerate_responses", "generate_instance",
     "PolicyDecision", "decide", "uniform_criterion", "with_default_criterion",
     "CorpusEntry", "ExpectedSummary", "load_corpus",
     "UdetError", "ContradictoryPremises", "CorpusCorrupt",
-    "InfeasibleConstraints", "NoUsableBranch", "ResponseSpaceTooLarge",
+    "InfeasibleConstraints", "ResponseSpaceTooLarge",
     "UndeclaredReference",
 ]

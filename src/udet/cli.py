@@ -3,15 +3,17 @@
 Reports are byte-deterministic for identical inputs and flags: orderings are
 fixed, numbers render with at most 12 significant digits, and timestamps
 appear only under ``--timestamps``.  Exit codes: 0 success, 1 parse or
-validation error (including a bad flag value), 2 semantic error (infeasible
-constraints, contradictory premises, more declared criteria than the
-response space can enumerate), 3 trilemma counterexample found.
+validation error (including a bad flag value) or a file that cannot be read
+or written, 2 semantic error (infeasible constraints, contradictory
+premises, more declared criteria than the response space can enumerate),
+3 trilemma counterexample found.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -19,37 +21,19 @@ from pathlib import Path
 
 from . import __version__, corpus
 from .dsl import ParseError, SourceDocument, format_number, parse_instance
-from .errors import ContradictoryPremises, InfeasibleConstraints, ResponseSpaceTooLarge
+from .errors import UdetError
 from .model import EPS_WEIGHT, Instance, ORDINAL
-from .policy import PolicyDecision, decide
-from .responses import (
-    Clarify,
-    Conditional,
-    Decisive,
-    Equivalence,
-    Refuse,
-    Response,
-    ResponseEvaluator,
-    Verdict,
-)
+from .policy import decide
+from .responses import Clarify, Conditional, Decisive, Equivalence, Response, Verdict
 from .semantics import (
     EPS_SCORE,
     AdmissibleSet,
     SemanticsResult,
-    admissible_set,
-    compatible_answers,
+    analyze,
     exact_thresholds,
     normalize,
-    winner_statistics,
 )
-from .trilemma import (
-    GeneratorConfig,
-    TrilemmaReport,
-    check_trilemma,
-    enumerate_responses,
-    generate_instance,
-    report_from_verdicts,
-)
+from .trilemma import GeneratorConfig, TrilemmaReport, check_trilemma, generate_instance
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -188,30 +172,16 @@ def _verdict_row(response: Response, verdict: Verdict) -> str:
     return "  " + " ".join(cells).rstrip()
 
 
-def _analysis(instance: Instance, grid: int | None):
-    adm = admissible_set(instance, grid_G=grid)
-    matrix = normalize(instance)
-    stats = winner_statistics(matrix, adm)
-    semantics = compatible_answers(instance, adm, stats=stats)
-    space = enumerate_responses(instance, semantics)
-    evaluator = ResponseEvaluator(instance, semantics, adm, stats=stats)
-    verdicts = tuple(evaluator.evaluate(r) for r in space.responses)
-    report = report_from_verdicts(instance.id, semantics, space.responses, verdicts)
-    decision = decide(instance, semantics, adm)
-    return adm, semantics, space, verdicts, report, decision
-
-
 def cmd_analyze(args, stdout, stderr) -> int:
     instance = _load(args.path, stderr)
     if instance is None:
         return EXIT_PARSE
     if args.require_decision:
         instance = dataclasses.replace(instance, decisiveness_required=True)
-    try:
-        adm, semantics, space, verdicts, report, decision = _analysis(instance, args.grid)
-    except (InfeasibleConstraints, ContradictoryPremises, ResponseSpaceTooLarge) as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_SEMANTIC
+    analysis = analyze(instance, grid_G=args.grid)
+    report = check_trilemma(analysis)
+    decision = decide(analysis)
+    adm, semantics = analysis.adm, analysis.semantics
 
     if args.format == "json":
         doc = {
@@ -221,7 +191,7 @@ def cmd_analyze(args, stdout, stderr) -> int:
             "semantics": _semantics_json(semantics),
             "verdicts": [
                 {"response": response_to_json(r), "verdict": v.as_dict()}
-                for r, v in zip(space.responses, verdicts)
+                for r, v in zip(report.responses, report.verdicts)
             ],
             "policy": {
                 "branch": decision.branch,
@@ -258,7 +228,7 @@ def cmd_analyze(args, stdout, stderr) -> int:
     header = ["response".ljust(52), "C".ljust(6), "Ccond".ljust(6), "NB".ljust(6),
               "NBt".ljust(6), "Udec".ljust(6), "Uass".ljust(6), "hidden"]
     w("  " + " ".join(header).rstrip() + "\n")
-    for response, verdict in zip(space.responses, verdicts):
+    for response, verdict in zip(report.responses, report.verdicts):
         w(_verdict_row(response, verdict) + "\n")
     w("policy:\n")
     w(f"  branch: {decision.branch}\n")
@@ -307,13 +277,8 @@ def cmd_check(args, stdout, stderr) -> int:
         stderr.write("error: give instance files or --random N\n")
         return EXIT_PARSE
 
-    reports: list[TrilemmaReport] = []
-    try:
-        for instance in instances:
-            reports.append(check_trilemma(instance, grid_G=args.grid))
-    except (InfeasibleConstraints, ContradictoryPremises, ResponseSpaceTooLarge) as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_SEMANTIC
+    reports = [check_trilemma(analyze(instance, grid_G=args.grid))
+               for instance in instances]
 
     total_responses = sum(r.responses_evaluated for r in reports)
     total_counter = sum(len(r.counterexamples) for r in reports)
@@ -355,13 +320,7 @@ def cmd_policy(args, stdout, stderr) -> int:
         return EXIT_PARSE
     if args.require_decision:
         instance = dataclasses.replace(instance, decisiveness_required=True)
-    try:
-        adm = admissible_set(instance, grid_G=args.grid)
-        semantics = compatible_answers(instance, adm)
-        decision: PolicyDecision = decide(instance, semantics, adm)
-    except (InfeasibleConstraints, ContradictoryPremises) as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_SEMANTIC
+    decision = decide(analyze(instance, grid_G=args.grid))
     if args.format == "json":
         _emit({
             "schema_version": JSON_SCHEMA_VERSION,
@@ -568,25 +527,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; `parse_args` leaves it unchanged."""
+    return build_parser()
+
+
+_COMMANDS = {"analyze": cmd_analyze, "check": cmd_check, "policy": cmd_policy,
+            "sweep": cmd_sweep, "corpus": cmd_corpus}
+
+
 def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
+    """Run one command.  An OSError exits 1 and any other UdetError exits 2,
+    each with a one-line ``error:`` message."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "grid", None) is not None and args.grid < 1:
         stderr.write("error: --grid must be a positive integer\n")
         return EXIT_PARSE
-    if args.command == "analyze":
-        return cmd_analyze(args, stdout, stderr)
-    if args.command == "check":
-        return cmd_check(args, stdout, stderr)
-    if args.command == "policy":
-        return cmd_policy(args, stdout, stderr)
-    if args.command == "sweep":
-        return cmd_sweep(args, stdout, stderr)
-    if args.command == "corpus":
-        return cmd_corpus(args, stdout, stderr)
-    stderr.write(f"error: unknown command {args.command!r}\n")  # pragma: no cover
-    return EXIT_PARSE  # pragma: no cover
+    try:
+        return _COMMANDS[args.command](args, stdout, stderr)
+    except OSError as exc:
+        stderr.write(f"error: {exc}\n")
+        return EXIT_PARSE
+    except UdetError as exc:
+        stderr.write(f"error: {exc}\n")
+        return EXIT_SEMANTIC
 
 
 if __name__ == "__main__":

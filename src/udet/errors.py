@@ -26,7 +26,3 @@ class ResponseSpaceTooLarge(UdetError):
 
 class CorpusCorrupt(UdetError):
     """A bundled corpus entry failed to parse or validate (build defect)."""
-
-
-class NoUsableBranch(UdetError):
-    """Reserved for strict policy modes; the default policy always decides."""

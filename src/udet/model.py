@@ -9,6 +9,7 @@ reports rule violations as data instead of raising.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -77,10 +78,6 @@ class CriterionSpec:
 
     name: str
     weights: tuple[tuple[str, float], ...]
-
-    @classmethod
-    def from_map(cls, name: str, weights: dict[str, float]) -> CriterionSpec:
-        return cls(name, tuple(weights.items()))
 
     @property
     def weight_map(self) -> dict[str, float]:
@@ -186,6 +183,18 @@ def _is_ident(name: str) -> bool:
     return bool(IDENT_RE.match(name))
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value: int | float) -> bool:
+    """False for inf, NaN and an int too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def validate(instance: Instance) -> list[Violation]:
     """Check every structural invariant; return an empty list iff all hold.
 
@@ -276,9 +285,12 @@ def validate(instance: Instance) -> list[Violation]:
             continue
         attr = instance.attribute_by_name(fact.attribute)
         if attr.kind == NUMERIC:
-            if isinstance(fact.value, bool) or not isinstance(fact.value, (int, float)):
+            if not _is_number(fact.value):
                 add(Violation(where, "fact-value-type",
                               f"numeric attribute requires a number, got {fact.value!r}"))
+            elif not _is_finite(fact.value):
+                add(Violation(where, "fact-value-finite",
+                              f"numeric value must be finite, got {fact.value!r}"))
         elif attr.kind == ORDINAL:
             if not isinstance(fact.value, str):
                 add(Violation(where, "fact-value-type",
@@ -312,19 +324,21 @@ def validate(instance: Instance) -> list[Violation]:
             if attr_name not in attr_names:
                 add(Violation(f"criterion '{crit.name}'", "criterion-reference",
                               f"weight for undeclared attribute '{attr_name}'"))
-        missing = [a for a in attr_names_in_order(instance) if a not in wmap]
+        missing = [a for a in instance.attribute_names if a not in wmap]
         if missing:
             add(Violation(f"criterion '{crit.name}'", "criterion-coverage",
                           f"missing weight for attribute(s): {', '.join(missing)}"))
         for attr_name, w in crit.weights:
-            if isinstance(w, bool) or not isinstance(w, (int, float)):
+            if not _is_number(w):
                 add(Violation(f"criterion '{crit.name}'", "criterion-weight-type",
                               f"weight for '{attr_name}' must be a number"))
+            elif not _is_finite(w):
+                add(Violation(f"criterion '{crit.name}'", "criterion-weight-finite",
+                              f"weight for '{attr_name}' must be finite, got {w!r}"))
             elif w < 0:
                 add(Violation(f"criterion '{crit.name}'", "criterion-weight-negative",
                               f"weight for '{attr_name}' is negative ({w})"))
-        total = sum(w for _, w in crit.weights
-                    if isinstance(w, (int, float)) and not isinstance(w, bool))
+        total = sum(w for _, w in crit.weights if _is_number(w) and _is_finite(w))
         if abs(total - 1.0) > EPS_WEIGHT:
             add(Violation(f"criterion '{crit.name}'", "criterion-weight-sum",
                           f"weights sum to {total!r}, expected 1 within {EPS_WEIGHT}"))
@@ -367,10 +381,6 @@ def validate(instance: Instance) -> list[Violation]:
                       "explicit preference premises must be acyclic"))
 
     return out
-
-
-def attr_names_in_order(instance: Instance) -> tuple[str, ...]:
-    return instance.attribute_names
 
 
 def _find_cycle(edges: list[tuple[str, str]]) -> list[str] | None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .model import EPS_WEIGHT, CriterionSpec, Instance
 from .responses import Clarify, Conditional, Decisive, Response
-from .semantics import AdmissibleSet, SemanticsResult, normalize, winners_at
+from .semantics import Analysis, winners_at
 from .trilemma import clarify_for
 
 DIRECT = "direct"
@@ -67,15 +67,15 @@ def with_default_criterion(instance: Instance) -> tuple[Instance, str]:
         name = f"{UNIFORM_DEFAULT}_{suffix}"
 
 
-def decide(instance: Instance, semantics: SemanticsResult,
-           adm: AdmissibleSet) -> PolicyDecision:
-    """Total, deterministic policy over a validated instance.
+def decide(analysis: Analysis) -> PolicyDecision:
+    """Total, deterministic policy over an analyzed instance.
 
     A recommend_with_assumptions response names the uniform default
     criterion; use `with_default_criterion` to obtain the instance on which
     that response evaluates.
     """
-    compat = semantics.compatible
+    instance = analysis.instance
+    compat = analysis.semantics.compatible
     n_crit = len(instance.criteria)
     flag = "yes" if instance.decisiveness_required else "no"
     context = (f"compatible answers: {len(compat)} ({', '.join(compat)}); "
@@ -90,8 +90,7 @@ def decide(instance: Instance, semantics: SemanticsResult,
 
     if instance.decisiveness_required:
         _, name = with_default_criterion(instance)
-        matrix = normalize(instance)
-        outcome = winners_at(matrix, uniform_criterion(instance, name))
+        outcome = winners_at(analysis.matrix, uniform_criterion(instance, name))
         if outcome.unique is not None:
             winner = outcome.unique
             tie_note = ""
@@ -104,12 +103,7 @@ def decide(instance: Instance, semantics: SemanticsResult,
             f"{context}; a decision is required, so recommend '{winner}' "
             f"under the disclosed uniform criterion '{name}'{tie_note}")
 
-    branches = []
-    matrix = normalize(instance)
-    for crit in instance.criteria:
-        unique = winners_at(matrix, crit).unique
-        if unique is not None:
-            branches.append((crit.name, unique))
+    branches = tuple(analysis.unique_winners.items())
     if n_crit == 0 or not branches:
         note = ("no declared criterion yields a unique winner, so "
                 if n_crit else "")
@@ -118,6 +112,6 @@ def decide(instance: Instance, semantics: SemanticsResult,
             f"{context}; {note}ask which attribute weighting applies")
 
     return PolicyDecision(
-        CONDITIONAL, Conditional(tuple(branches)),
+        CONDITIONAL, Conditional(branches),
         f"{context}; several criteria are plausible, so answer "
         "conditionally per declared criterion")

@@ -1,30 +1,19 @@
 """Structured response forms and the predicate evaluator.
 
 Five response forms (decisive, conditional, equivalence, clarification,
-refusal) are scored against an instance's semantics, yielding a Verdict of
+refusal) are scored against an instance's `Analysis`, yielding a Verdict of
 correctness, non-bias, and utility predicates plus the graded assistive
-score.
+score.  The evaluator reads the analysis's winner statistics, preference
+closure and per-criterion scores and winners; it computes none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
 from .errors import UndeclaredReference
 from .model import Instance
-from .semantics import (
-    EPS_SCORE,
-    AdmissibleSet,
-    ScoreMatrix,
-    SemanticsResult,
-    WinnerStats,
-    normalize,
-    winner_statistics,
-    _weight_row,
-)
+from .semantics import EPS_SCORE, Analysis
 
 
 @dataclass(frozen=True)
@@ -142,7 +131,7 @@ def rubric_components(response: Response) -> tuple[int, int, int, int]:
     return (relevance, informative, actionable, decisive)
 
 
-def u_assistive_score(response: Response, semantics: SemanticsResult | None = None,
+def u_assistive_score(response: Response,
                       weights: tuple[float, float, float, float] = RUBRIC_WEIGHTS) -> float:
     """Graded usefulness in [0, 1] from the structural rubric.
 
@@ -190,57 +179,33 @@ def _check_structure(instance: Instance, response: Response) -> None:
 
 
 class ResponseEvaluator:
-    """Evaluates responses against one instance's computed semantics.
+    """Evaluates responses against one instance's `Analysis`."""
 
-    Precomputes the normalized matrix, winner statistics over the admissible
-    set, and per-criterion winner sets, so evaluating a whole response space
-    costs one admissible-set scan.
-    """
-
-    def __init__(self, instance: Instance, semantics: SemanticsResult,
-                 adm: AdmissibleSet, stats: WinnerStats | None = None):
-        self.instance = instance
-        self.semantics = semantics
-        self.adm = adm
-        self.matrix: ScoreMatrix = normalize(instance)
-        self.stats = stats if stats is not None else winner_statistics(self.matrix, adm)
-        self._closure = set(semantics.preference_closure)
-        self._theta_scores: dict[str, np.ndarray] = {}
-        self._theta_winners: dict[str, frozenset[str]] = {}
-        for crit in instance.criteria:
-            row = _weight_row(self.matrix.attributes, crit)
-            scores = _kernels.score_grid(row[None, :], self.matrix.values)[0]
-            top = scores.max()
-            winners = frozenset(c for i, c in enumerate(self.matrix.candidates)
-                                if scores[i] >= top - EPS_SCORE)
-            self._theta_scores[crit.name] = scores
-            self._theta_winners[crit.name] = winners
-
-    def winners_for(self, criterion: str) -> frozenset[str]:
-        return self._theta_winners[criterion]
+    def __init__(self, analysis: Analysis):
+        self.analysis = analysis
+        self._index = {c: i for i, c in enumerate(analysis.instance.candidates)}
 
     def _tie_at(self, criterion: str, a: str, b: str) -> bool:
-        scores = self._theta_scores[criterion]
-        i = self.matrix.candidates.index(a)
-        j = self.matrix.candidates.index(b)
-        return bool(abs(scores[i] - scores[j]) <= EPS_SCORE)
+        scores = self.analysis.criterion_scores[criterion]
+        return bool(abs(scores[self._index[a]] - scores[self._index[b]]) <= EPS_SCORE)
 
     def _ordered_by_closure(self, a: str, b: str) -> bool:
-        return (a, b) in self._closure or (b, a) in self._closure
+        i, j = self._index[a], self._index[b]
+        return bool(self.analysis.closure[i, j] or self.analysis.closure[j, i])
 
     def evaluate(self, response: Response) -> Verdict:
-        _check_structure(self.instance, response)
-        u_ass = u_assistive_score(response, self.semantics)
+        instance = self.analysis.instance
+        winners = self.analysis.criterion_winners
+        _check_structure(instance, response)
+        u_ass = u_assistive_score(response)
 
         if isinstance(response, Decisive):
             a, theta = response.candidate, response.declared_theta
-            c_strong = self.semantics.entailed == a
-            wins_under_theta = (theta is not None and
-                                self._theta_winners[theta] == frozenset((a,)))
-            named_under_theta = theta is not None and a in self._theta_winners[theta]
+            c_strong = self.analysis.semantics.entailed == a
+            wins_under_theta = theta is not None and winners[theta] == (a,)
+            named_under_theta = theta is not None and a in winners[theta]
             c_cond = c_strong or wins_under_theta or (
-                theta is None and
-                any(ws == frozenset((a,)) for ws in self._theta_winners.values()))
+                theta is None and any(ws == (a,) for ws in winners.values()))
             return Verdict(
                 c_strong=c_strong,
                 c_cond=c_cond,
@@ -252,16 +217,15 @@ class ResponseEvaluator:
             )
 
         if isinstance(response, Conditional):
-            branch_ok = all(self._theta_winners[crit] == frozenset((cand,))
-                            for crit, cand in response.branches)
+            branch_ok = all(winners[crit] == (cand,) for crit, cand in response.branches)
             branch_crits = {crit for crit, _ in response.branches}
             branch_answers = {cand for _, cand in response.branches}
             silently_excluded = False
-            for crit in self.instance.criteria:
+            for crit in instance.criteria:
                 if crit.name in branch_crits:
                     continue
-                winners = self._theta_winners[crit.name]
-                if len(winners) == 1 and next(iter(winners)) not in branch_answers:
+                ws = winners[crit.name]
+                if len(ws) == 1 and ws[0] not in branch_answers:
                     silently_excluded = True
                     break
             return Verdict(
@@ -278,13 +242,13 @@ class ResponseEvaluator:
             members = response.candidates
             pairs = [(members[i], members[j])
                      for i in range(len(members)) for j in range(i + 1, len(members))]
-            idx = self.matrix.candidates.index
-            ties = all(bool(self.stats.tie_all[idx(a), idx(b)]) for a, b in pairs)
+            idx = self._index
+            ties = all(bool(self.analysis.stats.tie_all[idx[a], idx[b]]) for a, b in pairs)
             unordered = not any(self._ordered_by_closure(a, b) for a, b in pairs)
             c_strong = ties and unordered
             c_cond = c_strong or any(
                 all(self._tie_at(name, a, b) for a, b in pairs)
-                for name in self._theta_winners)
+                for name in winners)
             return Verdict(
                 c_strong=c_strong,
                 c_cond=c_cond,
@@ -307,8 +271,3 @@ class ResponseEvaluator:
             hidden_theta=False,
         )
 
-
-def evaluate(instance: Instance, semantics: SemanticsResult, adm: AdmissibleSet,
-             response: Response) -> Verdict:
-    """Evaluate one response; see ResponseEvaluator for batch evaluation."""
-    return ResponseEvaluator(instance, semantics, adm).evaluate(response)

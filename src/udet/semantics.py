@@ -1,11 +1,13 @@
 """Scoring semantics: normalization, admissible criteria, compatible answers.
 
-Given a validated instance this module computes the min-max normalized score
-matrix, evaluates weighted criteria, enumerates the admissible weight
+`analyze` computes an instance's semantics once and returns it as one frozen
+`Analysis`: the min-max normalized score matrix, the admissible weight
 vectors (exact interval algebra for two attributes, otherwise the simplex
 grid that `_kernels.simplex_grid` builds once per (G, k) and shares
-read-only), and derives the compatible answer set, the underdetermination
-flag, the entailed winner when one exists, and the preference closure.
+read-only), the winner statistics over them, the preference closure, the
+compatible answer set with its underdetermination flag and entailed winner,
+and the scores and winners under each declared criterion.  The response,
+trilemma and policy layers read that object and recompute none of it.
 Scores and winner statistics come from the numpy kernels in `_kernels`.
 """
 
@@ -48,15 +50,6 @@ class ScoreMatrix:
     attributes: tuple[str, ...]
     values: np.ndarray  # (n_candidates, n_attributes) float64 in [0, 1]
 
-    def entry(self, candidate: str, attribute: str) -> float:
-        return float(self.values[self.candidates.index(candidate),
-                                 self.attributes.index(attribute)])
-
-    def as_mapping(self) -> dict[tuple[str, str], float]:
-        return {(c, a): float(self.values[i, j])
-                for i, c in enumerate(self.candidates)
-                for j, a in enumerate(self.attributes)}
-
 
 @dataclass(frozen=True)
 class WinnerOutcome:
@@ -67,9 +60,6 @@ class WinnerOutcome:
     @property
     def unique(self) -> str | None:
         return self.winners[0] if len(self.winners) == 1 else None
-
-    def winner_set(self) -> frozenset[str]:
-        return frozenset(self.winners)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +115,9 @@ def normalize(instance: Instance) -> ScoreMatrix:
     attributes are flipped as ``1 - scaled``.  When all candidates tie on an
     attribute every entry becomes 0.5, so the attribute cannot influence any
     argmax.
+
+    Raises ValueError naming ``candidate.attribute`` for a non-finite
+    numeric value, which `validate` reports as ``fact-value-finite``.
     """
     cands = instance.candidates
     attrs = instance.attributes
@@ -133,6 +126,11 @@ def normalize(instance: Instance) -> ScoreMatrix:
     for j, attr in enumerate(attrs):
         if attr.kind == NUMERIC:
             raw = np.array([float(values[(c, attr.name)]) for c in cands])
+            bad = np.flatnonzero(~np.isfinite(raw))
+            if bad.size:
+                cand = cands[bad[0]]
+                raise ValueError(f"fact {cand}.{attr.name} is not finite "
+                                 f"({values[(cand, attr.name)]!r})")
         else:
             scale = instance.scale_by_name(attr.scale)
             raw = np.array([float(scale.rank(values[(c, attr.name)])) for c in cands])
@@ -140,7 +138,13 @@ def normalize(instance: Instance) -> ScoreMatrix:
         if lo == hi:
             out[:, j] = 0.5
             continue
-        scaled = (raw - lo) / (hi - lo)
+        with np.errstate(over="ignore"):
+            span = hi - lo
+        if not np.isfinite(span):
+            # Finite values whose range overflows: halving is exact, so the
+            # ratio is unchanged and stays finite.
+            raw, lo, span = raw / 2.0, lo / 2.0, hi / 2.0 - lo / 2.0
+        scaled = (raw - lo) / span
         if attr.direction == LOWER_BETTER:
             scaled = 1.0 - scaled
         out[:, j] = scaled
@@ -157,24 +161,16 @@ def _weight_row(matrix_attrs: tuple[str, ...], theta: CriterionSpec) -> np.ndarr
         ) from None
 
 
-def score(matrix: ScoreMatrix, theta: CriterionSpec, candidate: str) -> float:
-    """Weighted sum of the candidate's normalized scores under `theta`."""
-    row = matrix.values[matrix.candidates.index(candidate)]
-    weights = _weight_row(matrix.attributes, theta)
-    acc = 0.0
-    for j in range(len(matrix.attributes)):
-        acc += weights[j] * row[j]
-    return acc
+def _winners(candidates: tuple[str, ...], scores: np.ndarray) -> tuple[str, ...]:
+    top = scores.max()
+    return tuple(c for i, c in enumerate(candidates) if scores[i] >= top - EPS_SCORE)
 
 
 def winners_at(matrix: ScoreMatrix, theta: CriterionSpec) -> WinnerOutcome:
     """Candidates within EPS_SCORE of the maximum score under `theta`."""
     weights = _weight_row(matrix.attributes, theta)
     scores = _kernels.score_grid(weights[None, :], matrix.values)[0]
-    top = scores.max()
-    winners = tuple(c for i, c in enumerate(matrix.candidates)
-                    if scores[i] >= top - EPS_SCORE)
-    return WinnerOutcome(winners)
+    return WinnerOutcome(_winners(matrix.candidates, scores))
 
 
 def default_grid_subdivisions(n_attributes: int) -> int:
@@ -397,22 +393,20 @@ def _closure_matrix(instance: Instance, stats: WinnerStats) -> np.ndarray:
     return reach
 
 
-def compatible_answers(instance: Instance, adm: AdmissibleSet,
-                       stats: WinnerStats | None = None) -> SemanticsResult:
+def compatible_answers(instance: Instance, stats: WinnerStats,
+                       closure: np.ndarray) -> SemanticsResult:
     """Compatible answer set, underdetermination, entailed winner, closure.
 
     A candidate is compatible when it is the unique winner at some admissible
     weight vector; if no candidate ever wins uniquely the union of winner
     sets is used instead.  Candidates on the losing side of the preference
-    closure are removed.  The entailed winner is the candidate that wins
-    uniquely everywhere (and is undominated), or the sole compatible answer.
+    `closure` (from `_closure_matrix`) are removed.  The entailed winner is
+    the candidate that wins uniquely everywhere (and is undominated), or the
+    sole compatible answer.
 
-    Raises ContradictoryPremises when premises conflict with unanimous score
-    orderings or when preference filtering empties the compatible set.
+    Raises ContradictoryPremises when preference filtering empties the
+    compatible set.
     """
-    matrix = normalize(instance)
-    if stats is None:
-        stats = winner_statistics(matrix, adm)
     cands = instance.candidates
     n = len(cands)
 
@@ -421,8 +415,7 @@ def compatible_answers(instance: Instance, adm: AdmissibleSet,
     else:
         base = [i for i in range(n) if stats.in_winner_set[i]]
 
-    reach = _closure_matrix(instance, stats)
-    dominated = reach.any(axis=0)
+    dominated = closure.any(axis=0)
 
     compatible = [i for i in base if not dominated[i]]
     if not compatible:
@@ -438,39 +431,68 @@ def compatible_answers(instance: Instance, adm: AdmissibleSet,
     if entailed is None and len(compatible) == 1:
         entailed = cands[compatible[0]]
 
-    closure = tuple((cands[i], cands[j])
-                    for i in range(n) for j in range(n) if reach[i, j])
+    pairs = tuple((cands[i], cands[j])
+                  for i in range(n) for j in range(n) if closure[i, j])
     return SemanticsResult(
         compatible=tuple(cands[i] for i in compatible),
         underdetermined=len(compatible) > 1,
         entailed=entailed,
-        preference_closure=closure,
+        preference_closure=pairs,
     )
 
 
-def entails_preference(instance: Instance, adm: AdmissibleSet,
-                       a: str, b: str) -> bool:
-    """True iff the premises order `a` strictly above `b`.
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """Everything the later layers read about one instance, computed once.
 
-    Holds when `a` scores above `b` by more than EPS_SCORE at every
-    admissible weight vector, or when (a, b) lies in the transitive closure
-    of that unanimity relation united with the explicit premises.
+    `closure[i, j]` is true when the premises order candidate i above j
+    (the matrix behind `semantics.preference_closure`).  `criterion_scores`
+    and `criterion_winners` map each declared criterion, in declaration
+    order, to its (n,) score row and to `winners_at(matrix, criterion).winners`.
+    The closure and the score rows are read-only.
     """
-    cands = instance.candidates
-    if a not in cands or b not in cands:
-        raise ValueError(f"unknown candidate in ({a!r}, {b!r})")
-    if a == b:
-        raise ValueError("candidates must differ")
+
+    instance: Instance
+    matrix: ScoreMatrix
+    adm: AdmissibleSet
+    stats: WinnerStats
+    closure: np.ndarray
+    semantics: SemanticsResult
+    criterion_scores: dict[str, np.ndarray]
+    criterion_winners: dict[str, tuple[str, ...]]
+
+    @property
+    def unique_winners(self) -> dict[str, str]:
+        """Criterion name -> its sole winner, for criteria that have one."""
+        return {name: ws[0] for name, ws in self.criterion_winners.items()
+                if len(ws) == 1}
+
+
+def analyze(instance: Instance, grid_G: int | None = None,
+            mode: str = "auto") -> Analysis:
+    """Compute the semantics of a validated instance once.
+
+    `grid_G` and `mode` go to `admissible_set`.  The criterion rows are
+    scored in one `score_grid` call; each row is bitwise what scoring it
+    alone gives, since every entry is accumulated on its own.
+
+    Raises InfeasibleConstraints and ContradictoryPremises.
+    """
+    adm = admissible_set(instance, grid_G, mode)
     matrix = normalize(instance)
     stats = winner_statistics(matrix, adm)
-    reach = _closure_matrix(instance, stats)
-    return bool(reach[cands.index(a), cands.index(b)])
-
-
-def ties_everywhere(matrix: ScoreMatrix, adm: AdmissibleSet, a: str, b: str,
-                    stats: WinnerStats | None = None) -> bool:
-    """True iff `a` and `b` score within EPS_SCORE at every admissible vector."""
-    if stats is None:
-        stats = winner_statistics(matrix, adm)
-    i, j = matrix.candidates.index(a), matrix.candidates.index(b)
-    return bool(stats.tie_all[i, j])
+    closure = _closure_matrix(instance, stats)
+    semantics = compatible_answers(instance, stats, closure)
+    crits = instance.criteria
+    weights = np.array([_weight_row(matrix.attributes, c) for c in crits],
+                       dtype=np.float64).reshape(len(crits), len(matrix.attributes))
+    scores = _kernels.score_grid(weights, matrix.values)
+    # Every later layer reads these; none may change them.
+    closure.setflags(write=False)
+    scores.setflags(write=False)
+    return Analysis(
+        instance, matrix, adm, stats, closure, semantics,
+        criterion_scores={c.name: scores[i] for i, c in enumerate(crits)},
+        criterion_winners={c.name: _winners(matrix.candidates, scores[i])
+                           for i, c in enumerate(crits)},
+    )

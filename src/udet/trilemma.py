@@ -31,7 +31,6 @@ from .model import (
     OrdinalScale,
     PinConstraint,
     PreferencePremise,
-    validate,
 )
 from .responses import (
     Clarify,
@@ -43,15 +42,7 @@ from .responses import (
     ResponseEvaluator,
     Verdict,
 )
-from .semantics import (
-    AdmissibleSet,
-    SemanticsResult,
-    admissible_set,
-    compatible_answers,
-    normalize,
-    winner_statistics,
-    winners_at,
-)
+from .semantics import Analysis, SemanticsResult, normalize
 
 # 2**12 criterion subsets keeps enumeration at desk scale.
 MAX_ENUMERATED_CRITERIA = 12
@@ -96,14 +87,22 @@ class PairwiseCheck:
 
 @dataclass(frozen=True)
 class TrilemmaReport:
-    """Outcome of checking one instance's full response space."""
+    """Outcome of checking one instance's full response space.
+
+    `responses` and `verdicts` are the evaluated space, pairwise aligned.
+    """
 
     instance_id: str
     underdetermined: bool
     counterexamples: tuple[Response, ...]
     pairwise: tuple[PairwiseCheck, ...]
     conflict_free_witness: Response | None
-    responses_evaluated: int
+    responses: tuple[Response, ...]
+    verdicts: tuple[Verdict, ...]
+
+    @property
+    def responses_evaluated(self) -> int:
+        return len(self.responses)
 
 
 def clarify_for(instance: Instance) -> Clarify:
@@ -111,8 +110,7 @@ def clarify_for(instance: Instance) -> Clarify:
     return Clarify(tuple(f"weight for {a}" for a in instance.attribute_names))
 
 
-def enumerate_responses(instance: Instance,
-                        semantics: SemanticsResult) -> ResponseSpace:
+def enumerate_responses(analysis: Analysis) -> ResponseSpace:
     """All structured responses for the instance, deterministically ordered.
 
     Order: Decisive by candidate (undisclosed criterion first, then each
@@ -123,16 +121,12 @@ def enumerate_responses(instance: Instance,
     Raises ResponseSpaceTooLarge when more than MAX_ENUMERATED_CRITERIA
     criteria are declared.
     """
+    instance = analysis.instance
     if len(instance.criteria) > MAX_ENUMERATED_CRITERIA:
         raise ResponseSpaceTooLarge(
             f"{len(instance.criteria)} criteria declared; "
             f"enumeration is capped at {MAX_ENUMERATED_CRITERIA}")
-    matrix = normalize(instance)
-    unique_winner: dict[str, str] = {}
-    for crit in instance.criteria:
-        outcome = winners_at(matrix, crit)
-        if outcome.unique is not None:
-            unique_winner[crit.name] = outcome.unique
+    unique_winner = analysis.unique_winners
 
     out: list[Response] = []
     for cand in instance.candidates:
@@ -149,12 +143,6 @@ def enumerate_responses(instance: Instance,
     out.append(clarify_for(instance))
     out.append(Refuse(REFUSE_REASON))
     return ResponseSpace(tuple(out))
-
-
-def response_space_bound(instance: Instance) -> int:
-    """Upper bound on the response-space size for this instance."""
-    n, m = len(instance.candidates), len(instance.criteria)
-    return n * (1 + m) + 2 ** m + (n * (n - 1)) // 2 + 2
 
 
 def report_from_verdicts(instance_id: str, semantics: SemanticsResult,
@@ -179,26 +167,22 @@ def report_from_verdicts(instance_id: str, semantics: SemanticsResult,
         counterexamples=counterexamples,
         pairwise=tuple(pairwise),
         conflict_free_witness=witness,
-        responses_evaluated=len(responses),
+        responses=responses,
+        verdicts=verdicts,
     )
 
 
-def check_trilemma(instance: Instance, grid_G: int | None = None,
-                   adm: AdmissibleSet | None = None) -> TrilemmaReport:
+def check_trilemma(analysis: Analysis) -> TrilemmaReport:
     """Evaluate every enumerated response and report the trilemma outcome.
 
-    Propagates InfeasibleConstraints and ContradictoryPremises from the
-    semantics layer.  Deterministic for a fixed (instance, grid_G).
+    Raises ResponseSpaceTooLarge from `enumerate_responses`.  Deterministic
+    for a fixed analysis.
     """
-    if adm is None:
-        adm = admissible_set(instance, grid_G)
-    matrix = normalize(instance)
-    stats = winner_statistics(matrix, adm)
-    semantics = compatible_answers(instance, adm, stats=stats)
-    space = enumerate_responses(instance, semantics)
-    evaluator = ResponseEvaluator(instance, semantics, adm, stats=stats)
+    space = enumerate_responses(analysis)
+    evaluator = ResponseEvaluator(analysis)
     verdicts = tuple(evaluator.evaluate(r) for r in space.responses)
-    return report_from_verdicts(instance.id, semantics, space.responses, verdicts)
+    return report_from_verdicts(analysis.instance.id, analysis.semantics,
+                                space.responses, verdicts)
 
 
 @dataclass(frozen=True)
@@ -342,15 +326,3 @@ def _dominating_pair(instance: Instance, rng: np.random.Generator) -> tuple[str,
         return None
     return pairs[int(rng.integers(0, len(pairs)))]
 
-
-def generate_batch(config: GeneratorConfig, count: int) -> list[Instance]:
-    """The first `count` instances for `config`, in index order."""
-    return [generate_instance(config, i) for i in range(count)]
-
-
-def _selfcheck_generated(config: GeneratorConfig, count: int) -> None:
-    """Debug helper: assert every generated instance validates."""
-    for i in range(count):
-        problems = validate(generate_instance(config, i))
-        if problems:
-            raise AssertionError(f"instance {i}: {problems[0]}")

@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import udet
 from udet import cli
-from udet.responses import Decisive
+from udet.errors import CorpusCorrupt
+from udet.responses import Decisive, Verdict
 from udet.trilemma import PairwiseCheck, TrilemmaReport
 
 
@@ -186,8 +192,9 @@ def test_check_counterexample_exit_3(monkeypatch, corpus_dir):
         counterexamples=(Decisive("A"),),
         pairwise=(PairwiseCheck("c_strong & nb_strict -> !u_decisive",
                                 (Decisive("A"),), False, (Decisive("A"),)),),
-        conflict_free_witness=None, responses_evaluated=1)
-    monkeypatch.setattr(cli, "check_trilemma", lambda inst, grid_G=None: fake)
+        conflict_free_witness=None, responses=(Decisive("A"),),
+        verdicts=(Verdict(True, True, True, True, True, 1.0, True),))
+    monkeypatch.setattr(cli, "check_trilemma", lambda analysis: fake)
     code, out, _ = run_cli(["check", path_of(corpus_dir, "scholarship")])
     assert code == 3
     assert "counterexamples 1" in out
@@ -267,3 +274,52 @@ def test_sweep_reversed_pair_flips_regions(corpus_dir):
                             "need", "gpa"])
     assert code == 0
     assert "α ∈ [0, 0.5): A; α = 0.5: tie; α ∈ (0.5, 1]: B" in out
+
+
+def test_corpus_export_under_a_file_exit_1(tmp_path):
+    blocker = tmp_path / "plain.txt"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    code, out, err = run_cli(["corpus", "export", str(blocker / "sub")])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_udet_error_exits_2_with_one_line(monkeypatch, tmp_path):
+    def corrupt():
+        raise CorpusCorrupt("entry 'x' failed to parse")
+
+    monkeypatch.setattr(cli.corpus, "load_corpus", corrupt)
+    code, out, err = run_cli(["corpus", "export", str(tmp_path)])
+    assert (code, out, err) == (2, "", "error: entry 'x' failed to parse\n")
+
+
+def test_policy_contradictory_premises_exit_2(corpus_dir, tmp_path):
+    source = (corpus_dir / "scholarship_pinned_merit.udet").read_text()
+    path = tmp_path / "clash.udet"
+    path.write_text(source + "prefer B over A\n", encoding="utf-8")
+    for command in ("analyze", "check", "policy"):
+        code, out, err = run_cli([command, str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: premises order") and err.count("\n") == 1
+
+
+def test_one_process_runs_commands_like_fresh_processes(corpus_dir, tmp_path):
+    scholarship = path_of(corpus_dir, "scholarship")
+    commands = [
+        ["analyze", scholarship, "--format", "json"],
+        ["policy", path_of(corpus_dir, "city_recommendation"), "--require-decision"],
+        ["check", "--random", "5", "--seed", "3"],
+        ["policy", scholarship, "--grid", "0"],
+        ["sweep", scholarship],
+        ["analyze", path_of(corpus_dir, "company_priorities"), "--grid", "7"],
+        ["corpus", "export", str(tmp_path / "out"), "--format", "json"],
+        ["policy", scholarship, "--format", "json"],
+    ]
+    in_process = [run_cli(argv) for argv in commands]
+    src = str(Path(udet.__file__).resolve().parents[1])
+    for argv, (code, out, err) in zip(commands, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "udet.cli", *argv],
+                               capture_output=True, text=True, encoding="utf-8",
+                               env={**os.environ, "PYTHONPATH": src}, check=False)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

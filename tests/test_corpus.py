@@ -4,7 +4,7 @@ from udet.corpus import corpus_ids, load_corpus, load_source
 from udet.dsl import parse_instance, serialize_instance
 from udet.model import validate
 from udet.policy import decide
-from udet.semantics import admissible_set, compatible_answers, normalize, winners_at
+from udet.semantics import analyze, normalize, winners_at
 
 
 def test_corpus_has_required_entries(corpus_entries):
@@ -27,9 +27,9 @@ def test_every_entry_parses_and_validates(corpus_entries):
 
 def test_expected_summaries_reproduced(corpus_entries):
     for entry in corpus_entries:
-        adm = admissible_set(entry.instance)
-        sem = compatible_answers(entry.instance, adm)
-        decision = decide(entry.instance, sem, adm)
+        analysis = analyze(entry.instance)
+        sem = analysis.semantics
+        decision = decide(analysis)
         assert sem.compatible == entry.expected.compatible, entry.id
         assert sem.underdetermined == entry.expected.underdetermined, entry.id
         assert decision.branch == entry.expected.branch, entry.id
@@ -37,7 +37,7 @@ def test_expected_summaries_reproduced(corpus_entries):
 
 def test_city_every_city_achievable(corpus_entries):
     entry = next(e for e in corpus_entries if e.id == "city_recommendation")
-    sem = compatible_answers(entry.instance, admissible_set(entry.instance))
+    sem = analyze(entry.instance).semantics
     assert set(sem.compatible) == {"bengaluru", "mumbai", "delhi"}
     assert len(sem.compatible) == 3
     matrix = normalize(entry.instance)
@@ -60,7 +60,7 @@ def test_company_criterion_winners(corpus_entries):
 
 def test_company_pinned_welfare_decides(corpus_entries):
     entry = next(e for e in corpus_entries if e.id == "company_pinned_welfare")
-    sem = compatible_answers(entry.instance, admissible_set(entry.instance))
+    sem = analyze(entry.instance).semantics
     assert sem.compatible == ("employee_well_being",)
     assert sem.entailed == "employee_well_being"
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
 from helpers import build_scholarship
 
 from udet.model import (
@@ -174,3 +176,30 @@ def test_instance_accessors():
     assert inst.pinned_criterion() is None
     pinned = dataclasses.replace(inst, constraints=(PinConstraint("merit_first"),))
     assert pinned.pinned_criterion() == "merit_first"
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10 ** 400])
+def test_non_finite_fact_flagged(value):
+    base = build_scholarship()
+    facts = tuple(dataclasses.replace(f, value=value)
+                  if (f.candidate, f.attribute) == ("A", "gpa") else f for f in base.facts)
+    violations = validate(dataclasses.replace(base, facts=facts))
+    assert [(v.element, v.rule) for v in violations] == [("fact A.gpa", "fact-value-finite")]
+
+
+@pytest.mark.parametrize("weights", [(("gpa", float("nan")), ("need", 1.0)),
+                                     (("gpa", float("inf")), ("need", 0.0)),
+                                     (("gpa", 10 ** 400), ("need", 0.0))])
+def test_non_finite_criterion_weight_flagged(weights):
+    base = build_scholarship()
+    crits = base.criteria + (CriterionSpec("odd", weights),)
+    found = rules(dataclasses.replace(base, criteria=crits))
+    assert "criterion-weight-finite" in found
+    assert "criterion-weight-negative" not in found
+
+
+def test_non_finite_bound_flagged():
+    base = build_scholarship()
+    for value in (float("nan"), float("inf")):
+        assert "constraint-bound-value" in rules(
+            dataclasses.replace(base, constraints=(BoundConstraint("gpa", ">=", value),)))

@@ -21,19 +21,18 @@ from udet.responses import (
     Decisive,
     ResponseEvaluator,
 )
-from udet.semantics import admissible_set, compatible_answers
+from udet.semantics import analyze
 from udet.trilemma import GeneratorConfig, generate_instance
 
 
 def run_policy(instance):
-    adm = admissible_set(instance)
-    sem = compatible_answers(instance, adm)
-    return decide(instance, sem, adm), sem, adm
+    analysis = analyze(instance)
+    return decide(analysis), analysis
 
 
 def test_pinned_scholarship_answers_directly():
     inst = build_scholarship(constraints=(PinConstraint("merit_first"),))
-    decision, _, _ = run_policy(inst)
+    decision, _ = run_policy(inst)
     assert decision.branch == DIRECT
     assert decision.response == Decisive("A", declared_theta="merit_first")
     assert "answer directly" in decision.rationale
@@ -41,7 +40,7 @@ def test_pinned_scholarship_answers_directly():
 
 
 def test_unconstrained_scholarship_goes_conditional(scholarship):
-    decision, _, _ = run_policy(scholarship)
+    decision, _ = run_policy(scholarship)
     assert decision.branch == CONDITIONAL
     assert decision.response == Conditional(
         (("merit_first", "A"), ("need_first", "B")))
@@ -50,7 +49,7 @@ def test_unconstrained_scholarship_goes_conditional(scholarship):
 
 def test_no_criteria_asks_for_clarification():
     inst = build_scholarship(criteria=())
-    decision, _, _ = run_policy(inst)
+    decision, _ = run_policy(inst)
     assert decision.branch == CLARIFY
     assert isinstance(decision.response, Clarify)
     missing = " ".join(decision.response.missing)
@@ -59,7 +58,7 @@ def test_no_criteria_asks_for_clarification():
 
 def test_require_decision_recommends_with_uniform_default(scholarship):
     inst = dataclasses.replace(scholarship, decisiveness_required=True)
-    decision, _, _ = run_policy(inst)
+    decision, _ = run_policy(inst)
     assert decision.branch == RECOMMEND
     assert decision.response == Decisive("A", declared_theta=UNIFORM_DEFAULT)
     # uniform weights tie A and B at 0.5 each; the tie-break must be disclosed
@@ -72,12 +71,12 @@ def test_require_decision_without_tie():
     inst = build_two_numeric("skew", {"A": (10.0, 10.0), "B": (0.0, 5.0),
                                       "C": (5.0, 0.0)},
                              decisiveness_required=True)
-    decision, _, _ = run_policy(inst)
+    decision, _ = run_policy(inst)
     assert decision.branch == DIRECT  # A dominates: determined, not recommend
     inst2 = build_two_numeric("skew2", {"A": (10.0, 0.0), "B": (0.0, 10.0),
                                         "C": (9.0, 9.0)},
                               decisiveness_required=True)
-    decision2, _, _ = run_policy(inst2)
+    decision2, _ = run_policy(inst2)
     assert decision2.branch == RECOMMEND
     assert decision2.response.candidate == "C"  # uniform weights favor C
     assert "tie" not in decision2.rationale
@@ -85,14 +84,14 @@ def test_require_decision_without_tie():
 
 def test_recommend_takes_precedence_over_clarify():
     inst = build_scholarship(criteria=(), decisiveness_required=True)
-    decision, _, _ = run_policy(inst)
+    decision, _ = run_policy(inst)
     assert decision.branch == RECOMMEND
 
 
 def test_conditional_falls_back_to_clarify_when_all_criteria_tie():
     half = CriterionSpec("half", (("gpa", 0.5), ("need", 0.5)))
     inst = build_scholarship(criteria=(half,))
-    decision, _, _ = run_policy(inst)
+    decision, _ = run_policy(inst)
     assert decision.branch == CLARIFY
     assert "no declared criterion yields a unique winner" in decision.rationale
 
@@ -117,16 +116,15 @@ def test_uniform_criterion_weights():
     assert spec.weight_map == {"gpa": 0.5, "need": 0.5}
 
 
-def branch_verdict(instance, decision, semantics, adm):
+def branch_verdict(analysis, decision):
     if decision.branch == RECOMMEND:
-        instance, _ = with_default_criterion(instance)
-        adm = admissible_set(instance)
-        semantics = compatible_answers(instance, adm)
-    return ResponseEvaluator(instance, semantics, adm).evaluate(decision.response)
+        instance, _ = with_default_criterion(analysis.instance)
+        analysis = analyze(instance)
+    return ResponseEvaluator(analysis).evaluate(decision.response)
 
 
-def assert_branch_sound(instance, decision, semantics, adm):
-    v = branch_verdict(instance, decision, semantics, adm)
+def assert_branch_sound(analysis, decision):
+    v = branch_verdict(analysis, decision)
     if decision.branch == DIRECT:
         assert v.triple() == (True, True, True)
     elif decision.branch == CLARIFY:
@@ -135,24 +133,24 @@ def assert_branch_sound(instance, decision, semantics, adm):
         assert v.c_strong and not v.u_decisive
     else:
         assert v.u_decisive and v.nb_transparent
-        if semantics.underdetermined:
+        if analysis.semantics.underdetermined:
             assert not v.nb_strict
 
 
 def test_branch_soundness_on_corpus(corpus_entries):
     for entry in corpus_entries:
-        decision, sem, adm = run_policy(entry.instance)
+        decision, analysis = run_policy(entry.instance)
         assert decision.branch == entry.expected.branch
-        assert_branch_sound(entry.instance, decision, sem, adm)
+        assert_branch_sound(analysis, decision)
 
 
 def test_policy_total_and_deterministic_on_random_instances():
     config = GeneratorConfig(seed=37)
     for index in range(150):
         inst = generate_instance(config, index)
-        decision, sem, adm = run_policy(inst)
-        again, _, _ = run_policy(inst)
+        decision, analysis = run_policy(inst)
+        again, _ = run_policy(inst)
         assert decision == again
         assert decision.branch in (DIRECT, CLARIFY, CONDITIONAL, RECOMMEND)
-        assert str(len(sem.compatible)) in decision.rationale
-        assert_branch_sound(inst, decision, sem, adm)
+        assert str(len(analysis.semantics.compatible)) in decision.rationale
+        assert_branch_sound(analysis, decision)

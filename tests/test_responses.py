@@ -17,44 +17,36 @@ from udet.responses import (
     Equivalence,
     Refuse,
     ResponseEvaluator,
-    evaluate,
     u_assistive_score,
 )
-from udet.semantics import admissible_set, compatible_answers
+from udet.semantics import analyze
 from udet.trilemma import GeneratorConfig, check_trilemma, enumerate_responses, generate_instance
 
 
-def analyzed(instance):
-    adm = admissible_set(instance)
-    sem = compatible_answers(instance, adm)
-    return sem, adm
+def evaluate(analysis, response):
+    return ResponseEvaluator(analysis).evaluate(response)
 
 
 @pytest.fixture
 def unconstrained():
-    inst = build_scholarship()
-    sem, adm = analyzed(inst)
-    return inst, sem, adm
+    return analyze(build_scholarship())
 
 
 def test_clarify_verdict_is_fixed(unconstrained):
-    inst, sem, adm = unconstrained
-    v = evaluate(inst, sem, adm, Clarify(("selection criterion",)))
+    v = evaluate(unconstrained, Clarify(("selection criterion",)))
     assert (v.c_strong, v.nb_strict, v.u_decisive) == (True, True, False)
     assert v.u_assistive == 0.75
     assert v.hidden_theta is False
 
 
 def test_refuse_verdict(unconstrained):
-    inst, sem, adm = unconstrained
-    v = evaluate(inst, sem, adm, Refuse("no criterion supplied"))
+    v = evaluate(unconstrained, Refuse("no criterion supplied"))
     assert (v.c_strong, v.nb_strict, v.u_decisive) == (True, True, False)
     assert v.u_assistive == 0.25
 
 
 def test_decisive_without_theta_underdetermined(unconstrained):
-    inst, sem, adm = unconstrained
-    v = evaluate(inst, sem, adm, Decisive("A"))
+    v = evaluate(unconstrained, Decisive("A"))
     assert (v.c_strong, v.nb_strict, v.u_decisive) == (False, False, True)
     assert v.hidden_theta is True
     assert v.u_assistive == 1.0
@@ -62,21 +54,19 @@ def test_decisive_without_theta_underdetermined(unconstrained):
 
 
 def test_decisive_with_declared_theta(unconstrained):
-    inst, sem, adm = unconstrained
-    v = evaluate(inst, sem, adm, Decisive("A", declared_theta="merit_first"))
+    v = evaluate(unconstrained, Decisive("A", declared_theta="merit_first"))
     assert v.c_strong is False
     assert v.nb_strict is False
     assert v.nb_transparent is True  # criterion disclosed and A wins under it
     assert v.c_cond is True
     assert v.hidden_theta is False
-    wrong = evaluate(inst, sem, adm, Decisive("B", declared_theta="merit_first"))
+    wrong = evaluate(unconstrained, Decisive("B", declared_theta="merit_first"))
     assert wrong.nb_transparent is False
     assert wrong.c_cond is False
 
 
 def test_conditional_full_coverage(unconstrained):
-    inst, sem, adm = unconstrained
-    v = evaluate(inst, sem, adm,
+    v = evaluate(unconstrained,
                  Conditional((("merit_first", "A"), ("need_first", "B"))))
     assert (v.c_strong, v.nb_strict, v.u_decisive) == (True, True, False)
     assert v.u_assistive == 0.75
@@ -84,15 +74,13 @@ def test_conditional_full_coverage(unconstrained):
 
 
 def test_conditional_silent_exclusion(unconstrained):
-    inst, sem, adm = unconstrained
-    v = evaluate(inst, sem, adm, Conditional((("merit_first", "A"),)))
+    v = evaluate(unconstrained, Conditional((("merit_first", "A"),)))
     assert v.c_strong is True
     assert v.nb_strict is False  # omits need_first whose unique winner differs
 
 
 def test_conditional_wrong_branch(unconstrained):
-    inst, sem, adm = unconstrained
-    v = evaluate(inst, sem, adm, Conditional((("merit_first", "B"),)))
+    v = evaluate(unconstrained, Conditional((("merit_first", "B"),)))
     assert v.c_strong is False
     assert v.c_cond is False
 
@@ -101,14 +89,12 @@ def test_conditional_branch_with_tie_is_not_correct():
     inst = build_scholarship()
     half = CriterionSpec("half", (("gpa", 0.5), ("need", 0.5)))
     inst = dataclasses.replace(inst, criteria=inst.criteria + (half,))
-    sem, adm = analyzed(inst)
-    v = evaluate(inst, sem, adm, Conditional((("half", "A"),)))
+    v = evaluate(analyze(inst), Conditional((("half", "A"),)))
     assert v.c_strong is False
 
 
 def test_equivalence_not_supported_when_scores_differ(unconstrained):
-    inst, sem, adm = unconstrained
-    v = evaluate(inst, sem, adm, Equivalence(("A", "B")))
+    v = evaluate(unconstrained, Equivalence(("A", "B")))
     assert v.c_strong is False
     assert v.nb_strict is False
     assert v.u_assistive == 0.5
@@ -116,13 +102,11 @@ def test_equivalence_not_supported_when_scores_differ(unconstrained):
 
 def test_equivalence_true_on_all_tie_instance():
     inst = build_two_numeric("tie", {"A": (5.0, 5.0), "B": (5.0, 5.0)})
-    sem, adm = analyzed(inst)
-    v = evaluate(inst, sem, adm, Equivalence(("A", "B")))
+    v = evaluate(analyze(inst), Equivalence(("A", "B")))
     assert v.c_strong is True
     assert v.nb_strict is True
     ordered = dataclasses.replace(inst, preferences=(PreferencePremise("A", "B"),))
-    sem2, adm2 = analyzed(ordered)
-    v2 = evaluate(ordered, sem2, adm2, Equivalence(("A", "B")))
+    v2 = evaluate(analyze(ordered), Equivalence(("A", "B")))
     assert v2.c_strong is False  # the closure orders the pair
 
 
@@ -130,72 +114,65 @@ def test_equivalence_conditional_correctness_under_declared_theta():
     inst = build_scholarship()
     half = CriterionSpec("half", (("gpa", 0.5), ("need", 0.5)))
     inst = dataclasses.replace(inst, criteria=inst.criteria + (half,))
-    sem, adm = analyzed(inst)
-    v = evaluate(inst, sem, adm, Equivalence(("A", "B")))
+    v = evaluate(analyze(inst), Equivalence(("A", "B")))
     assert v.c_strong is False
     assert v.c_cond is True  # they tie exactly under the declared 'half'
 
 
 def test_entailed_instance_decisive_is_conflict_free():
     inst = build_scholarship(constraints=(PinConstraint("merit_first"),))
-    sem, adm = analyzed(inst)
-    v = evaluate(inst, sem, adm, Decisive("A"))
+    v = evaluate(analyze(inst), Decisive("A"))
     assert (v.c_strong, v.nb_strict, v.u_decisive) == (True, True, True)
     assert v.u_assistive == 1.0
 
 
 def test_closure_entailed_decisive_is_strongly_correct():
     inst = build_scholarship(preferences=(PreferencePremise("A", "B"),))
-    sem, adm = analyzed(inst)
-    assert sem.entailed == "A"
-    v = evaluate(inst, sem, adm, Decisive("A"))
+    analysis = analyze(inst)
+    assert analysis.semantics.entailed == "A"
+    v = evaluate(analysis, Decisive("A"))
     assert v.c_strong is True
     assert v.nb_strict is True
 
 
-def test_rubric_values(unconstrained):
-    inst, sem, adm = unconstrained
-    assert u_assistive_score(Decisive("A"), sem) == 1.0
-    assert u_assistive_score(Conditional((("merit_first", "A"),)), sem) == 0.75
-    assert u_assistive_score(Clarify(("weight alpha",)), sem) == 0.75
-    assert u_assistive_score(Equivalence(("A", "B")), sem) == 0.5
-    assert u_assistive_score(Refuse("reason only"), sem) == 0.25
+def test_rubric_values():
+    assert u_assistive_score(Decisive("A")) == 1.0
+    assert u_assistive_score(Conditional((("merit_first", "A"),))) == 0.75
+    assert u_assistive_score(Clarify(("weight alpha",))) == 0.75
+    assert u_assistive_score(Equivalence(("A", "B"))) == 0.5
+    assert u_assistive_score(Refuse("reason only")) == 0.25
 
 
-def test_rubric_weights_configurable(unconstrained):
-    _, sem, _ = unconstrained
-    assert u_assistive_score(Refuse("r"), sem, weights=(1.0, 0.0, 0.0, 0.0)) == 1.0
+def test_rubric_weights_configurable():
+    assert u_assistive_score(Refuse("r"), weights=(1.0, 0.0, 0.0, 0.0)) == 1.0
 
 
 def test_undeclared_references_raise(unconstrained):
-    inst, sem, adm = unconstrained
     with pytest.raises(UndeclaredReference):
-        evaluate(inst, sem, adm, Decisive("Z"))
+        evaluate(unconstrained, Decisive("Z"))
     with pytest.raises(UndeclaredReference):
-        evaluate(inst, sem, adm, Decisive("A", declared_theta="nope"))
+        evaluate(unconstrained, Decisive("A", declared_theta="nope"))
     with pytest.raises(UndeclaredReference):
-        evaluate(inst, sem, adm, Conditional((("nope", "A"),)))
+        evaluate(unconstrained, Conditional((("nope", "A"),)))
     with pytest.raises(UndeclaredReference):
-        evaluate(inst, sem, adm, Equivalence(("A", "Z")))
+        evaluate(unconstrained, Equivalence(("A", "Z")))
 
 
 def test_structural_errors_raise(unconstrained):
-    inst, sem, adm = unconstrained
     with pytest.raises(ValueError):
-        evaluate(inst, sem, adm, Conditional(()))
+        evaluate(unconstrained, Conditional(()))
     with pytest.raises(ValueError):
-        evaluate(inst, sem, adm,
+        evaluate(unconstrained,
                  Conditional((("merit_first", "A"), ("merit_first", "B"))))
     with pytest.raises(ValueError):
-        evaluate(inst, sem, adm, Equivalence(("A",)))
+        evaluate(unconstrained, Equivalence(("A",)))
     with pytest.raises(ValueError):
-        evaluate(inst, sem, adm, Clarify(()))
+        evaluate(unconstrained, Clarify(()))
 
 
 def test_evaluate_is_pure(unconstrained):
-    inst, sem, adm = unconstrained
     r = Decisive("A", declared_theta="merit_first")
-    assert evaluate(inst, sem, adm, r) == evaluate(inst, sem, adm, r)
+    assert evaluate(unconstrained, r) == evaluate(unconstrained, r)
 
 
 def test_equivalence_members_normalized():
@@ -207,10 +184,10 @@ def test_equivalence_members_normalized():
 @given(st.integers(min_value=0, max_value=2000))
 def test_verdict_invariants_hold_everywhere(index):
     inst = generate_instance(GeneratorConfig(seed=31), index)
-    adm = admissible_set(inst)
-    sem = compatible_answers(inst, adm)
-    evaluator = ResponseEvaluator(inst, sem, adm)
-    for response in enumerate_responses(inst, sem).responses:
+    analysis = analyze(inst)
+    sem = analysis.semantics
+    evaluator = ResponseEvaluator(analysis)
+    for response in enumerate_responses(analysis).responses:
         v = evaluator.evaluate(response)
         assert v.invariants_ok(), (inst.id, response, v)
         if sem.entailed is not None and response == Decisive(sem.entailed):
@@ -221,7 +198,7 @@ def test_verdict_invariants_hold_everywhere(index):
 
 def test_clarify_refuse_instance_independent(corpus_entries):
     for entry in corpus_entries:
-        sem, adm = analyzed(entry.instance)
+        analysis = analyze(entry.instance)
         for response in (Clarify(("criterion",)), Refuse("r")):
-            v = evaluate(entry.instance, sem, adm, response)
+            v = evaluate(analysis, response)
             assert (v.c_strong, v.nb_strict, v.u_decisive) == (True, True, False)

@@ -24,13 +24,10 @@ from udet.semantics import (
     GRID,
     SINGLETON,
     admissible_set,
-    compatible_answers,
+    analyze,
     default_grid_subdivisions,
-    entails_preference,
     exact_thresholds,
     normalize,
-    score,
-    ties_everywhere,
     winner_statistics,
     winners_at,
 )
@@ -41,14 +38,25 @@ def alpha_criterion(alpha: float, attrs=("gpa", "need"), name="alpha") -> Criter
     return CriterionSpec(name, ((attrs[0], alpha), (attrs[1], 1.0 - alpha)))
 
 
+def entry(matrix, candidate: str, attribute: str) -> float:
+    return float(matrix.values[matrix.candidates.index(candidate),
+                               matrix.attributes.index(attribute)])
+
+
+def score(instance, theta: CriterionSpec, candidate: str) -> float:
+    """The candidate's score under `theta`, as the analysis computes it."""
+    scores = analyze(dataclasses.replace(instance, criteria=(theta,))).criterion_scores
+    return float(scores[theta.name][instance.candidates.index(candidate)])
+
+
 # --- normalization ----------------------------------------------------------
 
 def test_normalize_scholarship_values():
     m = normalize(build_scholarship())
-    assert m.entry("A", "gpa") == 1.0
-    assert m.entry("B", "gpa") == 0.0
-    assert m.entry("A", "need") == 0.0
-    assert m.entry("B", "need") == 1.0
+    assert entry(m, "A", "gpa") == 1.0
+    assert entry(m, "B", "gpa") == 0.0
+    assert entry(m, "A", "need") == 0.0
+    assert entry(m, "B", "need") == 1.0
 
 
 def test_normalize_tie_gives_half():
@@ -56,8 +64,8 @@ def test_normalize_tie_gives_half():
         Fact("A", "gpa", 9.0), Fact("A", "need", "moderate"),
         Fact("B", "gpa", 9.0), Fact("B", "need", "severe")))
     m = normalize(inst)
-    assert m.entry("A", "gpa") == 0.5
-    assert m.entry("B", "gpa") == 0.5
+    assert entry(m, "A", "gpa") == 0.5
+    assert entry(m, "B", "gpa") == 0.5
 
 
 def test_normalize_lower_better_flips():
@@ -66,15 +74,15 @@ def test_normalize_lower_better_flips():
              inst.attributes[1])
     inst = dataclasses.replace(inst, attributes=attrs)
     m = normalize(inst)
-    assert m.entry("A", "x") == 1.0  # cheapest wins a lower_better attribute
-    assert m.entry("B", "x") == 0.0
+    assert entry(m, "A", "x") == 1.0  # cheapest wins a lower_better attribute
+    assert entry(m, "B", "x") == 0.0
 
 
 def test_normalize_ordinal_uses_present_values_only():
     # levels low < moderate < severe; only moderate/severe present
     m = normalize(build_scholarship())
-    assert m.entry("A", "need") == 0.0
-    assert m.entry("B", "need") == 1.0
+    assert entry(m, "A", "need") == 0.0
+    assert entry(m, "B", "need") == 1.0
 
 
 def test_normalized_matrix_is_tight():
@@ -93,23 +101,22 @@ def test_normalized_matrix_is_tight():
 
 def test_score_merit_and_need():
     inst = build_scholarship()
-    m = normalize(inst)
     merit, need = inst.criteria
-    assert score(m, merit, "A") == 1.0
-    assert score(m, merit, "B") == 0.0
-    assert score(m, need, "A") == 0.0
-    assert score(m, need, "B") == 1.0
+    assert score(inst, merit, "A") == 1.0
+    assert score(inst, merit, "B") == 0.0
+    assert score(inst, need, "A") == 0.0
+    assert score(inst, need, "B") == 1.0
 
 
 def test_score_half_alpha_ties():
     # algebraic oracle: alpha*1 == (1-alpha)*1 exactly at alpha = 0.5
-    m = normalize(build_scholarship())
+    inst = build_scholarship()
     theta = alpha_criterion(0.5)
-    assert score(m, theta, "A") == score(m, theta, "B") == 0.5
+    assert score(inst, theta, "A") == score(inst, theta, "B") == 0.5
     # confirm by sweeping the grid on both sides of the crossing
     for alpha in np.linspace(0.0, 1.0, 21):
-        sa = score(m, alpha_criterion(float(alpha)), "A")
-        sb = score(m, alpha_criterion(float(alpha)), "B")
+        sa = score(inst, alpha_criterion(float(alpha)), "A")
+        sb = score(inst, alpha_criterion(float(alpha)), "B")
         assert (sa > sb) == (alpha > 0.5)
         assert (sa < sb) == (alpha < 0.5)
 
@@ -250,8 +257,7 @@ def test_default_grid_subdivisions_formula():
 # --- compatible answers -----------------------------------------------------
 
 def test_scholarship_compatible_and_underdetermined(scholarship):
-    adm = admissible_set(scholarship)
-    sem = compatible_answers(scholarship, adm)
+    sem = analyze(scholarship).semantics
     assert sem.compatible == ("A", "B")
     assert sem.underdetermined is True
     assert sem.entailed is None
@@ -260,7 +266,7 @@ def test_scholarship_compatible_and_underdetermined(scholarship):
 
 def test_pinned_scholarship_entails_winner():
     inst = build_scholarship(constraints=(PinConstraint("merit_first"),))
-    sem = compatible_answers(inst, admissible_set(inst))
+    sem = analyze(inst).semantics
     assert sem.compatible == ("A",)
     assert sem.underdetermined is False
     assert sem.entailed == "A"
@@ -269,21 +275,20 @@ def test_pinned_scholarship_entails_winner():
 def test_dominance_excludes_dominated():
     # A weakly dominates B everywhere and strictly on x
     inst = build_two_numeric("dom", {"A": (9.5, 5.0), "B": (8.7, 5.0)})
-    adm = admissible_set(inst)
-    sem = compatible_answers(inst, adm)
+    sem = analyze(inst).semantics
     assert sem.compatible == ("A",)
     assert sem.entailed == "A"
     # brute-force oracle over a dense alpha grid: B is never a unique winner
     m = normalize(inst)
     for alpha in np.linspace(0, 1, 2001):
-        sa = alpha * m.entry("A", "x") + (1 - alpha) * m.entry("A", "y")
-        sb = alpha * m.entry("B", "x") + (1 - alpha) * m.entry("B", "y")
+        sa = alpha * entry(m, "A", "x") + (1 - alpha) * entry(m, "A", "y")
+        sb = alpha * entry(m, "B", "x") + (1 - alpha) * entry(m, "B", "y")
         assert not (sb > sa + EPS_SCORE)
 
 
 def test_all_tie_instance_uses_weak_fallback():
     inst = build_two_numeric("tie", {"A": (5.0, 5.0), "B": (5.0, 5.0)})
-    sem = compatible_answers(inst, admissible_set(inst))
+    sem = analyze(inst).semantics
     assert sem.compatible == ("A", "B")
     assert sem.underdetermined is True
 
@@ -293,30 +298,28 @@ def test_preference_filtering_and_closure():
         "chain", {"A": (10.0, 0.0), "B": (5.0, 5.0), "C": (0.0, 10.0)},
         preferences=(PreferencePremise("A", "B"), PreferencePremise("B", "C")))
     assert validate(inst) == []
-    adm = admissible_set(inst)
-    sem = compatible_answers(inst, adm)
+    sem = analyze(inst).semantics
     assert sem.compatible == ("A",)
     assert sem.entailed == "A"
     assert ("A", "C") in sem.preference_closure  # transitive edge
-    assert entails_preference(inst, adm, "A", "C") is True
-    assert entails_preference(inst, adm, "C", "A") is False
+    assert ("C", "A") not in sem.preference_closure
 
 
 def test_entails_preference_examples(scholarship):
-    adm = admissible_set(scholarship)
-    assert entails_preference(scholarship, adm, "A", "B") is False
-    assert entails_preference(scholarship, adm, "B", "A") is False
+    closure = analyze(scholarship).semantics.preference_closure
+    assert ("A", "B") not in closure
+    assert ("B", "A") not in closure
     pinned = build_scholarship(constraints=(PinConstraint("merit_first"),))
-    assert entails_preference(pinned, admissible_set(pinned), "A", "B") is True
-    with pytest.raises(ValueError):
-        entails_preference(scholarship, adm, "A", "A")
+    assert ("A", "B") in analyze(pinned).semantics.preference_closure
+    # no candidate is ever ordered above itself
+    assert ("A", "A") not in closure
 
 
 def test_contradictory_premises_direct_conflict():
     inst = build_two_numeric("clash", {"A": (10.0, 10.0), "B": (0.0, 0.0)},
                              preferences=(PreferencePremise("B", "A"),))
     with pytest.raises(ContradictoryPremises):
-        compatible_answers(inst, admissible_set(inst))
+        analyze(inst)
 
 
 def test_contradictory_premises_empty_filter():
@@ -325,14 +328,14 @@ def test_contradictory_premises_empty_filter():
     inst = build_two_numeric("empty", {"A": (9.5, 5.0), "B": (8.7, 5.0)},
                              preferences=(PreferencePremise("B", "A"),))
     with pytest.raises(ContradictoryPremises):
-        compatible_answers(inst, admissible_set(inst))
+        analyze(inst)
 
 
 def test_compatible_never_empty_without_contradiction():
     config = GeneratorConfig(seed=5)
     for index in range(150):
         inst = generate_instance(config, index)
-        sem = compatible_answers(inst, admissible_set(inst))
+        sem = analyze(inst).semantics
         assert len(sem.compatible) >= 1
         if sem.entailed is not None:
             assert sem.entailed in sem.compatible
@@ -346,9 +349,8 @@ def test_exact_thresholds_scholarship(scholarship):
 
 
 def test_exact_and_grid_agree_on_scholarship(scholarship):
-    exact = compatible_answers(scholarship, admissible_set(scholarship))
-    grid = compatible_answers(scholarship,
-                              admissible_set(scholarship, grid_G=1000, mode="grid"))
+    exact = analyze(scholarship).semantics
+    grid = analyze(scholarship, grid_G=1000, mode="grid").semantics
     assert exact.compatible == grid.compatible
     assert exact.entailed == grid.entailed
 
@@ -359,8 +361,8 @@ def test_exact_grid_disagreement_confined_to_crossings():
                               preference_probability=0.0)
     for index in range(120):
         inst = generate_instance(rng_cfg, index)
-        exact = compatible_answers(inst, admissible_set(inst))
-        grid = compatible_answers(inst, admissible_set(inst, grid_G=1000, mode="grid"))
+        exact = analyze(inst).semantics
+        grid = analyze(inst, grid_G=1000, mode="grid").semantics
         diff = set(exact.compatible) ^ set(grid.compatible)
         if not diff:
             continue
@@ -407,8 +409,7 @@ def test_affine_invariance_sample():
             else:
                 scaled_facts.append(f)
         scaled = dataclasses.replace(inst, facts=tuple(scaled_facts))
-        adm, adm2 = admissible_set(inst), admissible_set(scaled)
-        sem, sem2 = compatible_answers(inst, adm), compatible_answers(scaled, adm2)
+        sem, sem2 = analyze(inst).semantics, analyze(scaled).semantics
         assert sem.compatible == sem2.compatible
         assert sem.entailed == sem2.entailed
         m, m2 = normalize(inst), normalize(scaled)
@@ -418,10 +419,9 @@ def test_affine_invariance_sample():
 
 def test_ties_everywhere_helper():
     inst = build_two_numeric("tiecheck", {"A": (5.0, 5.0), "B": (5.0, 5.0)})
-    adm = admissible_set(inst)
-    assert ties_everywhere(normalize(inst), adm, "A", "B") is True
+    assert analyze(inst).stats.tie_all[0, 1]  # A, B
     inst2 = build_two_numeric("tiecheck2", {"A": (5.0, 1.0), "B": (5.0, 2.0)})
-    assert ties_everywhere(normalize(inst2), admissible_set(inst2), "A", "B") is False
+    assert not analyze(inst2).stats.tie_all[0, 1]
 
 
 def test_winner_statistics_exact_matches_dense_grid(scholarship):
@@ -432,3 +432,71 @@ def test_winner_statistics_exact_matches_dense_grid(scholarship):
     assert np.array_equal(exact.in_winner_set, dense.in_winner_set)
     assert np.array_equal(exact.beats_all, dense.beats_all)
     assert np.array_equal(exact.tie_all, dense.tie_all)
+
+
+# --- non-finite input ---------------------------------------------------------
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_normalize_rejects_non_finite_fact(value):
+    inst = build_two_numeric("nf", {"A": (1.0, 2.0), "B": (2.0, 1.0)})
+    facts = tuple(dataclasses.replace(f, value=value)
+                  if (f.candidate, f.attribute) == ("B", "y") else f for f in inst.facts)
+    inst = dataclasses.replace(inst, facts=facts)
+    with pytest.raises(ValueError, match=r"fact B\.y is not finite"):
+        normalize(inst)
+
+
+def test_normalize_survives_a_range_that_overflows():
+    inst = build_two_numeric("wide", {"A": (1e308, 1.0), "B": (-1e308, 2.0),
+                                      "C": (0.0, 3.0)})
+    m = normalize(inst)
+    assert m.values[:, 0].tolist() == [1.0, 0.0, 0.5]
+    assert analyze(inst).semantics.compatible == ("A", "C")
+
+
+# --- the analysis ---------------------------------------------------------------
+
+def test_criterion_winners_match_winners_at():
+    config = GeneratorConfig(seed=47, criteria_range=(0, 5))
+    for index in range(120):
+        analysis = analyze(generate_instance(config, index))
+        assert list(analysis.criterion_winners) == [c.name for c in analysis.instance.criteria]
+        for crit in analysis.instance.criteria:
+            assert analysis.criterion_winners[crit.name] == winners_at(analysis.matrix, crit).winners
+
+
+def test_criterion_scores_are_bitwise_the_per_row_scores():
+    from udet import _kernels
+    config = GeneratorConfig(seed=53, criteria_range=(1, 5))
+    for index in range(60):
+        analysis = analyze(generate_instance(config, index))
+        attrs = analysis.matrix.attributes
+        for crit in analysis.instance.criteria:
+            row = np.array([[crit.weight_map[a] for a in attrs]])
+            alone = _kernels.score_grid(row, analysis.matrix.values)[0]
+            assert analysis.criterion_scores[crit.name].tobytes() == alone.tobytes()
+
+
+def test_analysis_without_criteria_has_empty_maps():
+    analysis = analyze(build_scholarship(criteria=()))
+    assert analysis.criterion_scores == {} and analysis.criterion_winners == {}
+    assert analysis.unique_winners == {}
+
+
+def test_closure_matrix_backs_the_closure_pairs():
+    inst = build_two_numeric(
+        "chain", {"A": (10.0, 0.0), "B": (5.0, 5.0), "C": (0.0, 10.0)},
+        preferences=(PreferencePremise("A", "B"), PreferencePremise("B", "C")))
+    analysis = analyze(inst)
+    cands = inst.candidates
+    pairs = {(cands[i], cands[j]) for i, j in zip(*np.nonzero(analysis.closure))}
+    assert pairs == set(analysis.semantics.preference_closure) == {
+        ("A", "B"), ("B", "C"), ("A", "C")}
+
+
+def test_analysis_arrays_are_read_only(scholarship):
+    analysis = analyze(scholarship)
+    with pytest.raises(ValueError):
+        analysis.closure[0, 1] = True
+    with pytest.raises(ValueError):
+        analysis.criterion_scores["merit_first"][0] = 0.0

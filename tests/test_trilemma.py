@@ -9,20 +9,24 @@ from helpers import build_scholarship, build_two_numeric
 from udet.errors import ResponseSpaceTooLarge
 from udet.model import CriterionSpec, PinConstraint, validate
 from udet.responses import Clarify, Conditional, Decisive, Equivalence, Refuse
-from udet.semantics import admissible_set, compatible_answers, normalize
+from udet.semantics import admissible_set, analyze, normalize
 from udet.trilemma import (
     GeneratorConfig,
     check_trilemma,
     enumerate_responses,
     generate_instance,
-    response_space_bound,
 )
 
 
 def space_for(instance):
-    adm = admissible_set(instance)
-    sem = compatible_answers(instance, adm)
-    return enumerate_responses(instance, sem), sem
+    analysis = analyze(instance)
+    return enumerate_responses(analysis), analysis.semantics
+
+
+def response_space_bound(n: int, m: int) -> int:
+    """Decisive forms, conditionals over criterion subsets, equivalence
+    pairs, clarify and refuse, for n candidates and m criteria."""
+    return n * (1 + m) + 2 ** m + (n * (n - 1)) // 2 + 2
 
 
 def test_scholarship_response_space(scholarship):
@@ -31,7 +35,7 @@ def test_scholarship_response_space(scholarship):
     # 6 decisive variants, 3 conditionals over nonempty criterion subsets,
     # 1 equivalence, clarify, refuse
     assert len(responses) == 12
-    assert len(responses) <= response_space_bound(scholarship) == 13
+    assert len(responses) <= response_space_bound(2, 2) == 13
     assert responses[0] == Decisive("A")
     assert responses[1] == Decisive("A", declared_theta="merit_first")
     assert responses[2] == Decisive("A", declared_theta="need_first")
@@ -80,14 +84,13 @@ def test_criteria_cap_enforced():
         CriterionSpec(f"c{i}", ((attrs[0], 1.0), (attrs[1], 0.0)))
         for i in range(13))
     inst = build_scholarship(criteria=crits)
-    adm = admissible_set(inst)
-    sem = compatible_answers(inst, adm)
+    analysis = analyze(inst)
     with pytest.raises(ResponseSpaceTooLarge):
-        enumerate_responses(inst, sem)
+        enumerate_responses(analysis)
 
 
 def test_check_trilemma_scholarship(scholarship):
-    report = check_trilemma(scholarship)
+    report = check_trilemma(analyze(scholarship))
     assert report.instance_id == "scholarship"
     assert report.underdetermined is True
     assert report.counterexamples == ()
@@ -105,20 +108,20 @@ def test_check_trilemma_scholarship(scholarship):
 
 def test_check_trilemma_pinned_witness():
     inst = build_scholarship(constraints=(PinConstraint("merit_first"),))
-    report = check_trilemma(inst)
+    report = check_trilemma(analyze(inst))
     assert report.underdetermined is False
     assert report.conflict_free_witness == Decisive("A")
     assert report.counterexamples == ()
 
 
 def test_check_trilemma_deterministic(scholarship):
-    assert check_trilemma(scholarship) == check_trilemma(scholarship)
+    assert check_trilemma(analyze(scholarship)) == check_trilemma(analyze(scholarship))
 
 
 def test_random_batch_has_no_counterexamples():
     config = GeneratorConfig(seed=7)
     for index in range(200):
-        report = check_trilemma(generate_instance(config, index))
+        report = check_trilemma(analyze(generate_instance(config, index)))
         assert report.counterexamples == (), report.instance_id
         assert all(check.holds for check in report.pairwise)
         if not report.underdetermined:
@@ -145,7 +148,7 @@ def test_single_attribute_instances_mostly_determined():
                              bound_probability=0.0, preference_probability=0.0)
     for index in range(50):
         inst = generate_instance(config, index)
-        sem = compatible_answers(inst, admissible_set(inst))
+        sem = analyze(inst).semantics
         values = normalize(inst).values[:, 0]
         if values[0] == values[1]:
             assert sem.compatible == inst.candidates  # tied: weak fallback
@@ -160,7 +163,7 @@ def test_generator_premises_never_contradict():
         inst = generate_instance(config, index)
         assert validate(inst) == []
         seen_premise = seen_premise or bool(inst.preferences)
-        check_trilemma(inst)  # must not raise ContradictoryPremises
+        check_trilemma(analyze(inst))  # must not raise ContradictoryPremises
     assert seen_premise
 
 
@@ -185,4 +188,24 @@ def test_generator_config_validation():
 
 def test_response_space_bound_formula(scholarship):
     # bound = n*(1+m) + 2^m + C(n,2) + 2 with n=2 candidates, m=2 criteria
-    assert response_space_bound(scholarship) == 2 * 3 + 4 + 1 + 2
+    assert response_space_bound(2, 2) == 2 * 3 + 4 + 1 + 2
+    # the enumerated space stays within it, and reaches it exactly when
+    # every criterion has a unique winner (2^m - 1 conditionals)
+    config = GeneratorConfig(seed=59, criteria_range=(0, 4))
+    for index in range(80):
+        analysis = analyze(generate_instance(config, index))
+        n, m = len(analysis.instance.candidates), len(analysis.instance.criteria)
+        size = len(enumerate_responses(analysis))
+        bound = response_space_bound(n, m)
+        assert size <= bound
+        assert (size == bound - 1) == (len(analysis.unique_winners) == m)
+
+
+def test_report_carries_the_evaluated_space(scholarship):
+    from udet.responses import ResponseEvaluator
+    analysis = analyze(scholarship)
+    report = check_trilemma(analysis)
+    assert report.responses == enumerate_responses(analysis).responses
+    evaluator = ResponseEvaluator(analysis)
+    assert report.verdicts == tuple(evaluator.evaluate(r) for r in report.responses)
+    assert report.responses_evaluated == len(report.responses) == 12
