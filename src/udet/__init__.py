@@ -57,7 +57,6 @@ from .semantics import (
     admissible_set,
     analyze,
     compatible_answers,
-    default_grid_subdivisions,
     normalize,
     winner_statistics,
     winners_at,
@@ -80,7 +79,7 @@ __all__ = [
     "ParseError", "SourceDocument", "parse_instance", "serialize_instance",
     "EPS_SCORE", "AdmissibleSet", "Analysis", "ScoreMatrix", "SemanticsResult",
     "WinnerOutcome", "WinnerStats", "admissible_set", "analyze",
-    "compatible_answers", "default_grid_subdivisions", "normalize",
+    "compatible_answers", "normalize",
     "winner_statistics", "winners_at",
     "Clarify", "Conditional", "Decisive", "Equivalence", "Refuse", "Response",
     "ResponseEvaluator", "Verdict", "u_assistive_score",

@@ -1,75 +1,29 @@
-"""Hot numeric kernels: simplex grids, batch scoring, winner scans.
+"""Numeric kernels over the weight polytope P = {w : sum(w) = 1, lower <= w <= upper}.
 
-Plain numpy, laid out for the admissible-set grid of up to ~100k points:
+- `score_grid` scores every candidate at a batch of weight vectors,
+  accumulating candidate-major, one contiguous row per candidate.
+- `box_simplex_min` gives min over P of ``c . w`` for many coefficient rows
+  at once, in closed form: the greedy fill of a continuous knapsack.
+- `max_min_margin` gives max over P of min_r ``c_r . w``, a small linear
+  program, solved as its dual by a revised simplex with Bland's rule, so
+  the same input always takes the same steps.
 
-- `simplex_compositions` builds the integer grid in closed form (stars and
-  bars), and `simplex_grid` caches its float weights once per (G, k) as one
-  read-only, attribute-major array, so `grid[:, j]` is contiguous.
-- `score_grid` accumulates candidate-major, one contiguous row per
-  candidate, and returns the (points, candidates) view of that buffer.
-- `winner_stats` scans those candidate rows; it copies only when handed a
-  row-major (points, candidates) array.
-
-Every result is bitwise what the plain per-point loops in
-``tests/test_kernels.py`` compute.
+Plain numpy.  Nothing here imports scipy, whose import alone costs more
+than a whole cold ``udet analyze`` run.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from itertools import chain, combinations
 
 import numpy as np
 
-
-def composition_count(total: int, parts: int) -> int:
-    """Number of non-negative integer vectors of length `parts` summing to `total`."""
-    return math.comb(total + parts - 1, parts - 1)
-
-
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """Stars and bars: the k-1 bar positions among total+k-1 slots, in
-    lexicographic order, give the compositions in lexicographic order."""
-    if total < 0 or parts < 1:
-        raise ValueError("total must be >= 0 and parts >= 1")
-    count = composition_count(total, parts)
-    bars = np.fromiter(
-        chain.from_iterable(combinations(range(total + parts - 1), parts - 1)),
-        dtype=np.int64, count=count * (parts - 1)).reshape(count, parts - 1)
-    slots = np.empty((count, parts + 1), dtype=np.int64)
-    slots[:, 0] = -1
-    slots[:, 1:parts] = bars
-    slots[:, parts] = total + parts - 1
-    return np.diff(slots, axis=1) - 1
-
-
-@lru_cache(maxsize=128)
-def simplex_compositions(total: int, parts: int) -> np.ndarray:
-    """All non-negative integer vectors summing to `total`, lexicographically
-    ascending.  The result is cached and marked read-only."""
-    out = _compositions(total, parts)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=16)
-def simplex_grid(total: int, parts: int) -> np.ndarray:
-    """`simplex_compositions(total, parts) / total` as float64 weights.
-
-    Cached and read-only; the (n_points, parts) result is a view of one
-    attribute-major buffer.  The integer grid is not kept alongside it.
-    """
-    if total < 1:
-        raise ValueError("total must be >= 1")
-    comps = _compositions(total, parts)
-    weights = np.empty((parts, comps.shape[0]), dtype=np.float64)
-    np.divide(comps.T, float(total), out=weights)
-    weights.setflags(write=False)
-    return weights.T
-
-
 _BLOCK_POINTS = 8192
+
+# Simplex tolerances: the least pivot element, and the reduced-cost and
+# ratio-tie tolerance.  The program's entries are O(1).
+_PIVOT_TOL = 1e-9
+_TOL = 1e-12
 
 
 def score_grid(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -96,39 +50,91 @@ def score_grid(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return scores.T
 
 
-def winner_stats(scores: np.ndarray, eps: float):
-    """Per-candidate winner statistics over a batch of score rows.
+def box_simplex_min(coef: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """min over P of ``coef[r] . w`` for every row r of the (m, k) `coef`.
 
-    Returns ``(ever_unique, in_winner_set, beats_all, tie_all)``:
-    `ever_unique[c]` — c is the sole argmax (others more than `eps` below) at
-    some row; `in_winner_set[c]` — c is within `eps` of some row's maximum;
-    `beats_all[a, b]` — a exceeds b by more than `eps` in every row;
-    `tie_all[a, b]` — a and b are within `eps` in every row.
-
-    Each unordered pair needs one difference d = s_a - s_b, since
-    s_b - s_a == -d exactly in round-to-nearest; a NaN in d makes every
-    test false, as it does row by row.
+    Start at `lower`, then spend the budget 1 - sum(lower) on the cheapest
+    coefficients first, each up to its room upper - lower.  A budget below
+    0 or above the total room (P a point, within tolerance) spends nothing
+    or everything.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape[0] < 1:
-        raise ValueError("winner_stats requires at least one score row")
-    rows = np.ascontiguousarray(scores.T)
-    n_c = rows.shape[0]
-    top = rows[0].copy()
-    for c in range(1, n_c):
-        np.maximum(top, rows[c], out=top)
-    member = rows >= top - eps
-    unique_points = member.sum(axis=0, dtype=np.int32) == 1
-    in_winner_set = member.any(axis=1)
-    ever_unique = (member & unique_points).any(axis=1)
-    beats_all = np.zeros((n_c, n_c), dtype=np.bool_)
-    tie_all = np.eye(n_c, dtype=np.bool_)
-    diff = np.empty(rows.shape[1])
-    for a in range(n_c):
-        for b in range(a + 1, n_c):
-            np.subtract(rows[a], rows[b], out=diff)
-            lo, hi = diff.min(), diff.max()
-            beats_all[a, b] = lo > eps
-            beats_all[b, a] = -hi > eps
-            tie_all[a, b] = tie_all[b, a] = max(hi, -lo) <= eps
-    return ever_unique, in_winner_set, beats_all, tie_all
+    coef = np.asarray(coef, dtype=np.float64)
+    order = np.argsort(coef, axis=1, kind="stable")
+    room = (upper - lower)[order]
+    spent = np.zeros_like(room)
+    np.cumsum(room[:, :-1], axis=1, out=spent[:, 1:])
+    fill = np.clip((1.0 - lower.sum()) - spent, 0.0, room)
+    ranked = np.take_along_axis(coef, order, axis=1)
+    return coef @ lower + np.einsum("rj,rj->r", ranked, fill)
+
+
+def max_min_margin(coef: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
+    """max over w in P of min_r ``coef[r] . w``; +inf when `coef` has no rows.
+
+    With w = lower + v, budget = 1 - sum(lower) and room = upper - lower,
+    this linear program is solved as its dual, which has one row per
+    attribute plus one, however many rows `coef` has:
+
+        min  y . (coef lower) + budget mu + room . z
+        s.t. sum(y) = 1,  mu + z_i - s_i = (coef^T y)_i for every attribute i,
+             y >= 0, z >= 0, s >= 0, mu free.
+
+    That is the least, over mixtures y of the rows, of the mixture's
+    greatest value over P.  z_i prices the bound v_i <= room_i and is left
+    out where room_i >= budget, since sum(v) = budget implies that bound.
+    The search starts at y = the first row, mu = that row's largest
+    coefficient and every other surplus s_i basic: a feasible basis.
+    """
+    coef = np.asarray(coef, dtype=np.float64)
+    m, k = coef.shape
+    if m == 0:
+        return math.inf
+    room = upper - lower
+    budget = min(max(1.0 - float(lower.sum()), 0.0), float(room.sum()))
+    capped = np.flatnonzero(room < budget)
+    # Columns: y, mu = mu+ - mu-, z of the capped attributes, the surpluses s.
+    surplus = m + 2 + capped.size
+    a = np.zeros((k + 1, surplus + k))
+    a[0, :m] = 1.0
+    a[1:, :m] = -coef.T
+    a[1:, m] = 1.0
+    a[1:, m + 1] = -1.0
+    a[1 + capped, m + 2 + np.arange(capped.size)] = 1.0
+    a[1:, surplus:] = -np.eye(k)
+    cost = np.concatenate((coef @ lower, [budget, -budget], room[capped], np.zeros(k)))
+    top = int(np.argmax(coef[0]))
+    basis = [0, m if coef[0, top] >= 0.0 else m + 1]
+    basis += [surplus + i for i in range(k) if i != top]
+    return _simplex_min(cost, a, np.eye(k + 1)[0], np.array(basis))
+
+
+def _simplex_min(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> float:
+    """min ``cost . x`` subject to ``a x = b`` and x >= 0, from the feasible
+    `basis` (one column per row) of a bounded program.
+
+    A revised simplex with Bland's rule: the lowest column with a negative
+    reduced cost enters, and of the rows tied in the ratio test the one
+    with the lowest basic column leaves.  Every step inverts the basis
+    afresh, so round-off does not build up over degenerate steps.
+    """
+    skip = np.zeros(a.shape[1], dtype=bool)
+    while True:
+        inverse = np.linalg.inv(a[:, basis])
+        x = np.maximum(inverse @ b, 0.0)  # basic values; below 0 only by round-off
+        reduced = cost - (cost[basis] @ inverse) @ a
+        reduced[basis] = 0.0
+        entering = np.flatnonzero(~skip & (reduced < -_TOL))
+        if entering.size == 0:
+            return float(cost[basis] @ x)
+        col = entering[0]
+        step = inverse @ a[:, col]
+        rows = np.flatnonzero(step > _PIVOT_TOL)
+        if rows.size == 0:
+            if reduced[col] < -_PIVOT_TOL:
+                raise ValueError("the linear program is unbounded")
+            skip[col] = True  # a reduced cost of round-off size
+            continue
+        ratios = x[rows] / step[rows]
+        ties = rows[ratios <= ratios.min() + _TOL]
+        basis[ties[np.argmin(basis[ties])]] = col
+        skip[:] = False

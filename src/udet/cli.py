@@ -1,12 +1,15 @@
 """Command-line surface: analyze, check, policy, sweep, corpus export.
 
+Every command that reads an instance computes its semantics exactly over
+the admissible weight polytope; no command takes a precision setting.
 Reports are byte-deterministic for identical inputs and flags: orderings are
 fixed, numbers render with at most 12 significant digits, and timestamps
 appear only under ``--timestamps``.  Exit codes: 0 success, 1 parse or
-validation error (including a bad flag value) or a file that cannot be read
-or written, 2 semantic error (infeasible constraints, contradictory
-premises, more declared criteria than the response space can enumerate),
-3 trilemma counterexample found.
+validation error, a usage error (an unknown flag or a bad flag value, with
+one ``error:`` line) or a file that cannot be read or written, 2 semantic
+error (infeasible constraints, contradictory premises, more declared
+criteria than the response space can enumerate), 3 trilemma counterexample
+found.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .policy import decide
 from .responses import Clarify, Conditional, Decisive, Equivalence, Response, Verdict
 from .semantics import (
     EPS_SCORE,
-    AdmissibleSet,
     SemanticsResult,
     analyze,
     exact_thresholds,
@@ -40,7 +42,7 @@ EXIT_PARSE = 1
 EXIT_SEMANTIC = 2
 EXIT_COUNTEREXAMPLE = 3
 
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
 def render_response(response: Response) -> str:
@@ -76,10 +78,8 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _parameters(adm: AdmissibleSet, timestamps: bool) -> dict:
+def _parameters(timestamps: bool) -> dict:
     params = {
-        "enumeration": adm.kind,
-        "grid": adm.grid_subdivisions,
         "epsilon_score": EPS_SCORE,
         "epsilon_weight": EPS_WEIGHT,
         "tool_version": __version__,
@@ -178,15 +178,15 @@ def cmd_analyze(args, stdout, stderr) -> int:
         return EXIT_PARSE
     if args.require_decision:
         instance = dataclasses.replace(instance, decisiveness_required=True)
-    analysis = analyze(instance, grid_G=args.grid)
+    analysis = analyze(instance)
     report = check_trilemma(analysis)
     decision = decide(analysis)
-    adm, semantics = analysis.adm, analysis.semantics
+    semantics = analysis.semantics
 
     if args.format == "json":
         doc = {
             "schema_version": JSON_SCHEMA_VERSION,
-            "parameters": _parameters(adm, args.timestamps),
+            "parameters": _parameters(args.timestamps),
             "instance": _instance_json(instance),
             "semantics": _semantics_json(semantics),
             "verdicts": [
@@ -212,9 +212,7 @@ def cmd_analyze(args, stdout, stderr) -> int:
         f"{a.name} ({a.kind}{'/' + a.scale if a.kind == ORDINAL else ''}, {a.direction})"
         for a in instance.attributes)
     w(f"attributes: {attrs}\n")
-    grid_txt = "-" if adm.grid_subdivisions is None else str(adm.grid_subdivisions)
-    w(f"parameters: enumeration={adm.kind} grid={grid_txt} "
-      f"eps_score={format_number(EPS_SCORE)} eps_weight={format_number(EPS_WEIGHT)} "
+    w(f"parameters: eps_score={format_number(EPS_SCORE)} eps_weight={format_number(EPS_WEIGHT)} "
       f"version={__version__}\n")
     if args.timestamps:
         w(f"timestamp: {datetime.now(timezone.utc).isoformat()}\n")
@@ -277,8 +275,7 @@ def cmd_check(args, stdout, stderr) -> int:
         stderr.write("error: give instance files or --random N\n")
         return EXIT_PARSE
 
-    reports = [check_trilemma(analyze(instance, grid_G=args.grid))
-               for instance in instances]
+    reports = [check_trilemma(analyze(instance)) for instance in instances]
 
     total_responses = sum(r.responses_evaluated for r in reports)
     total_counter = sum(len(r.counterexamples) for r in reports)
@@ -320,7 +317,7 @@ def cmd_policy(args, stdout, stderr) -> int:
         return EXIT_PARSE
     if args.require_decision:
         instance = dataclasses.replace(instance, decisiveness_required=True)
-    decision = decide(analyze(instance, grid_G=args.grid))
+    decision = decide(analyze(instance))
     if args.format == "json":
         _emit({
             "schema_version": JSON_SCHEMA_VERSION,
@@ -478,19 +475,28 @@ def cmd_corpus(args, stdout, stderr) -> int:
     return EXIT_PARSE
 
 
+class UsageError(Exception):
+    """A command line that names an unknown flag or gives a bad value."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2, so that
+    `main` reports it on its own stderr.  Subparsers share the class."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="udet",
         description="Analyze decision instances whose premises may not "
                     "determine a unique answer.")
     parser.add_argument("--version", action="version", version=f"udet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, grid: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if grid:
-            p.add_argument("--grid", type=int, default=None, metavar="G",
-                           help="override simplex grid subdivisions")
         p.add_argument("--timestamps", action="store_true",
                        help="include a wall-clock timestamp in reports")
 
@@ -516,13 +522,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("path")
     p_sweep.add_argument("attributes", nargs="*", metavar="ATTR",
                          help="attribute pair for the projection")
-    common(p_sweep, grid=False)
+    common(p_sweep)
 
     p_corpus = sub.add_parser("corpus", help="bundled example instances")
     corpus_sub = p_corpus.add_subparsers(dest="corpus_command", required=True)
     p_export = corpus_sub.add_parser("export", help="write corpus files to a directory")
     p_export.add_argument("directory")
-    common(p_export, grid=False)
+    common(p_export)
 
     return parser
 
@@ -538,17 +544,15 @@ _COMMANDS = {"analyze": cmd_analyze, "check": cmd_check, "policy": cmd_policy,
 
 
 def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
-    """Run one command.  An OSError exits 1 and any other UdetError exits 2,
-    each with a one-line ``error:`` message."""
+    """Run one command.  A usage error or an OSError exits 1 and any other
+    UdetError exits 2, each with a one-line ``error:`` message on `stderr`.
+    ``--help`` and ``--version`` print to ``sys.stdout`` and exit 0."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    args = _parser().parse_args(argv)
-    if getattr(args, "grid", None) is not None and args.grid < 1:
-        stderr.write("error: --grid must be a positive integer\n")
-        return EXIT_PARSE
     try:
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args, stdout, stderr)
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except UdetError as exc:

@@ -2,13 +2,16 @@
 
 `analyze` computes an instance's semantics once and returns it as one frozen
 `Analysis`: the min-max normalized score matrix, the admissible weight
-vectors (exact interval algebra for two attributes, otherwise the simplex
-grid that `_kernels.simplex_grid` builds once per (G, k) and shares
-read-only), the winner statistics over them, the preference closure, the
-compatible answer set with its underdetermination flag and entailed winner,
-and the scores and winners under each declared criterion.  The response,
-trilemma and policy layers read that object and recompute none of it.
-Scores and winner statistics come from the numpy kernels in `_kernels`.
+polytope P = {w : sum(w) = 1, lower <= w <= upper}, the exact winner
+statistics over P, the preference closure, the compatible answer set with
+its underdetermination flag and entailed winner, and the scores and winners
+under each declared criterion.  The response, trilemma and policy layers
+read that object and recompute none of it.
+
+Every instance takes the same exact path, whatever its attribute count and
+whether a pin or bounds shape P: pairwise score differences are minimized
+over P in closed form, and a small linear program decides where a
+candidate can win (`_kernels`).
 """
 
 from __future__ import annotations
@@ -33,15 +36,6 @@ from .model import (
 # Absolute tolerance for score comparisons (ties, strict wins).
 EPS_SCORE = 1e-9
 
-# Enumeration kinds.
-EXACT_THRESHOLD = "exact_threshold"
-GRID = "grid"
-SINGLETON = "singleton"
-
-# Default grids keep the point count at desk scale.
-MAX_GRID_POINTS = 100_000
-
-
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """Min-max normalized scores, one row per candidate, one column per attribute."""
@@ -64,27 +58,16 @@ class WinnerOutcome:
 
 @dataclass(frozen=True, eq=False)
 class AdmissibleSet:
-    """The weight vectors consistent with the instance's constraints.
+    """The weight polytope P = {w : sum(w) = 1, lower <= w <= upper}.
 
-    `kind` is ``exact_threshold`` (two attributes, interval algebra over the
-    first attribute's weight), ``grid`` (simplex grid filtered by bounds), or
-    ``singleton`` (a pin constraint fixes one vector).  `vectors` holds the
-    enumerated rows for grid/singleton kinds, read-only: without bounds it is
-    the shared cached grid itself.  `alpha_interval` holds the admissible
-    range of the first attribute's weight for the exact kind.
+    Both arrays are (n_attributes,) in declared order and read-only.  A pin
+    makes `lower` and `upper` the pinned weights; a bound raises `lower` or
+    lowers `upper` of its attribute.
     """
 
     attributes: tuple[str, ...]
-    constraints: tuple[WeightConstraint, ...]
-    kind: str
-    grid_subdivisions: int | None = None
-    vectors: np.ndarray | None = None
-    alpha_interval: tuple[float, float] | None = None
-
-    @property
-    def size(self) -> int | None:
-        """Number of enumerated vectors; None for the continuous exact kind."""
-        return None if self.vectors is None else int(self.vectors.shape[0])
+    lower: np.ndarray
+    upper: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -173,18 +156,6 @@ def winners_at(matrix: ScoreMatrix, theta: CriterionSpec) -> WinnerOutcome:
     return WinnerOutcome(_winners(matrix.candidates, scores))
 
 
-def default_grid_subdivisions(n_attributes: int) -> int:
-    """Largest G whose simplex grid stays within MAX_GRID_POINTS points."""
-    if n_attributes < 1:
-        raise ValueError("need at least one attribute")
-    if n_attributes == 1:
-        return 1
-    g = 1
-    while _kernels.composition_count(g + 1, n_attributes) <= MAX_GRID_POINTS:
-        g += 1
-    return g
-
-
 def _bounds(constraints: tuple[WeightConstraint, ...]) -> list[BoundConstraint]:
     return [c for c in constraints if isinstance(c, BoundConstraint)]
 
@@ -226,147 +197,86 @@ def _bound_holds(w: float, bound: BoundConstraint) -> bool:
     return abs(w - bound.value) <= EPS_WEIGHT
 
 
-def admissible_set(instance: Instance, grid_G: int | None = None,
-                   mode: str = "auto") -> AdmissibleSet:
-    """Enumerate the weight vectors consistent with the declared constraints.
+def admissible_set(instance: Instance) -> AdmissibleSet:
+    """The box-simplex of weight vectors the declared constraints allow.
 
-    With exactly two attributes and no pin the set is the exact interval of
-    the first attribute's weight (`mode="auto"`); otherwise a simplex grid
-    with `grid_G` subdivisions per dimension, filtered by bound constraints.
-    `mode="grid"` forces grid enumeration for two-attribute instances (used
-    to cross-check the exact path).
-
-    Raises InfeasibleConstraints when no admissible vector remains.
+    Raises InfeasibleConstraints when it is empty: pins that disagree, a pin
+    outside a bound, a lower bound above an upper one, or bounds that leave
+    no room for weights summing to 1 (each test within EPS_WEIGHT).
     """
-    if mode not in ("auto", "grid", "exact"):
-        raise ValueError(f"mode must be 'auto', 'grid' or 'exact', got {mode!r}")
-    if grid_G is not None and grid_G < 1:
-        raise ValueError("grid_G must be a positive integer")
     attrs = instance.attribute_names
-    k = len(attrs)
-
     pinned = _pin_vector(instance)
     if pinned is not None:
         pinned.setflags(write=False)
-        return AdmissibleSet(attrs, instance.constraints, SINGLETON,
-                             vectors=pinned[None, :])
-
-    if mode == "exact" and k != 2:
-        raise ValueError("exact_threshold enumeration requires exactly 2 attributes")
-
-    if k == 2 and mode in ("auto", "exact"):
-        lo, hi = 0.0, 1.0
-        for bound in _bounds(instance.constraints):
-            # Translate to a constraint on alpha, the first attribute's weight.
-            flip = bound.attribute == attrs[1]
-            value = 1.0 - bound.value if flip else bound.value
-            op = bound.op
-            if flip and op == "<=":
-                op = ">="
-            elif flip and op == ">=":
-                op = "<="
-            if op == "<=":
-                hi = min(hi, value)
-            elif op == ">=":
-                lo = max(lo, value)
-            else:
-                lo, hi = max(lo, value), min(hi, value)
-        if lo - hi > EPS_WEIGHT:
-            raise InfeasibleConstraints(
-                f"no admissible weight for '{attrs[0]}' in [{lo}, {hi}]")
-        hi = max(hi, lo)
-        return AdmissibleSet(attrs, instance.constraints, EXACT_THRESHOLD,
-                             alpha_interval=(lo, hi))
-
-    g = grid_G if grid_G is not None else default_grid_subdivisions(k)
-    weights = _kernels.simplex_grid(g, k)
-    bounds = _bounds(instance.constraints)
-    if bounds:
-        keep = np.ones(weights.shape[0], dtype=bool)
-        for bound in bounds:
-            col = weights[:, attrs.index(bound.attribute)]
-            if bound.op == "<=":
-                keep &= col <= bound.value + EPS_WEIGHT
-            elif bound.op == ">=":
-                keep &= col >= bound.value - EPS_WEIGHT
-            else:
-                keep &= np.abs(col - bound.value) <= EPS_WEIGHT
-        if not keep.any():
-            raise InfeasibleConstraints(
-                f"no point of the {g}-subdivision simplex grid satisfies the bounds")
-        weights = weights.T[:, keep].T  # stays attribute-major
-        weights.setflags(write=False)
-    return AdmissibleSet(attrs, instance.constraints, GRID, grid_subdivisions=g,
-                         vectors=weights)
-
-
-def _exact_eval_weights(matrix: ScoreMatrix, lo: float, hi: float) -> np.ndarray:
-    """Evaluation vectors that make point sampling exact for two attributes.
-
-    Scores are linear in alpha, so every strict/tie predicate changes truth
-    only where some pairwise difference crosses 0, +EPS_SCORE, or -EPS_SCORE.
-    Sampling all such breakpoints plus the midpoints between them covers every
-    truth region exactly.
-    """
-    points = {lo, hi}
-    for level in (0.0, EPS_SCORE, -EPS_SCORE):
-        for alpha in _pairwise_crossings(matrix, level):
-            if lo <= alpha <= hi:
-                points.add(alpha)
-    ordered = sorted(points)
-    evals = list(ordered)
-    for left, right in zip(ordered, ordered[1:]):
-        evals.append((left + right) / 2.0)
-    alphas = np.array(sorted(evals), dtype=np.float64)
-    return np.column_stack((alphas, 1.0 - alphas))
-
-
-def _pairwise_crossings(matrix: ScoreMatrix, level: float) -> list[float]:
-    """Alphas where some pairwise score difference equals `level`."""
-    m = matrix.values
-    n = m.shape[0]
-    out: list[float] = []
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            # d(alpha) = (m[a,1]-m[b,1]) + alpha * ((m[a,0]-m[a,1]) - (m[b,0]-m[b,1]))
-            intercept = m[a, 1] - m[b, 1]
-            slope = (m[a, 0] - m[a, 1]) - (m[b, 0] - m[b, 1])
-            if slope != 0.0:
-                out.append((level - intercept) / slope)
-    return out
+        return AdmissibleSet(attrs, pinned, pinned)
+    lower, upper = np.zeros(len(attrs)), np.ones(len(attrs))
+    for bound in _bounds(instance.constraints):
+        j = attrs.index(bound.attribute)
+        if bound.op != "<=":
+            lower[j] = max(lower[j], bound.value)
+        if bound.op != ">=":
+            upper[j] = min(upper[j], bound.value)
+    crossed = np.flatnonzero(lower - upper > EPS_WEIGHT)
+    if crossed.size:
+        j = crossed[0]
+        raise InfeasibleConstraints(
+            f"no admissible weight for '{attrs[j]}' in [{lower[j]}, {upper[j]}]")
+    upper = np.maximum(upper, lower)
+    if lower.sum() > 1.0 + EPS_WEIGHT or upper.sum() < 1.0 - EPS_WEIGHT:
+        raise InfeasibleConstraints(
+            f"no admissible weight: the bounds allow weight sums in "
+            f"[{lower.sum():.12g}, {upper.sum():.12g}], not 1")
+    lower.setflags(write=False)
+    upper.setflags(write=False)
+    return AdmissibleSet(attrs, lower, upper)
 
 
 def exact_thresholds(matrix: ScoreMatrix, lo: float = 0.0, hi: float = 1.0) -> list[float]:
-    """Sorted alphas in (lo, hi) where two candidates' scores cross exactly."""
-    seen: set[float] = set()
-    for alpha in _pairwise_crossings(matrix, 0.0):
-        if lo < alpha < hi:
-            seen.add(alpha)
-    return sorted(seen)
+    """Sorted alphas in (lo, hi) where two candidates' scores cross exactly.
 
-
-def _admissible_weights(matrix: ScoreMatrix, adm: AdmissibleSet) -> np.ndarray:
-    if adm.kind == EXACT_THRESHOLD:
-        lo, hi = adm.alpha_interval
-        return _exact_eval_weights(matrix, lo, hi)
-    return adm.vectors
+    Alpha is the weight of the first of two attributes; the scores are
+    linear in it, s(alpha) = m[:, 1] + alpha * (m[:, 0] - m[:, 1]).
+    """
+    m = matrix.values
+    tilt = m[:, 0] - m[:, 1]
+    slope = tilt[:, None] - tilt[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alphas = (m[None, :, 1] - m[:, None, 1]) / slope
+    inside = (slope != 0.0) & (alphas > lo) & (alphas < hi)
+    return sorted(set(alphas[inside].tolist()))
 
 
 def winner_statistics(matrix: ScoreMatrix, adm: AdmissibleSet) -> WinnerStats:
-    """Winner facts aggregated over every admissible weight vector.
+    """Exact winner facts over the admissible polytope P.
 
-    For the exact two-attribute kind this is computed from breakpoint algebra
-    (scores are linear in the first attribute's weight), so the result is
-    exact rather than sampled; linear differences attain their extrema at the
-    interval endpoints, which the evaluation set always contains.
+    `beats_all` and `tie_all` read the minimum and maximum over P of each
+    difference s_a - s_b (`_kernels.box_simplex_min`).  A candidate's
+    margin t = max over P of min over rivals b of (s_a - s_b) decides the
+    rest: `ever_unique` is t > EPS_SCORE and `in_winner_set` is
+    t >= -EPS_SCORE.  The pairwise extremes bracket t: it lies between the
+    least over rivals of min over P of s_a - s_b and the least over rivals
+    of its max over P.  The linear program (`_kernels.max_min_margin`)
+    runs only where that bracket straddles a threshold, which it never does
+    for a candidate that some rival beats everywhere.  The program leaves
+    out the rivals that some candidate beats everywhere: they never decide
+    either test.
     """
-    weights = _admissible_weights(matrix, adm)
-    scores = _kernels.score_grid(weights, matrix.values)
-    ever_unique, in_winner_set, beats_all, tie_all = _kernels.winner_stats(
-        scores, EPS_SCORE)
-    return WinnerStats(matrix.candidates, ever_unique, in_winner_set,
+    m = matrix.values
+    n, k = m.shape
+    diffs = m[:, None, :] - m[None, :, :]  # diffs[a, b] . w == s_a - s_b
+    lo = _kernels.box_simplex_min(diffs.reshape(n * n, k), adm.lower,
+                                  adm.upper).reshape(n, n)
+    hi = -lo.T
+    beats_all = lo > EPS_SCORE
+    tie_all = (lo >= -EPS_SCORE) & (hi <= EPS_SCORE)
+    rival = ~np.eye(n, dtype=bool)
+    margin = np.where(rival, lo, np.inf).min(axis=1)
+    margin_hi = np.where(rival, hi, np.inf).min(axis=1)
+    rows = rival & ~beats_all.any(axis=0)
+    for i in np.flatnonzero(((margin > EPS_SCORE) != (margin_hi > EPS_SCORE))
+                            | ((margin >= -EPS_SCORE) != (margin_hi >= -EPS_SCORE))):
+        margin[i] = _kernels.max_min_margin(diffs[i, rows[i]], adm.lower, adm.upper)
+    return WinnerStats(matrix.candidates, margin > EPS_SCORE, margin >= -EPS_SCORE,
                        beats_all, tie_all)
 
 
@@ -384,12 +294,13 @@ def _closure_matrix(instance: Instance, stats: WinnerStats) -> np.ndarray:
         reach[index[pref.winner], index[pref.loser]] = True
     for m in range(n):
         reach |= reach[:, m][:, None] & reach[m, :][None, :]
-    for i in range(n):
-        for j in range(n):
-            if reach[i, j] and reach[j, i]:
-                raise ContradictoryPremises(
-                    f"premises order '{cands[i]}' and '{cands[j]}' both ways "
-                    "(explicit preference against a unanimous score ordering)")
+    # Any cycle orders two distinct candidates both ways; name the first pair.
+    both = reach & reach.T & ~np.eye(n, dtype=bool)
+    if both.any():
+        i, j = np.argwhere(both)[0]
+        raise ContradictoryPremises(
+            f"premises order '{cands[i]}' and '{cands[j]}' both ways "
+            "(explicit preference against a unanimous score ordering)")
     return reach
 
 
@@ -468,17 +379,16 @@ class Analysis:
                 if len(ws) == 1}
 
 
-def analyze(instance: Instance, grid_G: int | None = None,
-            mode: str = "auto") -> Analysis:
+def analyze(instance: Instance) -> Analysis:
     """Compute the semantics of a validated instance once.
 
-    `grid_G` and `mode` go to `admissible_set`.  The criterion rows are
-    scored in one `score_grid` call; each row is bitwise what scoring it
-    alone gives, since every entry is accumulated on its own.
+    The criterion rows are scored in one `score_grid` call; each row is
+    bitwise what scoring it alone gives, since every entry is accumulated on
+    its own.
 
     Raises InfeasibleConstraints and ContradictoryPremises.
     """
-    adm = admissible_set(instance, grid_G, mode)
+    adm = admissible_set(instance)
     matrix = normalize(instance)
     stats = winner_statistics(matrix, adm)
     closure = _closure_matrix(instance, stats)

@@ -60,7 +60,7 @@ def test_analyze_json_fields_match_text(corpus_dir):
     code2, json_out, _ = run_cli(["analyze", path, "--format", "json"])
     assert code == code2 == 0
     doc = json.loads(json_out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["semantics"]["compatible"] == ["A", "B"]
     assert doc["semantics"]["underdetermined"] is True
     assert doc["semantics"]["entailed"] is None
@@ -71,8 +71,10 @@ def test_analyze_json_fields_match_text(corpus_dir):
     assert f"compatible: {', '.join(doc['semantics']['compatible'])}" in text_out
     assert f"branch: {doc['policy']['branch']}" in text_out
     assert f"responses evaluated: {doc['trilemma']['responses_evaluated']}" in text_out
-    assert doc["parameters"]["enumeration"] == "exact_threshold"
     assert doc["parameters"]["epsilon_score"] == 1e-9
+    # one exact engine: no enumeration kind and no grid size to report
+    assert "enumeration" not in doc["parameters"] and "grid" not in doc["parameters"]
+    assert "parameters: eps_score=1e-09 eps_weight=1e-09 version=" in text_out
 
 
 def test_analyze_is_byte_deterministic(corpus_dir):
@@ -109,11 +111,13 @@ def test_analyze_infeasible_exit_2(corpus_dir, tmp_path):
 
 
 def test_analyze_grid_override(corpus_dir):
+    # the grid and its --grid override are gone; the flag is a usage error
     path = path_of(corpus_dir, "company_priorities")
-    _, out, _ = run_cli(["analyze", path, "--format", "json", "--grid", "50"])
-    doc = json.loads(out)
-    assert doc["parameters"]["grid"] == 50
-    assert doc["parameters"]["enumeration"] == "grid"
+    code, out, err = run_cli(["analyze", path, "--format", "json", "--grid", "50"])
+    assert (code, out, err) == (1, "", "error: unrecognized arguments: --grid 50\n")
+    _, out, _ = run_cli(["analyze", path, "--format", "json"])
+    assert set(json.loads(out)["parameters"]) == {"epsilon_score", "epsilon_weight",
+                                                  "tool_version"}
 
 
 @pytest.mark.parametrize("grid", ["0", "-3"])
@@ -122,7 +126,66 @@ def test_grid_below_one_is_a_usage_error(corpus_dir, command, grid):
     path = path_of(corpus_dir, "company_priorities")
     code, out, err = run_cli([command, path, "--grid", grid])
     assert code == 1 and out == ""
-    assert err == "error: --grid must be a positive integer\n"
+    assert err == f"error: unrecognized arguments: --grid {grid}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["analyze", "x", "--bogus", "y"], "unrecognized arguments: --bogus y"),
+    (["analyze"], "the following arguments are required: path"),
+    (["check", "--random", "many"], "argument --random: invalid int value: 'many'"),
+    (["sweep", "x", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+    (["corpus"], "the following arguments are required: corpus_command"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_exit_1_on_mains_stderr(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_help_and_version_still_exit_0(capsys):
+    for argv in (["--help"], ["analyze", "--help"], ["--version"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO())
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(("usage: udet", "udet "))
+
+
+def test_feasible_bounds_between_grid_points_exit_0(corpus_dir, tmp_path):
+    # 0.37 lies on no point of the 445-subdivision grid that a k = 3 instance
+    # used.  With financial_return's weight fixed, balanced leads
+    # employee_well_being by at least 0.0014 everywhere.
+    source = (corpus_dir / "company_priorities.udet").read_text()
+    path = tmp_path / "company_037.udet"
+    path.write_text(source + "assume weight financial_return = 0.37\n", encoding="utf-8")
+    code, out, err = run_cli(["analyze", str(path), "--format", "json"])
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["semantics"]["compatible"] == ["balanced"]
+    assert doc["semantics"]["entailed"] == "balanced"
+    # bounds that really leave no weight vector still exit 2
+    source = (corpus_dir / "city_recommendation.udet").read_text()
+    path = tmp_path / "city_infeasible.udet"
+    path.write_text(source + "assume weight job >= 0.6\nassume weight cost >= 0.6\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: no admissible weight") and err.count("\n") == 1
+
+
+def test_analyze_does_not_import_scipy(corpus_dir):
+    # `import scipy.optimize` alone costs more than a whole cold analyze
+    src = str(Path(udet.__file__).resolve().parents[1])
+    code = ("import io, sys\n"
+            "from udet import cli\n"
+            "assert cli.main(['analyze', sys.argv[1], '--format', 'json'],\n"
+            "                stdout=io.StringIO()) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code,
+                           path_of(corpus_dir, "city_recommendation")],
+                          capture_output=True, text=True, check=False,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_too_many_criteria_exit_2(corpus_dir, tmp_path):
@@ -301,7 +364,8 @@ def test_policy_contradictory_premises_exit_2(corpus_dir, tmp_path):
     for command in ("analyze", "check", "policy"):
         code, out, err = run_cli([command, str(path)])
         assert code == 2 and out == ""
-        assert err.startswith("error: premises order") and err.count("\n") == 1
+        assert err.startswith("error: premises order 'A' and 'B' both ways")
+        assert err.count("\n") == 1
 
 
 def test_one_process_runs_commands_like_fresh_processes(corpus_dir, tmp_path):
@@ -310,9 +374,9 @@ def test_one_process_runs_commands_like_fresh_processes(corpus_dir, tmp_path):
         ["analyze", scholarship, "--format", "json"],
         ["policy", path_of(corpus_dir, "city_recommendation"), "--require-decision"],
         ["check", "--random", "5", "--seed", "3"],
-        ["policy", scholarship, "--grid", "0"],
+        ["policy", scholarship, "--bogus", "0"],
         ["sweep", scholarship],
-        ["analyze", path_of(corpus_dir, "company_priorities"), "--grid", "7"],
+        ["analyze", str(tmp_path / "absent.udet"), "--format", "json"],
         ["corpus", "export", str(tmp_path / "out"), "--format", "json"],
         ["policy", scholarship, "--format", "json"],
     ]

@@ -1,9 +1,21 @@
+"""The numeric kernels, and the dense-grid oracle in `helpers` that tests
+compare the exact semantics with."""
+
 from __future__ import annotations
 
 from itertools import product
 
 import numpy as np
 import pytest
+
+from helpers import (
+    brute_winner_stats,
+    composition_count,
+    dense_subdivisions,
+    grid_winner_stats,
+    simplex_compositions,
+    simplex_grid,
+)
 
 from udet import _kernels as K
 
@@ -17,15 +29,15 @@ def brute_compositions(total: int, parts: int) -> np.ndarray:
                                          (10, 3), (7, 4), (4, 5)])
 def test_compositions_match_bruteforce_and_backends(total, parts):
     expected = brute_compositions(total, parts)
-    assert K.composition_count(total, parts) == expected.shape[0]
-    got = K.simplex_compositions(total, parts)
+    assert composition_count(total, parts) == expected.shape[0]
+    got = simplex_compositions(total, parts)
     assert np.array_equal(got, expected)
     assert got.dtype == np.int64
 
 
 def test_compositions_cached_and_readonly():
-    arr = K.simplex_compositions(6, 3)
-    assert arr is K.simplex_compositions(6, 3)
+    arr = simplex_compositions(6, 3)
+    assert arr is simplex_compositions(6, 3)
     with pytest.raises(ValueError):
         arr[0, 0] = 99
 
@@ -60,31 +72,6 @@ def test_score_grid_backends_bitwise_identical():
             assert got.tobytes() == expected.tobytes()
 
 
-def brute_winner_stats(scores: np.ndarray, eps: float):
-    n_pts, n_c = scores.shape
-    ever_unique = np.zeros(n_c, dtype=bool)
-    in_winner = np.zeros(n_c, dtype=bool)
-    beats_all = np.ones((n_c, n_c), dtype=bool)
-    tie_all = np.ones((n_c, n_c), dtype=bool)
-    np.fill_diagonal(beats_all, False)
-    for p in range(n_pts):
-        row = scores[p]
-        members = [c for c in range(n_c) if row[c] >= row.max() - eps]
-        for c in members:
-            in_winner[c] = True
-        if len(members) == 1:
-            ever_unique[members[0]] = True
-        for a in range(n_c):
-            for b in range(n_c):
-                if a == b:
-                    continue
-                if not (row[a] - row[b] > eps):
-                    beats_all[a, b] = False
-                if not (abs(row[a] - row[b]) <= eps):
-                    tie_all[a, b] = False
-    return ever_unique, in_winner, beats_all, tie_all
-
-
 def test_winner_stats_backends_and_bruteforce():
     rng = np.random.default_rng(11)
     eps = 1e-9
@@ -107,25 +94,25 @@ def test_winner_stats_backends_and_bruteforce():
     cases.append((dyadic, 0.25))
     for scores, eps in cases:
         expected = brute_winner_stats(scores, eps)
-        got = K.winner_stats(scores, eps)
+        got = grid_winner_stats(scores, eps)
         for g, e in zip(got, expected):
             assert np.array_equal(g, e)
 
 
 def test_winner_stats_rejects_empty():
     with pytest.raises(ValueError):
-        K.winner_stats(np.empty((0, 3)), 1e-9)
+        grid_winner_stats(np.empty((0, 3)), 1e-9)
 
 
 def test_winner_stats_same_for_row_and_column_major_input():
     rng = np.random.default_rng(5)
-    weights = K.simplex_grid(12, 4)
+    weights = simplex_grid(12, 4)
     matrix = np.round(rng.random((6, 4)) * 4) / 4  # dyadic: exact ties occur
     view = K.score_grid(weights, matrix)  # the candidate-major view itself
     assert not view.flags.c_contiguous
     expected = brute_winner_stats(np.ascontiguousarray(view), 1e-9)
     for scores in (view, np.ascontiguousarray(view), np.asfortranarray(view)):
-        got = K.winner_stats(scores, 1e-9)
+        got = grid_winner_stats(scores, 1e-9)
         for g, e in zip(got, expected):
             assert np.array_equal(g, e)
 
@@ -133,7 +120,7 @@ def test_winner_stats_same_for_row_and_column_major_input():
 def test_winner_stats_grid_sized_with_ties_and_near_ties():
     eps = 1e-9
     rng = np.random.default_rng(13)
-    weights = K.simplex_compositions(30, 3) / 30
+    weights = simplex_compositions(30, 3) / 30
     scores = np.array(K.score_grid(weights, rng.random((6, 3))))
     scores[:, 1] = scores[:, 0]  # exact tie everywhere
     scores[:, 2] = scores[:, 0] + eps / 2  # near-tie everywhere, beats nothing
@@ -142,17 +129,16 @@ def test_winner_stats_grid_sized_with_ties_and_near_ties():
     scores[5::11, 5] = scores[5::11, 4] - eps / 4  # near-ties at some points
     expected = brute_winner_stats(scores, eps)
     assert expected[3][0, 1] and expected[3][0, 2] and expected[2][3, 0]
-    got = K.winner_stats(scores, eps)
+    got = grid_winner_stats(scores, eps)
     for g, e in zip(got, expected):
         assert np.array_equal(g, e)
 
 
 @pytest.mark.parametrize("parts", [3, 4, 5, 6])
 def test_default_grids_are_complete_and_lexicographic(parts):
-    from udet.semantics import default_grid_subdivisions
-    total = default_grid_subdivisions(parts)
-    comps = K.simplex_compositions(total, parts)
-    assert comps.shape == (K.composition_count(total, parts), parts)
+    total = dense_subdivisions(parts)
+    comps = simplex_compositions(total, parts)
+    assert comps.shape == (composition_count(total, parts), parts)
     assert np.all(comps >= 0) and np.all(comps.sum(axis=1) == total)
     step = np.diff(comps, axis=0)
     first = (step != 0).argmax(axis=1)
@@ -160,13 +146,109 @@ def test_default_grids_are_complete_and_lexicographic(parts):
 
 
 def test_simplex_grid_cached_readonly_and_equal_to_compositions():
-    grid = K.simplex_grid(9, 4)
-    assert grid is K.simplex_grid(9, 4)
-    expected = K.simplex_compositions(9, 4).astype(np.float64) / 9.0
+    grid = simplex_grid(9, 4)
+    assert grid is simplex_grid(9, 4)
+    expected = simplex_compositions(9, 4).astype(np.float64) / 9.0
     assert grid.shape == expected.shape
     assert np.ascontiguousarray(grid).tobytes() == expected.tobytes()
     assert grid[:, 0].flags.c_contiguous  # attribute-major
     with pytest.raises(ValueError):
         grid[0, 0] = 1.0
     with pytest.raises(ValueError):
-        K.simplex_grid(0, 3)
+        simplex_grid(0, 3)
+
+
+def box_simplex_vertices(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Every vertex of {w : sum(w) = 1, lower <= w <= upper}: all coordinates
+    but one at a bound, the free one taking up the rest of the sum."""
+    k = len(lower)
+    points = []
+    for free in range(k):
+        others = [j for j in range(k) if j != free]
+        for picks in product((0, 1), repeat=k - 1):
+            w = np.empty(k)
+            for j, pick in zip(others, picks):
+                w[j] = upper[j] if pick else lower[j]
+            w[free] = 1.0 - w[others].sum()
+            if lower[free] - 1e-12 <= w[free] <= upper[free] + 1e-12:
+                points.append(w)
+    return np.array(points)
+
+
+def random_box_simplex(rng, k: int):
+    """Bounds of a nonempty box-simplex: dyadic or arbitrary, sometimes a point."""
+    lower, upper = np.zeros(k), np.ones(k)
+    for j in range(k):
+        if rng.random() < 0.4:
+            lower[j] = rng.integers(0, 5) / 10 if rng.random() < 0.5 else rng.random() * 0.4
+        if rng.random() < 0.4:
+            upper[j] = max(lower[j], rng.integers(0, 11) / 10 if rng.random() < 0.5
+                           else rng.random())
+    if rng.random() < 0.1:
+        lower = upper = rng.dirichlet(np.ones(k))
+    return lower, upper
+
+
+def random_box_simplex_lps(seed: int, count: int):
+    rng = np.random.default_rng(seed)
+    while count:
+        kind = rng.integers(0, 3)
+        k = int(rng.integers(1, 9 if kind == 2 else 7))
+        m = int(rng.integers(1, 81 if kind == 2 else 9))
+        lower, upper = random_box_simplex(rng, k)
+        if lower.sum() > 1.0 or upper.sum() < 1.0:
+            continue
+        if kind == 0:
+            coef = rng.random((m, k)) - rng.random((m, k))
+        elif kind == 1:  # small integers: exact ties and degenerate vertices
+            coef = (rng.integers(0, 4, (m, k)) - rng.integers(0, 4, (m, k))) / 3.0
+        else:  # one candidate against many rivals on a coarse scale, as in
+            # instances with hundreds of candidates: highly degenerate
+            values = rng.integers(0, 5, (m + 1, k)) / 4.0
+            coef = values[0] - values[1:]
+        count -= 1
+        yield coef, lower, upper
+
+
+def test_box_simplex_min_is_the_least_vertex_value():
+    for coef, lower, upper in random_box_simplex_lps(3, 300):
+        vertices = box_simplex_vertices(lower, upper)
+        expected = (coef @ vertices.T).min(axis=1)
+        got = K.box_simplex_min(coef, lower, upper)
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+def test_box_simplex_min_at_a_point_is_the_dot_product():
+    rng = np.random.default_rng(19)
+    coef = rng.random((5, 4)) - 0.5
+    w = rng.dirichlet(np.ones(4))
+    assert K.box_simplex_min(coef, w, w).tobytes() == (coef @ w).tobytes()
+
+
+def test_max_min_margin_matches_highs():
+    optimize = pytest.importorskip("scipy.optimize")
+    for coef, lower, upper in random_box_simplex_lps(5, 600):
+        m, k = coef.shape
+        # variables (t, w): minimize -t subject to t - coef w <= 0, sum(w) = 1
+        res = optimize.linprog(
+            np.r_[-1.0, np.zeros(k)], A_ub=np.hstack([np.ones((m, 1)), -coef]),
+            b_ub=np.zeros(m), A_eq=np.r_[0.0, np.ones(k)][None, :], b_eq=[1.0],
+            bounds=[(None, None)] + list(zip(lower, upper)), method="highs")
+        assert res.status == 0
+        got = K.max_min_margin(coef, lower, upper)
+        assert abs(got - (-res.fun)) <= 1e-12, (coef, lower, upper)
+
+
+def test_max_min_margin_lies_between_the_pairwise_bounds():
+    # without scipy: the margin is at least every vertex's worst row and at
+    # most every row's best value, and repeats exactly
+    for coef, lower, upper in random_box_simplex_lps(7, 200):
+        vertices = box_simplex_vertices(lower, upper)
+        got = K.max_min_margin(coef, lower, upper)
+        assert got >= (coef @ vertices.T).min(axis=0).max() - 1e-12
+        assert got <= (-K.box_simplex_min(-coef, lower, upper)).min() + 1e-12
+        assert got == K.max_min_margin(coef, lower, upper)
+
+
+def test_max_min_margin_without_rows_is_unbounded():
+    assert K.max_min_margin(np.empty((0, 3)), np.zeros(3), np.ones(3)) == np.inf

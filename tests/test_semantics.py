@@ -5,27 +5,40 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import build_scholarship, build_two_numeric
+from helpers import (
+    MAX_GRID_POINTS,
+    admissible_grid,
+    build_scholarship,
+    build_two_numeric,
+    dense_subdivisions,
+    grid_semantics,
+    grid_statistics,
+    grid_winner_stats,
+    simplex_compositions,
+)
 
+from udet import _kernels
 from udet.errors import ContradictoryPremises, InfeasibleConstraints
 from udet.model import (
+    HIGHER_BETTER,
     LOWER_BETTER,
+    NUMERIC,
+    AttributeSchema,
     BoundConstraint,
     CriterionSpec,
     Fact,
+    Instance,
     PinConstraint,
     PreferencePremise,
     validate,
 )
 from udet.semantics import (
     EPS_SCORE,
-    EXACT_THRESHOLD,
-    GRID,
-    SINGLETON,
     admissible_set,
     analyze,
-    default_grid_subdivisions,
     exact_thresholds,
     normalize,
     winner_statistics,
@@ -133,17 +146,24 @@ def test_winners_at_examples():
 
 # --- admissible sets --------------------------------------------------------
 
+def weight_range(adm, attribute: str) -> tuple[float, float]:
+    """The least and the greatest weight `attribute` takes in the polytope."""
+    unit = np.array([[float(a == attribute) for a in adm.attributes]])
+    return (float(_kernels.box_simplex_min(unit, adm.lower, adm.upper)[0]),
+            float(-_kernels.box_simplex_min(-unit, adm.lower, adm.upper)[0]))
+
+
 def test_admissible_unconstrained_two_attrs_is_exact():
     adm = admissible_set(build_scholarship())
-    assert adm.kind == EXACT_THRESHOLD
-    assert adm.alpha_interval == (0.0, 1.0)
+    assert adm.attributes == ("gpa", "need")
+    assert adm.lower.tolist() == [0.0, 0.0] and adm.upper.tolist() == [1.0, 1.0]
+    assert weight_range(adm, "gpa") == (0.0, 1.0)
 
 
 def test_admissible_pin_is_singleton():
     inst = build_scholarship(constraints=(PinConstraint("merit_first"),))
     adm = admissible_set(inst)
-    assert adm.kind == SINGLETON
-    assert np.array_equal(adm.vectors, np.array([[1.0, 0.0]]))
+    assert adm.lower.tolist() == adm.upper.tolist() == [1.0, 0.0]
 
 
 def test_admissible_grid_counts():
@@ -152,13 +172,12 @@ def test_admissible_grid_counts():
     attrs = inst.attributes + (dataclasses.replace(inst.attributes[0], name="z"),)
     facts = inst.facts + tuple(Fact(c, "z", float(i)) for i, c in enumerate("ABC"))
     inst = dataclasses.replace(inst, attributes=attrs, facts=facts)
-    adm = admissible_set(inst, grid_G=10)
-    assert adm.kind == GRID
-    assert adm.size == 66
+    points = admissible_grid(admissible_set(inst), 10)
+    assert points.shape == (66, 3)
     brute = [(i, j, 10 - i - j) for i in range(11) for j in range(11 - i)]
-    assert adm.size == len(brute)
-    assert np.allclose(adm.vectors.sum(axis=1), 1.0)
-    assert np.all(adm.vectors >= 0.0)
+    assert points.shape[0] == len(brute)
+    assert np.allclose(points.sum(axis=1), 1.0)
+    assert np.all(points >= 0.0)
 
 
 def _three_attribute_instance(**overrides):
@@ -173,44 +192,46 @@ def test_admissible_vectors_are_read_only():
     bounded = _three_attribute_instance(constraints=(BoundConstraint("x", "<=", 0.5),))
     for adm in (admissible_set(_three_attribute_instance()), admissible_set(bounded),
                 admissible_set(pinned)):
-        with pytest.raises(ValueError):
-            adm.vectors[0, 0] = 0.25
-    # the shared grid is untouched, so the next request sees the same rows
+        for bounds in (adm.lower, adm.upper):
+            with pytest.raises(ValueError):
+                bounds[0] = 0.25
+    # nothing is shared between requests, so the next one sees the same set
     again = admissible_set(_three_attribute_instance())
-    assert np.all(again.vectors.sum(axis=1) > 1.0 - 1e-9)
+    assert again.lower.tolist() == [0.0] * 3 and again.upper.tolist() == [1.0] * 3
 
 
 def test_bounded_grid_keeps_the_rows_of_a_plain_filter():
-    from udet import _kernels
     bounds = (BoundConstraint("x", "<=", 0.5), BoundConstraint("y", ">=", 0.2),
               BoundConstraint("z", "=", 0.3))
-    adm = admissible_set(_three_attribute_instance(constraints=bounds), grid_G=20)
-    weights = _kernels.simplex_compositions(20, 3).astype(np.float64) / 20.0
+    adm = admissible_set(_three_attribute_instance(constraints=bounds))
+    assert adm.lower.tolist() == [0.0, 0.2, 0.3]
+    assert adm.upper.tolist() == [0.5, 1.0, 0.3]
+    points = admissible_grid(adm, 20)
+    weights = simplex_compositions(20, 3).astype(np.float64) / 20.0
     keep = ((weights[:, 0] <= 0.5 + 1e-9) & (weights[:, 1] >= 0.2 - 1e-9)
             & (np.abs(weights[:, 2] - 0.3) <= 1e-9))
-    assert adm.vectors.shape == (int(keep.sum()), 3)
-    assert np.ascontiguousarray(adm.vectors).tobytes() == weights[keep].tobytes()
+    assert points.shape == (int(keep.sum()), 3)
+    assert np.ascontiguousarray(points).tobytes() == weights[keep].tobytes()
 
 
 def test_admissible_bounds_filter_grid():
     inst = build_two_numeric("b", {"A": (1, 2), "B": (2, 1)})
-    adm = admissible_set(inst, grid_G=10, mode="grid")
-    assert adm.size == 11
+    assert admissible_grid(admissible_set(inst), 10).shape[0] == 11
     bounded = dataclasses.replace(
         inst, constraints=(BoundConstraint("x", ">=", 0.7),))
-    adm = admissible_set(bounded, grid_G=10, mode="grid")
-    assert adm.size == 4  # x weight in {0.7, 0.8, 0.9, 1.0}
-    assert np.all(adm.vectors[:, 0] >= 0.7 - 1e-9)
+    points = admissible_grid(admissible_set(bounded), 10)
+    assert points.shape[0] == 4  # x weight in {0.7, 0.8, 0.9, 1.0}
+    assert np.all(points[:, 0] >= 0.7)
 
 
 def test_admissible_exact_interval_with_bounds():
     inst = build_scholarship(constraints=(BoundConstraint("gpa", ">=", 0.7),))
     adm = admissible_set(inst)
-    assert adm.kind == EXACT_THRESHOLD
-    assert adm.alpha_interval == (0.7, 1.0)
-    # a bound on the second attribute translates to an alpha bound, flipped
+    assert adm.lower.tolist() == [0.7, 0.0] and adm.upper.tolist() == [1.0, 1.0]
+    assert weight_range(adm, "gpa") == (0.7, 1.0)
+    # a bound on the second attribute bounds the first one's weight, flipped
     inst = build_scholarship(constraints=(BoundConstraint("need", ">=", 0.6),))
-    assert admissible_set(inst).alpha_interval == (0.0, pytest.approx(0.4))
+    assert weight_range(admissible_set(inst), "gpa") == (0.0, pytest.approx(0.4))
 
 
 def test_admissible_infeasible_raises():
@@ -224,8 +245,16 @@ def test_admissible_infeasible_raises():
     three = dataclasses.replace(three, attributes=attrs, facts=facts,
                                 constraints=(BoundConstraint("x", ">=", 0.8),
                                              BoundConstraint("y", ">=", 0.8)))
-    with pytest.raises(InfeasibleConstraints):
-        admissible_set(three, grid_G=20)
+    with pytest.raises(InfeasibleConstraints, match="no admissible weight"):
+        admissible_set(three)
+    # upper bounds that leave the weights short of 1, and crossed bounds
+    for bounds, message in [
+            ((BoundConstraint("gpa", "<=", 0.3), BoundConstraint("need", "<=", 0.6)),
+             r"weight sums in \[0, 0\.9\], not 1"),
+            ((BoundConstraint("gpa", ">=", 0.6), BoundConstraint("gpa", "<=", 0.4)),
+             r"no admissible weight for 'gpa' in \[0\.6, 0\.4\]")]:
+        with pytest.raises(InfeasibleConstraints, match=message):
+            admissible_set(build_scholarship(constraints=bounds))
 
 
 def test_pinned_vector_must_satisfy_bounds():
@@ -240,18 +269,20 @@ def test_single_attribute_grid_is_one_point():
     inst = dataclasses.replace(inst, attributes=inst.attributes[:1],
                                facts=tuple(f for f in inst.facts if f.attribute == "x"))
     adm = admissible_set(inst)
-    assert adm.kind == GRID
-    assert adm.size == 1
-    assert adm.vectors[0, 0] == 1.0
+    assert adm.lower.tolist() == [0.0] and adm.upper.tolist() == [1.0]
+    assert weight_range(adm, "x") == (1.0, 1.0)
+    assert admissible_grid(adm, 1).tolist() == [[1.0]]
+    assert analyze(inst).semantics.compatible == ("B",)
 
 
 def test_default_grid_subdivisions_formula():
     from math import comb
+    assert MAX_GRID_POINTS == 100_000
     for k in (2, 3, 4, 5, 6):
-        g = default_grid_subdivisions(k)
+        g = dense_subdivisions(k)
         assert comb(g + k - 1, k - 1) <= 100_000
         assert comb(g + k, k - 1) > 100_000
-    assert default_grid_subdivisions(1) == 1
+    assert dense_subdivisions(1) == 1
 
 
 # --- compatible answers -----------------------------------------------------
@@ -350,7 +381,7 @@ def test_exact_thresholds_scholarship(scholarship):
 
 def test_exact_and_grid_agree_on_scholarship(scholarship):
     exact = analyze(scholarship).semantics
-    grid = analyze(scholarship, grid_G=1000, mode="grid").semantics
+    grid = grid_semantics(scholarship, 1000)
     assert exact.compatible == grid.compatible
     assert exact.entailed == grid.entailed
 
@@ -362,7 +393,7 @@ def test_exact_grid_disagreement_confined_to_crossings():
     for index in range(120):
         inst = generate_instance(rng_cfg, index)
         exact = analyze(inst).semantics
-        grid = analyze(inst, grid_G=1000, mode="grid").semantics
+        grid = grid_semantics(inst, 1000)
         diff = set(exact.compatible) ^ set(grid.compatible)
         if not diff:
             continue
@@ -427,7 +458,7 @@ def test_ties_everywhere_helper():
 def test_winner_statistics_exact_matches_dense_grid(scholarship):
     m = normalize(scholarship)
     exact = winner_statistics(m, admissible_set(scholarship))
-    dense = winner_statistics(m, admissible_set(scholarship, grid_G=4096, mode="grid"))
+    dense = grid_statistics(m, admissible_set(scholarship), 4096)
     assert np.array_equal(exact.ever_unique, dense.ever_unique)
     assert np.array_equal(exact.in_winner_set, dense.in_winner_set)
     assert np.array_equal(exact.beats_all, dense.beats_all)
@@ -500,3 +531,113 @@ def test_analysis_arrays_are_read_only(scholarship):
         analysis.closure[0, 1] = True
     with pytest.raises(ValueError):
         analysis.criterion_scores["merit_first"][0] = 0.0
+
+
+# --- exact over the polytope: where the simplex grid was wrong ----------------
+
+GRID_MISSES = GeneratorConfig(seed=0, candidate_range=(3, 8), attribute_range=(3, 6),
+                              criteria_range=(0, 0), pin_probability=0.0,
+                              bound_probability=0.2, preference_probability=0.0,
+                              decision_probability=0.0)
+
+
+@pytest.mark.parametrize("index,ever_unique,in_winner_set", [
+    # the default simplex grid gave [1 1 1 0 1 1] (G = 23): c4 wins alone
+    # only between its points
+    (12, [1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1]),
+    # G = 82 missed c3
+    (37, [1, 1, 1, 0, 0, 1, 1, 0], [1, 1, 1, 0, 0, 1, 1, 0]),
+    # a6 >= 0.6 cuts the grid off the polytope's vertices: the grid missed c4
+    (44, [0, 0, 0, 1, 0, 0, 1, 1], [0, 0, 0, 1, 0, 0, 1, 1]),
+    (105, [1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1]),
+])
+def test_exact_winners_where_the_grid_missed(index, ever_unique, in_winner_set):
+    analysis = analyze(generate_instance(GRID_MISSES, index))
+    assert analysis.stats.ever_unique.astype(int).tolist() == ever_unique
+    assert analysis.stats.in_winner_set.astype(int).tolist() == in_winner_set
+    compatible = tuple(c for c, u in zip(analysis.instance.candidates, ever_unique) if u)
+    assert analysis.semantics.compatible == compatible
+
+
+def test_no_ordering_claimed_that_some_weight_breaks():
+    # gen_0_44: c1 leads c7 by 0.0069 at an admissible vertex that no grid
+    # point reaches, so the premises do not order c7 above c1
+    analysis = analyze(generate_instance(GRID_MISSES, 44))
+    assert ("c7", "c1") not in analysis.semantics.preference_closure
+    m, adm = analysis.matrix.values, analysis.adm
+    gap = _kernels.box_simplex_min((m[6] - m[0])[None, :], adm.lower, adm.upper)[0]
+    assert gap == pytest.approx(-0.0068728522336769515, abs=1e-12)
+    assert ("c8", "c1") in analysis.semantics.preference_closure
+
+
+def test_contradiction_names_two_candidates():
+    inst = build_scholarship(constraints=(PinConstraint("merit_first"),),
+                             preferences=(PreferencePremise("B", "A"),))
+    with pytest.raises(ContradictoryPremises, match="order 'A' and 'B' both ways"):
+        analyze(inst)
+
+
+@st.composite
+def numeric_instances(draw, attributes=st.integers(2, 4)):
+    """Small numeric instances: coarse facts (so ties and dominance occur),
+    and bounds on multiples of 1/20, some of them infeasible."""
+    n, k = draw(st.integers(2, 5)), draw(attributes)
+    cands = tuple(f"c{i + 1}" for i in range(n))
+    attrs = tuple(AttributeSchema(f"a{j + 1}", NUMERIC, HIGHER_BETTER) for j in range(k))
+    facts = tuple(Fact(c, a.name, float(draw(st.integers(0, 4))))
+                  for c in cands for a in attrs)
+    bounds = tuple(
+        BoundConstraint(a.name, draw(st.sampled_from(("<=", ">=", "="))),
+                        draw(st.integers(0, 20)) / 20)
+        for a in attrs if draw(st.booleans()) and draw(st.booleans()))
+    inst = Instance(id="prop", question="", candidates=cands, attributes=attrs,
+                    facts=facts, constraints=bounds)
+    assert validate(inst) == []
+    return inst
+
+
+def exact_and_matrix(inst):
+    try:
+        adm = admissible_set(inst)
+    except InfeasibleConstraints:
+        assume(False)
+    matrix = normalize(inst)
+    return matrix, adm, winner_statistics(matrix, adm)
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
+                             suppress_health_check=[HealthCheck.filter_too_much])
+
+
+@PROPERTY_SETTINGS
+@given(numeric_instances())
+def test_exact_contains_what_any_grid_point_shows(inst):
+    # the densest grid within MAX_GRID_POINTS: the one the program used to sample
+    matrix, adm, exact = exact_and_matrix(inst)
+    try:
+        grid = grid_statistics(matrix, adm, dense_subdivisions(len(inst.attributes)))
+    except ValueError:  # a polytope of lower dimension that misses every grid point
+        assume(False)
+    # a grid point where a candidate wins is an admissible weight vector
+    assert np.all(exact.ever_unique >= grid.ever_unique)
+    assert np.all(exact.in_winner_set >= grid.in_winner_set)
+    # what holds on all of the polytope holds on its grid points
+    assert np.all(grid.beats_all >= exact.beats_all)
+    assert np.all(grid.tie_all >= exact.tie_all)
+
+
+@PROPERTY_SETTINGS
+@given(numeric_instances(attributes=st.just(2)))
+def test_two_attributes_exact_equals_the_crossing_regions(inst):
+    # Scores are linear in alpha, the first attribute's weight, so every
+    # winner fact is decided at the ends of alpha's interval or where two
+    # scores cross: `exact_thresholds`.
+    matrix, adm, exact = exact_and_matrix(inst)
+    lo = max(adm.lower[0], 1.0 - adm.upper[1])
+    hi = max(lo, min(adm.upper[0], 1.0 - adm.lower[1]))
+    alphas = np.array([lo, hi, *exact_thresholds(matrix, lo, hi)])
+    weights = np.column_stack((alphas, 1.0 - alphas))
+    regions = grid_winner_stats(_kernels.score_grid(weights, matrix.values), EPS_SCORE)
+    for got, expected in zip((exact.ever_unique, exact.in_winner_set, exact.beats_all,
+                              exact.tie_all), regions):
+        assert np.array_equal(got, expected)
