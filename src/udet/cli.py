@@ -34,6 +34,7 @@ from .semantics import (
     analyze,
     exact_thresholds,
     normalize,
+    winner_regions,
 )
 from .trilemma import GeneratorConfig, TrilemmaReport, check_trilemma, generate_instance
 
@@ -379,7 +380,7 @@ def cmd_sweep(args, stdout, stderr) -> int:
     projection = _project_two(instance, pair[0], pair[1])
     matrix = normalize(projection)
     thresholds = exact_thresholds(matrix, 0.0, 1.0)
-    regions = _sweep_regions(matrix, thresholds)
+    regions = winner_regions(matrix, thresholds)
 
     if args.format == "json":
         _emit({
@@ -398,42 +399,6 @@ def cmd_sweep(args, stdout, stderr) -> int:
     stdout.write(f"alpha = weight of '{pair[0]}' (1 - alpha on '{pair[1]}')\n")
     stdout.write(_render_regions(regions, matrix.candidates) + "\n")
     return EXIT_OK
-
-
-def _winners_at_alpha(matrix, alpha: float) -> tuple[str, ...]:
-    scores = alpha * matrix.values[:, 0] + (1.0 - alpha) * matrix.values[:, 1]
-    top = scores.max()
-    return tuple(c for i, c in enumerate(matrix.candidates)
-                 if scores[i] >= top - EPS_SCORE)
-
-
-def _sweep_regions(matrix, thresholds: list[float]):
-    """Coalesced winner regions over alpha in [0, 1].
-
-    Returns (lo, lo_closed, hi, hi_closed, winners) tuples.  Items alternate
-    boundary points and open segments; runs with identical winner sets merge.
-    """
-    points = [0.0] + thresholds + [1.0]
-    items: list[tuple[float, float, bool, tuple[str, ...]]] = []
-    for i, p in enumerate(points):
-        items.append((p, p, True, _winners_at_alpha(matrix, p)))
-        if i + 1 < len(points):
-            mid = (p + points[i + 1]) / 2.0
-            items.append((p, points[i + 1], False, _winners_at_alpha(matrix, mid)))
-    regions = []
-    i = 0
-    while i < len(items):
-        lo, hi, is_point, winners = items[i]
-        lo_closed = is_point
-        hi_closed = is_point
-        j = i + 1
-        while j < len(items) and items[j][3] == winners:
-            hi = items[j][1]
-            hi_closed = items[j][2]
-            j += 1
-        regions.append((lo, lo_closed, hi, hi_closed, winners))
-        i = j
-    return regions
 
 
 def _render_regions(regions, candidates: tuple[str, ...]) -> str:

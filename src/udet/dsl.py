@@ -2,9 +2,17 @@
 
 The format is line-oriented: one declaration per line, `#` starts a comment,
 identifiers are ``[A-Za-z_][A-Za-z0-9_]*`` and free text is double-quoted.
-Parsing reports the first failure with a 1-based line and column; duplicate
-facts are an error rather than a silent overwrite.  `serialize_instance`
-emits a canonical form whose re-parse is structurally identical.
+The ``instance`` header comes first; the declarations after it may come in
+any order.  `serialize_instance` emits a canonical form whose re-parse is
+structurally identical.
+
+This module holds the grammar and nothing else: tokens, keywords and
+punctuation, the float range of number literals, the header-first rule and
+the single ``instance``, ``question`` and ``require decision`` lines.  A
+grammar error is raised at once, at its token.  Every other rule (unique
+names, declared references, fact values, criterion weights, bound ranges,
+acyclic preferences, counts and a complete fact matrix) lives in
+`model.validate`, which runs once after the last line.
 """
 
 from __future__ import annotations
@@ -15,9 +23,8 @@ from dataclasses import dataclass
 
 from .errors import UdetError
 from .model import (
-    EPS_WEIGHT,
+    BOUND_OPS,
     HIGHER_BETTER,
-    IDENT_RE,
     LOWER_BETTER,
     NUMERIC,
     ORDINAL,
@@ -42,7 +49,7 @@ class SourceDocument:
 
 
 class ParseError(UdetError):
-    """First lexical, syntactic, or referential failure in a document."""
+    """A grammar error, or the rule violation that comes first in a document."""
 
     def __init__(self, line: int, column: int, message: str,
                  snippet: str = "", origin: str = "<memory>"):
@@ -73,6 +80,7 @@ _UNESCAPES = {"\\\\": "\\", '\\"': '"', "\\n": "\n"}
 class _Token:
     kind: str  # "string" | "number" | "ident" | "punct"
     text: str
+    line: int  # 1-based
     column: int  # 1-based
 
 
@@ -110,7 +118,7 @@ def _tokenize(line_no: int, line: str, origin: str) -> list[_Token]:
             raise ParseError(line_no, pos + 1, msg, line.strip(), origin)
         kind = m.lastgroup
         if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, m.group(), pos + 1))
+            tokens.append(_Token(kind, m.group(), line_no, pos + 1))
         pos = m.end()
     return tokens
 
@@ -184,52 +192,71 @@ class _LineParser:
             raise self.error(f"unexpected trailing '{tok.text}'", tok)
 
 
+_COLLECTIONS = ("candidates", "scales", "attributes", "facts", "criteria",
+                "constraints", "preferences")
+
+
 class _Builder:
-    """Accumulates declarations and enforces referential rules as lines arrive."""
+    """Records each declared entity and the tokens that declared it.
 
-    def __init__(self, origin: str):
-        self.origin = origin
+    `where` mirrors the instance being built, key for key and index for
+    index, with a token in place of each name or value, so that a
+    `Violation.path` looks up the token to report.
+    """
+
+    def __init__(self):
         self.instance_id: str | None = None
-        self.question = ""
-        self.question_seen = False
-        self.scales: list[OrdinalScale] = []
-        self.attributes: list[AttributeSchema] = []
-        self.candidates: list[str] = []
-        self.facts: dict[tuple[str, str], float | str] = {}
-        self.criteria: list[CriterionSpec] = []
-        self.constraints: list[PinConstraint | BoundConstraint] = []
-        self.preferences: list[PreferencePremise] = []
+        self.question: str | None = None
         self.decisiveness_required = False
-        self._pref_succ: dict[str, set[str]] = {}
+        self.entities: dict[str, list] = {key: [] for key in _COLLECTIONS}
+        self.where: dict[str, object] = {key: [] for key in _COLLECTIONS}
 
-    def scale_names(self) -> set[str]:
-        return {s.name for s in self.scales}
+    def add(self, key: str, entity, tokens) -> None:
+        self.entities[key].append(entity)
+        self.where[key].append(tokens)
 
-    def attr_names(self) -> list[str]:
-        return [a.name for a in self.attributes]
+    def canonicalize(self) -> None:
+        """Put facts in candidate-major, attribute order and each criterion's
+        weights in attribute order.  Undeclared names sort last; equal keys
+        keep their document order."""
+        cand_rank = _ranks(self.entities["candidates"])
+        attr_rank = _ranks(a.name for a in self.entities["attributes"])
 
-    def crit_names(self) -> set[str]:
-        return {c.name for c in self.criteria}
+        def attr_key(name: str) -> int:
+            return attr_rank.get(name, len(attr_rank))
 
-    def _reachable(self, start: str, goal: str) -> bool:
-        stack, seen = [start], {start}
-        while stack:
-            node = stack.pop()
-            if node == goal:
-                return True
-            for nxt in sorted(self._pref_succ.get(node, ())):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
+        self.entities["facts"], self.where["facts"] = _sort_together(
+            self.entities["facts"], self.where["facts"],
+            lambda f: (cand_rank.get(f.candidate, len(cand_rank)), attr_key(f.attribute)))
+        criteria = self.entities["criteria"]
+        for i, (crit, where) in enumerate(zip(criteria, self.where["criteria"])):
+            weights, where["weights"] = _sort_together(
+                crit.weights, where["weights"], lambda w: attr_key(w[0]))
+            criteria[i] = CriterionSpec(crit.name, tuple(weights))
 
-    def add_preference(self, winner: str, loser: str) -> bool:
-        """Record the premise; False when it would close a cycle."""
-        if self._reachable(loser, winner):
-            return False
-        self.preferences.append(PreferencePremise(winner, loser))
-        self._pref_succ.setdefault(winner, set()).add(loser)
-        return True
+    def token_at(self, path: tuple) -> _Token | None:
+        """The token that declared the element at `path`, or None when the
+        path names a whole collection."""
+        node = self.where
+        for key in path:
+            node = node[key]
+            if isinstance(node, _Token):
+                return node
+        return None
+
+
+def _sort_together(items, tokens, key) -> tuple[list, list]:
+    """`items` stably sorted by `key`, and `tokens` in the same order."""
+    order = sorted(range(len(items)), key=lambda i: key(items[i]))
+    return [items[i] for i in order], [tokens[i] for i in order]
+
+
+def _ranks(names) -> dict[str, int]:
+    """Name -> index of its first occurrence."""
+    ranks: dict[str, int] = {}
+    for name in names:
+        ranks.setdefault(name, len(ranks))
+    return ranks
 
 
 def _parse_statement(p: _LineParser, b: _Builder) -> None:
@@ -242,160 +269,100 @@ def _parse_statement(p: _LineParser, b: _Builder) -> None:
     if kw == "instance":
         if b.instance_id is not None:
             raise p.error("duplicate instance header", head)
-        name, tok = p.string("the instance id as a quoted string")
-        if not IDENT_RE.match(name):
-            raise p.error(f"instance id must be an identifier, got {name!r}", tok)
-        b.instance_id = name
+        b.instance_id, b.where["id"] = p.string("the instance id as a quoted string")
     elif kw == "question":
-        if b.question_seen:
+        if b.question is not None:
             raise p.error("duplicate question", head)
         b.question, _ = p.string("the question text")
-        b.question_seen = True
     elif kw == "scale":
         name = p.ident("a scale name")
-        if name.text in b.scale_names():
-            raise p.error(f"duplicate scale '{name.text}'", name)
         p.punct(":")
         levels = [p.ident("a level name")]
         while p.peek() is not None:
             p.punct(",")
             levels.append(p.ident("a level name"))
-        seen: set[str] = set()
-        for lv in levels:
-            if lv.text in seen:
-                raise p.error(f"duplicate level '{lv.text}'", lv)
-            seen.add(lv.text)
-        if len(levels) < 2:
-            raise p.error("a scale needs at least 2 levels", name)
-        b.scales.append(OrdinalScale(name.text, tuple(t.text for t in levels)))
+        b.add("scales", OrdinalScale(name.text, tuple(t.text for t in levels)),
+              {"name": name, "levels": levels})
     elif kw == "attribute":
         name = p.ident("an attribute name")
-        if name.text in b.attr_names():
-            raise p.error(f"duplicate attribute '{name.text}'", name)
         p.punct(":")
-        kind_tok = p.ident("'numeric' or 'ordinal'")
-        scale_name: str | None = None
-        if kind_tok.text == "numeric":
-            kind = NUMERIC
-        elif kind_tok.text == "ordinal":
-            kind = ORDINAL
+        kind = p.ident("'numeric' or 'ordinal'")
+        scale = None
+        if kind.text == ORDINAL:
             p.punct("(")
-            scale_tok = p.ident("a scale name")
-            if scale_tok.text not in b.scale_names():
-                raise p.error(f"undeclared scale '{scale_tok.text}'", scale_tok)
-            scale_name = scale_tok.text
+            scale = p.ident("a scale name")
             p.punct(")")
-        else:
-            raise p.error(f"expected 'numeric' or 'ordinal', got '{kind_tok.text}'", kind_tok)
+        elif kind.text != NUMERIC:
+            raise p.error(f"expected 'numeric' or 'ordinal', got '{kind.text}'", kind)
         p.punct(",")
-        dir_tok = p.ident("'higher_better' or 'lower_better'")
-        if dir_tok.text not in (HIGHER_BETTER, LOWER_BETTER):
+        direction = p.ident("'higher_better' or 'lower_better'")
+        if direction.text not in (HIGHER_BETTER, LOWER_BETTER):
             raise p.error(
-                f"expected 'higher_better' or 'lower_better', got '{dir_tok.text}'", dir_tok)
-        b.attributes.append(AttributeSchema(name.text, kind, dir_tok.text, scale_name))
+                f"expected 'higher_better' or 'lower_better', got '{direction.text}'", direction)
+        b.add("attributes",
+              AttributeSchema(name.text, kind.text, direction.text, scale and scale.text),
+              {"name": name, "kind": kind, "direction": direction, "scale": scale})
     elif kw == "candidates":
         names = [p.ident("a candidate id")]
         while p.peek() is not None:
             p.punct(",")
             names.append(p.ident("a candidate id"))
         for tok in names:
-            if tok.text in b.candidates:
-                raise p.error(f"duplicate candidate '{tok.text}'", tok)
-            b.candidates.append(tok.text)
+            b.add("candidates", tok.text, tok)
     elif kw == "fact":
         cand = p.ident("a candidate id")
-        if cand.text not in b.candidates:
-            raise p.error(f"undeclared candidate '{cand.text}'", cand)
         p.punct(".")
         attr = p.ident("an attribute name")
-        if attr.text not in b.attr_names():
-            raise p.error(f"undeclared attribute '{attr.text}'", attr)
         p.punct("=")
-        schema = next(a for a in b.attributes if a.name == attr.text)
-        value: float | str
         tok = p.take("a value")
-        if schema.kind == NUMERIC:
-            if tok.kind != "number":
-                raise p.error(f"numeric attribute '{attr.text}' requires a number", tok)
-            value = p.value(tok)
-        else:
-            if tok.kind != "ident":
-                raise p.error(f"ordinal attribute '{attr.text}' requires a level name", tok)
-            scale = next(s for s in b.scales if s.name == schema.scale)
-            if tok.text not in scale.levels:
-                raise p.error(
-                    f"'{tok.text}' is not a level of scale '{scale.name}'", tok)
+        if tok.kind == "number":
+            value: float | str = p.value(tok)
+        elif tok.kind == "ident":
             value = tok.text
-        key = (cand.text, attr.text)
-        if key in b.facts:
-            raise p.error(f"duplicate fact for {cand.text}.{attr.text}", cand)
-        b.facts[key] = value
+        else:
+            raise p.error(f"expected a number or a level name, got '{tok.text}'", tok)
+        b.add("facts", Fact(cand.text, attr.text, value),
+              {"candidate": cand, "attribute": attr, "value": tok})
     elif kw == "criterion":
         name = p.ident("a criterion name")
-        if name.text in b.crit_names():
-            raise p.error(f"duplicate criterion '{name.text}'", name)
         p.punct("{")
-        weights: dict[str, float] = {}
+        weights: list[tuple[str, float]] = []
+        tokens: list[list[_Token]] = []
         while True:
             attr = p.ident("an attribute name")
-            if attr.text not in b.attr_names():
-                raise p.error(f"undeclared attribute '{attr.text}'", attr)
-            if attr.text in weights:
-                raise p.error(f"duplicate weight for '{attr.text}'", attr)
             p.punct(":")
             w, wtok = p.number("a weight")
-            if w < 0:
-                raise p.error(f"weight for '{attr.text}' is negative", wtok)
-            weights[attr.text] = w
+            weights.append((attr.text, w))
+            tokens.append([attr, wtok])
             tok = p.take("',' or '}'")
             if tok.kind == "punct" and tok.text == "}":
                 break
             if not (tok.kind == "punct" and tok.text == ","):
                 raise p.error(f"expected ',' or '}}', got '{tok.text}'", tok)
-        missing = [a for a in b.attr_names() if a not in weights]
-        if missing:
-            raise p.error(
-                f"criterion '{name.text}' missing weight for: {', '.join(missing)}", name)
-        total = sum(weights.values())
-        if abs(total - 1.0) > EPS_WEIGHT:
-            raise p.error(
-                f"criterion '{name.text}' weights sum to {total!r}, expected 1", name)
-        ordered = tuple((a, weights[a]) for a in b.attr_names())
-        b.criteria.append(CriterionSpec(name.text, ordered))
+        b.add("criteria", CriterionSpec(name.text, tuple(weights)),
+              {"name": name, "weights": tokens})
     elif kw == "assume":
         which = p.ident("'criterion' or 'weight'")
         if which.text == "criterion":
             p.punct("=")
             crit = p.ident("a criterion name")
-            if crit.text not in b.crit_names():
-                raise p.error(f"undeclared criterion '{crit.text}'", crit)
-            b.constraints.append(PinConstraint(crit.text))
+            b.add("constraints", PinConstraint(crit.text), {"criterion": crit})
         elif which.text == "weight":
             attr = p.ident("an attribute name")
-            if attr.text not in b.attr_names():
-                raise p.error(f"undeclared attribute '{attr.text}'", attr)
             op = p.take("'<=', '>=' or '='")
-            if not (op.kind == "punct" and op.text in ("<=", ">=", "=")):
+            if not (op.kind == "punct" and op.text in BOUND_OPS):
                 raise p.error(f"expected '<=', '>=' or '=', got '{op.text}'", op)
             value, vtok = p.number("a bound value")
-            if not (0.0 <= value <= 1.0):
-                raise p.error(f"bound value {vtok.text} outside [0, 1]", vtok)
-            b.constraints.append(BoundConstraint(attr.text, op.text, value))
+            b.add("constraints", BoundConstraint(attr.text, op.text, value),
+                  {"attribute": attr, "op": op, "value": vtok})
         else:
             raise p.error(f"expected 'criterion' or 'weight', got '{which.text}'", which)
     elif kw == "prefer":
         winner = p.ident("a candidate id")
-        if winner.text not in b.candidates:
-            raise p.error(f"undeclared candidate '{winner.text}'", winner)
         p.keyword("over")
         loser = p.ident("a candidate id")
-        if loser.text not in b.candidates:
-            raise p.error(f"undeclared candidate '{loser.text}'", loser)
-        if winner.text == loser.text:
-            raise p.error("preference winner and loser must differ", loser)
-        if not b.add_preference(winner.text, loser.text):
-            raise p.error(
-                f"preference {winner.text} over {loser.text} creates a cycle", winner)
+        b.add("preferences", PreferencePremise(winner.text, loser.text),
+              {"winner": winner, "loser": loser})
     elif kw == "require":
         p.keyword("decision")
         if b.decisiveness_required:
@@ -410,53 +377,43 @@ def _parse_statement(p: _LineParser, b: _Builder) -> None:
 def parse_instance(doc: SourceDocument | str) -> Instance:
     """Parse DSL text into a validated Instance.
 
-    Raises ParseError on the first lexical, syntactic, or referential
-    failure; never raises anything else, regardless of input text.
+    Raises ParseError on the first grammar error, where the line loop meets
+    it, even when an earlier line breaks a rule.  On a document that is
+    grammatical, ParseError carries the message of the `validate` violation
+    whose token comes first in the document, at that token's line and
+    column; a violation of no single element (a count, a missing fact) sits
+    at column 1 of the last line, and ties keep `validate`'s order.  An
+    empty document is a missing header at 1:1.  Never raises anything else,
+    regardless of input text.
     """
     if isinstance(doc, str):
         doc = SourceDocument(doc)
     origin = doc.origin
-    b = _Builder(origin)
+    b = _Builder()
     lines = doc.text.split("\n")
     for line_no, raw in enumerate(lines, start=1):
         tokens = _tokenize(line_no, raw, origin)
         if not tokens:
             continue
         _parse_statement(_LineParser(line_no, tokens, raw, origin), b)
-
-    last = max(1, len(lines))
     if b.instance_id is None:
         raise ParseError(1, 1, "missing instance header", "", origin)
-    if len(b.candidates) < 2:
-        raise ParseError(last, 1,
-                         f"at least 2 candidates required, found {len(b.candidates)}",
-                         "", origin)
-    if not b.attributes:
-        raise ParseError(last, 1, "at least 1 attribute required", "", origin)
-    for cand in b.candidates:
-        for attr in b.attr_names():
-            if (cand, attr) not in b.facts:
-                raise ParseError(last, 1,
-                                 f"incomplete fact matrix: missing fact {cand}.{attr}",
-                                 "", origin)
 
-    facts = tuple(Fact(cand, attr, b.facts[(cand, attr)])
-                  for cand in b.candidates for attr in b.attr_names())
+    b.canonicalize()
     instance = Instance(
         id=b.instance_id,
-        question=b.question,
-        candidates=tuple(b.candidates),
-        scales=tuple(b.scales),
-        attributes=tuple(b.attributes),
-        facts=facts,
-        criteria=tuple(b.criteria),
-        constraints=tuple(b.constraints),
-        preferences=tuple(b.preferences),
+        question=b.question or "",
         decisiveness_required=b.decisiveness_required,
+        **{key: tuple(items) for key, items in b.entities.items()},
     )
     violations = validate(instance)
-    if violations:  # inline checks above should make this unreachable
-        raise ParseError(1, 1, f"invalid instance: {violations[0]}", "", origin)
+    if violations:
+        def position(v):
+            tok = b.token_at(v.path)
+            return (tok.line, tok.column) if tok else (len(lines), 1)
+        first = min(violations, key=position)
+        tok = b.token_at(first.path)
+        raise ParseError(*position(first), first.message, tok.text if tok else "", origin)
     return instance
 
 

@@ -168,11 +168,21 @@ class Instance:
 
 @dataclass(frozen=True)
 class Violation:
-    """One validation failure: the offending element and the violated rule."""
+    """One validation failure: the offending element, the violated rule, a
+    message that stands on its own, and the path of the blamed element.
+
+    `path` walks the instance by field name and index:
+    ``("facts", 3, "candidate")`` blames ``instance.facts[3].candidate`` and
+    ``("criteria", 0, "weights", 1, 0)`` the attribute name of the second
+    weight of the first criterion.  A path that ends at a whole collection,
+    such as ``("candidates",)`` for a count or ``("facts",)`` for a missing
+    fact, blames no single element.
+    """
 
     element: str
     rule: str
     message: str = ""
+    path: tuple[str | int, ...] = ()
 
     def __str__(self) -> str:
         tail = f": {self.message}" if self.message else ""
@@ -198,219 +208,246 @@ def _is_finite(value: int | float) -> bool:
 def validate(instance: Instance) -> list[Violation]:
     """Check every structural invariant; return an empty list iff all hold.
 
-    The returned list is deterministic and order-stable: the same instance
-    always yields the same violations in the same order.  Violations are
-    data, not failures; downstream operations assume a validated instance.
+    This is the one rule set: the parser checks only the grammar and reports
+    the first of these violations in document order, at the token that
+    declared the element each `Violation.path` blames.  The returned list is
+    deterministic and order-stable: the same instance always yields the same
+    violations in the same order.  Violations are data, not failures;
+    downstream operations assume a validated instance.
     """
     out: list[Violation] = []
     add = out.append
 
     if not _is_ident(instance.id):
         add(Violation(f"instance '{instance.id}'", "identifier-syntax",
-                      "instance id must be an identifier"))
+                      f"instance id must be an identifier, got {instance.id!r}", ("id",)))
 
     # Instance-level counts.
     if len(instance.candidates) < 2:
         add(Violation("candidates", "candidate-count",
-                      f"at least 2 candidates required, found {len(instance.candidates)}"))
+                      f"at least 2 candidates required, found {len(instance.candidates)}",
+                      ("candidates",)))
     if len(instance.attributes) < 1:
         add(Violation("attributes", "attribute-count",
-                      "at least 1 attribute required"))
+                      "at least 1 attribute required", ("attributes",)))
 
     seen_c: set[str] = set()
-    for cand in instance.candidates:
+    for i, cand in enumerate(instance.candidates):
+        path = ("candidates", i)
         if not _is_ident(cand):
             add(Violation(f"candidate '{cand}'", "identifier-syntax",
-                          "candidate id must be an identifier"))
+                          "candidate id must be an identifier", path))
         if cand in seen_c:
             add(Violation(f"candidate '{cand}'", "candidate-duplicate",
-                          "candidate ids must be unique"))
+                          f"duplicate candidate '{cand}'", path))
         seen_c.add(cand)
 
-    # Scales.
-    scale_names: set[str] = set()
-    for scale in instance.scales:
+    # Scales; the first of two equal names is the one references resolve to.
+    levels_of: dict[str, tuple[str, ...]] = {}
+    for i, scale in enumerate(instance.scales):
+        where, path = f"scale '{scale.name}'", ("scales", i, "name")
         if not _is_ident(scale.name):
-            add(Violation(f"scale '{scale.name}'", "identifier-syntax",
-                          "scale name must be an identifier"))
-        if scale.name in scale_names:
-            add(Violation(f"scale '{scale.name}'", "scale-duplicate",
-                          "scale names must be unique"))
-        scale_names.add(scale.name)
+            add(Violation(where, "identifier-syntax", "scale name must be an identifier", path))
+        if scale.name in levels_of:
+            add(Violation(where, "scale-duplicate", f"duplicate scale '{scale.name}'", path))
+        levels_of.setdefault(scale.name, scale.levels)
         if len(scale.levels) < 2:
-            add(Violation(f"scale '{scale.name}'", "scale-level-count",
-                          f"at least 2 levels required, found {len(scale.levels)}"))
+            add(Violation(where, "scale-level-count", "a scale needs at least 2 levels", path))
         seen_l: set[str] = set()
-        for level in scale.levels:
+        for j, level in enumerate(scale.levels):
+            where, path = f"scale '{scale.name}' level '{level}'", ("scales", i, "levels", j)
             if not _is_ident(level):
-                add(Violation(f"scale '{scale.name}' level '{level}'", "identifier-syntax",
-                              "level name must be a nonempty identifier"))
+                add(Violation(where, "identifier-syntax",
+                              "level name must be a nonempty identifier", path))
             if level in seen_l:
-                add(Violation(f"scale '{scale.name}' level '{level}'", "scale-level-duplicate",
-                              "level names must be unique within a scale"))
+                add(Violation(where, "scale-level-duplicate", f"duplicate level '{level}'", path))
             seen_l.add(level)
 
     # Attributes.
-    attr_names: set[str] = set()
-    for attr in instance.attributes:
+    attrs: dict[str, AttributeSchema] = {}
+    for i, attr in enumerate(instance.attributes):
+        where = f"attribute '{attr.name}'"
         if not _is_ident(attr.name):
-            add(Violation(f"attribute '{attr.name}'", "identifier-syntax",
-                          "attribute name must be an identifier"))
-        if attr.name in attr_names:
-            add(Violation(f"attribute '{attr.name}'", "attribute-duplicate",
-                          "attribute names must be unique"))
-        attr_names.add(attr.name)
+            add(Violation(where, "identifier-syntax", "attribute name must be an identifier",
+                          ("attributes", i, "name")))
+        if attr.name in attrs:
+            add(Violation(where, "attribute-duplicate", f"duplicate attribute '{attr.name}'",
+                          ("attributes", i, "name")))
+        attrs.setdefault(attr.name, attr)
         if attr.kind not in (NUMERIC, ORDINAL):
-            add(Violation(f"attribute '{attr.name}'", "attribute-kind",
-                          f"unknown kind '{attr.kind}'"))
+            add(Violation(where, "attribute-kind", f"unknown kind '{attr.kind}'",
+                          ("attributes", i, "kind")))
         if attr.direction not in (HIGHER_BETTER, LOWER_BETTER):
-            add(Violation(f"attribute '{attr.name}'", "attribute-direction",
-                          f"unknown direction '{attr.direction}'"))
-        if attr.kind == ORDINAL and attr.scale not in scale_names:
-            add(Violation(f"attribute '{attr.name}'", "attribute-scale",
-                          f"ordinal attribute references undeclared scale '{attr.scale}'"))
+            add(Violation(where, "attribute-direction", f"unknown direction '{attr.direction}'",
+                          ("attributes", i, "direction")))
+        if attr.kind == ORDINAL and attr.scale not in levels_of:
+            add(Violation(where, "attribute-scale", f"undeclared scale '{attr.scale}'",
+                          ("attributes", i, "scale")))
 
     # Facts: references, value types, duplicates, completeness.
-    cand_set = set(instance.candidates)
     seen_facts: set[tuple[str, str]] = set()
-    for fact in instance.facts:
+    for i, fact in enumerate(instance.facts):
         where = f"fact {fact.candidate}.{fact.attribute}"
-        if fact.candidate not in cand_set:
+        if fact.candidate not in seen_c:
             add(Violation(where, "fact-reference",
-                          f"undeclared candidate '{fact.candidate}'"))
+                          f"undeclared candidate '{fact.candidate}'", ("facts", i, "candidate")))
             continue
-        if fact.attribute not in attr_names:
+        if fact.attribute not in attrs:
             add(Violation(where, "fact-reference",
-                          f"undeclared attribute '{fact.attribute}'"))
+                          f"undeclared attribute '{fact.attribute}'", ("facts", i, "attribute")))
             continue
-        attr = instance.attribute_by_name(fact.attribute)
+        attr = attrs[fact.attribute]
+        path = ("facts", i, "value")
         if attr.kind == NUMERIC:
             if not _is_number(fact.value):
                 add(Violation(where, "fact-value-type",
-                              f"numeric attribute requires a number, got {fact.value!r}"))
+                              f"numeric attribute '{attr.name}' requires a number", path))
             elif not _is_finite(fact.value):
                 add(Violation(where, "fact-value-finite",
-                              f"numeric value must be finite, got {fact.value!r}"))
+                              f"numeric value must be finite, got {fact.value!r}", path))
         elif attr.kind == ORDINAL:
             if not isinstance(fact.value, str):
                 add(Violation(where, "fact-value-type",
-                              f"ordinal attribute requires a level name, got {fact.value!r}"))
-            elif attr.scale in scale_names and fact.value not in instance.scale_by_name(attr.scale).levels:
+                              f"ordinal attribute '{attr.name}' requires a level name", path))
+            elif attr.scale in levels_of and fact.value not in levels_of[attr.scale]:
                 add(Violation(where, "fact-ordinal-level",
-                              f"'{fact.value}' is not a level of scale '{attr.scale}'"))
+                              f"'{fact.value}' is not a level of scale '{attr.scale}'", path))
         key = (fact.candidate, fact.attribute)
         if key in seen_facts:
             add(Violation(where, "fact-duplicate",
-                          "exactly one fact per (candidate, attribute) pair"))
+                          f"duplicate fact for {fact.candidate}.{fact.attribute}",
+                          ("facts", i, "candidate")))
         seen_facts.add(key)
     for cand in instance.candidates:
         for attr in instance.attributes:
             if (cand, attr.name) not in seen_facts:
                 add(Violation(f"fact {cand}.{attr.name}", "fact-missing",
-                              "fact matrix must be complete"))
+                              f"incomplete fact matrix: missing fact {cand}.{attr.name}",
+                              ("facts",)))
 
     # Criteria.
     crit_names: set[str] = set()
-    for crit in instance.criteria:
+    for i, crit in enumerate(instance.criteria):
+        where, name_path = f"criterion '{crit.name}'", ("criteria", i, "name")
         if not _is_ident(crit.name):
-            add(Violation(f"criterion '{crit.name}'", "identifier-syntax",
-                          "criterion name must be an identifier"))
+            add(Violation(where, "identifier-syntax", "criterion name must be an identifier",
+                          name_path))
         if crit.name in crit_names:
-            add(Violation(f"criterion '{crit.name}'", "criterion-duplicate",
-                          "criterion names must be unique"))
+            add(Violation(where, "criterion-duplicate", f"duplicate criterion '{crit.name}'",
+                          name_path))
         crit_names.add(crit.name)
-        wmap = dict(crit.weights)
-        for attr_name in wmap:
-            if attr_name not in attr_names:
-                add(Violation(f"criterion '{crit.name}'", "criterion-reference",
-                              f"weight for undeclared attribute '{attr_name}'"))
-        missing = [a for a in instance.attribute_names if a not in wmap]
-        if missing:
-            add(Violation(f"criterion '{crit.name}'", "criterion-coverage",
-                          f"missing weight for attribute(s): {', '.join(missing)}"))
-        for attr_name, w in crit.weights:
+        weighted: set[str] = set()
+        for j, (attr_name, w) in enumerate(crit.weights):
+            pair = ("criteria", i, "weights", j)
+            if attr_name not in attrs:
+                add(Violation(where, "criterion-reference",
+                              f"undeclared attribute '{attr_name}'", pair + (0,)))
+            if attr_name in weighted:
+                add(Violation(where, "criterion-weight-duplicate",
+                              f"duplicate weight for '{attr_name}'", pair + (0,)))
+            weighted.add(attr_name)
             if not _is_number(w):
-                add(Violation(f"criterion '{crit.name}'", "criterion-weight-type",
-                              f"weight for '{attr_name}' must be a number"))
+                add(Violation(where, "criterion-weight-type",
+                              f"weight for '{attr_name}' must be a number", pair + (1,)))
             elif not _is_finite(w):
-                add(Violation(f"criterion '{crit.name}'", "criterion-weight-finite",
-                              f"weight for '{attr_name}' must be finite, got {w!r}"))
+                add(Violation(where, "criterion-weight-finite",
+                              f"weight for '{attr_name}' must be finite, got {w!r}",
+                              pair + (1,)))
             elif w < 0:
-                add(Violation(f"criterion '{crit.name}'", "criterion-weight-negative",
-                              f"weight for '{attr_name}' is negative ({w})"))
+                add(Violation(where, "criterion-weight-negative",
+                              f"weight for '{attr_name}' is negative", pair + (1,)))
+        missing = [a for a in instance.attribute_names if a not in weighted]
+        if missing:
+            add(Violation(where, "criterion-coverage",
+                          f"criterion '{crit.name}' missing weight for: {', '.join(missing)}",
+                          name_path))
         total = sum(w for _, w in crit.weights if _is_number(w) and _is_finite(w))
         if abs(total - 1.0) > EPS_WEIGHT:
-            add(Violation(f"criterion '{crit.name}'", "criterion-weight-sum",
-                          f"weights sum to {total!r}, expected 1 within {EPS_WEIGHT}"))
+            add(Violation(where, "criterion-weight-sum",
+                          f"criterion '{crit.name}' weights sum to {total!r}, expected 1",
+                          name_path))
 
     # Constraints.
-    for con in instance.constraints:
+    for i, con in enumerate(instance.constraints):
         if isinstance(con, PinConstraint):
             if con.criterion not in crit_names:
                 add(Violation(f"constraint pin({con.criterion})", "constraint-pin-reference",
-                              f"undeclared criterion '{con.criterion}'"))
+                              f"undeclared criterion '{con.criterion}'",
+                              ("constraints", i, "criterion")))
         elif isinstance(con, BoundConstraint):
             where = f"constraint weight {con.attribute} {con.op} {con.value}"
-            if con.attribute not in attr_names:
+            if con.attribute not in attrs:
                 add(Violation(where, "constraint-bound-reference",
-                              f"undeclared attribute '{con.attribute}'"))
+                              f"undeclared attribute '{con.attribute}'",
+                              ("constraints", i, "attribute")))
             if con.op not in BOUND_OPS:
                 add(Violation(where, "constraint-bound-op",
-                              f"operator must be one of {', '.join(BOUND_OPS)}"))
+                              f"operator must be one of {', '.join(BOUND_OPS)}",
+                              ("constraints", i, "op")))
             if not (0.0 <= con.value <= 1.0):
                 add(Violation(where, "constraint-bound-value",
-                              f"bound value {con.value} outside [0, 1]"))
+                              f"bound value {con.value:.12g} outside [0, 1]",
+                              ("constraints", i, "value")))
         else:
-            add(Violation(f"constraint {con!r}", "constraint-kind", "unknown constraint kind"))
+            add(Violation(f"constraint {con!r}", "constraint-kind", "unknown constraint kind",
+                          ("constraints", i)))
 
-    # Preference premises.
-    edges: list[tuple[str, str]] = []
-    for pref in instance.preferences:
+    # Preference premises; an edge counts from its first premise.
+    first_premise: dict[tuple[str, str], int] = {}
+    for i, pref in enumerate(instance.preferences):
         where = f"preference {pref.winner} > {pref.loser}"
-        if pref.winner == pref.loser:
-            add(Violation(where, "preference-self", "winner and loser must differ"))
-            continue
-        if pref.winner not in cand_set or pref.loser not in cand_set:
+        undeclared = [side for side in ("winner", "loser")
+                      if getattr(pref, side) not in seen_c]
+        for side in undeclared:
             add(Violation(where, "preference-reference",
-                          "both sides must be declared candidates"))
+                          f"undeclared candidate '{getattr(pref, side)}'",
+                          ("preferences", i, side)))
+        if undeclared:
             continue
-        edges.append((pref.winner, pref.loser))
-    cycle = _find_cycle(edges)
+        if pref.winner == pref.loser:
+            add(Violation(where, "preference-self", "preference winner and loser must differ",
+                          ("preferences", i, "loser")))
+            continue
+        first_premise.setdefault((pref.winner, pref.loser), i)
+    cycle = _find_cycle(list(first_premise))
     if cycle:
+        i = max(first_premise[edge] for edge in zip(cycle, cycle[1:]))
+        pref = instance.preferences[i]
         add(Violation(" > ".join(cycle), "preference-cycle",
-                      "explicit preference premises must be acyclic"))
+                      f"preference {pref.winner} over {pref.loser} creates a cycle",
+                      ("preferences", i, "winner")))
 
     return out
 
 
 def _find_cycle(edges: list[tuple[str, str]]) -> list[str] | None:
-    """Return one directed cycle as a node list (first == last), or None."""
+    """Return one directed cycle as a node list (first == last), or None.
+
+    Depth-first from each edge's tail in order, successors in edge order.
+    The search keeps its own stack, so a long chain of premises cannot
+    exhaust Python's recursion limit.
+    """
     succ: dict[str, list[str]] = {}
     for a, b in edges:
         succ.setdefault(a, []).append(b)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-    stack: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = GRAY
-        stack.append(node)
-        for nxt in succ.get(node, ()):
-            state = color.get(nxt, WHITE)
-            if state == GRAY:
-                i = stack.index(nxt)
-                return stack[i:] + [nxt]
-            if state == WHITE:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
+    ON_PATH, DONE = 1, 2
+    state: dict[str, int] = {}
     for start, _ in edges:
-        if color.get(start, WHITE) == WHITE:
-            found = visit(start)
-            if found:
-                return found
+        if start in state:
+            continue
+        path, pending = [start], [iter(succ.get(start, ()))]
+        state[start] = ON_PATH
+        while pending:
+            for nxt in pending[-1]:
+                seen = state.get(nxt)
+                if seen == ON_PATH:
+                    return path[path.index(nxt):] + [nxt]
+                if seen is None:
+                    state[nxt] = ON_PATH
+                    path.append(nxt)
+                    pending.append(iter(succ.get(nxt, ())))
+                    break
+            else:
+                state[path.pop()] = DONE
+                pending.pop()
     return None

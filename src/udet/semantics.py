@@ -16,6 +16,7 @@ candidate can win (`_kernels`).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,6 +245,30 @@ def exact_thresholds(matrix: ScoreMatrix, lo: float = 0.0, hi: float = 1.0) -> l
         alphas = (m[None, :, 1] - m[:, None, 1]) / slope
     inside = (slope != 0.0) & (alphas > lo) & (alphas < hi)
     return sorted(set(alphas[inside].tolist()))
+
+
+def winner_regions(matrix: ScoreMatrix, thresholds: list[float]):
+    """Coalesced winner regions over alpha in [0, 1] on two attributes.
+
+    Alpha is the weight of the first attribute and `thresholds` are its
+    `exact_thresholds`.  The winners are read at every threshold, at both
+    ends and at the midpoint of each gap, all scored in one `score_grid`
+    call; runs with identical winner sets merge.  Returns (lo, lo_closed,
+    hi, hi_closed, winners) tuples.
+    """
+    points = [0.0] + thresholds + [1.0]
+    items = [(0.0, 0.0, True)]  # (lo, hi, is_point), in alpha order
+    for lo, hi in zip(points, points[1:]):
+        items += [(lo, hi, False), (hi, hi, True)]
+    alphas = np.array([lo if is_point else (lo + hi) / 2.0 for lo, hi, is_point in items])
+    scores = _kernels.score_grid(np.column_stack((alphas, 1.0 - alphas)), matrix.values)
+    winners = [_winners(matrix.candidates, row) for row in scores]
+    regions = []
+    for ws, run in itertools.groupby(zip(items, winners), key=lambda pair: pair[1]):
+        run = [item for item, _ in run]
+        (lo, _, lo_closed), (_, hi, hi_closed) = run[0], run[-1]
+        regions.append((lo, lo_closed, hi, hi_closed, ws))
+    return regions
 
 
 def winner_statistics(matrix: ScoreMatrix, adm: AdmissibleSet) -> WinnerStats:

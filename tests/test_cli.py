@@ -3,14 +3,17 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import udet
-from udet import cli
+from udet import cli, corpus
 from udet.errors import CorpusCorrupt
 from udet.responses import Decisive, Verdict
 from udet.trilemma import PairwiseCheck, TrilemmaReport
@@ -387,3 +390,55 @@ def test_one_process_runs_commands_like_fresh_processes(corpus_dir, tmp_path):
                                capture_output=True, text=True, encoding="utf-8",
                                env={**os.environ, "PYTHONPATH": src}, check=False)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+_TOKEN_POOL = ("A", "B", "Z", "gpa", "need", "over", "criterion", "weight", "numeric",
+               "-1", "0", "0.5", "2", "1e400", "{", "}", ",", ".", ":", "=", '"', '"x"', "")
+
+
+def _mutate(lines: list[str], data) -> list[str]:
+    """Drop, duplicate or swap lines, corrupt one token, or shuffle the
+    declarations after the first line."""
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(("drop", "duplicate", "swap", "corrupt", "shuffle")))
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "corrupt":
+            tokens = lines[i].split(" ")
+            k = data.draw(st.integers(0, len(tokens) - 1))
+            tokens[k] = data.draw(st.sampled_from(_TOKEN_POOL) | st.text(max_size=3))
+            lines[i] = " ".join(tokens)
+        elif op == "shuffle":
+            lines[1:] = data.draw(st.permutations(lines[1:]))
+    return lines
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "mutant.udet"
+
+
+@settings(max_examples=100, deadline=None)
+@given(entry=st.sampled_from(corpus.corpus_ids()), data=st.data())
+def test_mutated_corpus_files_exit_cleanly_and_deterministically(fuzz_path, entry, data):
+    lines = _mutate(corpus.load_source(entry).split("\n"), data)
+    fuzz_path.write_text("\n".join(lines), encoding="utf-8")
+    path = str(fuzz_path)
+    for command in ("analyze", "policy", "sweep"):
+        code, out, err = run_cli([command, path])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code == 0:
+            assert err == ""
+        else:
+            first, *rest = err.split("\n")[:-1]
+            assert first.startswith("error: ") or re.match(rf"{re.escape(path)}:\d+:\d+: ", first)
+            assert len(rest) <= 1 and all(ln.startswith("  near: ") for ln in rest)
+        assert run_cli([command, path])[1] == out

@@ -63,6 +63,88 @@ def test_undeclared_candidate_and_scale_level(scholarship_text):
     assert "not a level" in e.message
 
 
+# One edit of the scholarship document (12 lines and a final newline) per
+# rule of `validate` that text can reach: {line number: new text}, where ""
+# blanks a line and line 13 onwards append.  Each rule is reported at the
+# token that declared what it blames; counts and missing facts at 13:1.
+RULE_CASES = [
+    ("identifier-syntax", {1: 'instance "two words"'},
+     ("instance id must be an identifier, got 'two words'", 1, 10)),
+    ("candidate-count", {6: "candidates A", 9: "", 10: ""},
+     ("at least 2 candidates required, found 1", 13, 1)),
+    ("attribute-count", {4: "", 5: "", 7: "", 8: "", 9: "", 10: "", 11: "", 12: ""},
+     ("at least 1 attribute required", 13, 1)),
+    ("candidate-duplicate", {6: "candidates A, B, A"}, ("duplicate candidate 'A'", 6, 18)),
+    ("scale-duplicate", {13: "scale need_scale: a, b"},
+     ("duplicate scale 'need_scale'", 13, 7)),
+    ("scale-level-count", {13: "scale tiny: only"}, ("a scale needs at least 2 levels", 13, 7)),
+    ("scale-level-duplicate", {3: "scale need_scale: low, moderate, severe, low"},
+     ("duplicate level 'low'", 3, 42)),
+    ("attribute-duplicate", {13: "attribute gpa: numeric, higher_better"},
+     ("duplicate attribute 'gpa'", 13, 11)),
+    ("attribute-scale", {5: "attribute need: ordinal(nope), higher_better"},
+     ("undeclared scale 'nope'", 5, 25)),
+    ("fact-reference-candidate", {13: "fact Z.gpa = 1"}, ("undeclared candidate 'Z'", 13, 6)),
+    ("fact-reference-attribute", {7: "fact A.height = 9.5"},
+     ("undeclared attribute 'height'", 7, 8)),
+    ("fact-value-type-numeric", {7: "fact A.gpa = high"},
+     ("numeric attribute 'gpa' requires a number", 7, 14)),
+    ("fact-value-type-ordinal", {8: "fact A.need = 2"},
+     ("ordinal attribute 'need' requires a level name", 8, 15)),
+    ("fact-ordinal-level", {8: "fact A.need = extreme"},
+     ("'extreme' is not a level of scale 'need_scale'", 8, 15)),
+    ("fact-duplicate", {13: "fact B.gpa = 1"}, ("duplicate fact for B.gpa", 13, 6)),
+    ("fact-missing", {9: ""}, ("incomplete fact matrix: missing fact B.gpa", 13, 1)),
+    ("criterion-duplicate", {13: "criterion merit_first { gpa: 0.5, need: 0.5 }"},
+     ("duplicate criterion 'merit_first'", 13, 11)),
+    ("criterion-reference", {13: "criterion tall { gpa: 1, need: 0, height: 0 }"},
+     ("undeclared attribute 'height'", 13, 35)),
+    ("criterion-weight-duplicate", {13: "criterion twice { gpa: 0.5, gpa: 0.5, need: 0 }"},
+     ("duplicate weight for 'gpa'", 13, 29)),
+    ("criterion-coverage", {13: "criterion partial { gpa: 1.0 }"},
+     ("criterion 'partial' missing weight for: need", 13, 11)),
+    ("criterion-weight-negative", {13: "criterion neg { gpa: 1.5, need: -0.5 }"},
+     ("weight for 'need' is negative", 13, 33)),
+    ("criterion-weight-sum", {13: "criterion off { gpa: 0.7, need: 0.2 }"},
+     ("criterion 'off' weights sum to 0.8999999999999999, expected 1", 13, 11)),
+    ("constraint-pin-reference", {13: "assume criterion = nope"},
+     ("undeclared criterion 'nope'", 13, 20)),
+    ("constraint-bound-reference", {13: "assume weight height <= 0.5"},
+     ("undeclared attribute 'height'", 13, 15)),
+    ("constraint-bound-value", {13: "assume weight gpa >= 1.5"},
+     ("bound value 1.5 outside [0, 1]", 13, 22)),
+    ("preference-reference", {13: "prefer A over Z"}, ("undeclared candidate 'Z'", 13, 15)),
+    ("preference-self", {13: "prefer A over A"},
+     ("preference winner and loser must differ", 13, 15)),
+    ("preference-cycle", {13: "prefer A over B", 14: "prefer B over A"},
+     ("preference B over A creates a cycle", 14, 8)),
+    # The violation that comes first in the document wins, ...
+    ("first-line-wins", {7: "fact A.gpa = high", 13: "fact Z.gpa = 1"},
+     ("numeric attribute 'gpa' requires a number", 7, 14)),
+    ("leftmost-token-wins", {13: "criterion neg { gpa: 0.5, need: -0.5 }"},
+     ("criterion 'neg' weights sum to 0.0, expected 1", 13, 11)),
+    # ... ties keep validate's order, ...
+    ("tie-keeps-validate-order", {6: "candidates A", 8: "", 9: "", 10: ""},
+     ("at least 2 candidates required, found 1", 13, 1)),
+    # ... and a grammar error anywhere beats every rule violation.
+    ("grammar-beats-rules", {7: "fact Z.gpa = 1", 13: "fact A.gpa = 1e400"},
+     ("number out of range", 13, 14)),
+]
+
+
+@pytest.mark.parametrize("edits, expected", [case[1:] for case in RULE_CASES],
+                         ids=[case[0] for case in RULE_CASES])
+def test_each_rule_reported_at_its_token(scholarship_text, edits, expected):
+    lines = scholarship_text.split("\n")
+    for line, text in sorted(edits.items()):
+        if line <= len(lines):
+            lines[line - 1] = text
+        else:
+            lines.append(text)
+    e = err("\n".join(lines))
+    assert (e.message, e.line, e.column) == expected
+
+
 def test_header_required_first():
     e = err('question "hm?"\n')
     assert "instance header" in e.message
@@ -160,6 +242,42 @@ def test_shuffled_facts_canonicalized(scholarship_text, scholarship):
     fact_lines = [ln for ln in out.split("\n") if ln.startswith("fact ")]
     assert fact_lines[0].startswith("fact A.gpa")
     assert fact_lines[-1].startswith("fact B.need")
+
+
+def _shuffled_declarations(text: str) -> str:
+    """The same declarations, kinds interleaved in reverse and facts and
+    criterion weights reversed; each other kind keeps its own order."""
+    header, *rest = [ln for ln in text.split("\n") if ln.strip()]
+    kinds = ("prefer", "require", "assume", "criterion", "fact", "candidates",
+             "attribute", "scale", "question")
+    rest.sort(key=lambda ln: kinds.index(ln.split()[0]))
+    facts = [ln for ln in rest if ln.startswith("fact ")]
+    rest = [facts.pop() if ln.startswith("fact ") else ln for ln in rest]
+    for i, ln in enumerate(rest):
+        if ln.startswith("criterion "):
+            name, body = ln[:-2].split("{ ")
+            rest[i] = name + "{ " + ", ".join(reversed(body.split(", "))) + " }"
+    return "\n".join([header] + rest) + "\n"
+
+
+def test_declarations_parse_in_any_order_after_the_header(corpus_entries):
+    for entry in corpus_entries:
+        shuffled = _shuffled_declarations(entry.source)
+        assert shuffled.split("\n")[1].split()[0] != "question"
+        assert parse(shuffled) == entry.instance
+
+
+def test_long_preference_chain_parses_and_its_cycle_is_blamed_on_the_closing_line():
+    n = 1500
+    lines = ['instance "chain"', "attribute x: numeric, higher_better",
+             "candidates " + ", ".join(f"c{i}" for i in range(n + 1))]
+    lines += [f"fact c{i}.x = {i}" for i in range(n + 1)]
+    lines += [f"prefer c{i} over c{i + 1}" for i in range(n)]
+    chain = parse("\n".join(lines))
+    assert len(chain.preferences) == n
+    e = err("\n".join(lines + [f"prefer c{n} over c0"]))
+    assert (e.message, e.line, e.column) == (
+        f"preference c{n} over c0 creates a cycle", len(lines) + 1, 8)
 
 
 def test_round_trip_corpus(corpus_entries):

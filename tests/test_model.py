@@ -114,6 +114,11 @@ def test_criterion_weight_rules():
     stray = base.criteria + (CriterionSpec("stray", (("gpa", 1.0), ("height", 0.0))),)
     found = rules(dataclasses.replace(base, criteria=stray))
     assert "criterion-reference" in found
+    twice = base.criteria + (CriterionSpec("twice", (("gpa", 0.5), ("gpa", 0.5), ("need", 0.0))),)
+    violations = validate(dataclasses.replace(base, criteria=twice))
+    assert [(v.rule, v.message, v.path) for v in violations] == [
+        ("criterion-weight-duplicate", "duplicate weight for 'gpa'",
+         ("criteria", 2, "weights", 1, 0))]
 
 
 def test_constraint_rules():
@@ -184,7 +189,8 @@ def test_non_finite_fact_flagged(value):
     facts = tuple(dataclasses.replace(f, value=value)
                   if (f.candidate, f.attribute) == ("A", "gpa") else f for f in base.facts)
     violations = validate(dataclasses.replace(base, facts=facts))
-    assert [(v.element, v.rule) for v in violations] == [("fact A.gpa", "fact-value-finite")]
+    assert [(v.element, v.rule, v.path) for v in violations] == [
+        ("fact A.gpa", "fact-value-finite", ("facts", 0, "value"))]
 
 
 @pytest.mark.parametrize("weights", [(("gpa", float("nan")), ("need", 1.0)),
