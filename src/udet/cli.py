@@ -4,12 +4,15 @@ Every command that reads an instance computes its semantics exactly over
 the admissible weight polytope; no command takes a precision setting.
 Reports are byte-deterministic for identical inputs and flags: orderings are
 fixed, numbers render with at most 12 significant digits, and timestamps
-appear only under ``--timestamps``.  Exit codes: 0 success, 1 parse or
-validation error, a usage error (an unknown flag or a bad flag value, with
-one ``error:`` line) or a file that cannot be read or written, 2 semantic
-error (infeasible constraints, contradictory premises, more declared
-criteria than the response space can enumerate), 3 trilemma counterexample
-found.
+appear only under ``--timestamps``.  JSON output is byte-identical to
+``json.dumps(doc, indent=2)`` with its default ASCII escaping, plus a
+newline; `analyze` writes its verdict rows from templates, rendering each
+distinct verdict and conditional branch once per request.  Exit codes: 0
+success, 1 parse or validation error, a usage error (an unknown flag or a
+bad flag value, with one ``error:`` line) or a file that cannot be read or
+written, 2 semantic error (infeasible constraints, contradictory premises,
+more declared criteria than the response space can enumerate), 3 trilemma
+counterexample found.
 """
 
 from __future__ import annotations
@@ -139,9 +142,92 @@ def _trilemma_json(report: TrilemmaReport) -> dict:
     }
 
 
+_str = json.encoder.encode_basestring_ascii
+
+
+class _Json(str):
+    """Text that is already JSON, indented as a top-level value of a document."""
+
+
 def _emit(doc: dict, out) -> None:
-    out.write(json.dumps(doc, indent=2))
-    out.write("\n")
+    """Write `doc` as ``json.dumps(doc, indent=2)`` followed by a newline.
+
+    Each top-level value is dumped on its own and every newline in it is
+    indented two more spaces, which is exact because a JSON string never
+    holds a raw newline.  A `_Json` value is written as it is.
+    """
+    items = [f"  {_str(key)}: "
+             + (value if isinstance(value, _Json)
+                else json.dumps(value, indent=2).replace("\n", "\n  "))
+             for key, value in doc.items()]
+    out.write("{\n" + ",\n".join(items) + "\n}\n")
+
+
+class _Memo(dict):
+    """A request-local cache: ``memo[key]`` renders a missing key once."""
+
+    def __init__(self, render) -> None:
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        value = self[key] = self.render(key)
+        return value
+
+
+def _str_list(items, indent: str) -> str:
+    """``json.dumps(list(items), indent=2)`` for a nonempty sequence of
+    strings nested at `indent`.  Every list in a verdict row is nonempty:
+    `evaluate` rejects a response whose list is empty."""
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(map(_str, items)) + "\n" + indent + "]"
+
+
+def _verdict_json(verdict: Verdict) -> str:
+    return (
+        "{\n"
+        f'        "c_strong": {_bool(verdict.c_strong)},\n'
+        f'        "c_cond": {_bool(verdict.c_cond)},\n'
+        f'        "nb_strict": {_bool(verdict.nb_strict)},\n'
+        f'        "nb_transparent": {_bool(verdict.nb_transparent)},\n'
+        f'        "u_decisive": {_bool(verdict.u_decisive)},\n'
+        f'        "u_assistive": {json.dumps(verdict.u_assistive)},\n'
+        f'        "hidden_theta": {_bool(verdict.hidden_theta)}\n'
+        "      }")
+
+
+def _branch_json(branch: tuple[str, str]) -> str:
+    return _str_list(branch, " " * 10)
+
+
+def _verdict_rows(report: TrilemmaReport) -> _Json:
+    """The ``verdicts`` value of the analyze document, one row per response.
+
+    Each row is written from the template of its response form, with one
+    rendering per distinct verdict and per conditional branch.
+    """
+    verdicts = _Memo(_verdict_json)
+    branches = _Memo(_branch_json)
+    rows = []
+    for response, verdict in zip(report.responses, report.verdicts):
+        if isinstance(response, Conditional):
+            body = ('"form": "conditional",\n        "branches": [\n          '
+                    + ",\n          ".join(map(branches.__getitem__, response.branches))
+                    + "\n        ]")
+        elif isinstance(response, Decisive):
+            theta = response.declared_theta
+            body = (f'"form": "decisive",\n        "candidate": {_str(response.candidate)},'
+                    f'\n        "declared_theta": {"null" if theta is None else _str(theta)}')
+        elif isinstance(response, Equivalence):
+            body = ('"form": "equivalence",\n        "candidates": '
+                    + _str_list(response.candidates, " " * 8))
+        elif isinstance(response, Clarify):
+            body = '"form": "clarify",\n        "missing": ' + _str_list(response.missing, " " * 8)
+        else:
+            body = f'"form": "refuse",\n        "reason": {_str(response.reason)}'
+        rows.append('    {\n      "response": {\n        ' + body
+                    + '\n      },\n      "verdict": ' + verdicts[verdict] + "\n    }")
+    return _Json("[\n" + ",\n".join(rows) + "\n  ]")
 
 
 def _load(path: str, stderr) -> Instance | None:
@@ -159,9 +245,8 @@ def _load(path: str, stderr) -> Instance | None:
         return None
 
 
-def _verdict_row(response: Response, verdict: Verdict) -> str:
-    cells = [
-        render_response(response).ljust(52),
+def _verdict_cells(verdict: Verdict) -> str:
+    return " ".join([
         _bool(verdict.c_strong).ljust(6),
         _bool(verdict.c_cond).ljust(6),
         _bool(verdict.nb_strict).ljust(6),
@@ -169,8 +254,7 @@ def _verdict_row(response: Response, verdict: Verdict) -> str:
         _bool(verdict.u_decisive).ljust(6),
         format_number(verdict.u_assistive).ljust(6),
         _bool(verdict.hidden_theta),
-    ]
-    return "  " + " ".join(cells).rstrip()
+    ])
 
 
 def cmd_analyze(args, stdout, stderr) -> int:
@@ -190,10 +274,7 @@ def cmd_analyze(args, stdout, stderr) -> int:
             "parameters": _parameters(args.timestamps),
             "instance": _instance_json(instance),
             "semantics": _semantics_json(semantics),
-            "verdicts": [
-                {"response": response_to_json(r), "verdict": v.as_dict()}
-                for r, v in zip(report.responses, report.verdicts)
-            ],
+            "verdicts": _verdict_rows(report),
             "policy": {
                 "branch": decision.branch,
                 "response": response_to_json(decision.response),
@@ -227,8 +308,9 @@ def cmd_analyze(args, stdout, stderr) -> int:
     header = ["response".ljust(52), "C".ljust(6), "Ccond".ljust(6), "NB".ljust(6),
               "NBt".ljust(6), "Udec".ljust(6), "Uass".ljust(6), "hidden"]
     w("  " + " ".join(header).rstrip() + "\n")
+    cells = _Memo(_verdict_cells)
     for response, verdict in zip(report.responses, report.verdicts):
-        w(_verdict_row(response, verdict) + "\n")
+        w(f"  {render_response(response).ljust(52)} {cells[verdict]}\n")
     w("policy:\n")
     w(f"  branch: {decision.branch}\n")
     w(f"  response: {render_response(decision.response)}\n")

@@ -95,17 +95,6 @@ class Verdict:
             return False
         return 0.0 <= self.u_assistive <= 1.0
 
-    def as_dict(self) -> dict:
-        return {
-            "c_strong": self.c_strong,
-            "c_cond": self.c_cond,
-            "nb_strict": self.nb_strict,
-            "nb_transparent": self.nb_transparent,
-            "u_decisive": self.u_decisive,
-            "u_assistive": self.u_assistive,
-            "hidden_theta": self.hidden_theta,
-        }
-
 
 # Rubric weights for (relevance, informativeness, actionability, decisiveness).
 RUBRIC_WEIGHTS = (0.25, 0.25, 0.25, 0.25)

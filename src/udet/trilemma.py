@@ -12,8 +12,9 @@ closed-world caveat is part of the report's meaning.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -110,6 +111,19 @@ def clarify_for(instance: Instance) -> Clarify:
     return Clarify(tuple(f"weight for {a}" for a in instance.attribute_names))
 
 
+def _decided_pairs(analysis: Analysis) -> tuple[tuple[str, str], ...]:
+    """(criterion, unique winner) for each declared criterion that has one."""
+    unique_winner = analysis.unique_winners
+    return tuple((c.name, unique_winner[c.name]) for c in analysis.instance.criteria
+                 if c.name in unique_winner)
+
+
+def _subsets(items: tuple) -> Iterator[tuple]:
+    """Nonempty subsets of `items` by size, then in `items` order."""
+    return chain.from_iterable(combinations(items, size)
+                               for size in range(1, len(items) + 1))
+
+
 def enumerate_responses(analysis: Analysis) -> ResponseSpace:
     """All structured responses for the instance, deterministically ordered.
 
@@ -126,23 +140,37 @@ def enumerate_responses(analysis: Analysis) -> ResponseSpace:
         raise ResponseSpaceTooLarge(
             f"{len(instance.criteria)} criteria declared; "
             f"enumeration is capped at {MAX_ENUMERATED_CRITERIA}")
-    unique_winner = analysis.unique_winners
 
     out: list[Response] = []
     for cand in instance.candidates:
         out.append(Decisive(cand))
         for crit in instance.criteria:
             out.append(Decisive(cand, declared_theta=crit.name))
-    decided = [c.name for c in instance.criteria if c.name in unique_winner]
-    for size in range(1, len(decided) + 1):
-        for subset in combinations(decided, size):
-            out.append(Conditional(tuple((name, unique_winner[name])
-                                         for name in subset)))
+    out.extend(map(Conditional, _subsets(_decided_pairs(analysis))))
     for a, b in combinations(instance.candidates, 2):
         out.append(Equivalence((a, b)))
     out.append(clarify_for(instance))
     out.append(Refuse(REFUSE_REASON))
     return ResponseSpace(tuple(out))
+
+
+def _conditional_covers(analysis: Analysis) -> list[bool]:
+    """For each enumerated Conditional, in enumeration order, whether its
+    answers include every distinct unique winner of the declared criteria.
+
+    Each subset of the decided criteria is numbered by its bitmask over
+    them, in the order `_subsets` gives `enumerate_responses`; it covers
+    winner w when it holds a criterion that w wins.
+    """
+    pairs = _decided_pairs(analysis)
+    bits = tuple(1 << i for i in range(len(pairs)))
+    subset_masks = np.fromiter(map(sum, _subsets(bits)), dtype=np.int64,
+                               count=(1 << len(pairs)) - 1)
+    covers = np.ones(subset_masks.shape, dtype=np.bool_)
+    for winner in {w for _, w in pairs}:
+        won = sum(b for b, (_, w) in zip(bits, pairs) if w == winner)
+        covers &= (subset_masks & won) != 0
+    return covers.tolist()
 
 
 def report_from_verdicts(instance_id: str, semantics: SemanticsResult,
@@ -175,14 +203,36 @@ def report_from_verdicts(instance_id: str, semantics: SemanticsResult,
 def check_trilemma(analysis: Analysis) -> TrilemmaReport:
     """Evaluate every enumerated response and report the trilemma outcome.
 
+    Conditionals are evaluated in closed form.  Each names only criteria
+    with a unique winner, and answers each with that winner, so every branch
+    holds by construction: strongly correct, transparent, not decisive.  It
+    is strictly non-biased exactly when no other criterion's unique winner
+    is missing from its answers, that is, when its answers cover every
+    distinct unique winner.  So all conditionals share one of two verdicts,
+    each taken from `ResponseEvaluator.evaluate` on its first member, and
+    `_conditional_covers` picks between them.  Every other response goes
+    through `evaluate`; there are n(m + 1) + C(n, 2) + 2 of them for n
+    candidates and m criteria.
+
     Raises ResponseSpaceTooLarge from `enumerate_responses`.  Deterministic
     for a fixed analysis.
     """
     space = enumerate_responses(analysis)
     evaluator = ResponseEvaluator(analysis)
-    verdicts = tuple(evaluator.evaluate(r) for r in space.responses)
+    covers = iter(_conditional_covers(analysis))
+    shared: dict[bool, Verdict] = {}
+    verdicts = []
+    for response in space.responses:
+        if isinstance(response, Conditional):
+            key = next(covers)
+            verdict = shared.get(key)
+            if verdict is None:
+                verdict = shared[key] = evaluator.evaluate(response)
+        else:
+            verdict = evaluator.evaluate(response)
+        verdicts.append(verdict)
     return report_from_verdicts(analysis.instance.id, analysis.semantics,
-                                space.responses, verdicts)
+                                space.responses, tuple(verdicts))
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
 
+from udet import cli
 from udet._kernels import score_grid
+from udet.dsl import SourceDocument, parse_instance
 from udet.model import (
     HIGHER_BETTER,
     LOWER_BETTER,
@@ -29,8 +33,12 @@ from udet.semantics import (
     _closure_matrix,
     admissible_set,
     compatible_answers,
+    analyze,
     normalize,
 )
+from udet.policy import decide
+from udet.responses import ResponseEvaluator
+from udet.trilemma import check_trilemma
 
 NEED_SCALE = OrdinalScale("need_scale", ("low", "moderate", "severe"))
 
@@ -214,3 +222,41 @@ def grid_semantics(instance: Instance, total: int) -> SemanticsResult:
     matrix = normalize(instance)
     stats = grid_statistics(matrix, admissible_set(instance), total)
     return compatible_answers(instance, stats, _closure_matrix(instance, stats))
+
+
+# --- JSON oracle for `udet analyze --format json` ------------------------------
+#
+# The CLI writes the verdict rows from templates; this builds the whole
+# document as dicts and renders it with one `json.dumps(doc, indent=2)`.  The
+# rows' verdicts come from `ResponseEvaluator.evaluate`, one per response.
+
+
+def analyze_json_oracle(path: str, require_decision: bool = False,
+                        timestamps: bool = False) -> str:
+    """What `udet analyze PATH --format json` must print."""
+    text = open(path, encoding="utf-8", errors="replace").read()
+    instance = parse_instance(SourceDocument(text, path))
+    if require_decision:
+        instance = dataclasses.replace(instance, decisiveness_required=True)
+    analysis = analyze(instance)
+    report = check_trilemma(analysis)
+    decision = decide(analysis)
+    evaluator = ResponseEvaluator(analysis)
+    doc = {
+        "schema_version": cli.JSON_SCHEMA_VERSION,
+        "parameters": cli._parameters(timestamps),
+        "instance": cli._instance_json(instance),
+        "semantics": cli._semantics_json(analysis.semantics),
+        "verdicts": [
+            {"response": cli.response_to_json(r),
+             "verdict": dataclasses.asdict(evaluator.evaluate(r))}
+            for r in report.responses
+        ],
+        "policy": {
+            "branch": decision.branch,
+            "response": cli.response_to_json(decision.response),
+            "rationale": decision.rationale,
+        },
+        "trilemma": cli._trilemma_json(report),
+    }
+    return json.dumps(doc, indent=2) + "\n"

@@ -6,17 +6,21 @@ import os
 import re
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import analyze_json_oracle
+
 import udet
 from udet import cli, corpus
+from udet.dsl import serialize_instance
 from udet.errors import CorpusCorrupt
 from udet.responses import Decisive, Verdict
-from udet.trilemma import PairwiseCheck, TrilemmaReport
+from udet.trilemma import GeneratorConfig, PairwiseCheck, TrilemmaReport, generate_instance
 
 
 def run_cli(argv):
@@ -87,6 +91,56 @@ def test_analyze_is_byte_deterministic(corpus_dir):
             _, first, _ = run_cli(["analyze", path, "--format", fmt])
             _, second, _ = run_cli(["analyze", path, "--format", fmt])
             assert first == second
+
+
+def assert_json_matches_oracle(path, *flags: str) -> None:
+    code, out, err = run_cli(["analyze", str(path), "--format", "json", *flags])
+    assert (code, err) == (0, "")
+    assert out == analyze_json_oracle(str(path), "--require-decision" in flags,
+                                      "--timestamps" in flags)
+
+
+@pytest.mark.parametrize("flags", [(), ("--require-decision",)])
+def test_analyze_json_is_the_oracle_document_on_the_corpus(corpus_dir, flags):
+    paths = sorted(corpus_dir.glob("*.udet"))
+    assert len(paths) == 7
+    for path in paths:
+        assert_json_matches_oracle(path, *flags)
+
+
+def test_analyze_json_is_the_oracle_document_for_0_to_12_criteria(tmp_path):
+    for m in range(13):
+        config = GeneratorConfig(seed=m, candidate_range=(2, 7), attribute_range=(1, 3),
+                                 criteria_range=(m, m))
+        path = tmp_path / f"gen_{m}.udet"
+        path.write_text(serialize_instance(generate_instance(config, 0)), encoding="utf-8")
+        assert_json_matches_oracle(path)
+
+
+def test_analyze_json_escapes_strings_as_the_oracle_does(corpus_dir, tmp_path):
+    source = Path(path_of(corpus_dir, "scholarship")).read_text(encoding="utf-8")
+    question = 'Qui gagne \\"la bourse\\" ?\tC:\\\\dossier — 奨学金 ☃\\nsecond line'
+    lines = [f'question "{question}"' if line.startswith("question ") else line
+             for line in source.splitlines()]
+    path = tmp_path / "escapes.udet"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert_json_matches_oracle(path)
+    doc = json.loads(run_cli(["analyze", str(path), "--format", "json"])[1])
+    assert doc["instance"]["question"] == (
+        'Qui gagne "la bourse" ?\tC:\\dossier — 奨学金 ☃\nsecond line')
+
+
+def test_analyze_json_with_timestamps_is_the_oracle_document(corpus_dir, monkeypatch):
+    class FixedClock(datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return datetime(2030, 1, 2, 3, 4, 5, 678901, tzinfo=tz)
+
+    monkeypatch.setattr(cli, "datetime", FixedClock)
+    path = path_of(corpus_dir, "city_recommendation")
+    assert_json_matches_oracle(path, "--timestamps")
+    doc = json.loads(run_cli(["analyze", path, "--format", "json", "--timestamps"])[1])
+    assert doc["parameters"]["timestamp"] == "2030-01-02T03:04:05.678901+00:00"
 
 
 def test_analyze_parse_error_exit_1(tmp_path):

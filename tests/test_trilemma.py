@@ -3,12 +3,21 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import build_scholarship, build_two_numeric
 
 from udet.errors import ResponseSpaceTooLarge
-from udet.model import CriterionSpec, PinConstraint, validate
-from udet.responses import Clarify, Conditional, Decisive, Equivalence, Refuse
+from udet.model import NUMERIC, ORDINAL, CriterionSpec, OrdinalScale, PinConstraint, validate
+from udet.responses import (
+    Clarify,
+    Conditional,
+    Decisive,
+    Equivalence,
+    Refuse,
+    ResponseEvaluator,
+)
 from udet.semantics import admissible_set, analyze, normalize
 from udet.trilemma import (
     GeneratorConfig,
@@ -201,11 +210,76 @@ def test_response_space_bound_formula(scholarship):
         assert (size == bound - 1) == (len(analysis.unique_winners) == m)
 
 
-def test_report_carries_the_evaluated_space(scholarship):
-    from udet.responses import ResponseEvaluator
-    analysis = analyze(scholarship)
+def assert_report_is_the_evaluated_space(analysis):
+    """`check_trilemma` lists the enumerated space, and its bulk verdicts are
+    what `ResponseEvaluator.evaluate` gives each response."""
     report = check_trilemma(analysis)
     assert report.responses == enumerate_responses(analysis).responses
     evaluator = ResponseEvaluator(analysis)
     assert report.verdicts == tuple(evaluator.evaluate(r) for r in report.responses)
-    assert report.responses_evaluated == len(report.responses) == 12
+    assert report.responses_evaluated == len(report.responses) == len(report.verdicts)
+    return report
+
+
+def test_report_carries_the_evaluated_space(scholarship):
+    report = assert_report_is_the_evaluated_space(analyze(scholarship))
+    assert report.responses_evaluated == 12
+    # Two criteria share the winner A: a conditional naming only A's
+    # criteria leaves B out and is not strictly non-biased.
+    merit_too = CriterionSpec("merit_too", (("gpa", 0.9), ("need", 0.1)))
+    inst = dataclasses.replace(scholarship, criteria=scholarship.criteria + (merit_too,))
+    analysis = analyze(inst)
+    assert analysis.unique_winners == {"merit_first": "A", "need_first": "B",
+                                       "merit_too": "A"}
+    report = assert_report_is_the_evaluated_space(analysis)
+    strict = {r.branches: v.nb_strict for r, v in zip(report.responses, report.verdicts)
+              if isinstance(r, Conditional)}
+    assert len(strict) == 7
+    assert strict[(("merit_first", "A"), ("merit_too", "A"))] is False
+    assert strict[(("need_first", "B"), ("merit_too", "A"))] is True
+
+
+WIDE_SHAPES = {
+    # The benchmark's wide-responses shape; the generator makes about 30% of
+    # the attributes ordinal, whose coarse levels tie some criteria.
+    "wide": dict(candidate_range=(6, 12), attribute_range=(2, 2), criteria_range=(9, 12)),
+    # Every attribute ordinal: ties under many criteria.
+    "ordinal": dict(candidate_range=(4, 9), attribute_range=(2, 3), criteria_range=(5, 10),
+                    ordinal_only=True),
+    # One attribute ranks every candidate the same way under every
+    # criterion, so all decided criteria share one winner.  A bound below 1
+    # on the only attribute leaves no admissible weight, so none is drawn.
+    "one_winner": dict(candidate_range=(2, 6), attribute_range=(1, 1), criteria_range=(2, 8),
+                       bound_probability=0.0),
+}
+
+
+def _wide_instance(shape: str, seed: int, index: int):
+    fields = dict(WIDE_SHAPES[shape])
+    ordinal_only = fields.pop("ordinal_only", False)
+    inst = generate_instance(GeneratorConfig(seed=seed, **fields), index)
+    if ordinal_only:
+        # Recast each numeric attribute as a 3-level ordinal, keeping its
+        # direction: tenths 0-3.3, 3.4-6.6 and 6.7-10 become lv0-lv2.
+        scales = {a.name: OrdinalScale(f"scale_{a.name}", ("lv0", "lv1", "lv2"))
+                  for a in inst.attributes if a.kind == NUMERIC}
+        inst = dataclasses.replace(
+            inst,
+            scales=inst.scales + tuple(scales.values()),
+            attributes=tuple(
+                dataclasses.replace(a, kind=ORDINAL, scale=scales[a.name].name)
+                if a.name in scales else a for a in inst.attributes),
+            facts=tuple(
+                dataclasses.replace(f, value=f"lv{min(2, int(f.value * 3 / 10))}")
+                if f.attribute in scales else f for f in inst.facts),
+            preferences=())
+        assert validate(inst) == []
+    return inst
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(sorted(WIDE_SHAPES)),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       index=st.integers(min_value=0, max_value=1000))
+def test_bulk_verdicts_equal_evaluate_on_wide_instances(shape, seed, index):
+    assert_report_is_the_evaluated_space(analyze(_wide_instance(shape, seed, index)))
