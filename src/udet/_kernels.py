@@ -5,8 +5,9 @@
 - `box_simplex_min` gives min over P of ``c . w`` for many coefficient rows
   at once, in closed form: the greedy fill of a continuous knapsack.
 - `max_min_margin` gives max over P of min_r ``c_r . w``, a small linear
-  program, solved as its dual by a revised simplex with Bland's rule, so
-  the same input always takes the same steps.
+  program, solved as its dual by a revised simplex that prices by the most
+  negative reduced cost and falls back to Bland's rule on a run of
+  degenerate steps, so the same input always takes the same steps.
 
 Plain numpy.  Nothing here imports scipy, whose import alone costs more
 than a whole cold ``udet analyze`` run.
@@ -24,6 +25,9 @@ _BLOCK_POINTS = 8192
 # ratio-tie tolerance.  The program's entries are O(1).
 _PIVOT_TOL = 1e-9
 _TOL = 1e-12
+
+# Degenerate simplex steps in a row after which pricing turns to Bland's rule.
+_DEGENERATE_RUN = 5
 
 
 def score_grid(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -112,12 +116,21 @@ def _simplex_min(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarr
     """min ``cost . x`` subject to ``a x = b`` and x >= 0, from the feasible
     `basis` (one column per row) of a bounded program.
 
-    A revised simplex with Bland's rule: the lowest column with a negative
-    reduced cost enters, and of the rows tied in the ratio test the one
-    with the lowest basic column leaves.  Every step inverts the basis
-    afresh, so round-off does not build up over degenerate steps.
+    A revised simplex.  The column with the most negative reduced cost
+    enters, the lowest on ties (Dantzig's rule).  After `_DEGENERATE_RUN`
+    degenerate steps in a row, steps of length zero, it switches to Bland's
+    rule: the lowest column with a negative reduced cost enters.  The first
+    non-degenerate step switches back.  Under either rule, of the rows tied
+    in the ratio test the one with the lowest basic column leaves.
+
+    It terminates: a non-degenerate step strictly lowers the objective, so
+    no basis recurs across one, and there are finitely many bases; a run of
+    degenerate steps ends, since Bland's rule cannot cycle.  Every step
+    inverts the basis afresh, so round-off does not build up over degenerate
+    steps.  The rule is deterministic: the same input takes the same steps.
     """
     skip = np.zeros(a.shape[1], dtype=bool)
+    degenerate = 0
     while True:
         inverse = np.linalg.inv(a[:, basis])
         x = np.maximum(inverse @ b, 0.0)  # basic values; below 0 only by round-off
@@ -126,7 +139,10 @@ def _simplex_min(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarr
         entering = np.flatnonzero(~skip & (reduced < -_TOL))
         if entering.size == 0:
             return float(cost[basis] @ x)
-        col = entering[0]
+        if degenerate < _DEGENERATE_RUN:
+            col = entering[np.argmin(reduced[entering])]
+        else:
+            col = entering[0]
         step = inverse @ a[:, col]
         rows = np.flatnonzero(step > _PIVOT_TOL)
         if rows.size == 0:
@@ -135,6 +151,8 @@ def _simplex_min(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarr
             skip[col] = True  # a reduced cost of round-off size
             continue
         ratios = x[rows] / step[rows]
-        ties = rows[ratios <= ratios.min() + _TOL]
+        least = ratios.min()
+        ties = rows[ratios <= least + _TOL]
         basis[ties[np.argmin(basis[ties])]] = col
         skip[:] = False
+        degenerate = degenerate + 1 if least <= _TOL else 0

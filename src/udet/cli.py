@@ -11,8 +11,9 @@ distinct verdict and conditional branch once per request.  Exit codes: 0
 success, 1 parse or validation error, a usage error (an unknown flag or a
 bad flag value, with one ``error:`` line) or a file that cannot be read or
 written, 2 semantic error (infeasible constraints, contradictory premises,
-more declared criteria than the response space can enumerate), 3 trilemma
-counterexample found.
+more declared criteria than the response space can enumerate, a margin
+linear program that round-off leaves unbounded), 3 trilemma counterexample
+found.
 """
 
 from __future__ import annotations
@@ -591,9 +592,11 @@ _COMMANDS = {"analyze": cmd_analyze, "check": cmd_check, "policy": cmd_policy,
 
 
 def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
-    """Run one command.  A usage error or an OSError exits 1 and any other
-    UdetError exits 2, each with a one-line ``error:`` message on `stderr`.
-    ``--help`` and ``--version`` print to ``sys.stdout`` and exit 0."""
+    """Run one command.  A usage error or an OSError exits 1, and any other
+    UdetError or a ValueError from the numeric layers (the margin LP's
+    ``the linear program is unbounded``) exits 2, each with a one-line
+    ``error:`` message on `stderr`.  ``--help`` and ``--version`` print to
+    ``sys.stdout`` and exit 0."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
@@ -602,7 +605,7 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     except (UsageError, OSError) as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
-    except UdetError as exc:
+    except (UdetError, ValueError) as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_SEMANTIC
 

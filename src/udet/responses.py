@@ -24,9 +24,20 @@ class Decisive:
     declared_theta: str | None = None
 
 
+def _canonical(cls, field: str, value: tuple):
+    """A `cls` response whose one `field` is `value`, already in the form
+    `__post_init__` would give it; skips the coercion.  For enumeration."""
+    response = object.__new__(cls)
+    object.__setattr__(response, field, value)
+    return response
+
+
 @dataclass(frozen=True)
 class Conditional:
-    """One answer per named criterion: ``if <criterion>, select <candidate>``."""
+    """One answer per named criterion: ``if <criterion>, select <candidate>``.
+
+    Construction coerces each branch to a pair of `str`.
+    """
 
     branches: tuple[tuple[str, str], ...]  # (criterion name, candidate)
 
@@ -37,7 +48,11 @@ class Conditional:
 
 @dataclass(frozen=True)
 class Equivalence:
-    """Claims the listed candidates are equally good."""
+    """Claims the listed candidates are equally good.
+
+    Construction coerces the members to `str`, drops duplicates and sorts
+    them.
+    """
 
     candidates: tuple[str, ...]
 

@@ -1,12 +1,16 @@
 """Exhaustive response enumeration and mechanical trilemma checking.
 
-For one instance this enumerates every structured response, evaluates all of
-them, and reports whether any simultaneously satisfies strong correctness,
-strict non-bias, and decisive utility while the instance is underdetermined
-(the conjectured impossibility), along with the three pairwise implication
-forms.  A seeded generator produces random instances for property suites.
-The check quantifies over the structured response space only; that
-closed-world caveat is part of the report's meaning.
+For one instance this enumerates every structured response, gives each its
+verdict, and reports whether any simultaneously satisfies strong
+correctness, strict non-bias, and decisive utility while the instance is
+underdetermined (the conjectured impossibility), along with the three
+pairwise implication forms.  The verdicts come from per-form tables: each
+response gets a key that determines its verdict, and only the first response
+with each distinct key reaches `ResponseEvaluator.evaluate`, the Clarify and
+the Refuse among them.  `evaluate` stays the single-response oracle.  A
+seeded generator produces random instances for property suites.  The check
+quantifies over the structured response space only; that closed-world
+caveat is part of the report's meaning.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 
 import numpy as np
 
@@ -42,8 +46,9 @@ from .responses import (
     Response,
     ResponseEvaluator,
     Verdict,
+    _canonical,
 )
-from .semantics import Analysis, SemanticsResult, normalize
+from .semantics import EPS_SCORE, Analysis, SemanticsResult, normalize
 
 # 2**12 criterion subsets keeps enumeration at desk scale.
 MAX_ENUMERATED_CRITERIA = 12
@@ -130,7 +135,9 @@ def enumerate_responses(analysis: Analysis) -> ResponseSpace:
     Order: Decisive by candidate (undisclosed criterion first, then each
     declared criterion), Conditional over nonempty subsets of the criteria
     that have a unique winner (by subset size, then declaration order),
-    Equivalence over candidate pairs, one Clarify, one Refuse.
+    Equivalence over candidate pairs, one Clarify, one Refuse.  Conditionals
+    and equivalences are built in their canonical form directly, without
+    the coercion of public construction.
 
     Raises ResponseSpaceTooLarge when more than MAX_ENUMERATED_CRITERIA
     criteria are declared.
@@ -141,20 +148,65 @@ def enumerate_responses(analysis: Analysis) -> ResponseSpace:
             f"{len(instance.criteria)} criteria declared; "
             f"enumeration is capped at {MAX_ENUMERATED_CRITERIA}")
 
-    out: list[Response] = []
-    for cand in instance.candidates:
-        out.append(Decisive(cand))
-        for crit in instance.criteria:
-            out.append(Decisive(cand, declared_theta=crit.name))
-    out.extend(map(Conditional, _subsets(_decided_pairs(analysis))))
-    for a, b in combinations(instance.candidates, 2):
-        out.append(Equivalence((a, b)))
+    thetas = (None, *(crit.name for crit in instance.criteria))
+    out: list[Response] = [Decisive(cand, theta)
+                           for cand in instance.candidates for theta in thetas]
+    out += [_canonical(Conditional, "branches", subset)
+            for subset in _subsets(_decided_pairs(analysis))]
+    out += [_canonical(Equivalence, "candidates", (a, b) if a < b else (b, a))
+            for a, b in combinations(instance.candidates, 2)]
     out.append(clarify_for(instance))
     out.append(Refuse(REFUSE_REASON))
     return ResponseSpace(tuple(out))
 
 
-def _conditional_covers(analysis: Analysis) -> list[bool]:
+# Verdict keys, one range per response form.  A response's verdict is a
+# function of its key; see `check_trilemma`.
+_CONDITIONAL_KEY = 16  # + whether its answers cover every unique winner
+_EQUIVALENCE_KEY = 18  # + 2 c_strong + c_cond
+_CLARIFY_KEY = 22
+_REFUSE_KEY = 23
+
+
+def _decisive_keys(analysis: Analysis) -> list[int]:
+    """The verdict key of each Decisive(a, theta), in enumeration order.
+
+    Row a, column theta of an (n, m + 1) table, column 0 the undisclosed
+    criterion: 8 when a is entailed, + 4 when a wins theta alone (for the
+    undisclosed criterion: some criterion), + 2 when a is among theta's
+    winners, + 1 when theta is undisclosed.
+    """
+    codes = [dict.fromkeys(winners, 6 if len(winners) == 1 else 2)
+             for winners in analysis.criterion_winners.values()]
+    unique = {winner for code in codes for winner, c in code.items() if c == 6}
+    entailed = analysis.semantics.entailed
+    keys = []
+    for cand in analysis.instance.candidates:
+        base = 8 if cand == entailed else 0
+        keys.append(base + (5 if cand in unique else 1))
+        keys += [base + code.get(cand, 0) for code in codes]
+    return keys
+
+
+def _equivalence_keys(analysis: Analysis) -> list[int]:
+    """The verdict key of each Equivalence(a, b), in enumeration order.
+
+    The pair tied everywhere on P and left unordered by the closure is
+    strongly correct; a pair tied under some criterion is conditionally
+    correct.  The (n, n) tables are read over their upper triangle, row by
+    row, which is the order `combinations` gives the pairs.
+    """
+    closure = analysis.closure
+    strong = analysis.stats.tie_all & ~(closure | closure.T)
+    cond = strong.copy()
+    if analysis.criterion_scores:
+        scores = np.array(list(analysis.criterion_scores.values()))
+        cond |= (np.abs(scores[:, :, None] - scores[:, None, :]) <= EPS_SCORE).any(axis=0)
+    order = np.arange(len(analysis.instance.candidates))
+    return (_EQUIVALENCE_KEY + 2 * strong + cond)[order[:, None] < order].tolist()
+
+
+def _conditional_covers(analysis: Analysis) -> np.ndarray:
     """For each enumerated Conditional, in enumeration order, whether its
     answers include every distinct unique winner of the declared criteria.
 
@@ -170,24 +222,31 @@ def _conditional_covers(analysis: Analysis) -> list[bool]:
     for winner in {w for _, w in pairs}:
         won = sum(b for b, (_, w) in zip(bits, pairs) if w == winner)
         covers &= (subset_masks & won) != 0
-    return covers.tolist()
+    return covers
 
 
 def report_from_verdicts(instance_id: str, semantics: SemanticsResult,
                          responses: tuple[Response, ...],
                          verdicts: tuple[Verdict, ...]) -> TrilemmaReport:
-    """Assemble a TrilemmaReport from an already-evaluated verdict table."""
+    """Assemble a TrilemmaReport from an already-evaluated verdict table.
+
+    Each predicate is decided once per distinct verdict object, so rows
+    that share a `Verdict` cost one lookup each.
+    """
     under = semantics.underdetermined
-    counterexamples = tuple(
-        r for r, v in zip(responses, verdicts)
-        if under and v.c_strong and v.nb_strict and v.u_decisive)
+    distinct = dict(zip(map(id, verdicts), verdicts))
+
+    def rows(test) -> tuple[Response, ...]:
+        keep = {key for key, v in distinct.items() if test(v)}
+        if not keep:
+            return ()
+        return tuple(compress(responses, map(keep.__contains__, map(id, verdicts))))
+
+    counterexamples = rows(lambda v: v.c_strong and v.nb_strict and v.u_decisive) if under else ()
     pairwise = []
     for name, antecedent, consequent in PAIRWISE_FORMS:
-        witnesses = tuple(r for r, v in zip(responses, verdicts) if antecedent(v))
-        violations = tuple(
-            r for r, v in zip(responses, verdicts)
-            if under and antecedent(v) and not consequent(v))
-        pairwise.append(PairwiseCheck(name, witnesses, not violations, violations))
+        violations = rows(lambda v: antecedent(v) and not consequent(v)) if under else ()
+        pairwise.append(PairwiseCheck(name, rows(antecedent), not violations, violations))
     witness = None if under else Decisive(semantics.entailed)
     return TrilemmaReport(
         instance_id=instance_id,
@@ -203,36 +262,38 @@ def report_from_verdicts(instance_id: str, semantics: SemanticsResult,
 def check_trilemma(analysis: Analysis) -> TrilemmaReport:
     """Evaluate every enumerated response and report the trilemma outcome.
 
-    Conditionals are evaluated in closed form.  Each names only criteria
-    with a unique winner, and answers each with that winner, so every branch
-    holds by construction: strongly correct, transparent, not decisive.  It
-    is strictly non-biased exactly when no other criterion's unique winner
-    is missing from its answers, that is, when its answers cover every
-    distinct unique winner.  So all conditionals share one of two verdicts,
-    each taken from `ResponseEvaluator.evaluate` on its first member, and
-    `_conditional_covers` picks between them.  Every other response goes
-    through `evaluate`; there are n(m + 1) + C(n, 2) + 2 of them for n
-    candidates and m criteria.
+    Verdicts come from per-form tables.  Each response gets an integer key
+    that determines its verdict, and each distinct key gets one `Verdict`,
+    taken from `ResponseEvaluator.evaluate` on the first response that has
+    the key; every response with that key shares the object.  So `evaluate`
+    runs on at most 24 responses, one per distinct key, the Clarify and the
+    Refuse among them, however large the space.
+
+    - Decisive(a, theta): its verdict reads only whether a is entailed,
+      whether a wins theta alone, whether a is among theta's winners and
+      whether theta is undisclosed (`_decisive_keys`).
+    - Conditional: each names only criteria with a unique winner and
+      answers each with that winner, so every branch holds by construction:
+      strongly correct, transparent, not decisive.  It is strictly
+      non-biased exactly when its answers cover every distinct unique
+      winner (`_conditional_covers`).
+    - Equivalence(a, b): its verdict reads only c_strong and c_cond
+      (`_equivalence_keys`).
 
     Raises ResponseSpaceTooLarge from `enumerate_responses`.  Deterministic
     for a fixed analysis.
     """
     space = enumerate_responses(analysis)
+    keys = (_decisive_keys(analysis)
+            + (_CONDITIONAL_KEY + _conditional_covers(analysis)).tolist()
+            + _equivalence_keys(analysis)
+            + [_CLARIFY_KEY, _REFUSE_KEY])
+    # Each key's first row: reversed, the first row is the last one written.
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
     evaluator = ResponseEvaluator(analysis)
-    covers = iter(_conditional_covers(analysis))
-    shared: dict[bool, Verdict] = {}
-    verdicts = []
-    for response in space.responses:
-        if isinstance(response, Conditional):
-            key = next(covers)
-            verdict = shared.get(key)
-            if verdict is None:
-                verdict = shared[key] = evaluator.evaluate(response)
-        else:
-            verdict = evaluator.evaluate(response)
-        verdicts.append(verdict)
-    return report_from_verdicts(analysis.instance.id, analysis.semantics,
-                                space.responses, tuple(verdicts))
+    table = {key: evaluator.evaluate(space.responses[row]) for key, row in first.items()}
+    return report_from_verdicts(analysis.instance.id, analysis.semantics, space.responses,
+                                tuple(map(table.__getitem__, keys)))
 
 
 @dataclass(frozen=True)
@@ -240,8 +301,9 @@ class GeneratorConfig:
     """Shape of randomly generated instances.
 
     Ranges are inclusive.  Pin and bound constraints are mutually exclusive
-    per instance and at most one bound is emitted, which keeps every
-    generated constraint set feasible by construction.  With
+    per instance, at most one bound is emitted, and a single attribute only
+    ever gets a lower bound, which keeps every generated constraint set
+    feasible by construction.  With
     `preference_probability` an explicit preference premise is added from a
     strictly dominating candidate to a dominated one, which can never
     contradict the score orderings.
@@ -335,7 +397,8 @@ def generate_instance(config: GeneratorConfig, index: int) -> Instance:
             PinConstraint(criteria[int(rng.integers(0, len(criteria)))].name))
     elif rng.random() < config.bound_probability:
         attr = attr_names[int(rng.integers(0, n_attr))]
-        op = "<=" if rng.random() < 0.5 else ">="
+        # A lone attribute weighs 1, so only a lower bound keeps it admissible.
+        op = "<=" if rng.random() < 0.5 and n_attr > 1 else ">="
         value = float(rng.integers(0, 11)) / 10.0
         constraints.append(BoundConstraint(attr, op, value))
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from helpers import analyze_json_oracle
 
 import udet
-from udet import cli, corpus
+from udet import _kernels, cli, corpus
 from udet.dsl import serialize_instance
 from udet.errors import CorpusCorrupt
 from udet.responses import Decisive, Verdict
@@ -412,6 +412,16 @@ def test_udet_error_exits_2_with_one_line(monkeypatch, tmp_path):
     monkeypatch.setattr(cli.corpus, "load_corpus", corrupt)
     code, out, err = run_cli(["corpus", "export", str(tmp_path)])
     assert (code, out, err) == (2, "", "error: entry 'x' failed to parse\n")
+
+
+def test_unbounded_margin_lp_exits_2_with_one_line(monkeypatch, corpus_dir):
+    # The simplex raises this only on round-off; it must not end in a traceback.
+    def unbounded(*args):
+        raise ValueError("the linear program is unbounded")
+
+    monkeypatch.setattr(_kernels, "_simplex_min", unbounded)
+    code, out, err = run_cli(["analyze", path_of(corpus_dir, "city_recommendation")])
+    assert (code, out, err) == (2, "", "error: the linear program is unbounded\n")
 
 
 def test_policy_contradictory_premises_exit_2(corpus_dir, tmp_path):

@@ -225,18 +225,42 @@ def test_box_simplex_min_at_a_point_is_the_dot_product():
     assert K.box_simplex_min(coef, w, w).tobytes() == (coef @ w).tobytes()
 
 
+def highs_max_min_margin(optimize, coef, lower, upper) -> float:
+    """max over P of min_r ``coef[r] . w`` by HiGHS: with variables (t, w),
+    minimize -t subject to t - coef w <= 0 and sum(w) = 1."""
+    m, k = coef.shape
+    res = optimize.linprog(
+        np.r_[-1.0, np.zeros(k)], A_ub=np.hstack([np.ones((m, 1)), -coef]),
+        b_ub=np.zeros(m), A_eq=np.r_[0.0, np.ones(k)][None, :], b_eq=[1.0],
+        bounds=[(None, None)] + list(zip(lower, upper)), method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
 def test_max_min_margin_matches_highs():
     optimize = pytest.importorskip("scipy.optimize")
     for coef, lower, upper in random_box_simplex_lps(5, 600):
-        m, k = coef.shape
-        # variables (t, w): minimize -t subject to t - coef w <= 0, sum(w) = 1
-        res = optimize.linprog(
-            np.r_[-1.0, np.zeros(k)], A_ub=np.hstack([np.ones((m, 1)), -coef]),
-            b_ub=np.zeros(m), A_eq=np.r_[0.0, np.ones(k)][None, :], b_eq=[1.0],
-            bounds=[(None, None)] + list(zip(lower, upper)), method="highs")
-        assert res.status == 0
         got = K.max_min_margin(coef, lower, upper)
-        assert abs(got - (-res.fun)) <= 1e-12, (coef, lower, upper)
+        assert abs(got - highs_max_min_margin(optimize, coef, lower, upper)) <= 1e-12, (
+            coef, lower, upper)
+
+
+@pytest.mark.parametrize("degenerate_run", [K._DEGENERATE_RUN, 0])
+def test_max_min_margin_matches_highs_at_256_candidates(monkeypatch, degenerate_run):
+    # One candidate against 255 rivals on 20 attributes of two levels: many
+    # rows tie at every vertex, so runs of degenerate steps hand pricing to
+    # Bland's rule.  A run of 0 prices by Bland's rule alone.
+    optimize = pytest.importorskip("scipy.optimize")
+    monkeypatch.setattr(K, "_DEGENERATE_RUN", degenerate_run)
+    rng = np.random.default_rng(2)
+    values = rng.integers(0, 2, (256, 20)).astype(np.float64)
+    boxes = ((np.zeros(20), np.ones(20)),
+             (np.r_[0.3, np.zeros(19)], np.r_[np.ones(10), np.full(10, 0.05)]))
+    for lower, upper in boxes:
+        for a in range(8):
+            coef = values[a] - np.delete(values, a, axis=0)
+            got = K.max_min_margin(coef, lower, upper)
+            assert abs(got - highs_max_min_margin(optimize, coef, lower, upper)) <= 1e-12, a
 
 
 def test_max_min_margin_lies_between_the_pairwise_bounds():

@@ -180,6 +180,18 @@ def test_equivalence_members_normalized():
     assert Equivalence(("A", "B", "A")).candidates == ("A", "B")
 
 
+def test_public_construction_coerces():
+    # Enumeration builds these forms without coercion; public construction
+    # still coerces every member.
+    eq = Equivalence(["B", 1, "A", "B"])
+    assert eq.candidates == ("1", "A", "B") and type(eq.candidates) is tuple
+    assert eq == Equivalence(("A", "B", "1")) and hash(eq) == hash(Equivalence(("1", "A", "B")))
+    cond = Conditional([["need_first", 2], ("merit_first", "A"), ("need_first", 2)])
+    # branches keep their order and duplicates; `evaluate` rejects the duplicate
+    assert cond.branches == (("need_first", "2"), ("merit_first", "A"), ("need_first", "2"))
+    assert all(type(branch) is tuple for branch in cond.branches)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2000))
 def test_verdict_invariants_hold_everywhere(index):

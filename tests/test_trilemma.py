@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from helpers import build_scholarship, build_two_numeric
 
 from udet.errors import ResponseSpaceTooLarge
-from udet.model import NUMERIC, ORDINAL, CriterionSpec, OrdinalScale, PinConstraint, validate
+from udet.model import (
+    NUMERIC,
+    ORDINAL,
+    CriterionSpec,
+    OrdinalScale,
+    PinConstraint,
+    PreferencePremise,
+    validate,
+)
 from udet.responses import (
     Clarify,
     Conditional,
@@ -184,6 +192,18 @@ def test_generator_constraints_always_feasible():
         admissible_set(generate_instance(bound_cfg, index))
 
 
+def test_single_attribute_generator_draws_only_feasible_bounds():
+    config = GeneratorConfig(seed=7, candidate_range=(2, 6), attribute_range=(1, 1),
+                             criteria_range=(2, 8))
+    bounds = 0
+    for index in range(200):
+        inst = generate_instance(config, index)
+        admissible_set(inst)  # raises InfeasibleConstraints on an infeasible draw
+        bounds += sum(1 for c in inst.constraints if not isinstance(c, PinConstraint))
+        assert all(c.op == ">=" for c in inst.constraints if not isinstance(c, PinConstraint))
+    assert bounds > 0
+
+
 def test_generator_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(candidate_range=(1, 3)).check()
@@ -239,6 +259,55 @@ def test_report_carries_the_evaluated_space(scholarship):
     assert strict[(("need_first", "B"), ("merit_too", "A"))] is True
 
 
+def test_enumeration_builds_the_publicly_constructed_forms():
+    analysis = analyze(_wide_instance("ordinal", 3, 5))
+    for response in enumerate_responses(analysis).responses:
+        if isinstance(response, Conditional):
+            assert Conditional(response.branches) == response
+            assert hash(Conditional(list(response.branches))) == hash(response)
+        elif isinstance(response, Equivalence):
+            assert Equivalence(response.candidates[::-1]) == response
+            assert hash(Equivalence(response.candidates[::-1])) == hash(response)
+
+
+def _equivalence_verdicts(report):
+    return {r.candidates: v for r, v in zip(report.responses, report.verdicts)
+            if isinstance(r, Equivalence)}
+
+
+def test_identical_candidates_ordered_by_a_premise():
+    # A and B tie everywhere, but the premise orders them: not strongly
+    # correct, yet they tie under the declared criterion.
+    inst = build_two_numeric(
+        "twins", {"B": (4.0, 6.0), "A": (4.0, 6.0), "C": (7.0, 2.0)},
+        criteria=(CriterionSpec("x_first", (("x", 0.8), ("y", 0.2))),),
+        preferences=(PreferencePremise("A", "B"),))
+    analysis = analyze(inst)
+    assert analysis.stats.tie_all[0, 1] and analysis.closure[1, 0]
+    verdicts = _equivalence_verdicts(assert_report_is_the_evaluated_space(analysis))
+    assert (verdicts[("A", "B")].c_strong, verdicts[("A", "B")].c_cond) == (False, True)
+    unordered = dataclasses.replace(inst, preferences=())
+    verdicts = _equivalence_verdicts(assert_report_is_the_evaluated_space(analyze(unordered)))
+    assert (verdicts[("A", "B")].c_strong, verdicts[("A", "B")].c_cond) == (True, True)
+
+
+def test_candidates_tied_under_one_criterion_only():
+    inst = build_two_numeric(
+        "one_tie", {"A": (2.0, 1.0), "B": (2.0, 3.0), "C": (5.0, 0.0)},
+        criteria=(CriterionSpec("x_only", (("x", 1.0), ("y", 0.0))),
+                  CriterionSpec("y_only", (("x", 0.0), ("y", 1.0)))))
+    verdicts = _equivalence_verdicts(assert_report_is_the_evaluated_space(analyze(inst)))
+    assert (verdicts[("A", "B")].c_strong, verdicts[("A", "B")].c_cond) == (False, True)
+    assert (verdicts[("A", "C")].c_strong, verdicts[("A", "C")].c_cond) == (False, False)
+
+
+def test_bulk_verdicts_equal_evaluate_at_256_candidates():
+    config = GeneratorConfig(seed=11, candidate_range=(256, 256), attribute_range=(2, 2),
+                             criteria_range=(2, 2))
+    report = assert_report_is_the_evaluated_space(analyze(generate_instance(config, 0)))
+    assert report.responses_evaluated >= 256 * 3 + 256 * 255 // 2 + 2
+
+
 WIDE_SHAPES = {
     # The benchmark's wide-responses shape; the generator makes about 30% of
     # the attributes ordinal, whose coarse levels tie some criteria.
@@ -247,10 +316,12 @@ WIDE_SHAPES = {
     "ordinal": dict(candidate_range=(4, 9), attribute_range=(2, 3), criteria_range=(5, 10),
                     ordinal_only=True),
     # One attribute ranks every candidate the same way under every
-    # criterion, so all decided criteria share one winner.  A bound below 1
-    # on the only attribute leaves no admissible weight, so none is drawn.
-    "one_winner": dict(candidate_range=(2, 6), attribute_range=(1, 1), criteria_range=(2, 8),
-                       bound_probability=0.0),
+    # criterion, so all decided criteria share one winner.
+    "one_winner": dict(candidate_range=(2, 6), attribute_range=(1, 1), criteria_range=(2, 8)),
+    # Many candidates on coarse levels: large tie classes, and a premise
+    # from a dominating candidate in every instance that has one.
+    "many": dict(candidate_range=(20, 40), attribute_range=(2, 3), criteria_range=(2, 6),
+                 ordinal_only=True, preference_probability=1.0),
 }
 
 
@@ -260,7 +331,9 @@ def _wide_instance(shape: str, seed: int, index: int):
     inst = generate_instance(GeneratorConfig(seed=seed, **fields), index)
     if ordinal_only:
         # Recast each numeric attribute as a 3-level ordinal, keeping its
-        # direction: tenths 0-3.3, 3.4-6.6 and 6.7-10 become lv0-lv2.
+        # direction: tenths 0-3.3, 3.4-6.6 and 6.7-10 become lv0-lv2.  The
+        # recast is monotone, so a premise from a dominating candidate still
+        # cannot contradict the scores.
         scales = {a.name: OrdinalScale(f"scale_{a.name}", ("lv0", "lv1", "lv2"))
                   for a in inst.attributes if a.kind == NUMERIC}
         inst = dataclasses.replace(
@@ -271,8 +344,7 @@ def _wide_instance(shape: str, seed: int, index: int):
                 if a.name in scales else a for a in inst.attributes),
             facts=tuple(
                 dataclasses.replace(f, value=f"lv{min(2, int(f.value * 3 / 10))}")
-                if f.attribute in scales else f for f in inst.facts),
-            preferences=())
+                if f.attribute in scales else f for f in inst.facts))
         assert validate(inst) == []
     return inst
 
