@@ -3,7 +3,8 @@
 Parse `.udet` instance files, compute the premise-compatible answer set and
 whether the instance is underdetermined, evaluate structured responses
 against correctness / non-bias / utility predicates, check the resulting
-trilemma by exhaustive enumeration, and run the recommended response policy.
+trilemma over the structured response space by counting in closed form, and
+run the recommended response policy.
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ from .semantics import (
 from .trilemma import (
     GeneratorConfig,
     PairwiseCheck,
-    ResponseSpace,
     TrilemmaReport,
     check_trilemma,
     enumerate_responses,
+    evaluate_space,
     generate_instance,
 )
 
@@ -83,8 +84,8 @@ __all__ = [
     "winner_statistics", "winners_at",
     "Clarify", "Conditional", "Decisive", "Equivalence", "Refuse", "Response",
     "ResponseEvaluator", "Verdict", "u_assistive_score",
-    "GeneratorConfig", "PairwiseCheck", "ResponseSpace", "TrilemmaReport",
-    "check_trilemma", "enumerate_responses", "generate_instance",
+    "GeneratorConfig", "PairwiseCheck", "TrilemmaReport", "check_trilemma",
+    "enumerate_responses", "evaluate_space", "generate_instance",
     "PolicyDecision", "decide", "uniform_criterion", "with_default_criterion",
     "CorpusEntry", "ExpectedSummary", "load_corpus",
     "UdetError", "ContradictoryPremises", "CorpusCorrupt",

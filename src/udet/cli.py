@@ -11,9 +11,9 @@ distinct verdict and conditional branch once per request.  Exit codes: 0
 success, 1 parse or validation error, a usage error (an unknown flag or a
 bad flag value, with one ``error:`` line) or a file that cannot be read or
 written, 2 semantic error (infeasible constraints, contradictory premises,
-more declared criteria than the response space can enumerate, a margin
-linear program that round-off leaves unbounded), 3 trilemma counterexample
-found.
+more declared criteria than `analyze` can list, a margin linear program
+that round-off leaves unbounded), 3 trilemma counterexample found, which
+means the premise of the lemma in `udet.trilemma` failed.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from .semantics import (
     normalize,
     winner_regions,
 )
-from .trilemma import GeneratorConfig, TrilemmaReport, check_trilemma, generate_instance
+from .trilemma import (GeneratorConfig, TrilemmaReport, check_trilemma, evaluate_space,
+                       generate_instance)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -134,7 +135,7 @@ def _trilemma_json(report: TrilemmaReport) -> dict:
         "responses_evaluated": report.responses_evaluated,
         "counterexamples": [response_to_json(r) for r in report.counterexamples],
         "pairwise": [
-            {"name": p.name, "witnesses": len(p.witnesses), "holds": p.holds,
+            {"name": p.name, "witnesses": p.witnesses, "holds": p.holds,
              "violations": [response_to_json(r) for r in p.violations]}
             for p in report.pairwise
         ],
@@ -201,16 +202,16 @@ def _branch_json(branch: tuple[str, str]) -> str:
     return _str_list(branch, " " * 10)
 
 
-def _verdict_rows(report: TrilemmaReport) -> _Json:
+def _verdict_rows(responses: tuple[Response, ...], verdicts: tuple[Verdict, ...]) -> _Json:
     """The ``verdicts`` value of the analyze document, one row per response.
 
     Each row is written from the template of its response form, with one
     rendering per distinct verdict and per conditional branch.
     """
-    verdicts = _Memo(_verdict_json)
+    rendered = _Memo(_verdict_json)
     branches = _Memo(_branch_json)
     rows = []
-    for response, verdict in zip(report.responses, report.verdicts):
+    for response, verdict in zip(responses, verdicts):
         if isinstance(response, Conditional):
             body = ('"form": "conditional",\n        "branches": [\n          '
                     + ",\n          ".join(map(branches.__getitem__, response.branches))
@@ -227,7 +228,7 @@ def _verdict_rows(report: TrilemmaReport) -> _Json:
         else:
             body = f'"form": "refuse",\n        "reason": {_str(response.reason)}'
         rows.append('    {\n      "response": {\n        ' + body
-                    + '\n      },\n      "verdict": ' + verdicts[verdict] + "\n    }")
+                    + '\n      },\n      "verdict": ' + rendered[verdict] + "\n    }")
     return _Json("[\n" + ",\n".join(rows) + "\n  ]")
 
 
@@ -265,6 +266,7 @@ def cmd_analyze(args, stdout, stderr) -> int:
     if args.require_decision:
         instance = dataclasses.replace(instance, decisiveness_required=True)
     analysis = analyze(instance)
+    responses, verdicts = evaluate_space(analysis)
     report = check_trilemma(analysis)
     decision = decide(analysis)
     semantics = analysis.semantics
@@ -275,7 +277,7 @@ def cmd_analyze(args, stdout, stderr) -> int:
             "parameters": _parameters(args.timestamps),
             "instance": _instance_json(instance),
             "semantics": _semantics_json(semantics),
-            "verdicts": _verdict_rows(report),
+            "verdicts": _verdict_rows(responses, verdicts),
             "policy": {
                 "branch": decision.branch,
                 "response": response_to_json(decision.response),
@@ -310,7 +312,7 @@ def cmd_analyze(args, stdout, stderr) -> int:
               "NBt".ljust(6), "Udec".ljust(6), "Uass".ljust(6), "hidden"]
     w("  " + " ".join(header).rstrip() + "\n")
     cells = _Memo(_verdict_cells)
-    for response, verdict in zip(report.responses, report.verdicts):
+    for response, verdict in zip(responses, verdicts):
         w(f"  {render_response(response).ljust(52)} {cells[verdict]}\n")
     w("policy:\n")
     w(f"  branch: {decision.branch}\n")
@@ -322,7 +324,7 @@ def cmd_analyze(args, stdout, stderr) -> int:
     w(f"  counterexamples: {len(report.counterexamples)}\n")
     for check in report.pairwise:
         w(f"  {check.name}: {'holds' if check.holds else 'VIOLATED'} "
-          f"(witnesses {len(check.witnesses)})\n")
+          f"(witnesses {check.witnesses})\n")
     witness = (render_response(report.conflict_free_witness)
                if report.conflict_free_witness else "-")
     w(f"  conflict-free witness: {witness}\n")
@@ -387,7 +389,7 @@ def cmd_check(args, stdout, stderr) -> int:
                 for check in report.pairwise:
                     stdout.write(
                         f"  {check.name}: {'holds' if check.holds else 'VIOLATED'} "
-                        f"(witnesses {len(check.witnesses)})\n")
+                        f"(witnesses {check.witnesses})\n")
         stdout.write(
             f"checked {len(reports)} instance(s), evaluated {total_responses} "
             f"response(s), counterexamples {total_counter}\n")
@@ -554,7 +556,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="treat the instance as requiring a decision")
     common(p_analyze)
 
-    p_check = sub.add_parser("check", help="verify the trilemma by enumeration")
+    p_check = sub.add_parser(
+        "check", help="verify the trilemma over the structured response space by counting",
+        description="Verify by counting, in closed form, that no structured response "
+                    "is strongly correct, strictly non-biased and decisive on an "
+                    "underdetermined instance: a lemma about the five response forms, "
+                    "not the conjecture about language models.")
     p_check.add_argument("paths", nargs="*")
     p_check.add_argument("--random", type=int, default=None, metavar="N",
                          help="check N generated instances instead of files")

@@ -135,16 +135,14 @@ def rubric_components(response: Response) -> tuple[int, int, int, int]:
     return (relevance, informative, actionable, decisive)
 
 
-def u_assistive_score(response: Response,
-                      weights: tuple[float, float, float, float] = RUBRIC_WEIGHTS) -> float:
+def u_assistive_score(response: Response) -> float:
     """Graded usefulness in [0, 1] from the structural rubric.
 
     Decisive 1.0, Conditional 0.75, Clarify 0.75, Equivalence 0.5, bare
-    Refuse 0.25 under the default equal weights; always positive, so a
+    Refuse 0.25 under the equal RUBRIC_WEIGHTS; always positive, so a
     non-decisive response retains assistive value.
     """
-    bits = rubric_components(response)
-    return sum(w * b for w, b in zip(weights, bits))
+    return sum(w * b for w, b in zip(RUBRIC_WEIGHTS, rubric_components(response)))
 
 
 def _check_structure(instance: Instance, response: Response) -> None:

@@ -1,24 +1,30 @@
-"""Exhaustive response enumeration and mechanical trilemma checking.
+"""The trilemma over the structured response space, and a seeded generator.
 
-For one instance this enumerates every structured response, gives each its
-verdict, and reports whether any simultaneously satisfies strong
-correctness, strict non-bias, and decisive utility while the instance is
-underdetermined (the conjectured impossibility), along with the three
-pairwise implication forms.  The verdicts come from per-form tables: each
-response gets a key that determines its verdict, and only the first response
-with each distinct key reaches `ResponseEvaluator.evaluate`, the Clarify and
-the Refuse among them.  `evaluate` stays the single-response oracle.  A
-seeded generator produces random instances for property suites.  The check
-quantifies over the structured response space only; that closed-world
-caveat is part of the report's meaning.
+Lemma.  For any instance, when it is underdetermined no structured response
+is at once strongly correct, strictly non-biased and decisive.
+
+Proof.  Only `Decisive` is decisive, and `Decisive(a, theta)` is strongly
+correct only when a is the entailed winner.  `compatible_answers` sets
+`entailed` only when one candidate beats every other on all of P, which
+leaves it the only compatible answer, or when one answer is compatible;
+either way the instance is not underdetermined.  So under
+underdetermination `entailed` is None and no response is a counterexample.
+
+The lemma speaks of this closed world, the five response forms and their
+predicates, not of the paper's conjecture about language models.
+`check_trilemma` counts its report in closed form and computes, not
+assumes, the counterexamples: one would mean the premise failed.
+`evaluate_space` lists the space row by row for `udet analyze`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations, compress
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -48,67 +54,46 @@ from .responses import (
     Verdict,
     _canonical,
 )
-from .semantics import EPS_SCORE, Analysis, SemanticsResult, normalize
+from .semantics import EPS_SCORE, Analysis, normalize
 
-# 2**12 criterion subsets keeps enumeration at desk scale.
+# 2**12 criterion subsets keeps the listing of `udet analyze` at desk scale.
 MAX_ENUMERATED_CRITERIA = 12
 
 REFUSE_REASON = "cannot determine the best candidate without a selection criterion"
 
-
-@dataclass(frozen=True)
-class ResponseSpace:
-    """Every structured response for one instance, in deterministic order."""
-
-    responses: tuple[Response, ...]
-
-    def __len__(self) -> int:
-        return len(self.responses)
-
-
-PAIRWISE_FORMS = (
-    ("c_strong & nb_strict -> !u_decisive",
-     lambda v: v.c_strong and v.nb_strict, lambda v: not v.u_decisive),
-    ("nb_strict & u_decisive -> !c_strong",
-     lambda v: v.nb_strict and v.u_decisive, lambda v: not v.c_strong),
-    ("c_strong & u_decisive -> !nb_strict",
-     lambda v: v.c_strong and v.u_decisive, lambda v: not v.nb_strict),
-)
+PAIRWISE_FORMS = ("c_strong & nb_strict -> !u_decisive",
+                  "nb_strict & u_decisive -> !c_strong",
+                  "c_strong & u_decisive -> !nb_strict")
 
 
 @dataclass(frozen=True)
 class PairwiseCheck:
     """One pairwise implication, asserted only under underdetermination.
 
-    `witnesses` are the responses satisfying the antecedent; `violations`
-    are witnesses whose verdict falsifies the consequent while the instance
-    is underdetermined.  `holds` is true iff `violations` is empty.
+    `witnesses` counts the responses satisfying the antecedent; `violations`
+    are the witnesses whose verdict falsifies the consequent while the
+    instance is underdetermined.
     """
 
     name: str
-    witnesses: tuple[Response, ...]
-    holds: bool
+    witnesses: int
     violations: tuple[Response, ...]
+
+    @property
+    def holds(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
 class TrilemmaReport:
-    """Outcome of checking one instance's full response space.
-
-    `responses` and `verdicts` are the evaluated space, pairwise aligned.
-    """
+    """Outcome of checking one instance's response space."""
 
     instance_id: str
     underdetermined: bool
+    responses_evaluated: int
     counterexamples: tuple[Response, ...]
     pairwise: tuple[PairwiseCheck, ...]
     conflict_free_witness: Response | None
-    responses: tuple[Response, ...]
-    verdicts: tuple[Verdict, ...]
-
-    @property
-    def responses_evaluated(self) -> int:
-        return len(self.responses)
 
 
 def clarify_for(instance: Instance) -> Clarify:
@@ -129,7 +114,7 @@ def _subsets(items: tuple) -> Iterator[tuple]:
                                for size in range(1, len(items) + 1))
 
 
-def enumerate_responses(analysis: Analysis) -> ResponseSpace:
+def enumerate_responses(analysis: Analysis) -> tuple[Response, ...]:
     """All structured responses for the instance, deterministically ordered.
 
     Order: Decisive by candidate (undisclosed criterion first, then each
@@ -157,11 +142,11 @@ def enumerate_responses(analysis: Analysis) -> ResponseSpace:
             for a, b in combinations(instance.candidates, 2)]
     out.append(clarify_for(instance))
     out.append(Refuse(REFUSE_REASON))
-    return ResponseSpace(tuple(out))
+    return tuple(out)
 
 
 # Verdict keys, one range per response form.  A response's verdict is a
-# function of its key; see `check_trilemma`.
+# function of its key; see `evaluate_space`.
 _CONDITIONAL_KEY = 16  # + whether its answers cover every unique winner
 _EQUIVALENCE_KEY = 18  # + 2 c_strong + c_cond
 _CLARIFY_KEY = 22
@@ -188,16 +173,22 @@ def _decisive_keys(analysis: Analysis) -> list[int]:
     return keys
 
 
+def _strong_ties(analysis: Analysis) -> np.ndarray:
+    """(n, n): the pairs tied everywhere on P and left unordered by the
+    closure, whose `Equivalence` is strongly correct."""
+    closure = analysis.closure
+    return analysis.stats.tie_all & ~(closure | closure.T)
+
+
 def _equivalence_keys(analysis: Analysis) -> list[int]:
     """The verdict key of each Equivalence(a, b), in enumeration order.
 
-    The pair tied everywhere on P and left unordered by the closure is
-    strongly correct; a pair tied under some criterion is conditionally
-    correct.  The (n, n) tables are read over their upper triangle, row by
-    row, which is the order `combinations` gives the pairs.
+    A pair in `_strong_ties` is strongly correct; a pair tied under some
+    criterion is conditionally correct.  The (n, n) tables are read over
+    their upper triangle, row by row, which is the order `combinations`
+    gives the pairs.
     """
-    closure = analysis.closure
-    strong = analysis.stats.tie_all & ~(closure | closure.T)
+    strong = _strong_ties(analysis)
     cond = strong.copy()
     if analysis.criterion_scores:
         scores = np.array(list(analysis.criterion_scores.values()))
@@ -225,49 +216,15 @@ def _conditional_covers(analysis: Analysis) -> np.ndarray:
     return covers
 
 
-def report_from_verdicts(instance_id: str, semantics: SemanticsResult,
-                         responses: tuple[Response, ...],
-                         verdicts: tuple[Verdict, ...]) -> TrilemmaReport:
-    """Assemble a TrilemmaReport from an already-evaluated verdict table.
-
-    Each predicate is decided once per distinct verdict object, so rows
-    that share a `Verdict` cost one lookup each.
-    """
-    under = semantics.underdetermined
-    distinct = dict(zip(map(id, verdicts), verdicts))
-
-    def rows(test) -> tuple[Response, ...]:
-        keep = {key for key, v in distinct.items() if test(v)}
-        if not keep:
-            return ()
-        return tuple(compress(responses, map(keep.__contains__, map(id, verdicts))))
-
-    counterexamples = rows(lambda v: v.c_strong and v.nb_strict and v.u_decisive) if under else ()
-    pairwise = []
-    for name, antecedent, consequent in PAIRWISE_FORMS:
-        violations = rows(lambda v: antecedent(v) and not consequent(v)) if under else ()
-        pairwise.append(PairwiseCheck(name, rows(antecedent), not violations, violations))
-    witness = None if under else Decisive(semantics.entailed)
-    return TrilemmaReport(
-        instance_id=instance_id,
-        underdetermined=under,
-        counterexamples=counterexamples,
-        pairwise=tuple(pairwise),
-        conflict_free_witness=witness,
-        responses=responses,
-        verdicts=verdicts,
-    )
-
-
-def check_trilemma(analysis: Analysis) -> TrilemmaReport:
-    """Evaluate every enumerated response and report the trilemma outcome.
+def evaluate_space(analysis: Analysis) -> tuple[tuple[Response, ...], tuple[Verdict, ...]]:
+    """Every enumerated response and its verdict, pairwise aligned.
 
     Verdicts come from per-form tables.  Each response gets an integer key
     that determines its verdict, and each distinct key gets one `Verdict`,
     taken from `ResponseEvaluator.evaluate` on the first response that has
     the key; every response with that key shares the object.  So `evaluate`
-    runs on at most 24 responses, one per distinct key, the Clarify and the
-    Refuse among them, however large the space.
+    runs on at most 24 responses, the Clarify and the Refuse among them,
+    however large the space.
 
     - Decisive(a, theta): its verdict reads only whether a is entailed,
       whether a wins theta alone, whether a is among theta's winners and
@@ -280,10 +237,9 @@ def check_trilemma(analysis: Analysis) -> TrilemmaReport:
     - Equivalence(a, b): its verdict reads only c_strong and c_cond
       (`_equivalence_keys`).
 
-    Raises ResponseSpaceTooLarge from `enumerate_responses`.  Deterministic
-    for a fixed analysis.
+    Raises ResponseSpaceTooLarge from `enumerate_responses`.
     """
-    space = enumerate_responses(analysis)
+    responses = enumerate_responses(analysis)
     keys = (_decisive_keys(analysis)
             + (_CONDITIONAL_KEY + _conditional_covers(analysis)).tolist()
             + _equivalence_keys(analysis)
@@ -291,9 +247,44 @@ def check_trilemma(analysis: Analysis) -> TrilemmaReport:
     # Each key's first row: reversed, the first row is the last one written.
     first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
     evaluator = ResponseEvaluator(analysis)
-    table = {key: evaluator.evaluate(space.responses[row]) for key, row in first.items()}
-    return report_from_verdicts(analysis.instance.id, analysis.semantics, space.responses,
-                                tuple(map(table.__getitem__, keys)))
+    table = {key: evaluator.evaluate(responses[row]) for key, row in first.items()}
+    return responses, tuple(map(table.__getitem__, keys))
+
+
+def check_trilemma(analysis: Analysis) -> TrilemmaReport:
+    """The trilemma report of the response space, counted in closed form.
+
+    With n candidates, m criteria, g_w the criteria whose unique winner is
+    w (g in all), s the pairs in `_strong_ties`, and d = m + 1 Decisive
+    forms of the entailed winner, if any: the space holds n(m + 1) + 2^g - 1
+    + C(n, 2) + 2 responses; c_strong & nb_strict holds for d + s + 2 of
+    them plus the prod_w (2^g_w - 1) conditionals that cover every unique
+    winner (none when g = 0); the other two antecedents hold for the d
+    forms only, and under underdetermination those are the counterexamples
+    and every form's violations.  Builds no other response, so the count of
+    criteria is not capped.
+    """
+    instance, semantics = analysis.instance, analysis.semantics
+    n, m = len(instance.candidates), len(instance.criteria)
+    under, entailed = semantics.underdetermined, semantics.entailed
+    won = Counter(analysis.unique_winners.values()).values()
+    decided = sum(won)
+    covering = math.prod(2 ** g_w - 1 for g_w in won) if decided else 0
+    strong = int(np.triu(_strong_ties(analysis), 1).sum())
+    entailed_forms = () if entailed is None else tuple(
+        Decisive(entailed, theta) for theta in (None, *(c.name for c in instance.criteria)))
+    violations = entailed_forms if under else ()
+    d = len(entailed_forms)
+    witnesses = (d + covering + strong + 2, d, d)
+    return TrilemmaReport(
+        instance_id=instance.id,
+        underdetermined=under,
+        responses_evaluated=n * (m + 1) + 2 ** decided - 1 + math.comb(n, 2) + 2,
+        counterexamples=violations,
+        pairwise=tuple(PairwiseCheck(name, count, violations)
+                       for name, count in zip(PAIRWISE_FORMS, witnesses)),
+        conflict_free_witness=None if under else Decisive(entailed),
+    )
 
 
 @dataclass(frozen=True)

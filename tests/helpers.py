@@ -38,7 +38,7 @@ from udet.semantics import (
 )
 from udet.policy import decide
 from udet.responses import ResponseEvaluator
-from udet.trilemma import check_trilemma
+from udet.trilemma import PAIRWISE_FORMS, check_trilemma, enumerate_responses, evaluate_space
 
 NEED_SCALE = OrdinalScale("need_scale", ("low", "moderate", "severe"))
 
@@ -239,7 +239,6 @@ def analyze_json_oracle(path: str, require_decision: bool = False,
     if require_decision:
         instance = dataclasses.replace(instance, decisiveness_required=True)
     analysis = analyze(instance)
-    report = check_trilemma(analysis)
     decision = decide(analysis)
     evaluator = ResponseEvaluator(analysis)
     doc = {
@@ -250,13 +249,65 @@ def analyze_json_oracle(path: str, require_decision: bool = False,
         "verdicts": [
             {"response": cli.response_to_json(r),
              "verdict": dataclasses.asdict(evaluator.evaluate(r))}
-            for r in report.responses
+            for r in enumerate_responses(analysis)
         ],
         "policy": {
             "branch": decision.branch,
             "response": cli.response_to_json(decision.response),
             "rationale": decision.rationale,
         },
-        "trilemma": cli._trilemma_json(report),
+        "trilemma": cli._trilemma_json(check_trilemma(analysis)),
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+# --- trilemma oracle ------------------------------------------------------------
+#
+# `check_trilemma` counts its report in closed form; this derives the same
+# report from the enumerated rows, each verdict from `evaluate`, and the
+# three trilemma predicates tested on every row.
+
+PAIRWISE_PREDICATES = (
+    (lambda v: v.c_strong and v.nb_strict, lambda v: not v.u_decisive),
+    (lambda v: v.nb_strict and v.u_decisive, lambda v: not v.c_strong),
+    (lambda v: v.c_strong and v.u_decisive, lambda v: not v.nb_strict),
+)
+
+
+def trilemma_oracle(rows, underdetermined: bool):
+    """(counterexamples, [(name, witness count, violations)], conflict-free
+    witness) of `rows`, the (response, verdict) pairs of a whole space."""
+    def select(test):
+        return tuple(r for r, v in rows if test(v))
+
+    def conflict_free(v):
+        return v.c_strong and v.nb_strict and v.u_decisive
+
+    pairwise = [(name, len(select(antecedent)),
+                 select(lambda v: antecedent(v) and not consequent(v)) if underdetermined else ())
+                for name, (antecedent, consequent) in zip(PAIRWISE_FORMS, PAIRWISE_PREDICATES)]
+    if underdetermined:
+        return select(conflict_free), pairwise, None
+    return (), pairwise, next(iter(select(conflict_free)), None)
+
+
+def assert_report_is_the_evaluated_space(analysis):
+    """`evaluate_space` lists the enumerated space with the verdict that
+    `ResponseEvaluator.evaluate` gives each row, and every field of
+    `check_trilemma` is what the oracle derives from those rows.  Returns
+    the report, the responses and the verdicts."""
+    evaluator = ResponseEvaluator(analysis)
+    rows = [(r, evaluator.evaluate(r)) for r in enumerate_responses(analysis)]
+    responses, verdicts = evaluate_space(analysis)
+    assert list(zip(responses, verdicts)) == rows
+    report = check_trilemma(analysis)
+    counterexamples, pairwise, witness = trilemma_oracle(
+        rows, analysis.semantics.underdetermined)
+    assert report.instance_id == analysis.instance.id
+    assert report.underdetermined == analysis.semantics.underdetermined
+    assert report.responses_evaluated == len(rows) == len(responses) == len(verdicts)
+    assert report.counterexamples == counterexamples
+    assert [(p.name, p.witnesses, p.violations) for p in report.pairwise] == pairwise
+    assert [p.holds for p in report.pairwise] == [not v for _, _, v in pairwise]
+    assert report.conflict_free_witness == witness
+    return report, responses, verdicts

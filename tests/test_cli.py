@@ -19,7 +19,7 @@ import udet
 from udet import _kernels, cli, corpus
 from udet.dsl import serialize_instance
 from udet.errors import CorpusCorrupt
-from udet.responses import Decisive, Verdict
+from udet.responses import Decisive
 from udet.trilemma import GeneratorConfig, PairwiseCheck, TrilemmaReport, generate_instance
 
 
@@ -251,10 +251,22 @@ def test_too_many_criteria_exit_2(corpus_dir, tmp_path):
                       for i in range(11))  # 2 declared + 11 = 13 criteria
     path = tmp_path / "crowded.udet"
     path.write_text(source, encoding="utf-8")
-    for argv in (["analyze", str(path)], ["check", str(path)]):
-        code, out, err = run_cli(argv)
-        assert code == 2 and out == ""
-        assert err == "error: 13 criteria declared; enumeration is capped at 12\n"
+    code, out, err = run_cli(["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: 13 criteria declared; enumeration is capped at 12\n"
+
+
+def test_check_counts_past_the_enumeration_cap(corpus_dir, tmp_path):
+    source = (corpus_dir / "scholarship.udet").read_text()
+    source += "".join(f"criterion c{i} {{ gpa: {i / 16}, need: {1 - i / 16} }}\n"
+                      for i in range(11))  # 2 declared + 11 = 13 criteria
+    path = tmp_path / "crowded.udet"
+    path.write_text(source, encoding="utf-8")
+    code, out, err = run_cli(["check", str(path)])
+    assert code == 0 and err == ""
+    # n(m + 1) + 2^g - 1 + C(n, 2) + 2 with n = 2, m = 13 and g the criteria
+    # with a unique winner: c8 (gpa 0.5) ties A and B, so g = 12.
+    assert f"responses={2 * 14 + 2 ** 12 - 1 + 1 + 2} counterexamples=0" in out
 
 
 def test_analyze_timestamps_flag(corpus_dir):
@@ -308,12 +320,12 @@ def test_check_requires_input():
 
 def test_check_counterexample_exit_3(monkeypatch, corpus_dir):
     fake = TrilemmaReport(
-        instance_id="fake", underdetermined=True,
+        instance_id="fake", underdetermined=True, responses_evaluated=1,
         counterexamples=(Decisive("A"),),
         pairwise=(PairwiseCheck("c_strong & nb_strict -> !u_decisive",
-                                (Decisive("A"),), False, (Decisive("A"),)),),
-        conflict_free_witness=None, responses=(Decisive("A"),),
-        verdicts=(Verdict(True, True, True, True, True, 1.0, True),))
+                                1, (Decisive("A"),)),),
+        conflict_free_witness=None)
+    assert not fake.pairwise[0].holds
     monkeypatch.setattr(cli, "check_trilemma", lambda analysis: fake)
     code, out, _ = run_cli(["check", path_of(corpus_dir, "scholarship")])
     assert code == 3

@@ -143,9 +143,6 @@ def test_rubric_values():
     assert u_assistive_score(Refuse("reason only")) == 0.25
 
 
-def test_rubric_weights_configurable():
-    assert u_assistive_score(Refuse("r"), weights=(1.0, 0.0, 0.0, 0.0)) == 1.0
-
 
 def test_undeclared_references_raise(unconstrained):
     with pytest.raises(UndeclaredReference):
@@ -199,7 +196,7 @@ def test_verdict_invariants_hold_everywhere(index):
     analysis = analyze(inst)
     sem = analysis.semantics
     evaluator = ResponseEvaluator(analysis)
-    for response in enumerate_responses(analysis).responses:
+    for response in enumerate_responses(analysis):
         v = evaluator.evaluate(response)
         assert v.invariants_ok(), (inst.id, response, v)
         if sem.entailed is not None and response == Decisive(sem.entailed):

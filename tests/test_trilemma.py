@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_scholarship, build_two_numeric
+from helpers import assert_report_is_the_evaluated_space, build_scholarship, build_two_numeric
 
 from udet.errors import ResponseSpaceTooLarge
 from udet.model import (
@@ -24,7 +24,6 @@ from udet.responses import (
     Decisive,
     Equivalence,
     Refuse,
-    ResponseEvaluator,
 )
 from udet.semantics import admissible_set, analyze, normalize
 from udet.trilemma import (
@@ -47,8 +46,7 @@ def response_space_bound(n: int, m: int) -> int:
 
 
 def test_scholarship_response_space(scholarship):
-    space, _ = space_for(scholarship)
-    responses = space.responses
+    responses, _ = space_for(scholarship)
     # 6 decisive variants, 3 conditionals over nonempty criterion subsets,
     # 1 equivalence, clarify, refuse
     assert len(responses) == 12
@@ -71,7 +69,7 @@ def test_scholarship_response_space(scholarship):
 def test_response_space_without_criteria():
     inst = build_two_numeric("plain", {"A": (1.0, 2.0), "B": (2.0, 1.0)})
     space, _ = space_for(inst)
-    forms = [type(r).__name__ for r in space.responses]
+    forms = [type(r).__name__ for r in space]
     assert forms == ["Decisive", "Decisive", "Equivalence", "Clarify", "Refuse"]
 
 
@@ -79,7 +77,7 @@ def test_response_space_single_criterion():
     inst = build_scholarship(criteria=(
         CriterionSpec("merit_first", (("gpa", 1.0), ("need", 0.0))),))
     space, _ = space_for(inst)
-    conditionals = [r for r in space.responses if isinstance(r, Conditional)]
+    conditionals = [r for r in space if isinstance(r, Conditional)]
     assert conditionals == [Conditional((("merit_first", "A"),))]
 
 
@@ -88,11 +86,11 @@ def test_tied_criterion_excluded_from_conditionals():
     inst = build_scholarship()
     inst = dataclasses.replace(inst, criteria=inst.criteria + (half,))
     space, _ = space_for(inst)
-    conditionals = [r for r in space.responses if isinstance(r, Conditional)]
+    conditionals = [r for r in space if isinstance(r, Conditional)]
     assert all("half" not in dict(r.branches) for r in conditionals)
     assert len(conditionals) == 3  # subsets of {merit_first, need_first}
     # decisive disclosure variants still include the tied criterion
-    assert Decisive("A", declared_theta="half") in space.responses
+    assert Decisive("A", declared_theta="half") in space
 
 
 def test_criteria_cap_enforced():
@@ -119,7 +117,7 @@ def test_check_trilemma_scholarship(scholarship):
                      "nb_strict & u_decisive -> !c_strong",
                      "c_strong & u_decisive -> !nb_strict"]
     first = report.pairwise[0]
-    assert len(first.witnesses) == 3  # full conditional, clarify, refuse
+    assert first.witnesses == 3  # full conditional, clarify, refuse
     assert first.violations == ()
 
 
@@ -138,7 +136,8 @@ def test_check_trilemma_deterministic(scholarship):
 def test_random_batch_has_no_counterexamples():
     config = GeneratorConfig(seed=7)
     for index in range(200):
-        report = check_trilemma(analyze(generate_instance(config, index)))
+        report, _, _ = assert_report_is_the_evaluated_space(
+            analyze(generate_instance(config, index)))
         assert report.counterexamples == (), report.instance_id
         assert all(check.holds for check in report.pairwise)
         if not report.underdetermined:
@@ -230,19 +229,8 @@ def test_response_space_bound_formula(scholarship):
         assert (size == bound - 1) == (len(analysis.unique_winners) == m)
 
 
-def assert_report_is_the_evaluated_space(analysis):
-    """`check_trilemma` lists the enumerated space, and its bulk verdicts are
-    what `ResponseEvaluator.evaluate` gives each response."""
-    report = check_trilemma(analysis)
-    assert report.responses == enumerate_responses(analysis).responses
-    evaluator = ResponseEvaluator(analysis)
-    assert report.verdicts == tuple(evaluator.evaluate(r) for r in report.responses)
-    assert report.responses_evaluated == len(report.responses) == len(report.verdicts)
-    return report
-
-
 def test_report_carries_the_evaluated_space(scholarship):
-    report = assert_report_is_the_evaluated_space(analyze(scholarship))
+    report, _, _ = assert_report_is_the_evaluated_space(analyze(scholarship))
     assert report.responses_evaluated == 12
     # Two criteria share the winner A: a conditional naming only A's
     # criteria leaves B out and is not strictly non-biased.
@@ -251,8 +239,8 @@ def test_report_carries_the_evaluated_space(scholarship):
     analysis = analyze(inst)
     assert analysis.unique_winners == {"merit_first": "A", "need_first": "B",
                                        "merit_too": "A"}
-    report = assert_report_is_the_evaluated_space(analysis)
-    strict = {r.branches: v.nb_strict for r, v in zip(report.responses, report.verdicts)
+    _, responses, verdicts = assert_report_is_the_evaluated_space(analysis)
+    strict = {r.branches: v.nb_strict for r, v in zip(responses, verdicts)
               if isinstance(r, Conditional)}
     assert len(strict) == 7
     assert strict[(("merit_first", "A"), ("merit_too", "A"))] is False
@@ -261,7 +249,7 @@ def test_report_carries_the_evaluated_space(scholarship):
 
 def test_enumeration_builds_the_publicly_constructed_forms():
     analysis = analyze(_wide_instance("ordinal", 3, 5))
-    for response in enumerate_responses(analysis).responses:
+    for response in enumerate_responses(analysis):
         if isinstance(response, Conditional):
             assert Conditional(response.branches) == response
             assert hash(Conditional(list(response.branches))) == hash(response)
@@ -270,8 +258,9 @@ def test_enumeration_builds_the_publicly_constructed_forms():
             assert hash(Equivalence(response.candidates[::-1])) == hash(response)
 
 
-def _equivalence_verdicts(report):
-    return {r.candidates: v for r, v in zip(report.responses, report.verdicts)
+def _equivalence_verdicts(analysis):
+    _, responses, verdicts = assert_report_is_the_evaluated_space(analysis)
+    return {r.candidates: v for r, v in zip(responses, verdicts)
             if isinstance(r, Equivalence)}
 
 
@@ -284,10 +273,10 @@ def test_identical_candidates_ordered_by_a_premise():
         preferences=(PreferencePremise("A", "B"),))
     analysis = analyze(inst)
     assert analysis.stats.tie_all[0, 1] and analysis.closure[1, 0]
-    verdicts = _equivalence_verdicts(assert_report_is_the_evaluated_space(analysis))
+    verdicts = _equivalence_verdicts(analysis)
     assert (verdicts[("A", "B")].c_strong, verdicts[("A", "B")].c_cond) == (False, True)
     unordered = dataclasses.replace(inst, preferences=())
-    verdicts = _equivalence_verdicts(assert_report_is_the_evaluated_space(analyze(unordered)))
+    verdicts = _equivalence_verdicts(analyze(unordered))
     assert (verdicts[("A", "B")].c_strong, verdicts[("A", "B")].c_cond) == (True, True)
 
 
@@ -296,7 +285,7 @@ def test_candidates_tied_under_one_criterion_only():
         "one_tie", {"A": (2.0, 1.0), "B": (2.0, 3.0), "C": (5.0, 0.0)},
         criteria=(CriterionSpec("x_only", (("x", 1.0), ("y", 0.0))),
                   CriterionSpec("y_only", (("x", 0.0), ("y", 1.0)))))
-    verdicts = _equivalence_verdicts(assert_report_is_the_evaluated_space(analyze(inst)))
+    verdicts = _equivalence_verdicts(analyze(inst))
     assert (verdicts[("A", "B")].c_strong, verdicts[("A", "B")].c_cond) == (False, True)
     assert (verdicts[("A", "C")].c_strong, verdicts[("A", "C")].c_cond) == (False, False)
 
@@ -304,7 +293,7 @@ def test_candidates_tied_under_one_criterion_only():
 def test_bulk_verdicts_equal_evaluate_at_256_candidates():
     config = GeneratorConfig(seed=11, candidate_range=(256, 256), attribute_range=(2, 2),
                              criteria_range=(2, 2))
-    report = assert_report_is_the_evaluated_space(analyze(generate_instance(config, 0)))
+    report, _, _ = assert_report_is_the_evaluated_space(analyze(generate_instance(config, 0)))
     assert report.responses_evaluated >= 256 * 3 + 256 * 255 // 2 + 2
 
 
@@ -355,3 +344,41 @@ def _wide_instance(shape: str, seed: int, index: int):
        index=st.integers(min_value=0, max_value=1000))
 def test_bulk_verdicts_equal_evaluate_on_wide_instances(shape, seed, index):
     assert_report_is_the_evaluated_space(analyze(_wide_instance(shape, seed, index)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       index=st.integers(min_value=0, max_value=1000),
+       pin=st.floats(min_value=0.0, max_value=1.0),
+       bound=st.floats(min_value=0.0, max_value=1.0),
+       preference=st.floats(min_value=0.0, max_value=1.0))
+def test_underdetermined_instances_entail_nothing(seed, index, pin, bound, preference):
+    # The premise of the lemma in `udet.trilemma`: with no entailed winner,
+    # no Decisive response is strongly correct, so none is a counterexample.
+    config = GeneratorConfig(seed=seed, candidate_range=(2, 8), attribute_range=(1, 4),
+                             criteria_range=(0, 5), pin_probability=pin,
+                             bound_probability=bound, preference_probability=preference)
+    analysis = analyze(generate_instance(config, index))
+    if analysis.semantics.underdetermined:
+        assert analysis.semantics.entailed is None
+    report = check_trilemma(analysis)
+    assert report.counterexamples == ()
+    assert all(check.holds for check in report.pairwise)
+
+
+def test_check_counts_past_the_enumeration_cap():
+    # 40 criteria: `enumerate_responses` refuses the space, and
+    # `check_trilemma` counts it.
+    crits = tuple(CriterionSpec(f"c{i}", (("gpa", i / 39), ("need", 1 - i / 39)))
+                  for i in range(40))
+    analysis = analyze(build_scholarship(criteria=crits))
+    with pytest.raises(ResponseSpaceTooLarge):
+        enumerate_responses(analysis)
+    report = check_trilemma(analysis)
+    g_a = sum(1 for w in analysis.unique_winners.values() if w == "A")
+    g_b = sum(1 for w in analysis.unique_winners.values() if w == "B")
+    assert g_a > 0 and g_b > 0
+    assert report.responses_evaluated == 2 * 41 + 2 ** (g_a + g_b) - 1 + 1 + 2
+    # covering conditionals, the equivalence (not strongly correct), clarify, refuse
+    assert report.pairwise[0].witnesses == (2 ** g_a - 1) * (2 ** g_b - 1) + 2
+    assert report.counterexamples == () and report.underdetermined
