@@ -66,6 +66,7 @@ from .trilemma import (
     GeneratorConfig,
     PairwiseCheck,
     TrilemmaReport,
+    VerdictTable,
     check_trilemma,
     enumerate_responses,
     evaluate_space,
@@ -84,7 +85,7 @@ __all__ = [
     "winner_statistics", "winners_at",
     "Clarify", "Conditional", "Decisive", "Equivalence", "Refuse", "Response",
     "ResponseEvaluator", "Verdict", "u_assistive_score",
-    "GeneratorConfig", "PairwiseCheck", "TrilemmaReport", "check_trilemma",
+    "GeneratorConfig", "PairwiseCheck", "TrilemmaReport", "VerdictTable", "check_trilemma",
     "enumerate_responses", "evaluate_space", "generate_instance",
     "PolicyDecision", "decide", "uniform_criterion", "with_default_criterion",
     "CorpusEntry", "ExpectedSummary", "load_corpus",

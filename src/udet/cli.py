@@ -6,8 +6,10 @@ Reports are byte-deterministic for identical inputs and flags: orderings are
 fixed, numbers render with at most 12 significant digits, and timestamps
 appear only under ``--timestamps``.  JSON output is byte-identical to
 ``json.dumps(doc, indent=2)`` with its default ASCII escaping, plus a
-newline; `analyze` writes its verdict rows from templates, rendering each
-distinct verdict and conditional branch once per request.  Exit codes: 0
+newline.  `analyze` builds no object per verdict row: it writes its verdict
+rows from the key tables of `trilemma.evaluate_space`, one template per
+response form, rendering each distinct verdict and conditional branch once.
+Exit codes: 0
 success, 1 parse or validation error, a usage error (an unknown flag or a
 bad flag value, with one ``error:`` line) or a file that cannot be read or
 written, 2 semantic error (infeasible constraints, contradictory premises,
@@ -40,8 +42,8 @@ from .semantics import (
     normalize,
     winner_regions,
 )
-from .trilemma import (GeneratorConfig, TrilemmaReport, check_trilemma, evaluate_space,
-                       generate_instance)
+from .trilemma import (GeneratorConfig, TrilemmaReport, VerdictTable, check_trilemma,
+                       evaluate_space, generate_instance)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -147,8 +149,11 @@ def _trilemma_json(report: TrilemmaReport) -> dict:
 _str = json.encoder.encode_basestring_ascii
 
 
-class _Json(str):
+@dataclasses.dataclass(frozen=True)
+class _Json:
     """Text that is already JSON, indented as a top-level value of a document."""
+
+    text: str
 
 
 def _emit(doc: dict, out) -> None:
@@ -156,25 +161,16 @@ def _emit(doc: dict, out) -> None:
 
     Each top-level value is dumped on its own and every newline in it is
     indented two more spaces, which is exact because a JSON string never
-    holds a raw newline.  A `_Json` value is written as it is.
+    holds a raw newline.  A `_Json` value is written as it is.  Values are
+    written one by one, so a long one is not copied into a joined document.
     """
-    items = [f"  {_str(key)}: "
-             + (value if isinstance(value, _Json)
-                else json.dumps(value, indent=2).replace("\n", "\n  "))
-             for key, value in doc.items()]
-    out.write("{\n" + ",\n".join(items) + "\n}\n")
-
-
-class _Memo(dict):
-    """A request-local cache: ``memo[key]`` renders a missing key once."""
-
-    def __init__(self, render) -> None:
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key):
-        value = self[key] = self.render(key)
-        return value
+    opening = "{\n  "
+    for key, value in doc.items():
+        out.write(f"{opening}{_str(key)}: ")
+        out.write(value.text if isinstance(value, _Json)
+                  else json.dumps(value, indent=2).replace("\n", "\n  "))
+        opening = ",\n  "
+    out.write("\n}\n")
 
 
 def _str_list(items, indent: str) -> str:
@@ -198,38 +194,36 @@ def _verdict_json(verdict: Verdict) -> str:
         "      }")
 
 
-def _branch_json(branch: tuple[str, str]) -> str:
-    return _str_list(branch, " " * 10)
+_ROW = '    {\n      "response": {\n        "form": '
+_BRANCH_SEP = ",\n          "
 
 
-def _verdict_rows(responses: tuple[Response, ...], verdicts: tuple[Verdict, ...]) -> _Json:
-    """The ``verdicts`` value of the analyze document, one row per response.
-
-    Each row is written from the template of its response form, with one
-    rendering per distinct verdict and per conditional branch.
-    """
-    rendered = _Memo(_verdict_json)
-    branches = _Memo(_branch_json)
-    rows = []
-    for response, verdict in zip(responses, verdicts):
-        if isinstance(response, Conditional):
-            body = ('"form": "conditional",\n        "branches": [\n          '
-                    + ",\n          ".join(map(branches.__getitem__, response.branches))
-                    + "\n        ]")
-        elif isinstance(response, Decisive):
-            theta = response.declared_theta
-            body = (f'"form": "decisive",\n        "candidate": {_str(response.candidate)},'
-                    f'\n        "declared_theta": {"null" if theta is None else _str(theta)}')
-        elif isinstance(response, Equivalence):
-            body = ('"form": "equivalence",\n        "candidates": '
-                    + _str_list(response.candidates, " " * 8))
-        elif isinstance(response, Clarify):
-            body = '"form": "clarify",\n        "missing": ' + _str_list(response.missing, " " * 8)
-        else:
-            body = f'"form": "refuse",\n        "reason": {_str(response.reason)}'
-        rows.append('    {\n      "response": {\n        ' + body
-                    + '\n      },\n      "verdict": ' + rendered[verdict] + "\n    }")
-    return _Json("[\n" + ",\n".join(rows) + "\n  ]")
+def _verdicts_json(table: VerdictTable) -> _Json:
+    """The ``verdicts`` value of the analyze document, one row per response,
+    each written from the template of its form.  Each distinct verdict,
+    candidate, criterion and conditional branch is rendered once."""
+    tails = {key: '\n      },\n      "verdict": ' + _verdict_json(verdict) + "\n    }"
+             for key, verdict in table.verdicts.items()}
+    name = {c: _str(c) for c in table.candidates}
+    theta = {t: "null" if t is None else _str(t) for t in table.thetas}
+    rows = [f'{_ROW}"decisive",\n        "candidate": {name[cand]},\n'
+            f'        "declared_theta": {theta[t]}{tails[key]}'
+            for (cand, t), key in table.decisive_rows()]
+    head = _ROW + '"conditional",\n        "branches": [\n          '
+    ends = {key: "\n        ]" + tail for key, tail in tails.items()}
+    rows += [f"{head}{_BRANCH_SEP.join(branches)}{ends[key]}"
+             for branches, key in table.conditional_rows(
+                 _str_list(branch, " " * 10) for branch in table.decided)]
+    head = _ROW + '"equivalence",\n        "candidates": [\n          '
+    rows += [f"{head}{name[a]},\n          {name[b]}{ends[key]}"
+             for (a, b), key in table.equivalence_rows()]
+    (clarify, clarify_key), (refuse, refuse_key) = table.closing_rows()
+    rows.append(f'{_ROW}"clarify",\n        "missing": '
+                f'{_str_list(clarify.missing, " " * 8)}{tails[clarify_key]}')
+    rows.append(f'{_ROW}"refuse",\n        "reason": {_str(refuse.reason)}{tails[refuse_key]}')
+    rows[0] = "[\n" + rows[0]
+    rows[-1] += "\n  ]"
+    return _Json(",\n".join(rows))
 
 
 def _load(path: str, stderr) -> Instance | None:
@@ -259,6 +253,25 @@ def _verdict_cells(verdict: Verdict) -> str:
     ])
 
 
+def _verdicts_text(table: VerdictTable) -> str:
+    """The rows of the text report's ``verdicts:`` table, each response
+    written as `render_response` writes it, padded to 52 columns, with the
+    verdict cells of each distinct verdict rendered once."""
+    ends = {key: f" {_verdict_cells(verdict)}\n" for key, verdict in table.verdicts.items()}
+    theta = {t: "" if t is None else f"; theta={t}" for t in table.thetas}
+    join = ", ".join
+    rows = [f"  {f'decisive({cand}{theta[t]})':<52}{ends[key]}"
+            for (cand, t), key in table.decisive_rows()]
+    rows += [f"  {f'conditional({join(branches)})':<52}{ends[key]}"
+             for branches, key in table.conditional_rows(
+                 f"{crit}->{cand}" for crit, cand in table.decided)]
+    rows += [f"  {f'equivalence({a}, {b})':<52}{ends[key]}"
+             for (a, b), key in table.equivalence_rows()]
+    rows += [f"  {render_response(response):<52}{ends[key]}"
+             for response, key in table.closing_rows()]
+    return "".join(rows)
+
+
 def cmd_analyze(args, stdout, stderr) -> int:
     instance = _load(args.path, stderr)
     if instance is None:
@@ -266,7 +279,7 @@ def cmd_analyze(args, stdout, stderr) -> int:
     if args.require_decision:
         instance = dataclasses.replace(instance, decisiveness_required=True)
     analysis = analyze(instance)
-    responses, verdicts = evaluate_space(analysis)
+    table = evaluate_space(analysis)
     report = check_trilemma(analysis)
     decision = decide(analysis)
     semantics = analysis.semantics
@@ -277,7 +290,7 @@ def cmd_analyze(args, stdout, stderr) -> int:
             "parameters": _parameters(args.timestamps),
             "instance": _instance_json(instance),
             "semantics": _semantics_json(semantics),
-            "verdicts": _verdict_rows(responses, verdicts),
+            "verdicts": _verdicts_json(table),
             "policy": {
                 "branch": decision.branch,
                 "response": response_to_json(decision.response),
@@ -311,9 +324,7 @@ def cmd_analyze(args, stdout, stderr) -> int:
     header = ["response".ljust(52), "C".ljust(6), "Ccond".ljust(6), "NB".ljust(6),
               "NBt".ljust(6), "Udec".ljust(6), "Uass".ljust(6), "hidden"]
     w("  " + " ".join(header).rstrip() + "\n")
-    cells = _Memo(_verdict_cells)
-    for response, verdict in zip(responses, verdicts):
-        w(f"  {render_response(response).ljust(52)} {cells[verdict]}\n")
+    w(_verdicts_text(table))
     w("policy:\n")
     w(f"  branch: {decision.branch}\n")
     w(f"  response: {render_response(decision.response)}\n")
@@ -561,7 +572,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify by counting, in closed form, that no structured response "
                     "is strongly correct, strictly non-biased and decisive on an "
                     "underdetermined instance: a lemma about the five response forms, "
-                    "not the conjecture about language models.")
+                    "not the conjecture about language models.  The response count "
+                    "(responses=, JSON responses_evaluated) is the size of the "
+                    "response space, counted in closed form; no response is evaluated.")
     p_check.add_argument("paths", nargs="*")
     p_check.add_argument("--random", type=int, default=None, metavar="N",
                          help="check N generated instances instead of files")

@@ -68,6 +68,7 @@ _TOKEN_RE = re.compile(
       | (?P<number>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<punct><=|>=|[(){}:,.=])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -76,12 +77,14 @@ _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n"}
 _UNESCAPES = {"\\\\": "\\", '\\"': '"', "\\n": "\n"}
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # "string" | "number" | "ident" | "punct"
-    text: str
-    line: int  # 1-based
-    column: int  # 1-based
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind = kind  # "string" | "number" | "ident" | "punct"
+        self.text = text
+        self.line = line  # 1-based
+        self.column = column  # 1-based
 
 
 def _unescape(line: int, col: int, raw: str, origin: str) -> str:
@@ -107,19 +110,19 @@ def _escape(text: str) -> str:
 
 
 def _tokenize(line_no: int, line: str, origin: str) -> list[_Token]:
+    """The line's tokens in one pass; the last alternative of `_TOKEN_RE`
+    catches any character that starts no token."""
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(line):
-        m = _TOKEN_RE.match(line, pos)
-        if m is None:
-            ch = line[pos]
+    for m in _TOKEN_RE.finditer(line):
+        kind = m.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
+        if kind == "bad":
+            ch = m.group()
             msg = ("unterminated string literal" if ch == '"'
                    else f"unexpected character {ch!r}")
-            raise ParseError(line_no, pos + 1, msg, line.strip(), origin)
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, m.group(), line_no, pos + 1))
-        pos = m.end()
+            raise ParseError(line_no, m.start() + 1, msg, line.strip(), origin)
+        tokens.append(_Token(kind, m.group(), line_no, m.start() + 1))
     return tokens
 
 

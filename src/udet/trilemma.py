@@ -14,7 +14,9 @@ The lemma speaks of this closed world, the five response forms and their
 predicates, not of the paper's conjecture about language models.
 `check_trilemma` counts its report in closed form and computes, not
 assumes, the counterexamples: one would mean the premise failed.
-`evaluate_space` lists the space row by row for `udet analyze`.
+`evaluate_space` gives `udet analyze` the space as per-form key tables with
+one `Verdict` per distinct key; `enumerate_responses` builds every response
+object, in the same row order.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -86,7 +88,12 @@ class PairwiseCheck:
 
 @dataclass(frozen=True)
 class TrilemmaReport:
-    """Outcome of checking one instance's response space."""
+    """Outcome of checking one instance's response space.
+
+    `responses_evaluated` is the size of the response space, counted in
+    closed form by `check_trilemma`; no response is evaluated to get it.
+    The name stays because the JSON key and the text labels carry it.
+    """
 
     instance_id: str
     underdetermined: bool
@@ -99,6 +106,18 @@ class TrilemmaReport:
 def clarify_for(instance: Instance) -> Clarify:
     """The canonical clarification: name each attribute's missing weight."""
     return Clarify(tuple(f"weight for {a}" for a in instance.attribute_names))
+
+
+def _check_enumerable(instance: Instance) -> None:
+    if len(instance.criteria) > MAX_ENUMERATED_CRITERIA:
+        raise ResponseSpaceTooLarge(
+            f"{len(instance.criteria)} criteria declared; "
+            f"enumeration is capped at {MAX_ENUMERATED_CRITERIA}")
+
+
+def _thetas(instance: Instance) -> tuple[str | None, ...]:
+    """The criteria a Decisive may name: undisclosed first, then each declared."""
+    return (None, *(crit.name for crit in instance.criteria))
 
 
 def _decided_pairs(analysis: Analysis) -> tuple[tuple[str, str], ...]:
@@ -114,6 +133,11 @@ def _subsets(items: tuple) -> Iterator[tuple]:
                                for size in range(1, len(items) + 1))
 
 
+def _pairs(candidates: tuple[str, ...]) -> list[tuple[str, str]]:
+    """Each unordered candidate pair, by `combinations`, its names sorted."""
+    return [(a, b) if a < b else (b, a) for a, b in combinations(candidates, 2)]
+
+
 def enumerate_responses(analysis: Analysis) -> tuple[Response, ...]:
     """All structured responses for the instance, deterministically ordered.
 
@@ -122,24 +146,19 @@ def enumerate_responses(analysis: Analysis) -> tuple[Response, ...]:
     that have a unique winner (by subset size, then declaration order),
     Equivalence over candidate pairs, one Clarify, one Refuse.  Conditionals
     and equivalences are built in their canonical form directly, without
-    the coercion of public construction.
+    the coercion of public construction.  `evaluate_space` lists the same
+    rows as key tables.
 
     Raises ResponseSpaceTooLarge when more than MAX_ENUMERATED_CRITERIA
     criteria are declared.
     """
     instance = analysis.instance
-    if len(instance.criteria) > MAX_ENUMERATED_CRITERIA:
-        raise ResponseSpaceTooLarge(
-            f"{len(instance.criteria)} criteria declared; "
-            f"enumeration is capped at {MAX_ENUMERATED_CRITERIA}")
-
-    thetas = (None, *(crit.name for crit in instance.criteria))
+    _check_enumerable(instance)
     out: list[Response] = [Decisive(cand, theta)
-                           for cand in instance.candidates for theta in thetas]
+                           for cand, theta in product(instance.candidates, _thetas(instance))]
     out += [_canonical(Conditional, "branches", subset)
             for subset in _subsets(_decided_pairs(analysis))]
-    out += [_canonical(Equivalence, "candidates", (a, b) if a < b else (b, a))
-            for a, b in combinations(instance.candidates, 2)]
+    out += [_canonical(Equivalence, "candidates", pair) for pair in _pairs(instance.candidates)]
     out.append(clarify_for(instance))
     out.append(Refuse(REFUSE_REASON))
     return tuple(out)
@@ -173,6 +192,27 @@ def _decisive_keys(analysis: Analysis) -> list[int]:
     return keys
 
 
+def _conditional_keys(decided: tuple[tuple[str, str], ...]) -> list[int]:
+    """The verdict key of each Conditional, in `_subsets(decided)` order:
+    whether its answers include every distinct unique winner.
+
+    With bit g - 1 - i standing for decided[i], `_subsets` lists the subsets
+    of each size in descending mask order, so a stable sort of the
+    descending masks by size gives its whole order.  A subset covers
+    winner w when its mask meets the bits of the criteria that w wins.
+    """
+    g = len(decided)
+    size = np.zeros(1 << g, dtype=np.uint8)
+    for bit in range(g):
+        size[1 << bit:2 << bit] = size[:1 << bit] + 1
+    masks = (1 << g) - 1 - np.argsort(size[:0:-1], kind="stable")
+    covers = np.ones(masks.shape, dtype=np.bool_)
+    for winner in {w for _, w in decided}:
+        won = sum(1 << (g - 1 - i) for i, (_, w) in enumerate(decided) if w == winner)
+        covers &= (masks & won) != 0
+    return (_CONDITIONAL_KEY + covers).tolist()
+
+
 def _strong_ties(analysis: Analysis) -> np.ndarray:
     """(n, n): the pairs tied everywhere on P and left unordered by the
     closure, whose `Equivalence` is strongly correct."""
@@ -197,34 +237,57 @@ def _equivalence_keys(analysis: Analysis) -> list[int]:
     return (_EQUIVALENCE_KEY + 2 * strong + cond)[order[:, None] < order].tolist()
 
 
-def _conditional_covers(analysis: Analysis) -> np.ndarray:
-    """For each enumerated Conditional, in enumeration order, whether its
-    answers include every distinct unique winner of the declared criteria.
+@dataclass(frozen=True)
+class VerdictTable:
+    """The response space of one instance as per-form key tables.
 
-    Each subset of the decided criteria is numbered by its bitmask over
-    them, in the order `_subsets` gives `enumerate_responses`; it covers
-    winner w when it holds a criterion that w wins.
+    Rows run in the order of `enumerate_responses`: Decisive over
+    `candidates` x `thetas`, Conditional over the subsets of `decided`,
+    Equivalence over `pairs`, then `clarify` and `refuse`;
+    `decisive`, `conditional` and `equivalence` hold the keys of each
+    form's rows.  A row's integer key determines its verdict, and
+    `verdicts` maps each key that occurs to its `Verdict`.
     """
-    pairs = _decided_pairs(analysis)
-    bits = tuple(1 << i for i in range(len(pairs)))
-    subset_masks = np.fromiter(map(sum, _subsets(bits)), dtype=np.int64,
-                               count=(1 << len(pairs)) - 1)
-    covers = np.ones(subset_masks.shape, dtype=np.bool_)
-    for winner in {w for _, w in pairs}:
-        won = sum(b for b, (_, w) in zip(bits, pairs) if w == winner)
-        covers &= (subset_masks & won) != 0
-    return covers
+
+    candidates: tuple[str, ...]
+    thetas: tuple[str | None, ...]
+    decisive: list[int]
+    decided: tuple[tuple[str, str], ...]
+    conditional: list[int]
+    pairs: list[tuple[str, str]]
+    equivalence: list[int]
+    clarify: Clarify
+    refuse: Refuse
+    verdicts: dict[int, Verdict]
+
+    def decisive_rows(self) -> Iterator[tuple[tuple[str, str | None], int]]:
+        """((candidate, theta), key) per Decisive."""
+        return zip(product(self.candidates, self.thetas), self.decisive)
+
+    def conditional_rows(self, items: Iterable) -> Iterator[tuple[tuple, int]]:
+        """(subset of `items`, key) per Conditional, where `items` stands
+        for `decided` one for one, e.g. a rendering of each branch."""
+        return zip(_subsets(tuple(items)), self.conditional)
+
+    def equivalence_rows(self) -> Iterator[tuple[tuple[str, str], int]]:
+        """((a, b), key) per Equivalence, a < b."""
+        return zip(self.pairs, self.equivalence)
+
+    def closing_rows(self) -> tuple[tuple[Clarify, int], tuple[Refuse, int]]:
+        """(response, key) for the Clarify and the Refuse."""
+        return ((self.clarify, _CLARIFY_KEY), (self.refuse, _REFUSE_KEY))
 
 
-def evaluate_space(analysis: Analysis) -> tuple[tuple[Response, ...], tuple[Verdict, ...]]:
-    """Every enumerated response and its verdict, pairwise aligned.
+def _one_row_per_key(keys: list[int], rows: list) -> Iterator[tuple[int, object]]:
+    """(key, the last row that has it) for each distinct key."""
+    return ((key, rows[i]) for key, i in dict(zip(keys, range(len(keys)))).items())
 
-    Verdicts come from per-form tables.  Each response gets an integer key
-    that determines its verdict, and each distinct key gets one `Verdict`,
-    taken from `ResponseEvaluator.evaluate` on the first response that has
-    the key; every response with that key shares the object.  So `evaluate`
-    runs on at most 24 responses, the Clarify and the Refuse among them,
-    however large the space.
+
+def evaluate_space(analysis: Analysis) -> VerdictTable:
+    """The response space of `udet analyze` as key tables, each distinct
+    key's verdict taken from `ResponseEvaluator.evaluate` on one response
+    that has the key.  So `evaluate` runs on at most 24 responses, the
+    Clarify and the Refuse among them, however large the space.
 
     - Decisive(a, theta): its verdict reads only whether a is entailed,
       whether a wins theta alone, whether a is among theta's winners and
@@ -233,22 +296,36 @@ def evaluate_space(analysis: Analysis) -> tuple[tuple[Response, ...], tuple[Verd
       answers each with that winner, so every branch holds by construction:
       strongly correct, transparent, not decisive.  It is strictly
       non-biased exactly when its answers cover every distinct unique
-      winner (`_conditional_covers`).
+      winner (`_conditional_keys`).  The first subset, one criterion, covers
+      only when every decided criterion has the same winner, and the last,
+      all of them, always covers, so the two represent every key.
     - Equivalence(a, b): its verdict reads only c_strong and c_cond
       (`_equivalence_keys`).
 
-    Raises ResponseSpaceTooLarge from `enumerate_responses`.
+    Raises ResponseSpaceTooLarge as `enumerate_responses` does.
     """
-    responses = enumerate_responses(analysis)
-    keys = (_decisive_keys(analysis)
-            + (_CONDITIONAL_KEY + _conditional_covers(analysis)).tolist()
-            + _equivalence_keys(analysis)
-            + [_CLARIFY_KEY, _REFUSE_KEY])
-    # Each key's first row: reversed, the first row is the last one written.
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    instance = analysis.instance
+    _check_enumerable(instance)
+    thetas, decided = _thetas(instance), _decided_pairs(analysis)
+    pairs = _pairs(instance.candidates)
+    decisive, conditional = _decisive_keys(analysis), _conditional_keys(decided)
+    equivalence = _equivalence_keys(analysis)
+    clarify, refuse = clarify_for(instance), Refuse(REFUSE_REASON)
+    examples: dict[int, Response] = {
+        key: Decisive(*row)
+        for key, row in _one_row_per_key(decisive, list(product(instance.candidates, thetas)))}
+    if decided:
+        examples[conditional[0]] = _canonical(Conditional, "branches", decided[:1])
+        examples[conditional[-1]] = _canonical(Conditional, "branches", decided)
+    examples.update((key, _canonical(Equivalence, "candidates", pair))
+                    for key, pair in _one_row_per_key(equivalence, pairs))
+    examples[_CLARIFY_KEY], examples[_REFUSE_KEY] = clarify, refuse
     evaluator = ResponseEvaluator(analysis)
-    table = {key: evaluator.evaluate(responses[row]) for key, row in first.items()}
-    return responses, tuple(map(table.__getitem__, keys))
+    return VerdictTable(
+        candidates=instance.candidates, thetas=thetas, decisive=decisive,
+        decided=decided, conditional=conditional, pairs=pairs, equivalence=equivalence,
+        clarify=clarify, refuse=refuse,
+        verdicts={key: evaluator.evaluate(r) for key, r in examples.items()})
 
 
 def check_trilemma(analysis: Analysis) -> TrilemmaReport:

@@ -10,10 +10,12 @@ from itertools import chain, combinations
 
 import numpy as np
 
+import udet
 from udet import cli
 from udet._kernels import score_grid
-from udet.dsl import SourceDocument, parse_instance
+from udet.dsl import SourceDocument, format_number, parse_instance
 from udet.model import (
+    EPS_WEIGHT,
     HIGHER_BETTER,
     LOWER_BETTER,
     NUMERIC,
@@ -23,6 +25,7 @@ from udet.model import (
     Fact,
     Instance,
     OrdinalScale,
+    validate,
 )
 from udet.semantics import (
     EPS_SCORE,
@@ -37,8 +40,15 @@ from udet.semantics import (
     normalize,
 )
 from udet.policy import decide
-from udet.responses import ResponseEvaluator
-from udet.trilemma import PAIRWISE_FORMS, check_trilemma, enumerate_responses, evaluate_space
+from udet.responses import Conditional, Decisive, Equivalence, ResponseEvaluator, _canonical
+from udet.trilemma import (
+    PAIRWISE_FORMS,
+    GeneratorConfig,
+    check_trilemma,
+    enumerate_responses,
+    evaluate_space,
+    generate_instance,
+)
 
 NEED_SCALE = OrdinalScale("need_scale", ("low", "moderate", "severe"))
 
@@ -88,6 +98,63 @@ def build_two_numeric(id: str, values: dict[str, tuple[float, float]],
     )
     fields.update(overrides)
     return Instance(**fields)
+
+
+# Shapes of wide response spaces, for `wide_instance`.
+WIDE_SHAPES = {
+    # The benchmark's wide-responses shape; the generator makes about 30% of
+    # the attributes ordinal, whose coarse levels tie some criteria.
+    "wide": dict(candidate_range=(6, 12), attribute_range=(2, 2), criteria_range=(9, 12)),
+    # Every attribute ordinal: ties under many criteria.
+    "ordinal": dict(candidate_range=(4, 9), attribute_range=(2, 3), criteria_range=(5, 10),
+                    ordinal_only=True),
+    # One attribute ranks every candidate the same way under every
+    # criterion, so all decided criteria share one winner.
+    "one_winner": dict(candidate_range=(2, 6), attribute_range=(1, 1), criteria_range=(2, 8)),
+    # Many candidates on coarse levels: large tie classes, and a premise
+    # from a dominating candidate in every instance that has one.
+    "many": dict(candidate_range=(20, 40), attribute_range=(2, 3), criteria_range=(2, 6),
+                 ordinal_only=True, preference_probability=1.0),
+}
+
+
+def wide_instance(shape: str, seed: int, index: int) -> Instance:
+    """The `index`-th generated instance of `WIDE_SHAPES[shape]` for `seed`."""
+    fields = dict(WIDE_SHAPES[shape])
+    ordinal_only = fields.pop("ordinal_only", False)
+    inst = generate_instance(GeneratorConfig(seed=seed, **fields), index)
+    if ordinal_only:
+        # Recast each numeric attribute as a 3-level ordinal, keeping its
+        # direction: tenths 0-3.3, 3.4-6.6 and 6.7-10 become lv0-lv2.  The
+        # recast is monotone, so a premise from a dominating candidate still
+        # cannot contradict the scores.
+        scales = {a.name: OrdinalScale(f"scale_{a.name}", ("lv0", "lv1", "lv2"))
+                  for a in inst.attributes if a.kind == NUMERIC}
+        inst = dataclasses.replace(
+            inst,
+            scales=inst.scales + tuple(scales.values()),
+            attributes=tuple(
+                dataclasses.replace(a, kind=ORDINAL, scale=scales[a.name].name)
+                if a.name in scales else a for a in inst.attributes),
+            facts=tuple(
+                dataclasses.replace(f, value=f"lv{min(2, int(f.value * 3 / 10))}")
+                if f.attribute in scales else f for f in inst.facts))
+        assert validate(inst) == []
+    return inst
+
+
+def build_distinct_winners(n: int = 12) -> Instance:
+    """n candidates on a concave front, x = j and y = (n - 1)^2 - j^2, and
+    n criteria, the j-th won by candidate j alone: under weights (w, 1 - w)
+    the normalized score peaks at x / (n - 1) = w / (2 (1 - w)), so
+    w = 2j / (n - 1 + 2j).  Every criterion is decided, each by its own
+    winner, so only the conditional naming all of them covers every winner."""
+    top = n - 1
+    values = {f"c{j}": (float(j), float(top * top - j * j)) for j in range(n)}
+    criteria = tuple(
+        CriterionSpec(f"k{j}", (("x", 2 * j / (top + 2 * j)), ("y", top / (top + 2 * j))))
+        for j in range(n))
+    return build_two_numeric("distinct_winners", values, criteria=criteria)
 
 
 # --- dense-grid oracle --------------------------------------------------------
@@ -224,32 +291,56 @@ def grid_semantics(instance: Instance, total: int) -> SemanticsResult:
     return compatible_answers(instance, stats, _closure_matrix(instance, stats))
 
 
-# --- JSON oracle for `udet analyze --format json` ------------------------------
+# --- oracles for `udet analyze` ------------------------------------------------
 #
-# The CLI writes the verdict rows from templates; this builds the whole
-# document as dicts and renders it with one `json.dumps(doc, indent=2)`.  The
-# rows' verdicts come from `ResponseEvaluator.evaluate`, one per response.
+# The CLI writes the verdict rows from the key tables of `evaluate_space`.
+# These build the space object by object with `enumerate_responses`, take
+# each row's verdict from `ResponseEvaluator.evaluate`, and render the JSON
+# document with one `json.dumps(doc, indent=2)` and the text report row by
+# row with `render_response`.
+
+
+def evaluated_rows(analysis) -> list:
+    """(response, verdict) for every enumerated response, each verdict
+    from its own `evaluate` call."""
+    evaluator = ResponseEvaluator(analysis)
+    return [(r, evaluator.evaluate(r)) for r in enumerate_responses(analysis)]
+
+
+def table_rows(table) -> list:
+    """(response, verdict) for every row of a `VerdictTable`, in its order.
+    The responses are built as the table gives them, without coercion."""
+    keyed = [(Decisive(cand, theta), key) for (cand, theta), key in table.decisive_rows()]
+    keyed += [(_canonical(Conditional, "branches", branches), key)
+              for branches, key in table.conditional_rows(table.decided)]
+    keyed += [(_canonical(Equivalence, "candidates", pair), key)
+              for pair, key in table.equivalence_rows()]
+    keyed += table.closing_rows()
+    assert set(table.verdicts) == {key for _, key in keyed}
+    return [(response, table.verdicts[key]) for response, key in keyed]
+
+
+def _analysis_of(path: str, require_decision: bool):
+    text = open(path, encoding="utf-8", errors="replace").read()
+    instance = parse_instance(SourceDocument(text, path))
+    if require_decision:
+        instance = dataclasses.replace(instance, decisiveness_required=True)
+    return analyze(instance)
 
 
 def analyze_json_oracle(path: str, require_decision: bool = False,
                         timestamps: bool = False) -> str:
     """What `udet analyze PATH --format json` must print."""
-    text = open(path, encoding="utf-8", errors="replace").read()
-    instance = parse_instance(SourceDocument(text, path))
-    if require_decision:
-        instance = dataclasses.replace(instance, decisiveness_required=True)
-    analysis = analyze(instance)
+    analysis = _analysis_of(path, require_decision)
     decision = decide(analysis)
-    evaluator = ResponseEvaluator(analysis)
     doc = {
         "schema_version": cli.JSON_SCHEMA_VERSION,
         "parameters": cli._parameters(timestamps),
-        "instance": cli._instance_json(instance),
+        "instance": cli._instance_json(analysis.instance),
         "semantics": cli._semantics_json(analysis.semantics),
         "verdicts": [
-            {"response": cli.response_to_json(r),
-             "verdict": dataclasses.asdict(evaluator.evaluate(r))}
-            for r in enumerate_responses(analysis)
+            {"response": cli.response_to_json(r), "verdict": dataclasses.asdict(v)}
+            for r, v in evaluated_rows(analysis)
         ],
         "policy": {
             "branch": decision.branch,
@@ -259,6 +350,49 @@ def analyze_json_oracle(path: str, require_decision: bool = False,
         "trilemma": cli._trilemma_json(check_trilemma(analysis)),
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def analyze_text_oracle(path: str, require_decision: bool = False) -> str:
+    """What `udet analyze PATH` must print."""
+    analysis = _analysis_of(path, require_decision)
+    instance, semantics = analysis.instance, analysis.semantics
+    decision, report = decide(analysis), check_trilemma(analysis)
+    attrs = ", ".join(
+        f"{a.name} ({a.kind}{'/' + a.scale if a.kind == ORDINAL else ''}, {a.direction})"
+        for a in instance.attributes)
+    closure = "; ".join(f"{a} > {b}" for a, b in semantics.preference_closure) or "-"
+    header = ["response".ljust(52), "C".ljust(6), "Ccond".ljust(6), "NB".ljust(6),
+              "NBt".ljust(6), "Udec".ljust(6), "Uass".ljust(6), "hidden"]
+    witness = report.conflict_free_witness
+    lines = [
+        f"instance {instance.id}",
+        *([f"question: {instance.question}"] if instance.question else []),
+        f"candidates: {', '.join(instance.candidates)}",
+        f"attributes: {attrs}",
+        f"parameters: eps_score={format_number(EPS_SCORE)} "
+        f"eps_weight={format_number(EPS_WEIGHT)} version={udet.__version__}",
+        "semantics:",
+        f"  compatible: {', '.join(semantics.compatible)}",
+        f"  underdetermined: {cli._bool(semantics.underdetermined)}",
+        f"  entailed: {semantics.entailed or '-'}",
+        f"  preference closure: {closure}",
+        "verdicts:",
+        "  " + " ".join(header).rstrip(),
+        *(f"  {cli.render_response(r).ljust(52)} {cli._verdict_cells(v)}"
+          for r, v in evaluated_rows(analysis)),
+        "policy:",
+        f"  branch: {decision.branch}",
+        f"  response: {cli.render_response(decision.response)}",
+        f"  rationale: {decision.rationale}",
+        "trilemma:",
+        f"  underdetermined: {cli._bool(report.underdetermined)}",
+        f"  responses evaluated: {report.responses_evaluated}",
+        f"  counterexamples: {len(report.counterexamples)}",
+        *(f"  {c.name}: {'holds' if c.holds else 'VIOLATED'} (witnesses {c.witnesses})"
+          for c in report.pairwise),
+        f"  conflict-free witness: {cli.render_response(witness) if witness else '-'}",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 # --- trilemma oracle ------------------------------------------------------------
@@ -296,18 +430,17 @@ def assert_report_is_the_evaluated_space(analysis):
     `ResponseEvaluator.evaluate` gives each row, and every field of
     `check_trilemma` is what the oracle derives from those rows.  Returns
     the report, the responses and the verdicts."""
-    evaluator = ResponseEvaluator(analysis)
-    rows = [(r, evaluator.evaluate(r)) for r in enumerate_responses(analysis)]
-    responses, verdicts = evaluate_space(analysis)
-    assert list(zip(responses, verdicts)) == rows
+    rows = evaluated_rows(analysis)
+    assert table_rows(evaluate_space(analysis)) == rows
     report = check_trilemma(analysis)
     counterexamples, pairwise, witness = trilemma_oracle(
         rows, analysis.semantics.underdetermined)
     assert report.instance_id == analysis.instance.id
     assert report.underdetermined == analysis.semantics.underdetermined
-    assert report.responses_evaluated == len(rows) == len(responses) == len(verdicts)
+    assert report.responses_evaluated == len(rows)
     assert report.counterexamples == counterexamples
     assert [(p.name, p.witnesses, p.violations) for p in report.pairwise] == pairwise
     assert [p.holds for p in report.pairwise] == [not v for _, _, v in pairwise]
     assert report.conflict_free_witness == witness
+    responses, verdicts = zip(*rows)
     return report, responses, verdicts

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import analyze_json_oracle
+from helpers import (
+    WIDE_SHAPES,
+    analyze_json_oracle,
+    analyze_text_oracle,
+    build_distinct_winners,
+    wide_instance,
+)
 
 import udet
 from udet import _kernels, cli, corpus
@@ -100,21 +106,45 @@ def assert_json_matches_oracle(path, *flags: str) -> None:
                                       "--timestamps" in flags)
 
 
+def assert_text_matches_oracle(path, *flags: str) -> None:
+    code, out, err = run_cli(["analyze", str(path), *flags])
+    assert (code, err) == (0, "")
+    assert out == analyze_text_oracle(str(path), "--require-decision" in flags)
+
+
 @pytest.mark.parametrize("flags", [(), ("--require-decision",)])
 def test_analyze_json_is_the_oracle_document_on_the_corpus(corpus_dir, flags):
     paths = sorted(corpus_dir.glob("*.udet"))
     assert len(paths) == 7
     for path in paths:
         assert_json_matches_oracle(path, *flags)
+        assert_text_matches_oracle(path, *flags)
 
 
 def test_analyze_json_is_the_oracle_document_for_0_to_12_criteria(tmp_path):
+    # The text report too: both formats are written from the key tables.
     for m in range(13):
         config = GeneratorConfig(seed=m, candidate_range=(2, 7), attribute_range=(1, 3),
                                  criteria_range=(m, m))
         path = tmp_path / f"gen_{m}.udet"
         path.write_text(serialize_instance(generate_instance(config, 0)), encoding="utf-8")
         assert_json_matches_oracle(path)
+        assert_text_matches_oracle(path)
+
+
+def test_analyze_json_is_the_oracle_document_on_wide_shapes(tmp_path):
+    # One instance of each wide shape, and 12 criteria with 12 distinct
+    # winners: 4095 conditionals, of which only the last covers every winner.
+    instances = [wide_instance(shape, 1, 0) for shape in sorted(WIDE_SHAPES)]
+    instances.append(build_distinct_winners(12))
+    for instance in instances:
+        path = tmp_path / f"{instance.id}.udet"
+        path.write_text(serialize_instance(instance), encoding="utf-8")
+        assert_json_matches_oracle(path)
+    doc = json.loads(run_cli(["analyze", str(path), "--format", "json"])[1])
+    strict = [row["verdict"]["nb_strict"] for row in doc["verdicts"]
+              if row["response"]["form"] == "conditional"]
+    assert len(strict) == 4095 and strict[-1] and not any(strict[:-1])
 
 
 def test_analyze_json_escapes_strings_as_the_oracle_does(corpus_dir, tmp_path):
@@ -518,3 +548,80 @@ def test_mutated_corpus_files_exit_cleanly_and_deterministically(fuzz_path, entr
             assert first.startswith("error: ") or re.match(rf"{re.escape(path)}:\d+:\d+: ", first)
             assert len(rest) <= 1 and all(ln.startswith("  near: ") for ln in rest)
         assert run_cli([command, path])[1] == out
+
+
+# Flags of each command with good and bad values; None gives the flag
+# without a value.
+_FLAG_VALUES = {
+    "--format": ("text", "json", "json", "yaml", None),
+    "--random": ("1", "3", "0", "-1", "x", None),
+    "--seed": ("0", "7", "-3", "x", "1e3", None),
+    "--require-decision": (None,),
+    "--timestamps": (None,),
+    "--grid": ("8",),
+    "--bogus": (None, "1"),
+    "-x": (None,),
+}
+_COMMAND_FLAGS = {
+    "analyze": ("--format", "--require-decision", "--timestamps"),
+    "policy": ("--format", "--require-decision", "--timestamps"),
+    "check": ("--format", "--random", "--seed", "--timestamps"),
+    "sweep": ("--format", "--timestamps"),
+    "corpus": ("--format", "--timestamps"),
+}
+_STRAY_FLAGS = ("--grid", "--bogus", "-x")
+
+
+@pytest.fixture(scope="module")
+def flag_fuzz_paths(corpus_dir, tmp_path_factory):
+    """Instance paths: the corpus, generated instances with 0-13 criteria,
+    a file that does not parse, a missing file and a directory."""
+    directory = tmp_path_factory.mktemp("flags")
+    paths = sorted(str(p) for p in corpus_dir.glob("*.udet"))
+    for m in (0, 2, 5, 13):
+        config = GeneratorConfig(seed=m, candidate_range=(2, 6), criteria_range=(m, m))
+        path = directory / f"gen_{m}.udet"
+        path.write_text(serialize_instance(generate_instance(config, 0)), encoding="utf-8")
+        paths.append(str(path))
+    (directory / "broken.udet").write_text("instance \"x\"\nfact ?\n", encoding="utf-8")
+    paths += [str(directory / "broken.udet"), str(directory / "absent.udet"), str(directory)]
+    return paths, directory
+
+
+@st.composite
+def _command_lines(draw, paths, directory):
+    """A command line that is well formed about half the time: the real
+    commands and flags, a stray flag or command now and then."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS) * 2 + ["bogus"]))
+    argv = [command]
+    if command == "corpus":
+        argv.append(draw(st.sampled_from(("export", "export", "import"))))
+        targets = (str(directory / "export"), paths[0])
+    else:
+        targets = paths + (["gpa", "need", "cost"] if command == "sweep" else [])
+    count = draw(st.sampled_from((1, 1, 1, 1, 0, 2)))
+    argv += draw(st.lists(st.sampled_from(targets), min_size=count, max_size=count))
+    flags = draw(st.lists(
+        st.sampled_from(_COMMAND_FLAGS.get(command, ()) * 4 + _STRAY_FLAGS), max_size=2))
+    for flag in flags:
+        value = draw(st.sampled_from(_FLAG_VALUES[flag]))
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_random_command_lines_exit_cleanly(flag_fuzz_paths, data):
+    # Every command line gives an exit code in 0-3 and at most one `error:`
+    # line, never a traceback; run in-process, no process per example.
+    paths, directory = flag_fuzz_paths
+    argv = data.draw(_command_lines(paths, directory))
+    code, out, err = run_cli(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert sum(line.startswith("error:") for line in lines) <= 1
+    if code == 0:
+        assert err == ""
+    else:
+        assert lines and len(lines) <= 2

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_report_is_the_evaluated_space, build_scholarship, build_two_numeric
+from helpers import (
+    WIDE_SHAPES,
+    assert_report_is_the_evaluated_space,
+    build_scholarship,
+    build_two_numeric,
+    wide_instance,
+)
 
 from udet.errors import ResponseSpaceTooLarge
 from udet.model import (
-    NUMERIC,
-    ORDINAL,
     CriterionSpec,
-    OrdinalScale,
     PinConstraint,
     PreferencePremise,
     validate,
@@ -248,7 +251,7 @@ def test_report_carries_the_evaluated_space(scholarship):
 
 
 def test_enumeration_builds_the_publicly_constructed_forms():
-    analysis = analyze(_wide_instance("ordinal", 3, 5))
+    analysis = analyze(wide_instance("ordinal", 3, 5))
     for response in enumerate_responses(analysis):
         if isinstance(response, Conditional):
             assert Conditional(response.branches) == response
@@ -297,53 +300,12 @@ def test_bulk_verdicts_equal_evaluate_at_256_candidates():
     assert report.responses_evaluated >= 256 * 3 + 256 * 255 // 2 + 2
 
 
-WIDE_SHAPES = {
-    # The benchmark's wide-responses shape; the generator makes about 30% of
-    # the attributes ordinal, whose coarse levels tie some criteria.
-    "wide": dict(candidate_range=(6, 12), attribute_range=(2, 2), criteria_range=(9, 12)),
-    # Every attribute ordinal: ties under many criteria.
-    "ordinal": dict(candidate_range=(4, 9), attribute_range=(2, 3), criteria_range=(5, 10),
-                    ordinal_only=True),
-    # One attribute ranks every candidate the same way under every
-    # criterion, so all decided criteria share one winner.
-    "one_winner": dict(candidate_range=(2, 6), attribute_range=(1, 1), criteria_range=(2, 8)),
-    # Many candidates on coarse levels: large tie classes, and a premise
-    # from a dominating candidate in every instance that has one.
-    "many": dict(candidate_range=(20, 40), attribute_range=(2, 3), criteria_range=(2, 6),
-                 ordinal_only=True, preference_probability=1.0),
-}
-
-
-def _wide_instance(shape: str, seed: int, index: int):
-    fields = dict(WIDE_SHAPES[shape])
-    ordinal_only = fields.pop("ordinal_only", False)
-    inst = generate_instance(GeneratorConfig(seed=seed, **fields), index)
-    if ordinal_only:
-        # Recast each numeric attribute as a 3-level ordinal, keeping its
-        # direction: tenths 0-3.3, 3.4-6.6 and 6.7-10 become lv0-lv2.  The
-        # recast is monotone, so a premise from a dominating candidate still
-        # cannot contradict the scores.
-        scales = {a.name: OrdinalScale(f"scale_{a.name}", ("lv0", "lv1", "lv2"))
-                  for a in inst.attributes if a.kind == NUMERIC}
-        inst = dataclasses.replace(
-            inst,
-            scales=inst.scales + tuple(scales.values()),
-            attributes=tuple(
-                dataclasses.replace(a, kind=ORDINAL, scale=scales[a.name].name)
-                if a.name in scales else a for a in inst.attributes),
-            facts=tuple(
-                dataclasses.replace(f, value=f"lv{min(2, int(f.value * 3 / 10))}")
-                if f.attribute in scales else f for f in inst.facts))
-        assert validate(inst) == []
-    return inst
-
-
 @settings(max_examples=40, deadline=None)
 @given(shape=st.sampled_from(sorted(WIDE_SHAPES)),
        seed=st.integers(min_value=0, max_value=2**32 - 1),
        index=st.integers(min_value=0, max_value=1000))
 def test_bulk_verdicts_equal_evaluate_on_wide_instances(shape, seed, index):
-    assert_report_is_the_evaluated_space(analyze(_wide_instance(shape, seed, index)))
+    assert_report_is_the_evaluated_space(analyze(wide_instance(shape, seed, index)))
 
 
 @settings(max_examples=60, deadline=None)
