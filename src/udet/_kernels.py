@@ -1,25 +1,28 @@
-"""Numeric kernels over the weight polytope P = {w : sum(w) = 1, lower <= w <= upper}.
+"""Kernels over the weight polytope P = {w : sum(w) = 1, lower <= w <= upper}.
 
-- `score_grid` scores every candidate at a batch of weight vectors,
-  accumulating candidate-major, one contiguous row per candidate.
-- `box_simplex_min` gives min over P of ``c . w`` for many coefficient rows
-  at once, in closed form: the greedy fill of a continuous knapsack.
+- `score_grid` scores every candidate at a batch of weight vectors, each
+  score (`score`) accumulated from 0.0 over the attributes in declared
+  order.
+- `box_simplex_min` gives min over P of ``c . w`` for many coefficient rows,
+  in closed form: the greedy fill of a continuous knapsack.
+  `box_simplex_argmax` gives the vertex of P where the same fill, spent on
+  the largest coefficients first, maximizes ``c . w``.
 - `max_min_margin` gives max over P of min_r ``c_r . w``, a small linear
   program, solved as its dual by a revised simplex that prices by the most
   negative reduced cost and falls back to Bland's rule on a run of
   degenerate steps, so the same input always takes the same steps.
 
-Plain numpy.  Nothing here imports scipy, whose import alone costs more
-than a whole cold ``udet analyze`` run.
+All but the linear program run on plain Python floats, lists and tuples.
+The linear program uses numpy, imported on its first call: a run whose
+margins the pairwise bounds and the certifying weight vectors decide never
+loads numpy, whose import costs more than the rest of a cold ``udet
+analyze``.  Nothing here imports scipy.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
-
-_BLOCK_POINTS = 8192
+from collections.abc import Iterable, Sequence
 
 # Simplex tolerances: the least pivot element, and the reduced-cost and
 # ratio-tie tolerance.  The program's entries are O(1).
@@ -30,49 +33,78 @@ _TOL = 1e-12
 _DEGENERATE_RUN = 5
 
 
-def score_grid(weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+def score(row: Sequence[float], weights: Sequence[float]) -> float:
+    """``row . weights``: one candidate's score at one weight vector,
+    accumulated from 0.0 over the attributes in declared order."""
+    acc = 0.0
+    for x, w in zip(row, weights):
+        acc += x * w
+    return acc
+
+
+def score_grid(weights: Iterable[Sequence[float]],
+               matrix: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
     """Weighted scores for every (weight vector, candidate) pair.
 
-    `weights` is (n_points, k) on the simplex, `matrix` is the (n_candidates,
-    k) normalized score matrix; the result is (n_points, n_candidates), a
-    view of a candidate-major buffer.  Each entry is accumulated from 0.0
-    over attributes in declared order.
+    `weights` holds weight vectors and `matrix` one normalized score row per
+    candidate, both over the attributes in declared order.  Entry [p][c] is
+    `score(matrix[c], weights[p])`.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n_pts, k = weights.shape
-    scores = np.zeros((matrix.shape[0], n_pts))
-    # The products go through a cache-sized buffer, one block of points at a time.
-    term = np.empty((matrix.shape[0], min(n_pts, _BLOCK_POINTS)))
-    for start in range(0, n_pts, _BLOCK_POINTS):
-        block = scores[:, start : start + _BLOCK_POINTS]
-        products = term[:, : block.shape[1]]
-        for j in range(k):
-            np.multiply(matrix[:, j : j + 1], weights[start : start + _BLOCK_POINTS, j],
-                        out=products)
-            block += products
-    return scores.T
+    return tuple(tuple(score(row, w) for row in matrix) for w in weights)
 
 
-def box_simplex_min(coef: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """min over P of ``coef[r] . w`` for every row r of the (m, k) `coef`.
+def _room(lower: Sequence[float], upper: Sequence[float]) -> tuple[list[float], float]:
+    """Each attribute's room upper - lower, and the budget 1 - sum(lower)
+    clipped to [0, total room]: a P that is a point within tolerance
+    spends nothing or everything."""
+    room = [u - lo for lo, u in zip(lower, upper)]
+    return room, min(max(1.0 - sum(lower), 0.0), sum(room))
+
+
+def _least_fill(row: Sequence[float], room: Sequence[float], budget: float) -> float:
+    """min of ``row . v`` over 0 <= v <= room with sum(v) = budget: the
+    budget goes to the cheapest coefficients first, each up to its room.
+    The cheapest coefficient often takes all of it."""
+    cheapest = min(row)
+    if room[row.index(cheapest)] >= budget:
+        return cheapest * budget
+    value = 0.0
+    for j in sorted(range(len(row)), key=row.__getitem__):
+        if room[j] >= budget:
+            return value + row[j] * budget
+        value += row[j] * room[j]
+        budget -= room[j]
+    return value
+
+
+def box_simplex_min(coef: Iterable[Sequence[float]], lower: Sequence[float],
+                    upper: Sequence[float]) -> list[float]:
+    """min over P of ``row . w`` for every row of `coef`.
 
     Start at `lower`, then spend the budget 1 - sum(lower) on the cheapest
-    coefficients first, each up to its room upper - lower.  A budget below
-    0 or above the total room (P a point, within tolerance) spends nothing
-    or everything.
+    coefficients first, each up to its room upper - lower.
     """
-    coef = np.asarray(coef, dtype=np.float64)
-    order = np.argsort(coef, axis=1, kind="stable")
-    room = (upper - lower)[order]
-    spent = np.zeros_like(room)
-    np.cumsum(room[:, :-1], axis=1, out=spent[:, 1:])
-    fill = np.clip((1.0 - lower.sum()) - spent, 0.0, room)
-    ranked = np.take_along_axis(coef, order, axis=1)
-    return coef @ lower + np.einsum("rj,rj->r", ranked, fill)
+    room, budget = _room(lower, upper)
+    return [score(row, lower) + _least_fill(row, room, budget) for row in coef]
 
 
-def max_min_margin(coef: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
+def box_simplex_argmax(row: Sequence[float], lower: Sequence[float],
+                       upper: Sequence[float]) -> list[float]:
+    """A vertex of P where ``row . w`` is greatest: start at `lower`, then
+    spend the budget on the largest coefficients first."""
+    room, budget = _room(lower, upper)
+    w = list(lower)
+    for j in sorted(range(len(row)), key=row.__getitem__, reverse=True):
+        if budget <= 0.0:
+            break
+        step = min(room[j], budget)
+        w[j] += step
+        budget -= step
+    return w
+
+
+def max_min_margin(coef: Sequence[Sequence[float]], lower: Sequence[float],
+                   upper: Sequence[float]) -> float:
     """max over w in P of min_r ``coef[r] . w``; +inf when `coef` has no rows.
 
     With w = lower + v, budget = 1 - sum(lower) and room = upper - lower,
@@ -89,10 +121,14 @@ def max_min_margin(coef: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> fl
     The search starts at y = the first row, mu = that row's largest
     coefficient and every other surplus s_i basic: a feasible basis.
     """
-    coef = np.asarray(coef, dtype=np.float64)
-    m, k = coef.shape
-    if m == 0:
+    if len(coef) == 0:
         return math.inf
+    import numpy as np
+
+    coef = np.asarray(coef, dtype=np.float64)
+    lower = np.asarray(lower, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    m, k = coef.shape
     room = upper - lower
     budget = min(max(1.0 - float(lower.sum()), 0.0), float(room.sum()))
     capped = np.flatnonzero(room < budget)
@@ -112,9 +148,9 @@ def max_min_margin(coef: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> fl
     return _simplex_min(cost, a, np.eye(k + 1)[0], np.array(basis))
 
 
-def _simplex_min(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> float:
+def _simplex_min(cost, a, b, basis) -> float:
     """min ``cost . x`` subject to ``a x = b`` and x >= 0, from the feasible
-    `basis` (one column per row) of a bounded program.
+    `basis` (one column per row) of a bounded program; numpy arrays.
 
     A revised simplex.  The column with the most negative reduced cost
     enters, the lowest on ties (Dantzig's rule).  After `_DEGENERATE_RUN`
@@ -129,6 +165,8 @@ def _simplex_min(cost: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarr
     inverts the basis afresh, so round-off does not build up over degenerate
     steps.  The rule is deterministic: the same input takes the same steps.
     """
+    import numpy as np
+
     skip = np.zeros(a.shape[1], dtype=bool)
     degenerate = 0
     while True:

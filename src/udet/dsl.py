@@ -65,7 +65,7 @@ _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r]+)
       | (?P<comment>\#.*)
       | (?P<string>"(?:[^"\\\n]|\\.)*")
-      | (?P<number>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+      | (?P<number>[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<punct><=|>=|[(){}:,.=])
       | (?P<bad>.)

@@ -189,11 +189,11 @@ class ResponseEvaluator:
 
     def _tie_at(self, criterion: str, a: str, b: str) -> bool:
         scores = self.analysis.criterion_scores[criterion]
-        return bool(abs(scores[self._index[a]] - scores[self._index[b]]) <= EPS_SCORE)
+        return abs(scores[self._index[a]] - scores[self._index[b]]) <= EPS_SCORE
 
     def _ordered_by_closure(self, a: str, b: str) -> bool:
         i, j = self._index[a], self._index[b]
-        return bool(self.analysis.closure[i, j] or self.analysis.closure[j, i])
+        return self.analysis.closure[i][j] or self.analysis.closure[j][i]
 
     def evaluate(self, response: Response) -> Verdict:
         instance = self.analysis.instance
@@ -245,7 +245,7 @@ class ResponseEvaluator:
             pairs = [(members[i], members[j])
                      for i in range(len(members)) for j in range(i + 1, len(members))]
             idx = self._index
-            ties = all(bool(self.analysis.stats.tie_all[idx[a], idx[b]]) for a, b in pairs)
+            ties = all(self.analysis.stats.tie_all[idx[a]][idx[b]] for a, b in pairs)
             unordered = not any(self._ordered_by_closure(a, b) for a, b in pairs)
             c_strong = ties and unordered
             c_cond = c_strong or any(

@@ -2,24 +2,29 @@
 
 `analyze` computes an instance's semantics once and returns it as one frozen
 `Analysis`: the min-max normalized score matrix, the admissible weight
-polytope P = {w : sum(w) = 1, lower <= w <= upper}, the exact winner
-statistics over P, the preference closure, the compatible answer set with
-its underdetermination flag and entailed winner, and the scores and winners
-under each declared criterion.  The response, trilemma and policy layers
-read that object and recompute none of it.
+polytope P = {w : sum(w) = 1, lower <= w <= upper}, the scores and winners
+under each declared criterion, the exact winner statistics over P, the
+preference closure, and the compatible answer set with its
+underdetermination flag and entailed winner.  The response, trilemma and
+policy layers read that object and recompute none of it.  Its score rows
+and tables are tuples of plain Python floats and bools, so no reader can
+change them, and computing them needs no numpy.
 
 Every instance takes the same exact path, whatever its attribute count and
 whether a pin or bounds shape P: pairwise score differences are minimized
-over P in closed form, and a small linear program decides where a
+over P in closed form, which brackets each candidate's winning margin.
+Where the bracket leaves a verdict open, a weight vector in P can certify
+it; only where none does, a small linear program decides where the
 candidate can win (`_kernels`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-
-import numpy as np
+from operator import sub
 
 from . import _kernels
 from .errors import ContradictoryPremises, InfeasibleConstraints
@@ -37,13 +42,17 @@ from .model import (
 # Absolute tolerance for score comparisons (ties, strict wins).
 EPS_SCORE = 1e-9
 
+Vector = tuple[float, ...]
+BoolTable = tuple[tuple[bool, ...], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """Min-max normalized scores, one row per candidate, one column per attribute."""
 
     candidates: tuple[str, ...]
     attributes: tuple[str, ...]
-    values: np.ndarray  # (n_candidates, n_attributes) float64 in [0, 1]
+    values: tuple[Vector, ...]  # values[c][j] in [0, 1]
 
 
 @dataclass(frozen=True)
@@ -61,14 +70,14 @@ class WinnerOutcome:
 class AdmissibleSet:
     """The weight polytope P = {w : sum(w) = 1, lower <= w <= upper}.
 
-    Both arrays are (n_attributes,) in declared order and read-only.  A pin
-    makes `lower` and `upper` the pinned weights; a bound raises `lower` or
-    lowers `upper` of its attribute.
+    `lower` and `upper` hold one weight per attribute, in declared order.  A
+    pin makes both the pinned weights; a bound raises `lower` or lowers
+    `upper` of its attribute.
     """
 
     attributes: tuple[str, ...]
-    lower: np.ndarray
-    upper: np.ndarray
+    lower: Vector
+    upper: Vector
 
 
 @dataclass(frozen=True)
@@ -83,13 +92,16 @@ class SemanticsResult:
 
 @dataclass(frozen=True, eq=False)
 class WinnerStats:
-    """Aggregate winner facts across every admissible weight vector."""
+    """Aggregate winner facts across every admissible weight vector.
+
+    Tables are indexed by candidate position: ``beats_all[a][b]``.
+    """
 
     candidates: tuple[str, ...]
-    ever_unique: np.ndarray  # (n,) bool: sole argmax somewhere
-    in_winner_set: np.ndarray  # (n,) bool: within EPS_SCORE of some maximum
-    beats_all: np.ndarray  # (n, n) bool: strictly ahead everywhere
-    tie_all: np.ndarray  # (n, n) bool: within EPS_SCORE everywhere
+    ever_unique: tuple[bool, ...]  # sole argmax somewhere
+    in_winner_set: tuple[bool, ...]  # within EPS_SCORE of some maximum
+    beats_all: BoolTable  # strictly ahead everywhere
+    tie_all: BoolTable  # within EPS_SCORE everywhere
 
 
 def normalize(instance: Instance) -> ScoreMatrix:
@@ -104,56 +116,53 @@ def normalize(instance: Instance) -> ScoreMatrix:
     numeric value, which `validate` reports as ``fact-value-finite``.
     """
     cands = instance.candidates
-    attrs = instance.attributes
     values = {(f.candidate, f.attribute): f.value for f in instance.facts}
-    out = np.empty((len(cands), len(attrs)), dtype=np.float64)
-    for j, attr in enumerate(attrs):
+    columns = []
+    for attr in instance.attributes:
         if attr.kind == NUMERIC:
-            raw = np.array([float(values[(c, attr.name)]) for c in cands])
-            bad = np.flatnonzero(~np.isfinite(raw))
-            if bad.size:
-                cand = cands[bad[0]]
-                raise ValueError(f"fact {cand}.{attr.name} is not finite "
-                                 f"({values[(cand, attr.name)]!r})")
+            raw = [float(values[(c, attr.name)]) for c in cands]
+            for cand, value in zip(cands, raw):
+                if not math.isfinite(value):
+                    raise ValueError(f"fact {cand}.{attr.name} is not finite "
+                                     f"({values[(cand, attr.name)]!r})")
         else:
             scale = instance.scale_by_name(attr.scale)
-            raw = np.array([float(scale.rank(values[(c, attr.name)])) for c in cands])
-        lo, hi = raw.min(), raw.max()
+            raw = [float(scale.rank(values[(c, attr.name)])) for c in cands]
+        lo, hi = min(raw), max(raw)
         if lo == hi:
-            out[:, j] = 0.5
+            columns.append([0.5] * len(cands))
             continue
-        with np.errstate(over="ignore"):
-            span = hi - lo
-        if not np.isfinite(span):
+        span = hi - lo
+        if not math.isfinite(span):
             # Finite values whose range overflows: halving is exact, so the
             # ratio is unchanged and stays finite.
-            raw, lo, span = raw / 2.0, lo / 2.0, hi / 2.0 - lo / 2.0
-        scaled = (raw - lo) / span
+            raw, lo, span = [v / 2.0 for v in raw], lo / 2.0, hi / 2.0 - lo / 2.0
+        scaled = [(v - lo) / span for v in raw]
         if attr.direction == LOWER_BETTER:
-            scaled = 1.0 - scaled
-        out[:, j] = scaled
-    return ScoreMatrix(tuple(cands), instance.attribute_names, out)
+            scaled = [1.0 - v for v in scaled]
+        columns.append(scaled)
+    return ScoreMatrix(tuple(cands), instance.attribute_names, tuple(zip(*columns)))
 
 
-def _weight_row(matrix_attrs: tuple[str, ...], theta: CriterionSpec) -> np.ndarray:
+def _weight_row(matrix_attrs: tuple[str, ...], theta: CriterionSpec) -> Vector:
     wmap = theta.weight_map
     try:
-        return np.array([wmap[a] for a in matrix_attrs], dtype=np.float64)
+        return tuple(float(wmap[a]) for a in matrix_attrs)
     except KeyError as exc:
         raise ValueError(
             f"criterion '{theta.name}' has no weight for attribute {exc.args[0]!r}"
         ) from None
 
 
-def _winners(candidates: tuple[str, ...], scores: np.ndarray) -> tuple[str, ...]:
-    top = scores.max()
-    return tuple(c for i, c in enumerate(candidates) if scores[i] >= top - EPS_SCORE)
+def _winners(candidates: tuple[str, ...], scores: Vector) -> tuple[str, ...]:
+    top = max(scores)
+    return tuple(c for c, s in zip(candidates, scores) if s >= top - EPS_SCORE)
 
 
 def winners_at(matrix: ScoreMatrix, theta: CriterionSpec) -> WinnerOutcome:
     """Candidates within EPS_SCORE of the maximum score under `theta`."""
     weights = _weight_row(matrix.attributes, theta)
-    scores = _kernels.score_grid(weights[None, :], matrix.values)[0]
+    scores = _kernels.score_grid([weights], matrix.values)[0]
     return WinnerOutcome(_winners(matrix.candidates, scores))
 
 
@@ -161,14 +170,14 @@ def _bounds(constraints: tuple[WeightConstraint, ...]) -> list[BoundConstraint]:
     return [c for c in constraints if isinstance(c, BoundConstraint)]
 
 
-def _pin_vector(instance: Instance) -> np.ndarray | None:
+def _pin_vector(instance: Instance) -> Vector | None:
     """Weight vector demanded by pin constraints, or None.
 
     Multiple pins must agree within EPS_WEIGHT componentwise; a pinned vector
     must also satisfy every bound constraint.
     """
     attrs = instance.attribute_names
-    pinned: np.ndarray | None = None
+    pinned: Vector | None = None
     pinned_name = ""
     for con in instance.constraints:
         if not isinstance(con, PinConstraint):
@@ -176,7 +185,7 @@ def _pin_vector(instance: Instance) -> np.ndarray | None:
         vec = _weight_row(attrs, instance.criterion_by_name(con.criterion))
         if pinned is None:
             pinned, pinned_name = vec, con.criterion
-        elif np.any(np.abs(vec - pinned) > EPS_WEIGHT):
+        elif any(abs(v - p) > EPS_WEIGHT for v, p in zip(vec, pinned)):
             raise InfeasibleConstraints(
                 f"pin constraints disagree: '{pinned_name}' vs '{con.criterion}'")
     if pinned is None:
@@ -208,43 +217,49 @@ def admissible_set(instance: Instance) -> AdmissibleSet:
     attrs = instance.attribute_names
     pinned = _pin_vector(instance)
     if pinned is not None:
-        pinned.setflags(write=False)
         return AdmissibleSet(attrs, pinned, pinned)
-    lower, upper = np.zeros(len(attrs)), np.ones(len(attrs))
+    lower, upper = [0.0] * len(attrs), [1.0] * len(attrs)
     for bound in _bounds(instance.constraints):
         j = attrs.index(bound.attribute)
         if bound.op != "<=":
             lower[j] = max(lower[j], bound.value)
         if bound.op != ">=":
             upper[j] = min(upper[j], bound.value)
-    crossed = np.flatnonzero(lower - upper > EPS_WEIGHT)
-    if crossed.size:
-        j = crossed[0]
-        raise InfeasibleConstraints(
-            f"no admissible weight for '{attrs[j]}' in [{lower[j]}, {upper[j]}]")
-    upper = np.maximum(upper, lower)
-    if lower.sum() > 1.0 + EPS_WEIGHT or upper.sum() < 1.0 - EPS_WEIGHT:
+    for j, (lo, hi) in enumerate(zip(lower, upper)):
+        if lo - hi > EPS_WEIGHT:
+            raise InfeasibleConstraints(
+                f"no admissible weight for '{attrs[j]}' in [{lo}, {hi}]")
+    upper = [max(hi, lo) for lo, hi in zip(lower, upper)]
+    if sum(lower) > 1.0 + EPS_WEIGHT or sum(upper) < 1.0 - EPS_WEIGHT:
         raise InfeasibleConstraints(
             f"no admissible weight: the bounds allow weight sums in "
-            f"[{lower.sum():.12g}, {upper.sum():.12g}], not 1")
-    lower.setflags(write=False)
-    upper.setflags(write=False)
-    return AdmissibleSet(attrs, lower, upper)
+            f"[{sum(lower):.12g}, {sum(upper):.12g}], not 1")
+    return AdmissibleSet(attrs, tuple(lower), tuple(upper))
+
+
+def _in_polytope(w: Vector, adm: AdmissibleSet) -> bool:
+    """Whether `w` lies in P: within every bound with no EPS_WEIGHT slack,
+    and summing to 1 when the sum is rounded exactly (`math.fsum`)."""
+    return (all(lo <= x <= hi for lo, x, hi in zip(adm.lower, w, adm.upper))
+            and math.fsum(w) == 1.0)
 
 
 def exact_thresholds(matrix: ScoreMatrix, lo: float = 0.0, hi: float = 1.0) -> list[float]:
     """Sorted alphas in (lo, hi) where two candidates' scores cross exactly.
 
     Alpha is the weight of the first of two attributes; the scores are
-    linear in it, s(alpha) = m[:, 1] + alpha * (m[:, 0] - m[:, 1]).
+    linear in it, s(alpha) = m[c][1] + alpha * (m[c][0] - m[c][1]).
     """
     m = matrix.values
-    tilt = m[:, 0] - m[:, 1]
-    slope = tilt[:, None] - tilt[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alphas = (m[None, :, 1] - m[:, None, 1]) / slope
-    inside = (slope != 0.0) & (alphas > lo) & (alphas < hi)
-    return sorted(set(alphas[inside].tolist()))
+    tilt = [row[0] - row[1] for row in m]
+    alphas = set()
+    for a, b in itertools.permutations(range(len(m)), 2):
+        slope = tilt[a] - tilt[b]
+        if slope != 0.0:
+            alpha = (m[b][1] - m[a][1]) / slope
+            if lo < alpha < hi:
+                alphas.add(alpha)
+    return sorted(alphas)
 
 
 def winner_regions(matrix: ScoreMatrix, thresholds: list[float]):
@@ -260,8 +275,8 @@ def winner_regions(matrix: ScoreMatrix, thresholds: list[float]):
     items = [(0.0, 0.0, True)]  # (lo, hi, is_point), in alpha order
     for lo, hi in zip(points, points[1:]):
         items += [(lo, hi, False), (hi, hi, True)]
-    alphas = np.array([lo if is_point else (lo + hi) / 2.0 for lo, hi, is_point in items])
-    scores = _kernels.score_grid(np.column_stack((alphas, 1.0 - alphas)), matrix.values)
+    alphas = [lo if is_point else (lo + hi) / 2.0 for lo, hi, is_point in items]
+    scores = _kernels.score_grid([(a, 1.0 - a) for a in alphas], matrix.values)
     winners = [_winners(matrix.candidates, row) for row in scores]
     regions = []
     for ws, run in itertools.groupby(zip(items, winners), key=lambda pair: pair[1]):
@@ -271,7 +286,24 @@ def winner_regions(matrix: ScoreMatrix, thresholds: list[float]):
     return regions
 
 
-def winner_statistics(matrix: ScoreMatrix, adm: AdmissibleSet) -> WinnerStats:
+def _decided(t: float, t_hi: float) -> bool:
+    """Whether every t' in [t, t_hi] gives the same two winner tests."""
+    return (t > EPS_SCORE) == (t_hi > EPS_SCORE) and (t >= -EPS_SCORE) == (t_hi >= -EPS_SCORE)
+
+
+def _least_clearing(leads: Iterable[float], strict: bool) -> float | None:
+    """The least of `leads` if each clears the threshold, > EPS_SCORE when
+    `strict` and >= -EPS_SCORE when not; None at the first that does not."""
+    least = math.inf
+    for lead in leads:
+        if not (lead > EPS_SCORE if strict else lead >= -EPS_SCORE):
+            return None
+        least = min(least, lead)
+    return least
+
+
+def winner_statistics(matrix: ScoreMatrix, adm: AdmissibleSet,
+                      witnesses: Iterable[tuple[Vector, Vector]] = ()) -> WinnerStats:
     """Exact winner facts over the admissible polytope P.
 
     `beats_all` and `tie_all` read the minimum and maximum over P of each
@@ -280,57 +312,106 @@ def winner_statistics(matrix: ScoreMatrix, adm: AdmissibleSet) -> WinnerStats:
     rest: `ever_unique` is t > EPS_SCORE and `in_winner_set` is
     t >= -EPS_SCORE.  The pairwise extremes bracket t: it lies between the
     least over rivals of min over P of s_a - s_b and the least over rivals
-    of its max over P.  The linear program (`_kernels.max_min_margin`)
-    runs only where that bracket straddles a threshold, which it never does
-    for a candidate that some rival beats everywhere.  The program leaves
-    out the rivals that some candidate beats everywhere: they never decide
-    either test.
+    of its max over P.  A bracket that straddles a threshold never belongs
+    to a candidate that some rival beats everywhere.  The rivals that some
+    candidate beats everywhere never decide either test, so they are left
+    out, and where one rival is left, t is its pairwise maximum.  Otherwise
+    a's least lead over the rivals at any w in P is a lower bound on t, an
+    exact certificate, which decides both tests when it clears the
+    threshold that the upper end lies above.  The certificates tried are,
+    in order, each of `witnesses`, (weight vector, scores) pairs such as
+    the declared criteria, whose vector lies in P (`_in_polytope`), and the
+    vertex of P that maximizes s_a - s_b for the rival b that binds the
+    upper end.  Only a bracket that none of them decides goes to the linear
+    program (`_kernels.max_min_margin`).
     """
     m = matrix.values
-    n, k = m.shape
-    diffs = m[:, None, :] - m[None, :, :]  # diffs[a, b] . w == s_a - s_b
-    lo = _kernels.box_simplex_min(diffs.reshape(n * n, k), adm.lower,
-                                  adm.upper).reshape(n, n)
-    hi = -lo.T
-    beats_all = lo > EPS_SCORE
-    tie_all = (lo >= -EPS_SCORE) & (hi <= EPS_SCORE)
-    rival = ~np.eye(n, dtype=bool)
-    margin = np.where(rival, lo, np.inf).min(axis=1)
-    margin_hi = np.where(rival, hi, np.inf).min(axis=1)
-    rows = rival & ~beats_all.any(axis=0)
-    for i in np.flatnonzero(((margin > EPS_SCORE) != (margin_hi > EPS_SCORE))
-                            | ((margin >= -EPS_SCORE) != (margin_hi >= -EPS_SCORE))):
-        margin[i] = _kernels.max_min_margin(diffs[i, rows[i]], adm.lower, adm.upper)
-    return WinnerStats(matrix.candidates, margin > EPS_SCORE, margin >= -EPS_SCORE,
-                       beats_all, tie_all)
+    lo = [_kernels.box_simplex_min([list(map(sub, m_a, m_b)) for m_b in m], adm.lower, adm.upper)
+          for m_a in m]
+    hi = [[-d for d in col] for col in zip(*lo)]  # hi[a][b] = -lo[b][a]
+    beats_all = tuple(tuple(d > EPS_SCORE for d in row) for row in lo)
+    tie_all = tuple(tuple(d >= -EPS_SCORE and h <= EPS_SCORE for d, h in zip(row, row_hi))
+                    for row, row_hi in zip(lo, hi))
+    beaten = [any(col) for col in zip(*beats_all)]
+    certified = [scores for w, scores in witnesses if _in_polytope(w, adm)]
+    margin = []
+    for a, (row, row_hi) in enumerate(zip(lo, hi)):
+        rival_lo, rival_hi = row[:a] + row[a + 1:], row_hi[:a] + row_hi[a + 1:]
+        t = min(rival_lo, default=math.inf)
+        t_hi = min(rival_hi, default=math.inf)
+        if not _decided(t, t_hi):
+            rivals = [b for b, out in enumerate(beaten) if b != a and not out]
+            if len(rivals) == 1:
+                t = row_hi[rivals[0]]
+            else:
+                binding = rival_hi.index(t_hi)
+                binding += binding >= a
+                t = _margin(matrix, adm, a, rivals, t_hi, binding, certified)
+        margin.append(t)
+    return WinnerStats(matrix.candidates, tuple(t > EPS_SCORE for t in margin),
+                       tuple(t >= -EPS_SCORE for t in margin), beats_all, tie_all)
 
 
-def _closure_matrix(instance: Instance, stats: WinnerStats) -> np.ndarray:
+def _margin(matrix: ScoreMatrix, adm: AdmissibleSet, a: int, rivals: list[int],
+            t_hi: float, binding: int, certified: list[Vector]) -> float:
+    """Candidate a's margin over `rivals`, or a lower bound on it that
+    decides both winner tests, when its bracket straddles a threshold.
+    A weight vector in P decides them when a's lead over every rival there
+    clears the threshold that the upper end `t_hi` lies above; see
+    `winner_statistics`."""
+    m = matrix.values
+    strict = t_hi > EPS_SCORE
+    for scores in certified:
+        bound = _least_clearing((scores[a] - scores[b] for b in rivals), strict)
+        if bound is not None:
+            return bound
+    vertex = _kernels.box_simplex_argmax(list(map(sub, m[a], m[binding])),
+                                         adm.lower, adm.upper)
+    lead = _kernels.score(m[a], vertex)
+    bound = _least_clearing((lead - _kernels.score(m[b], vertex) for b in rivals), strict)
+    if bound is not None:
+        return bound
+    return _kernels.max_min_margin([list(map(sub, m[a], m[b])) for b in rivals],
+                                   adm.lower, adm.upper)
+
+
+# Maps a row of bools, as bytes, to its binary digits.
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _closure_matrix(instance: Instance, stats: WinnerStats) -> BoolTable:
     """Transitive closure of explicit premises united with score unanimity.
 
-    Raises ContradictoryPremises when the union contains a cycle (some
-    premise orders a pair against a unanimous score ordering).
+    Each row is a bitset, bit j for candidate j, closed by Warshall's
+    algorithm.  Raises ContradictoryPremises when the union contains a
+    cycle (some premise orders a pair against a unanimous score ordering).
     """
     cands = instance.candidates
     index = {c: i for i, c in enumerate(cands)}
     n = len(cands)
-    reach = stats.beats_all.copy()
+    reach = [int(bytes(row[::-1]).translate(_BIT_DIGITS), 2) for row in stats.beats_all]
     for pref in instance.preferences:
-        reach[index[pref.winner], index[pref.loser]] = True
-    for m in range(n):
-        reach |= reach[:, m][:, None] & reach[m, :][None, :]
-    # Any cycle orders two distinct candidates both ways; name the first pair.
-    both = reach & reach.T & ~np.eye(n, dtype=bool)
-    if both.any():
-        i, j = np.argwhere(both)[0]
-        raise ContradictoryPremises(
-            f"premises order '{cands[i]}' and '{cands[j]}' both ways "
-            "(explicit preference against a unanimous score ordering)")
-    return reach
+        reach[index[pref.winner]] |= 1 << index[pref.loser]
+    for k in range(n):
+        bit, via = 1 << k, reach[k]
+        for i in range(n):
+            if reach[i] & bit:
+                reach[i] |= via
+    # A cycle orders two distinct candidates both ways and puts each in its
+    # own row; name the first such pair.
+    for i in range(n):
+        if not reach[i] >> i & 1:
+            continue
+        for j in range(n):
+            if j != i and reach[i] >> j & 1 and reach[j] >> i & 1:
+                raise ContradictoryPremises(
+                    f"premises order '{cands[i]}' and '{cands[j]}' both ways "
+                    "(explicit preference against a unanimous score ordering)")
+    return tuple(tuple(map("1".__eq__, format(row, f"0{n}b")[::-1])) for row in reach)
 
 
 def compatible_answers(instance: Instance, stats: WinnerStats,
-                       closure: np.ndarray) -> SemanticsResult:
+                       closure: BoolTable) -> SemanticsResult:
     """Compatible answer set, underdetermination, entailed winner, closure.
 
     A candidate is compatible when it is the unique winner at some admissible
@@ -346,12 +427,12 @@ def compatible_answers(instance: Instance, stats: WinnerStats,
     cands = instance.candidates
     n = len(cands)
 
-    if stats.ever_unique.any():
+    if any(stats.ever_unique):
         base = [i for i in range(n) if stats.ever_unique[i]]
     else:
         base = [i for i in range(n) if stats.in_winner_set[i]]
 
-    dominated = closure.any(axis=0)
+    dominated = [any(col) for col in zip(*closure)]
 
     compatible = [i for i in base if not dominated[i]]
     if not compatible:
@@ -360,15 +441,14 @@ def compatible_answers(instance: Instance, stats: WinnerStats,
 
     entailed: str | None = None
     for i in range(n):
-        others = [j for j in range(n) if j != i]
-        if all(stats.beats_all[i, j] for j in others) and not dominated[i]:
+        if all(stats.beats_all[i][j] for j in range(n) if j != i) and not dominated[i]:
             entailed = cands[i]
             break
     if entailed is None and len(compatible) == 1:
         entailed = cands[compatible[0]]
 
     pairs = tuple((cands[i], cands[j])
-                  for i in range(n) for j in range(n) if closure[i, j])
+                  for i, row in enumerate(closure) for j in itertools.compress(range(n), row))
     return SemanticsResult(
         compatible=tuple(cands[i] for i in compatible),
         underdetermined=len(compatible) > 1,
@@ -381,20 +461,20 @@ def compatible_answers(instance: Instance, stats: WinnerStats,
 class Analysis:
     """Everything the later layers read about one instance, computed once.
 
-    `closure[i, j]` is true when the premises order candidate i above j
-    (the matrix behind `semantics.preference_closure`).  `criterion_scores`
+    `closure[i][j]` is true when the premises order candidate i above j
+    (the table behind `semantics.preference_closure`).  `criterion_scores`
     and `criterion_winners` map each declared criterion, in declaration
-    order, to its (n,) score row and to `winners_at(matrix, criterion).winners`.
-    The closure and the score rows are read-only.
+    order, to its score per candidate and to
+    `winners_at(matrix, criterion).winners`.
     """
 
     instance: Instance
     matrix: ScoreMatrix
     adm: AdmissibleSet
     stats: WinnerStats
-    closure: np.ndarray
+    closure: BoolTable
     semantics: SemanticsResult
-    criterion_scores: dict[str, np.ndarray]
+    criterion_scores: dict[str, Vector]
     criterion_winners: dict[str, tuple[str, ...]]
 
     @property
@@ -407,24 +487,21 @@ class Analysis:
 def analyze(instance: Instance) -> Analysis:
     """Compute the semantics of a validated instance once.
 
-    The criterion rows are scored in one `score_grid` call; each row is
-    bitwise what scoring it alone gives, since every entry is accumulated on
+    The criterion rows are scored in one `score_grid` call before the
+    winner statistics, which take each criterion in P as a witness; each
+    row is what scoring it alone gives, since every entry is accumulated on
     its own.
 
     Raises InfeasibleConstraints and ContradictoryPremises.
     """
     adm = admissible_set(instance)
     matrix = normalize(instance)
-    stats = winner_statistics(matrix, adm)
+    crits = instance.criteria
+    weights = [_weight_row(matrix.attributes, c) for c in crits]
+    scores = _kernels.score_grid(weights, matrix.values)
+    stats = winner_statistics(matrix, adm, zip(weights, scores))
     closure = _closure_matrix(instance, stats)
     semantics = compatible_answers(instance, stats, closure)
-    crits = instance.criteria
-    weights = np.array([_weight_row(matrix.attributes, c) for c in crits],
-                       dtype=np.float64).reshape(len(crits), len(matrix.attributes))
-    scores = _kernels.score_grid(weights, matrix.values)
-    # Every later layer reads these; none may change them.
-    closure.setflags(write=False)
-    scores.setflags(write=False)
     return Analysis(
         instance, matrix, adm, stats, closure, semantics,
         criterion_scores={c.name: scores[i] for i, c in enumerate(crits)},

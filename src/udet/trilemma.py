@@ -22,13 +22,14 @@ object, in the same row order.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations, product
-
-import numpy as np
+from itertools import chain, combinations, compress, product
+from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from .errors import ResponseSpaceTooLarge
 from .model import (
@@ -56,7 +57,10 @@ from .responses import (
     Verdict,
     _canonical,
 )
-from .semantics import EPS_SCORE, Analysis, normalize
+from .semantics import EPS_SCORE, Analysis, Vector, normalize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # 2**12 criterion subsets keeps the listing of `udet analyze` at desk scale.
 MAX_ENUMERATED_CRITERIA = 12
@@ -192,49 +196,85 @@ def _decisive_keys(analysis: Analysis) -> list[int]:
     return keys
 
 
+@functools.cache
+def _subset_reader(g: int) -> Callable[[bytes], tuple[int, ...]]:
+    """Reads a table indexed by subset bitmask, bit i for item i of g, in
+    `_subsets` order, for g >= 1.  Its first pick, position 0, is a
+    placeholder that makes the result a tuple even for g = 1."""
+    return itemgetter(0, *map(sum, _subsets(tuple(1 << i for i in range(g)))))
+
+
+# The key of a conditional whose criteria cover every unique winner (binary
+# digit 0 of `missed`) or miss one (1).
+_KEY_OF_DIGIT = bytes.maketrans(b"01", bytes((_CONDITIONAL_KEY + 1, _CONDITIONAL_KEY)))
+
+
 def _conditional_keys(decided: tuple[tuple[str, str], ...]) -> list[int]:
     """The verdict key of each Conditional, in `_subsets(decided)` order:
     whether its answers include every distinct unique winner.
 
-    With bit g - 1 - i standing for decided[i], `_subsets` lists the subsets
-    of each size in descending mask order, so a stable sort of the
-    descending masks by size gives its whole order.  A subset covers
-    winner w when its mask meets the bits of the criteria that w wins.
+    A subset misses winner w when it avoids every criterion that w wins.
+    With bit i standing for decided[i], the bitmasks of the subsets that
+    avoid them are built by doubling over the other criteria, each set as
+    bit `mask` of one integer, and `missed` unites them over the winners.
+    Its binary digits, read by mask, are the key table.
     """
     g = len(decided)
-    size = np.zeros(1 << g, dtype=np.uint8)
-    for bit in range(g):
-        size[1 << bit:2 << bit] = size[:1 << bit] + 1
-    masks = (1 << g) - 1 - np.argsort(size[:0:-1], kind="stable")
-    covers = np.ones(masks.shape, dtype=np.bool_)
+    if not g:
+        return []
+    missed = 0
     for winner in {w for _, w in decided}:
-        won = sum(1 << (g - 1 - i) for i, (_, w) in enumerate(decided) if w == winner)
-        covers &= (masks & won) != 0
-    return (_CONDITIONAL_KEY + covers).tolist()
+        avoiding = 1
+        for i, (_, w) in enumerate(decided):
+            if w != winner:
+                avoiding |= avoiding << (1 << i)
+        missed |= avoiding
+    table = format(missed, f"0{1 << g}b")[::-1].encode().translate(_KEY_OF_DIGIT)
+    return list(_subset_reader(g)(table)[1:])
 
 
-def _strong_ties(analysis: Analysis) -> np.ndarray:
-    """(n, n): the pairs tied everywhere on P and left unordered by the
-    closure, whose `Equivalence` is strongly correct."""
+def _strong_ties(analysis: Analysis) -> list[tuple[int, int]]:
+    """The candidate pairs (a, b), a < b in `combinations` order, tied
+    everywhere on P and left unordered by the closure: the pairs whose
+    `Equivalence` is strongly correct."""
     closure = analysis.closure
-    return analysis.stats.tie_all & ~(closure | closure.T)
+    return [(a, b) for a, row in enumerate(analysis.stats.tie_all)
+            for b in compress(range(a + 1, len(row)), row[a + 1:])
+            if not (closure[a][b] or closure[b][a])]
+
+
+def _tied_pairs(scores: Vector) -> Iterator[tuple[int, int]]:
+    """The candidate pairs (a, b), a < b, whose scores lie within EPS_SCORE:
+    each candidate against the ones that follow it in score order, until
+    the gap exceeds EPS_SCORE."""
+    order = sorted(range(len(scores)), key=scores.__getitem__)
+    for i, a in enumerate(order):
+        for b in order[i + 1:]:
+            if scores[b] - scores[a] > EPS_SCORE:
+                break
+            yield (a, b) if a < b else (b, a)
 
 
 def _equivalence_keys(analysis: Analysis) -> list[int]:
     """The verdict key of each Equivalence(a, b), in enumeration order.
 
     A pair in `_strong_ties` is strongly correct; a pair tied under some
-    criterion is conditionally correct.  The (n, n) tables are read over
-    their upper triangle, row by row, which is the order `combinations`
-    gives the pairs.
+    criterion is conditionally correct.  `combinations` gives pair (a, b)
+    the position a (2n - a - 1) / 2 + b - a - 1.
     """
-    strong = _strong_ties(analysis)
-    cond = strong.copy()
-    if analysis.criterion_scores:
-        scores = np.array(list(analysis.criterion_scores.values()))
-        cond |= (np.abs(scores[:, :, None] - scores[:, None, :]) <= EPS_SCORE).any(axis=0)
-    order = np.arange(len(analysis.instance.candidates))
-    return (_EQUIVALENCE_KEY + 2 * strong + cond)[order[:, None] < order].tolist()
+    n = len(analysis.instance.candidates)
+
+    def position(a: int, b: int) -> int:
+        return a * (2 * n - a - 1) // 2 + b - a - 1
+
+    keys = [_EQUIVALENCE_KEY] * (n * (n - 1) // 2)
+    for a, b in _strong_ties(analysis):
+        keys[position(a, b)] = _EQUIVALENCE_KEY + 3
+    for scores in analysis.criterion_scores.values():
+        for a, b in _tied_pairs(scores):
+            at = position(a, b)
+            keys[at] = max(keys[at], _EQUIVALENCE_KEY + 1)  # a strong pair has c_cond
+    return keys
 
 
 @dataclass(frozen=True)
@@ -347,7 +387,7 @@ def check_trilemma(analysis: Analysis) -> TrilemmaReport:
     won = Counter(analysis.unique_winners.values()).values()
     decided = sum(won)
     covering = math.prod(2 ** g_w - 1 for g_w in won) if decided else 0
-    strong = int(np.triu(_strong_ties(analysis), 1).sum())
+    strong = len(_strong_ties(analysis))
     entailed_forms = () if entailed is None else tuple(
         Decisive(entailed, theta) for theta in (None, *(c.name for c in instance.criteria)))
     violations = entailed_forms if under else ()
@@ -375,6 +415,11 @@ class GeneratorConfig:
     `preference_probability` an explicit preference premise is added from a
     strictly dominating candidate to a dominated one, which can never
     contradict the score orderings.
+
+    `generate_instance` draws every choice from numpy's PCG64 stream,
+    seeded by `seed` and the instance index, so a seed names the same
+    instances on every run.  It imports numpy on its first call, so that
+    `import udet` does not.
     """
 
     seed: int = 0
@@ -418,6 +463,8 @@ def generate_instance(config: GeneratorConfig, index: int) -> Instance:
     config.check()
     if index < 0:
         raise ValueError("index must be non-negative")
+    import numpy as np
+
     seed = config.seed & _SEED_MASK
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(index,)))
@@ -491,19 +538,20 @@ def generate_instance(config: GeneratorConfig, index: int) -> Instance:
     return instance
 
 
-def _dominating_pair(instance: Instance, rng: np.random.Generator) -> tuple[str, str] | None:
+def _dominating_pair(instance: Instance,
+                     rng: np.random.Generator) -> tuple[str, str] | None:
     """Pick (winner, loser) where the winner strictly dominates on normalized
     scores; such a premise can never conflict with score unanimity."""
     values = normalize(instance).values
     cands = instance.candidates
     pairs: list[tuple[str, str]] = []
-    for i in range(len(cands)):
-        for j in range(len(cands)):
+    for i, row_i in enumerate(values):
+        for j, row_j in enumerate(values):
             if i == j:
                 continue
-            if np.all(values[i] >= values[j]) and np.any(values[i] > values[j]):
+            if (all(x >= y for x, y in zip(row_i, row_j))
+                    and any(x > y for x, y in zip(row_i, row_j))):
                 pairs.append((cands[i], cands[j]))
     if not pairs:
         return None
     return pairs[int(rng.integers(0, len(pairs)))]
-

@@ -12,7 +12,7 @@ import numpy as np
 
 import udet
 from udet import cli
-from udet._kernels import score_grid
+from udet._kernels import max_min_margin
 from udet.dsl import SourceDocument, format_number, parse_instance
 from udet.model import (
     EPS_WEIGHT,
@@ -21,10 +21,12 @@ from udet.model import (
     NUMERIC,
     ORDINAL,
     AttributeSchema,
+    BoundConstraint,
     CriterionSpec,
     Fact,
     Instance,
     OrdinalScale,
+    PinConstraint,
     validate,
 )
 from udet.semantics import (
@@ -141,6 +143,40 @@ def wide_instance(shape: str, seed: int, index: int) -> Instance:
                 if f.attribute in scales else f for f in inst.facts))
         assert validate(inst) == []
     return inst
+
+
+# Facts at 0 and 1 fix each attribute's range, so a normalized score is the
+# fact itself; the others lie 2**-30 (below EPS_SCORE) or 2**-29 (above it)
+# from 1/2, and every weight below is dyadic too, so each score is exact.
+# Under `three_quarters`, D leads E by 1.75 * 2**-30, within 2 EPS_SCORE.
+NEAR_TIES = {"A": (1.0, 0.0), "B": (0.0, 1.0), "C": (0.5, 0.5),
+             "D": (0.5 + 2.0 ** -30, 0.5), "E": (0.5 - 2.0 ** -29, 0.5 + 2.0 ** -29),
+             "F": (0.5 + 2.0 ** -29, 0.5 - 2.0 ** -30)}
+
+NEAR_TIE_CONSTRAINTS = (
+    (), (BoundConstraint("x", ">=", 0.5),), (BoundConstraint("x", "<=", 0.25),),
+    (BoundConstraint("x", "=", 0.5),), (PinConstraint("half"),),
+    (PinConstraint("three_quarters"),))
+
+
+def near_tie_instance(drop: str = "", constraints: tuple = ()) -> Instance:
+    """The `NEAR_TIES` candidates but `drop`, two dyadic criteria, and
+    `constraints`."""
+    criteria = (CriterionSpec("half", (("x", 0.5), ("y", 0.5))),
+                CriterionSpec("three_quarters", (("x", 0.75), ("y", 0.25))))
+    values = {c: v for c, v in NEAR_TIES.items() if c != drop}
+    inst = build_two_numeric("near", values, criteria=criteria, constraints=constraints)
+    assert validate(inst) == []
+    return inst
+
+
+@lru_cache(maxsize=1)
+def extreme_instance() -> Instance:
+    """A generated instance at the largest size the benchmark sweeps: 256
+    candidates, 20 attributes, 2 criteria and a bound on one weight."""
+    config = GeneratorConfig(seed=1, candidate_range=(256, 256), attribute_range=(20, 20),
+                             criteria_range=(2, 2))
+    return generate_instance(config, 0)
 
 
 def build_distinct_winners(n: int = 12) -> Instance:
@@ -270,6 +306,20 @@ def brute_winner_stats(scores: np.ndarray, eps: float):
     return ever_unique, in_winner, beats_all, tie_all
 
 
+def grid_scores(weights, values) -> np.ndarray:
+    """Scores for every (weight vector, candidate) pair of the (n_points, k)
+    `weights` and the (n_candidates, k) `values`, as a (n_points,
+    n_candidates) view of a candidate-major buffer.  Each entry is
+    accumulated from 0.0 over attributes in declared order, as
+    `udet._kernels.score` does."""
+    weights = np.asarray(weights, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    scores = np.zeros((values.shape[0], weights.shape[0]))
+    for j in range(weights.shape[1]):
+        scores += values[:, j:j + 1] * weights[:, j]
+    return scores.T
+
+
 def admissible_grid(adm: AdmissibleSet, total: int) -> np.ndarray:
     """The points of the G = `total` simplex grid that lie in `adm`'s polytope."""
     grid = simplex_grid(total, len(adm.attributes))
@@ -280,7 +330,7 @@ def admissible_grid(adm: AdmissibleSet, total: int) -> np.ndarray:
 def grid_statistics(matrix: ScoreMatrix, adm: AdmissibleSet, total: int) -> WinnerStats:
     """Winner facts on the grid points inside the polytope; ValueError when
     no grid point lies inside it."""
-    scores = score_grid(admissible_grid(adm, total), matrix.values)
+    scores = grid_scores(admissible_grid(adm, total), matrix.values)
     return WinnerStats(matrix.candidates, *grid_winner_stats(scores, EPS_SCORE))
 
 
@@ -289,6 +339,47 @@ def grid_semantics(instance: Instance, total: int) -> SemanticsResult:
     matrix = normalize(instance)
     stats = grid_statistics(matrix, admissible_set(instance), total)
     return compatible_answers(instance, stats, _closure_matrix(instance, stats))
+
+
+# --- numpy reference for the exact winner statistics ---------------------------
+#
+# The vectorized form the program had before its semantics went to plain
+# Python: every pairwise extreme by one numpy greedy fill, and the margin
+# linear program for every candidate whose bracket straddles a threshold,
+# with no certificate first.
+
+
+def numpy_box_simplex_min(coef, lower, upper) -> np.ndarray:
+    """min over P of ``coef[r] . w`` for every row r of the (m, k) `coef`,
+    by the greedy fill of `udet._kernels.box_simplex_min`, vectorized."""
+    coef = np.asarray(coef, dtype=np.float64)
+    lower, upper = np.asarray(lower, dtype=np.float64), np.asarray(upper, dtype=np.float64)
+    order = np.argsort(coef, axis=1, kind="stable")
+    room = (upper - lower)[order]
+    spent = np.zeros_like(room)
+    np.cumsum(room[:, :-1], axis=1, out=spent[:, 1:])
+    fill = np.clip((1.0 - lower.sum()) - spent, 0.0, room)
+    ranked = np.take_along_axis(coef, order, axis=1)
+    return coef @ lower + np.einsum("rj,rj->r", ranked, fill)
+
+
+def numpy_winner_statistics(matrix: ScoreMatrix, adm: AdmissibleSet):
+    """``(ever_unique, in_winner_set, beats_all, tie_all)`` as numpy arrays."""
+    m = np.asarray(matrix.values, dtype=np.float64)
+    n, k = m.shape
+    diffs = m[:, None, :] - m[None, :, :]  # diffs[a, b] . w == s_a - s_b
+    lo = numpy_box_simplex_min(diffs.reshape(n * n, k), adm.lower, adm.upper).reshape(n, n)
+    hi = -lo.T
+    beats_all = lo > EPS_SCORE
+    tie_all = (lo >= -EPS_SCORE) & (hi <= EPS_SCORE)
+    rival = ~np.eye(n, dtype=bool)
+    margin = np.where(rival, lo, np.inf).min(axis=1)
+    margin_hi = np.where(rival, hi, np.inf).min(axis=1)
+    rows = rival & ~beats_all.any(axis=0)
+    for i in np.flatnonzero(((margin > EPS_SCORE) != (margin_hi > EPS_SCORE))
+                            | ((margin >= -EPS_SCORE) != (margin_hi >= -EPS_SCORE))):
+        margin[i] = max_min_margin(diffs[i, rows[i]], adm.lower, adm.upper)
+    return margin > EPS_SCORE, margin >= -EPS_SCORE, beats_all, tie_all
 
 
 # --- oracles for `udet analyze` ------------------------------------------------

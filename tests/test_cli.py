@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from datetime import datetime
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from helpers import (
     analyze_json_oracle,
     analyze_text_oracle,
     build_distinct_winners,
+    build_two_numeric,
+    extreme_instance,
     wide_instance,
 )
 
@@ -456,14 +459,61 @@ def test_udet_error_exits_2_with_one_line(monkeypatch, tmp_path):
     assert (code, out, err) == (2, "", "error: entry 'x' failed to parse\n")
 
 
-def test_unbounded_margin_lp_exits_2_with_one_line(monkeypatch, corpus_dir):
+def test_unbounded_margin_lp_exits_2_with_one_line(monkeypatch, tmp_path):
     # The simplex raises this only on round-off; it must not end in a traceback.
+    # C wins only between the vertices, where no certificate looks, so its
+    # margin goes to the linear program.
     def unbounded(*args):
         raise ValueError("the linear program is unbounded")
 
     monkeypatch.setattr(_kernels, "_simplex_min", unbounded)
-    code, out, err = run_cli(["analyze", path_of(corpus_dir, "city_recommendation")])
+    path = tmp_path / "middle.udet"
+    path.write_text(serialize_instance(build_two_numeric(
+        "middle", {"A": (10.0, 0.0), "B": (0.0, 10.0), "C": (6.0, 6.0)})), encoding="utf-8")
+    code, out, err = run_cli(["analyze", str(path)])
     assert (code, out, err) == (2, "", "error: the linear program is unbounded\n")
+
+
+def test_corpus_commands_never_import_numpy(corpus_dir):
+    # numpy's import is most of a cold run.  The margin LP, which no corpus
+    # file reaches, and `check --random` are the only paths that load it.
+    child = textwrap.dedent("""
+        import io, sys
+        from pathlib import Path
+        from udet import cli
+        from udet.dsl import SourceDocument, parse_instance
+        codes = []
+        for path in sorted(Path(sys.argv[1]).glob("*.udet")):
+            f = str(path)
+            pair = parse_instance(SourceDocument(path.read_text(), f)).attribute_names[:2]
+            for argv in (["analyze", f], ["analyze", f, "--format", "json"],
+                         ["analyze", f, "--require-decision"],
+                         ["analyze", f, "--require-decision", "--format", "json"],
+                         ["policy", f], ["check", f], ["sweep", f, *pair]):
+                codes.append(cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO()))
+        print(len(codes), sorted(set(codes)), "numpy" in sys.modules)
+        """)
+    src = str(Path(udet.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", child, str(corpus_dir)],
+                          capture_output=True, text=True, check=False,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "49 [0] False\n", "")
+
+
+def test_extreme_size_runs_every_command(tmp_path):
+    # 256 candidates and 20 attributes, the benchmark's largest sweep cell
+    path = tmp_path / "extreme.udet"
+    path.write_text(serialize_instance(extreme_instance()), encoding="utf-8")
+    outputs = []
+    for argv in (["analyze", str(path), "--format", "json"], ["check", str(path)],
+                 ["policy", str(path)]):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, ""), argv
+        assert out and "error:" not in out and "Traceback" not in out
+        outputs.append(out)
+    doc = json.loads(outputs[0])
+    assert len(doc["instance"]["candidates"]) == 256
+    assert len(doc["instance"]["attributes"]) == 20
 
 
 def test_policy_contradictory_premises_exit_2(corpus_dir, tmp_path):

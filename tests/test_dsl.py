@@ -206,6 +206,18 @@ def test_number_forms(scholarship_text):
     assert parse(text).fact_value("A", "gpa") == -2.5
 
 
+def test_numbers_take_ascii_digits_only(scholarship_text):
+    # Arabic-Indic nine and five: a Unicode decimal digit is not a number token.
+    line = scholarship_text.split("\n").index("fact A.gpa = 9.5") + 1
+    bad = err(scholarship_text.replace("fact A.gpa = 9.5", "fact A.gpa = \u0669.\u0665"))
+    assert (bad.message, bad.line, bad.column) == ("unexpected character '\u0669'", line, 14)
+    bad = err(scholarship_text.replace("fact A.gpa = 9.5", "fact A.gpa = 9.\u0665"))
+    assert (bad.line, bad.column) == (line, 16)
+    for ascii_number, value in (("9.5", 9.5), ("09", 9.0), (".5", 0.5), ("1e1", 10.0)):
+        text = scholarship_text.replace("fact A.gpa = 9.5", f"fact A.gpa = {ascii_number}")
+        assert parse(text).fact_value("A", "gpa") == value
+
+
 def test_non_finite_numbers_rejected(scholarship_text):
     bad = err(scholarship_text.replace("fact A.gpa = 9.5", "fact A.gpa = 1e400"))
     line = scholarship_text.split("\n").index("fact A.gpa = 9.5") + 1

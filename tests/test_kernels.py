@@ -12,7 +12,9 @@ from helpers import (
     brute_winner_stats,
     composition_count,
     dense_subdivisions,
+    grid_scores,
     grid_winner_stats,
+    numpy_box_simplex_min,
     simplex_compositions,
     simplex_grid,
 )
@@ -65,11 +67,15 @@ def test_score_grid_backends_bitwise_identical():
         matrix[-1] = -0.0  # sums start from 0.0, so these score +0.0
         expected = plain_score_grid(weights, matrix)
         # every entry, bitwise: the declared-order accumulation is the contract,
-        # for row-major and attribute-major weights alike
+        # for the program's tuples and the oracle's row- and attribute-major arrays
+        got = K.score_grid(tuple(map(tuple, weights.tolist())),
+                           tuple(map(tuple, matrix.tolist())))
+        assert len(got) == n_pts and {len(row) for row in got} == {n_c}
+        assert np.array(got).tobytes() == expected.tobytes()
         for layout in (weights, np.asfortranarray(weights)):
-            got = K.score_grid(layout, matrix)
+            got = grid_scores(layout, matrix)
             assert got.shape == (n_pts, n_c)
-            assert got.tobytes() == expected.tobytes()
+            assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
 
 
 def test_winner_stats_backends_and_bruteforce():
@@ -108,7 +114,7 @@ def test_winner_stats_same_for_row_and_column_major_input():
     rng = np.random.default_rng(5)
     weights = simplex_grid(12, 4)
     matrix = np.round(rng.random((6, 4)) * 4) / 4  # dyadic: exact ties occur
-    view = K.score_grid(weights, matrix)  # the candidate-major view itself
+    view = grid_scores(weights, matrix)  # the candidate-major view itself
     assert not view.flags.c_contiguous
     expected = brute_winner_stats(np.ascontiguousarray(view), 1e-9)
     for scores in (view, np.ascontiguousarray(view), np.asfortranarray(view)):
@@ -121,7 +127,7 @@ def test_winner_stats_grid_sized_with_ties_and_near_ties():
     eps = 1e-9
     rng = np.random.default_rng(13)
     weights = simplex_compositions(30, 3) / 30
-    scores = np.array(K.score_grid(weights, rng.random((6, 3))))
+    scores = np.array(grid_scores(weights, rng.random((6, 3))))
     scores[:, 1] = scores[:, 0]  # exact tie everywhere
     scores[:, 2] = scores[:, 0] + eps / 2  # near-tie everywhere, beats nothing
     scores[:, 3] = scores[:, 0] + 2 * eps  # beats 0, 1, 2 everywhere
@@ -214,15 +220,30 @@ def test_box_simplex_min_is_the_least_vertex_value():
     for coef, lower, upper in random_box_simplex_lps(3, 300):
         vertices = box_simplex_vertices(lower, upper)
         expected = (coef @ vertices.T).min(axis=1)
-        got = K.box_simplex_min(coef, lower, upper)
+        got = K.box_simplex_min(coef.tolist(), tuple(lower.tolist()), tuple(upper.tolist()))
+        assert isinstance(got, list) and len(got) == len(expected)
         assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(numpy_box_simplex_min(coef, lower, upper), expected,
+                           rtol=0.0, atol=1e-12)
+
+
+def test_box_simplex_argmax_is_a_greatest_vertex():
+    for coef, lower, upper in random_box_simplex_lps(17, 300):
+        vertices = box_simplex_vertices(lower, upper)
+        lower, upper = tuple(lower.tolist()), tuple(upper.tolist())
+        for row in coef[:3].tolist():
+            w = K.box_simplex_argmax(row, lower, upper)
+            assert abs(sum(w) - 1.0) <= 1e-12
+            assert all(lo <= x <= hi for lo, x, hi in zip(lower, w, upper))
+            assert abs(K.score(row, w) - (vertices @ row).max()) <= 1e-12
 
 
 def test_box_simplex_min_at_a_point_is_the_dot_product():
     rng = np.random.default_rng(19)
-    coef = rng.random((5, 4)) - 0.5
-    w = rng.dirichlet(np.ones(4))
-    assert K.box_simplex_min(coef, w, w).tobytes() == (coef @ w).tobytes()
+    coef = (rng.random((5, 4)) - 0.5).tolist()
+    w = tuple(rng.dirichlet(np.ones(4)).tolist())
+    assert K.box_simplex_min(coef, w, w) == [K.score(row, w) for row in coef]
+    assert K.box_simplex_min(coef, w, w) == (np.array(coef) @ np.array(w)).tolist()
 
 
 def highs_max_min_margin(optimize, coef, lower, upper) -> float:
@@ -270,7 +291,8 @@ def test_max_min_margin_lies_between_the_pairwise_bounds():
         vertices = box_simplex_vertices(lower, upper)
         got = K.max_min_margin(coef, lower, upper)
         assert got >= (coef @ vertices.T).min(axis=0).max() - 1e-12
-        assert got <= (-K.box_simplex_min(-coef, lower, upper)).min() + 1e-12
+        assert got <= -max(K.box_simplex_min((-coef).tolist(), tuple(lower.tolist()),
+                                             tuple(upper.tolist()))) + 1e-12
         assert got == K.max_min_margin(coef, lower, upper)
 
 

@@ -10,14 +10,21 @@ from hypothesis import strategies as st
 
 from helpers import (
     MAX_GRID_POINTS,
+    NEAR_TIE_CONSTRAINTS,
+    WIDE_SHAPES,
     admissible_grid,
     build_scholarship,
     build_two_numeric,
     dense_subdivisions,
+    extreme_instance,
+    grid_scores,
     grid_semantics,
     grid_statistics,
     grid_winner_stats,
+    near_tie_instance,
+    numpy_winner_statistics,
     simplex_compositions,
+    wide_instance,
 )
 
 from udet import _kernels
@@ -52,14 +59,13 @@ def alpha_criterion(alpha: float, attrs=("gpa", "need"), name="alpha") -> Criter
 
 
 def entry(matrix, candidate: str, attribute: str) -> float:
-    return float(matrix.values[matrix.candidates.index(candidate),
-                               matrix.attributes.index(attribute)])
+    return matrix.values[matrix.candidates.index(candidate)][matrix.attributes.index(attribute)]
 
 
 def score(instance, theta: CriterionSpec, candidate: str) -> float:
     """The candidate's score under `theta`, as the analysis computes it."""
     scores = analyze(dataclasses.replace(instance, criteria=(theta,))).criterion_scores
-    return float(scores[theta.name][instance.candidates.index(candidate)])
+    return scores[theta.name][instance.candidates.index(candidate)]
 
 
 # --- normalization ----------------------------------------------------------
@@ -102,12 +108,11 @@ def test_normalized_matrix_is_tight():
     for index in range(40):
         inst = generate_instance(GeneratorConfig(seed=3), index)
         values = normalize(inst).values
-        assert np.all(values >= 0.0) and np.all(values <= 1.0)
-        for j in range(values.shape[1]):
-            col = values[:, j]
-            if np.all(col == 0.5):
+        assert all(0.0 <= x <= 1.0 for row in values for x in row)
+        for col in zip(*values):
+            if all(x == 0.5 for x in col):
                 continue
-            assert col.min() == 0.0 and col.max() == 1.0
+            assert min(col) == 0.0 and max(col) == 1.0
 
 
 # --- scoring and winners ----------------------------------------------------
@@ -148,22 +153,22 @@ def test_winners_at_examples():
 
 def weight_range(adm, attribute: str) -> tuple[float, float]:
     """The least and the greatest weight `attribute` takes in the polytope."""
-    unit = np.array([[float(a == attribute) for a in adm.attributes]])
-    return (float(_kernels.box_simplex_min(unit, adm.lower, adm.upper)[0]),
-            float(-_kernels.box_simplex_min(-unit, adm.lower, adm.upper)[0]))
+    unit = [float(a == attribute) for a in adm.attributes]
+    return (_kernels.box_simplex_min([unit], adm.lower, adm.upper)[0],
+            -_kernels.box_simplex_min([[-x for x in unit]], adm.lower, adm.upper)[0])
 
 
 def test_admissible_unconstrained_two_attrs_is_exact():
     adm = admissible_set(build_scholarship())
     assert adm.attributes == ("gpa", "need")
-    assert adm.lower.tolist() == [0.0, 0.0] and adm.upper.tolist() == [1.0, 1.0]
+    assert adm.lower == (0.0, 0.0) and adm.upper == (1.0, 1.0)
     assert weight_range(adm, "gpa") == (0.0, 1.0)
 
 
 def test_admissible_pin_is_singleton():
     inst = build_scholarship(constraints=(PinConstraint("merit_first"),))
     adm = admissible_set(inst)
-    assert adm.lower.tolist() == adm.upper.tolist() == [1.0, 0.0]
+    assert adm.lower == adm.upper == (1.0, 0.0)
 
 
 def test_admissible_grid_counts():
@@ -193,19 +198,19 @@ def test_admissible_vectors_are_read_only():
     for adm in (admissible_set(_three_attribute_instance()), admissible_set(bounded),
                 admissible_set(pinned)):
         for bounds in (adm.lower, adm.upper):
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 bounds[0] = 0.25
     # nothing is shared between requests, so the next one sees the same set
     again = admissible_set(_three_attribute_instance())
-    assert again.lower.tolist() == [0.0] * 3 and again.upper.tolist() == [1.0] * 3
+    assert again.lower == (0.0,) * 3 and again.upper == (1.0,) * 3
 
 
 def test_bounded_grid_keeps_the_rows_of_a_plain_filter():
     bounds = (BoundConstraint("x", "<=", 0.5), BoundConstraint("y", ">=", 0.2),
               BoundConstraint("z", "=", 0.3))
     adm = admissible_set(_three_attribute_instance(constraints=bounds))
-    assert adm.lower.tolist() == [0.0, 0.2, 0.3]
-    assert adm.upper.tolist() == [0.5, 1.0, 0.3]
+    assert adm.lower == (0.0, 0.2, 0.3)
+    assert adm.upper == (0.5, 1.0, 0.3)
     points = admissible_grid(adm, 20)
     weights = simplex_compositions(20, 3).astype(np.float64) / 20.0
     keep = ((weights[:, 0] <= 0.5 + 1e-9) & (weights[:, 1] >= 0.2 - 1e-9)
@@ -227,7 +232,7 @@ def test_admissible_bounds_filter_grid():
 def test_admissible_exact_interval_with_bounds():
     inst = build_scholarship(constraints=(BoundConstraint("gpa", ">=", 0.7),))
     adm = admissible_set(inst)
-    assert adm.lower.tolist() == [0.7, 0.0] and adm.upper.tolist() == [1.0, 1.0]
+    assert adm.lower == (0.7, 0.0) and adm.upper == (1.0, 1.0)
     assert weight_range(adm, "gpa") == (0.7, 1.0)
     # a bound on the second attribute bounds the first one's weight, flipped
     inst = build_scholarship(constraints=(BoundConstraint("need", ">=", 0.6),))
@@ -269,7 +274,7 @@ def test_single_attribute_grid_is_one_point():
     inst = dataclasses.replace(inst, attributes=inst.attributes[:1],
                                facts=tuple(f for f in inst.facts if f.attribute == "x"))
     adm = admissible_set(inst)
-    assert adm.lower.tolist() == [0.0] and adm.upper.tolist() == [1.0]
+    assert adm.lower == (0.0,) and adm.upper == (1.0,)
     assert weight_range(adm, "x") == (1.0, 1.0)
     assert admissible_grid(adm, 1).tolist() == [[1.0]]
     assert analyze(inst).semantics.compatible == ("B",)
@@ -398,7 +403,7 @@ def test_exact_grid_disagreement_confined_to_crossings():
         if not diff:
             continue
         thresholds = exact_thresholds(normalize(inst))
-        m = normalize(inst).values
+        m = np.array(normalize(inst).values)
         for cand in diff:
             i = inst.candidates.index(cand)
             alphas = np.linspace(0.0, 1.0, 10001)
@@ -416,7 +421,7 @@ def test_single_crossing_regions_are_contiguous():
                              preference_probability=0.0)
     for index in range(60):
         inst = generate_instance(config, index)
-        m = normalize(inst).values
+        m = np.array(normalize(inst).values)
         alphas = np.linspace(0.0, 1.0, 2001)
         scores = np.outer(alphas, m[:, 0]) + np.outer(1 - alphas, m[:, 1])
         for i in range(len(inst.candidates)):
@@ -450,9 +455,9 @@ def test_affine_invariance_sample():
 
 def test_ties_everywhere_helper():
     inst = build_two_numeric("tiecheck", {"A": (5.0, 5.0), "B": (5.0, 5.0)})
-    assert analyze(inst).stats.tie_all[0, 1]  # A, B
+    assert analyze(inst).stats.tie_all[0][1]  # A, B
     inst2 = build_two_numeric("tiecheck2", {"A": (5.0, 1.0), "B": (5.0, 2.0)})
-    assert not analyze(inst2).stats.tie_all[0, 1]
+    assert not analyze(inst2).stats.tie_all[0][1]
 
 
 def test_winner_statistics_exact_matches_dense_grid(scholarship):
@@ -481,7 +486,7 @@ def test_normalize_survives_a_range_that_overflows():
     inst = build_two_numeric("wide", {"A": (1e308, 1.0), "B": (-1e308, 2.0),
                                       "C": (0.0, 3.0)})
     m = normalize(inst)
-    assert m.values[:, 0].tolist() == [1.0, 0.0, 0.5]
+    assert [row[0] for row in m.values] == [1.0, 0.0, 0.5]
     assert analyze(inst).semantics.compatible == ("A", "C")
 
 
@@ -503,9 +508,10 @@ def test_criterion_scores_are_bitwise_the_per_row_scores():
         analysis = analyze(generate_instance(config, index))
         attrs = analysis.matrix.attributes
         for crit in analysis.instance.criteria:
-            row = np.array([[crit.weight_map[a] for a in attrs]])
-            alone = _kernels.score_grid(row, analysis.matrix.values)[0]
-            assert analysis.criterion_scores[crit.name].tobytes() == alone.tobytes()
+            row = [crit.weight_map[a] for a in attrs]
+            alone = _kernels.score_grid([row], analysis.matrix.values)[0]
+            bits = list(map(float.hex, analysis.criterion_scores[crit.name]))
+            assert bits == list(map(float.hex, alone))
 
 
 def test_analysis_without_criteria_has_empty_maps():
@@ -527,9 +533,9 @@ def test_closure_matrix_backs_the_closure_pairs():
 
 def test_analysis_arrays_are_read_only(scholarship):
     analysis = analyze(scholarship)
-    with pytest.raises(ValueError):
-        analysis.closure[0, 1] = True
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
+        analysis.closure[0][1] = True
+    with pytest.raises(TypeError):
         analysis.criterion_scores["merit_first"][0] = 0.0
 
 
@@ -553,8 +559,8 @@ GRID_MISSES = GeneratorConfig(seed=0, candidate_range=(3, 8), attribute_range=(3
 ])
 def test_exact_winners_where_the_grid_missed(index, ever_unique, in_winner_set):
     analysis = analyze(generate_instance(GRID_MISSES, index))
-    assert analysis.stats.ever_unique.astype(int).tolist() == ever_unique
-    assert analysis.stats.in_winner_set.astype(int).tolist() == in_winner_set
+    assert list(map(int, analysis.stats.ever_unique)) == ever_unique
+    assert list(map(int, analysis.stats.in_winner_set)) == in_winner_set
     compatible = tuple(c for c, u in zip(analysis.instance.candidates, ever_unique) if u)
     assert analysis.semantics.compatible == compatible
 
@@ -565,7 +571,8 @@ def test_no_ordering_claimed_that_some_weight_breaks():
     analysis = analyze(generate_instance(GRID_MISSES, 44))
     assert ("c7", "c1") not in analysis.semantics.preference_closure
     m, adm = analysis.matrix.values, analysis.adm
-    gap = _kernels.box_simplex_min((m[6] - m[0])[None, :], adm.lower, adm.upper)[0]
+    gap = _kernels.box_simplex_min([[x - y for x, y in zip(m[6], m[0])]],
+                                   adm.lower, adm.upper)[0]
     assert gap == pytest.approx(-0.0068728522336769515, abs=1e-12)
     assert ("c8", "c1") in analysis.semantics.preference_closure
 
@@ -637,7 +644,102 @@ def test_two_attributes_exact_equals_the_crossing_regions(inst):
     hi = max(lo, min(adm.upper[0], 1.0 - adm.lower[1]))
     alphas = np.array([lo, hi, *exact_thresholds(matrix, lo, hi)])
     weights = np.column_stack((alphas, 1.0 - alphas))
-    regions = grid_winner_stats(_kernels.score_grid(weights, matrix.values), EPS_SCORE)
+    regions = grid_winner_stats(grid_scores(weights, matrix.values), EPS_SCORE)
     for got, expected in zip((exact.ever_unique, exact.in_winner_set, exact.beats_all,
                               exact.tie_all), regions):
         assert np.array_equal(got, expected)
+
+
+# --- the numpy reference: a margin LP for every straddling bracket -------------
+#
+# `winner_statistics` settles most brackets with certificates, weight vectors
+# in P; the reference settles every one with the linear program.
+
+STAT_TABLES = ("ever_unique", "in_winner_set", "beats_all", "tie_all")
+
+
+def assert_stats_are_the_reference(analysis):
+    expected = numpy_winner_statistics(analysis.matrix, analysis.adm)
+    for name, table in zip(STAT_TABLES, expected):
+        got = getattr(analysis.stats, name)
+        assert np.array_equal(np.array(got, dtype=bool), table), name
+
+
+@st.composite
+def constrained_instances(draw):
+    """Small instances with 1-6 attributes, coarse facts, criteria on
+    twentieths, and a pin or bounds on twentieths, plus preferences that
+    follow the candidate order, so they never form a cycle themselves."""
+    n, k = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    cands = tuple(f"c{i + 1}" for i in range(n))
+    attrs = tuple(AttributeSchema(f"a{j + 1}", NUMERIC,
+                                  draw(st.sampled_from((HIGHER_BETTER, LOWER_BETTER))))
+                  for j in range(k))
+    facts = tuple(Fact(c, a.name, float(draw(st.integers(0, 4))))
+                  for c in cands for a in attrs)
+    criteria = []
+    for i in range(draw(st.integers(0, 3))):
+        cuts = sorted(draw(st.lists(st.integers(0, 20), min_size=k - 1, max_size=k - 1)))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, 20])]
+        criteria.append(CriterionSpec(f"k{i + 1}", tuple(
+            (a.name, p / 20) for a, p in zip(attrs, parts))))
+    if criteria and draw(st.booleans()):
+        constraints = (PinConstraint(draw(st.sampled_from(criteria)).name),)
+    else:
+        constraints = tuple(
+            BoundConstraint(a.name, draw(st.sampled_from(("<=", ">=", "="))),
+                            draw(st.integers(0, 20)) / 20)
+            for a in attrs if draw(st.booleans()) and draw(st.booleans()))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] < p[1]), max_size=2, unique=True))
+    inst = Instance(id="prop", question="", candidates=cands, attributes=attrs,
+                    facts=facts, criteria=tuple(criteria), constraints=constraints,
+                    preferences=tuple(PreferencePremise(cands[i], cands[j]) for i, j in pairs))
+    assert validate(inst) == []
+    return inst
+
+
+@PROPERTY_SETTINGS
+@given(constrained_instances())
+def test_certified_stats_are_the_reference(inst):
+    try:
+        analysis = analyze(inst)
+    except (InfeasibleConstraints, ContradictoryPremises):
+        assume(False)
+    assert_stats_are_the_reference(analysis)
+
+
+@pytest.mark.parametrize("shape", sorted(WIDE_SHAPES))
+def test_certified_stats_are_the_reference_on_wide_shapes(shape):
+    for index in range(6):
+        assert_stats_are_the_reference(analyze(wide_instance(shape, 1, index)))
+
+
+@pytest.mark.parametrize("constraints", NEAR_TIE_CONSTRAINTS)
+def test_certified_stats_are_the_reference_on_dyadic_near_ties(constraints):
+    for drop in ("", "A", "C", "D"):
+        assert_stats_are_the_reference(analyze(near_tie_instance(drop, constraints)))
+
+
+def test_certified_stats_are_the_reference_at_256_candidates():
+    assert_stats_are_the_reference(analyze(extreme_instance()))
+
+
+def test_a_criterion_outside_the_polytope_certifies_nothing():
+    # D wins alone under z_heavy, which the bound z <= 0.1 excludes; in P it
+    # trails A or B everywhere (by 0.08 at best, where x = y = 0.45).
+    attrs = tuple(AttributeSchema(a, NUMERIC, HIGHER_BETTER) for a in "xyz")
+    values = {"A": (1.0, 0.0, 0.0), "B": (0.0, 1.0, 0.0), "D": (0.3, 0.3, 1.0)}
+    inst = Instance(
+        id="outside", question="", candidates=tuple(values), attributes=attrs,
+        facts=tuple(Fact(c, a.name, v) for c, row in values.items()
+                    for a, v in zip(attrs, row)),
+        criteria=(CriterionSpec("z_heavy", (("x", 0.25), ("y", 0.25), ("z", 0.5))),),
+        constraints=(BoundConstraint("z", "<=", 0.1),))
+    assert validate(inst) == []
+    analysis = analyze(inst)
+    assert analysis.criterion_winners["z_heavy"] == ("D",)
+    assert analysis.stats.ever_unique == (True, True, False)
+    assert analysis.stats.in_winner_set == (True, True, False)
+    assert analysis.semantics.compatible == ("A", "B")
+    assert_stats_are_the_reference(analysis)

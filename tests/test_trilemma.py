@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    NEAR_TIE_CONSTRAINTS,
     WIDE_SHAPES,
     assert_report_is_the_evaluated_space,
     build_scholarship,
     build_two_numeric,
+    near_tie_instance,
     wide_instance,
 )
 
@@ -168,7 +170,7 @@ def test_single_attribute_instances_mostly_determined():
     for index in range(50):
         inst = generate_instance(config, index)
         sem = analyze(inst).semantics
-        values = normalize(inst).values[:, 0]
+        values = [row[0] for row in normalize(inst).values]
         if values[0] == values[1]:
             assert sem.compatible == inst.candidates  # tied: weak fallback
         else:
@@ -275,7 +277,7 @@ def test_identical_candidates_ordered_by_a_premise():
         criteria=(CriterionSpec("x_first", (("x", 0.8), ("y", 0.2))),),
         preferences=(PreferencePremise("A", "B"),))
     analysis = analyze(inst)
-    assert analysis.stats.tie_all[0, 1] and analysis.closure[1, 0]
+    assert analysis.stats.tie_all[0][1] and analysis.closure[1][0]
     verdicts = _equivalence_verdicts(analysis)
     assert (verdicts[("A", "B")].c_strong, verdicts[("A", "B")].c_cond) == (False, True)
     unordered = dataclasses.replace(inst, preferences=())
@@ -291,6 +293,25 @@ def test_candidates_tied_under_one_criterion_only():
     verdicts = _equivalence_verdicts(analyze(inst))
     assert (verdicts[("A", "B")].c_strong, verdicts[("A", "B")].c_cond) == (False, True)
     assert (verdicts[("A", "C")].c_strong, verdicts[("A", "C")].c_cond) == (False, False)
+
+
+@pytest.mark.parametrize("constraints", NEAR_TIE_CONSTRAINTS)
+def test_bulk_verdicts_equal_evaluate_on_dyadic_near_ties(constraints):
+    for drop in ("", "A", "C"):
+        assert_report_is_the_evaluated_space(analyze(near_tie_instance(drop, constraints)))
+
+
+def test_criterion_ties_end_at_eps_score():
+    # Under x_only, P and Q score 2**-30 apart and tie; Q and R score 2**-29
+    # apart, above EPS_SCORE but within twice it, and do not.  A and S tie
+    # under x_only only, so the bulk keys must keep Q and R apart from them.
+    inst = build_two_numeric(
+        "window", {"A": (1.0, 0.0), "B": (0.0, 1.0), "S": (1.0, 0.25), "P": (0.5, 0.5),
+                   "Q": (0.5 + 2.0 ** -30, 0.5), "R": (0.5 + 3 * 2.0 ** -30, 0.5)},
+        criteria=(CriterionSpec("x_only", (("x", 1.0), ("y", 0.0))),))
+    verdicts = _equivalence_verdicts(analyze(inst))
+    assert [verdicts[pair].c_cond for pair in (("P", "Q"), ("A", "S"), ("Q", "R"))] == [
+        True, True, False]
 
 
 def test_bulk_verdicts_equal_evaluate_at_256_candidates():
