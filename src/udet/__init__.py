@@ -68,7 +68,6 @@ from .trilemma import (
     TrilemmaReport,
     VerdictTable,
     check_trilemma,
-    enumerate_responses,
     evaluate_space,
     generate_instance,
 )
@@ -86,7 +85,7 @@ __all__ = [
     "Clarify", "Conditional", "Decisive", "Equivalence", "Refuse", "Response",
     "ResponseEvaluator", "Verdict", "u_assistive_score",
     "GeneratorConfig", "PairwiseCheck", "TrilemmaReport", "VerdictTable", "check_trilemma",
-    "enumerate_responses", "evaluate_space", "generate_instance",
+    "evaluate_space", "generate_instance",
     "PolicyDecision", "decide", "uniform_criterion", "with_default_criterion",
     "CorpusEntry", "ExpectedSummary", "load_corpus",
     "UdetError", "ContradictoryPremises", "CorpusCorrupt",

@@ -21,17 +21,15 @@ means the premise of the lemma in `udet.trilemma` failed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, corpus
 from .dsl import ParseError, SourceDocument, format_number, parse_instance
 from .errors import UdetError
-from .model import EPS_WEIGHT, Instance, ORDINAL
+from .model import EPS_WEIGHT, Immutable, Instance, ORDINAL
 from .policy import decide
 from .responses import Clarify, Conditional, Decisive, Equivalence, Response, Verdict
 from .semantics import (
@@ -86,6 +84,14 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _now() -> str:
+    """The wall-clock time in ISO format, UTC.  `datetime` is imported here,
+    so that a run without ``--timestamps`` does not load it."""
+    from datetime import datetime, timezone
+
+    return datetime.now(timezone.utc).isoformat()
+
+
 def _parameters(timestamps: bool) -> dict:
     params = {
         "epsilon_score": EPS_SCORE,
@@ -93,7 +99,7 @@ def _parameters(timestamps: bool) -> dict:
         "tool_version": __version__,
     }
     if timestamps:
-        params["timestamp"] = datetime.now(timezone.utc).isoformat()
+        params["timestamp"] = _now()
     return params
 
 
@@ -149,11 +155,13 @@ def _trilemma_json(report: TrilemmaReport) -> dict:
 _str = json.encoder.encode_basestring_ascii
 
 
-@dataclasses.dataclass(frozen=True)
-class _Json:
+class _Json(Immutable):
     """Text that is already JSON, indented as a top-level value of a document."""
 
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        object.__setattr__(self, "text", text)
 
 
 def _emit(doc: dict, out) -> None:
@@ -277,7 +285,7 @@ def cmd_analyze(args, stdout, stderr) -> int:
     if instance is None:
         return EXIT_PARSE
     if args.require_decision:
-        instance = dataclasses.replace(instance, decisiveness_required=True)
+        instance = instance.replace(decisiveness_required=True)
     analysis = analyze(instance)
     table = evaluate_space(analysis)
     report = check_trilemma(analysis)
@@ -313,7 +321,7 @@ def cmd_analyze(args, stdout, stderr) -> int:
     w(f"parameters: eps_score={format_number(EPS_SCORE)} eps_weight={format_number(EPS_WEIGHT)} "
       f"version={__version__}\n")
     if args.timestamps:
-        w(f"timestamp: {datetime.now(timezone.utc).isoformat()}\n")
+        w(f"timestamp: {_now()}\n")
     w("semantics:\n")
     w(f"  compatible: {', '.join(semantics.compatible)}\n")
     w(f"  underdetermined: {_bool(semantics.underdetermined)}\n")
@@ -413,7 +421,7 @@ def cmd_policy(args, stdout, stderr) -> int:
     if instance is None:
         return EXIT_PARSE
     if args.require_decision:
-        instance = dataclasses.replace(instance, decisiveness_required=True)
+        instance = instance.replace(decisiveness_required=True)
     decision = decide(analyze(instance))
     if args.format == "json":
         _emit({

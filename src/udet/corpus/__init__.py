@@ -10,29 +10,34 @@ some weighting and verified against the engine before being frozen here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
 from ..dsl import ParseError, SourceDocument, parse_instance
 from ..errors import CorpusCorrupt
-from ..model import Instance
+from ..model import Immutable, Instance
 
 
-@dataclass(frozen=True)
-class ExpectedSummary:
+class ExpectedSummary(Immutable):
     """Frozen engine outputs for a corpus entry."""
 
-    compatible: tuple[str, ...]
-    underdetermined: bool
-    branch: str
+    __slots__ = ("compatible", "underdetermined", "branch")
+
+    def __init__(self, compatible: tuple[str, ...], underdetermined: bool, branch: str):
+        object.__setattr__(self, "compatible", compatible)
+        object.__setattr__(self, "underdetermined", underdetermined)
+        object.__setattr__(self, "branch", branch)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    id: str
-    source: str
-    expected: ExpectedSummary
-    instance: Instance
+class CorpusEntry(Immutable):
+    """One bundled file: its id, its text, its frozen summary and its instance."""
+
+    __slots__ = ("id", "source", "expected", "instance")
+
+    def __init__(self, id: str, source: str, expected: ExpectedSummary, instance: Instance):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "instance", instance)
 
 
 # Registry order is the load order; expected values were computed by running

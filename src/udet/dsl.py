@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import UdetError
 from .model import (
@@ -32,6 +31,7 @@ from .model import (
     BoundConstraint,
     CriterionSpec,
     Fact,
+    Immutable,
     Instance,
     OrdinalScale,
     PinConstraint,
@@ -40,12 +40,14 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class SourceDocument:
+class SourceDocument(Immutable):
     """Raw DSL text plus where it came from (file path or ``<memory>``)."""
 
-    text: str
-    origin: str = "<memory>"
+    __slots__ = ("text", "origin")
+
+    def __init__(self, text: str, origin: str = "<memory>"):
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "origin", origin)
 
 
 class ParseError(UdetError):

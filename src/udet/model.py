@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 # Tolerance for "weights sum to 1" checks.
 EPS_WEIGHT = 1e-9
@@ -24,51 +24,112 @@ HIGHER_BETTER = "higher_better"
 LOWER_BETTER = "lower_better"
 
 
-@dataclass(frozen=True)
-class OrdinalScale:
+class Immutable:
+    """Base of the value types: fields in `__slots__`, set once, compared by value.
+
+    A subclass names its fields in `__slots__`, in positional order, and its
+    `__init__` sets each with `object.__setattr__`; any other assignment or
+    deletion raises AttributeError.  Two instances are equal when they have
+    the same class and equal fields, and the hash is taken over the same
+    fields.  A subclass declared with ``eq=False`` compares and hashes by
+    identity instead.  `replace`, `copy` and `pickle` build new instances
+    through `__init__`.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # The field values as a tuple, for one field as for several.
+        cls._values = get if len(cls.__slots__) > 1 else staticmethod(lambda obj: (get(obj),))
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def replace(self, **changes):
+        """A copy with the named fields changed; an unknown name raises TypeError."""
+        return type(self)(**dict(zip(self.__slots__, self._values(self)), **changes))
+
+
+class OrdinalScale(Immutable):
     """Named, ordered list of level names, lowest level first."""
 
-    name: str
-    levels: tuple[str, ...]
+    __slots__ = ("name", "levels")
+
+    def __init__(self, name: str, levels: tuple[str, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "levels", levels)
 
     def rank(self, level: str) -> int:
         """Zero-based position of `level` in the scale."""
         return self.levels.index(level)
 
 
-@dataclass(frozen=True)
-class AttributeSchema:
-    """One scoring dimension: numeric, or ordinal over a declared scale."""
+class AttributeSchema(Immutable):
+    """One scoring dimension: numeric, or ordinal over a declared scale.
 
-    name: str
-    kind: str  # NUMERIC or ORDINAL
-    direction: str = HIGHER_BETTER
-    scale: str | None = None  # scale name, required when kind == ORDINAL
+    `kind` is NUMERIC or ORDINAL; `scale` names the scale, required when
+    `kind` is ORDINAL.
+    """
+
+    __slots__ = ("name", "kind", "direction", "scale")
+
+    def __init__(self, name: str, kind: str, direction: str = HIGHER_BETTER,
+                 scale: str | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "scale", scale)
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(Immutable):
     """One cell of the fact matrix: value of `attribute` for `candidate`.
 
     `value` is a float for numeric attributes and a level name for ordinal
     ones.
     """
 
-    candidate: str
-    attribute: str
-    value: float | str
+    __slots__ = ("candidate", "attribute", "value")
+
+    def __init__(self, candidate: str, attribute: str, value: float | str):
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "attribute", attribute)
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class PreferencePremise:
+class PreferencePremise(Immutable):
     """Explicit premise that `winner` is preferred over `loser`."""
 
-    winner: str
-    loser: str
+    __slots__ = ("winner", "loser")
+
+    def __init__(self, winner: str, loser: str):
+        object.__setattr__(self, "winner", winner)
+        object.__setattr__(self, "loser", loser)
 
 
-@dataclass(frozen=True)
-class CriterionSpec:
+class CriterionSpec(Immutable):
     """Named weight vector over the instance attributes.
 
     Weights are stored as (attribute, weight) pairs; a valid criterion covers
@@ -76,8 +137,11 @@ class CriterionSpec:
     EPS_WEIGHT.
     """
 
-    name: str
-    weights: tuple[tuple[str, float], ...]
+    __slots__ = ("name", "weights")
+
+    def __init__(self, name: str, weights: tuple[tuple[str, float], ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def weight_map(self) -> dict[str, float]:
@@ -87,20 +151,24 @@ class CriterionSpec:
         return self.weight_map[attribute]
 
 
-@dataclass(frozen=True)
-class PinConstraint:
+class PinConstraint(Immutable):
     """Restricts the admissible criteria to one declared criterion."""
 
-    criterion: str
+    __slots__ = ("criterion",)
+
+    def __init__(self, criterion: str):
+        object.__setattr__(self, "criterion", criterion)
 
 
-@dataclass(frozen=True)
-class BoundConstraint:
+class BoundConstraint(Immutable):
     """Bounds one attribute's weight: `op` is one of ``<=``, ``>=``, ``=``."""
 
-    attribute: str
-    op: str
-    value: float
+    __slots__ = ("attribute", "op", "value")
+
+    def __init__(self, attribute: str, op: str, value: float):
+        object.__setattr__(self, "attribute", attribute)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "value", value)
 
 
 WeightConstraint = PinConstraint | BoundConstraint
@@ -108,8 +176,7 @@ WeightConstraint = PinConstraint | BoundConstraint
 BOUND_OPS = ("<=", ">=", "=")
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Immutable):
     """A complete decision instance.
 
     Invariants (enforced by `validate`): at least two candidates and one
@@ -119,16 +186,27 @@ class Instance:
     premises.
     """
 
-    id: str
-    question: str
-    candidates: tuple[str, ...]
-    scales: tuple[OrdinalScale, ...] = ()
-    attributes: tuple[AttributeSchema, ...] = ()
-    facts: tuple[Fact, ...] = ()
-    criteria: tuple[CriterionSpec, ...] = ()
-    constraints: tuple[WeightConstraint, ...] = ()
-    preferences: tuple[PreferencePremise, ...] = ()
-    decisiveness_required: bool = False
+    __slots__ = ("id", "question", "candidates", "scales", "attributes", "facts",
+                 "criteria", "constraints", "preferences", "decisiveness_required")
+
+    def __init__(self, id: str, question: str, candidates: tuple[str, ...],
+                 scales: tuple[OrdinalScale, ...] = (),
+                 attributes: tuple[AttributeSchema, ...] = (),
+                 facts: tuple[Fact, ...] = (),
+                 criteria: tuple[CriterionSpec, ...] = (),
+                 constraints: tuple[WeightConstraint, ...] = (),
+                 preferences: tuple[PreferencePremise, ...] = (),
+                 decisiveness_required: bool = False):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "question", question)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "scales", scales)
+        object.__setattr__(self, "attributes", attributes)
+        object.__setattr__(self, "facts", facts)
+        object.__setattr__(self, "criteria", criteria)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "preferences", preferences)
+        object.__setattr__(self, "decisiveness_required", decisiveness_required)
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
@@ -166,8 +244,7 @@ class Instance:
         return None
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Immutable):
     """One validation failure: the offending element, the violated rule, a
     message that stands on its own, and the path of the blamed element.
 
@@ -179,10 +256,14 @@ class Violation:
     fact, blames no single element.
     """
 
-    element: str
-    rule: str
-    message: str = ""
-    path: tuple[str | int, ...] = ()
+    __slots__ = ("element", "rule", "message", "path")
+
+    def __init__(self, element: str, rule: str, message: str = "",
+                 path: tuple[str | int, ...] = ()):
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "path", path)
 
     def __str__(self) -> str:
         tail = f": {self.message}" if self.message else ""

@@ -8,10 +8,7 @@ otherwise give one conditional answer per declared criterion.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
-from .model import EPS_WEIGHT, CriterionSpec, Instance
+from .model import EPS_WEIGHT, CriterionSpec, Immutable, Instance
 from .responses import Clarify, Conditional, Decisive, Response
 from .semantics import Analysis, winners_at
 from .trilemma import clarify_for
@@ -24,13 +21,15 @@ RECOMMEND = "recommend_with_assumptions"
 UNIFORM_DEFAULT = "uniform_default"
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
+class PolicyDecision(Immutable):
     """Which branch fired, the response, and why."""
 
-    branch: str
-    response: Response
-    rationale: str
+    __slots__ = ("branch", "response", "rationale")
+
+    def __init__(self, branch: str, response: Response, rationale: str):
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "response", response)
+        object.__setattr__(self, "rationale", rationale)
 
 
 def uniform_criterion(instance: Instance, name: str = UNIFORM_DEFAULT) -> CriterionSpec:
@@ -56,9 +55,7 @@ def with_default_criterion(instance: Instance) -> tuple[Instance, str]:
             existing = instance.criterion_by_name(name)
         except KeyError:
             spec = uniform_criterion(instance, name)
-            return (dataclasses.replace(instance,
-                                        criteria=instance.criteria + (spec,)),
-                    name)
+            return instance.replace(criteria=instance.criteria + (spec,)), name
         wmap = existing.weight_map
         if all(abs(wmap.get(a, -1.0) - target) <= EPS_WEIGHT
                for a in instance.attribute_names):

@@ -9,106 +9,96 @@ closure and per-criterion scores and winners; it computes none of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UndeclaredReference
-from .model import Instance
+from .model import Immutable, Instance
 from .semantics import EPS_SCORE, Analysis
 
 
-@dataclass(frozen=True)
-class Decisive:
+class Decisive(Immutable):
     """Asserts one candidate unconditionally; may disclose the criterion used."""
 
-    candidate: str
-    declared_theta: str | None = None
+    __slots__ = ("candidate", "declared_theta")
+
+    def __init__(self, candidate: str, declared_theta: str | None = None):
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "declared_theta", declared_theta)
 
 
 def _canonical(cls, field: str, value: tuple):
     """A `cls` response whose one `field` is `value`, already in the form
-    `__post_init__` would give it; skips the coercion.  For enumeration."""
+    its `__init__` would give it; skips the coercion.  For enumeration."""
     response = object.__new__(cls)
     object.__setattr__(response, field, value)
     return response
 
 
-@dataclass(frozen=True)
-class Conditional:
+class Conditional(Immutable):
     """One answer per named criterion: ``if <criterion>, select <candidate>``.
 
-    Construction coerces each branch to a pair of `str`.
+    `branches` holds (criterion name, candidate) pairs; construction coerces
+    each to a pair of `str`.
     """
 
-    branches: tuple[tuple[str, str], ...]  # (criterion name, candidate)
+    __slots__ = ("branches",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "branches",
-                           tuple((str(c), str(a)) for c, a in self.branches))
+    def __init__(self, branches: tuple[tuple[str, str], ...]):
+        object.__setattr__(self, "branches", tuple((str(c), str(a)) for c, a in branches))
 
 
-@dataclass(frozen=True)
-class Equivalence:
+class Equivalence(Immutable):
     """Claims the listed candidates are equally good.
 
     Construction coerces the members to `str`, drops duplicates and sorts
     them.
     """
 
-    candidates: tuple[str, ...]
+    __slots__ = ("candidates",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "candidates",
-                           tuple(sorted(set(map(str, self.candidates)))))
+    def __init__(self, candidates: tuple[str, ...]):
+        object.__setattr__(self, "candidates", tuple(sorted(set(map(str, candidates)))))
 
 
-@dataclass(frozen=True)
-class Clarify:
+class Clarify(Immutable):
     """Asks for the missing information instead of answering."""
 
-    missing: tuple[str, ...]
+    __slots__ = ("missing",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "missing", tuple(map(str, self.missing)))
+    def __init__(self, missing: tuple[str, ...]):
+        object.__setattr__(self, "missing", tuple(map(str, missing)))
 
 
-@dataclass(frozen=True)
-class Refuse:
+class Refuse(Immutable):
     """Declines to answer, with a reason."""
 
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
 
 Response = Decisive | Conditional | Equivalence | Clarify | Refuse
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Immutable):
     """Predicate outcomes for one response on one instance.
 
     Internal invariants: c_strong implies c_cond, nb_strict implies
     nb_transparent, and u_decisive forces u_assistive == 1.0.
     """
 
-    c_strong: bool
-    c_cond: bool
-    nb_strict: bool
-    nb_transparent: bool
-    u_decisive: bool
-    u_assistive: float
-    hidden_theta: bool
+    __slots__ = ("c_strong", "c_cond", "nb_strict", "nb_transparent", "u_decisive",
+                 "u_assistive", "hidden_theta")
 
-    def triple(self) -> tuple[bool, bool, bool]:
-        """(c_strong, nb_strict, u_decisive) — the three trilemma predicates."""
-        return (self.c_strong, self.nb_strict, self.u_decisive)
-
-    def invariants_ok(self) -> bool:
-        if self.c_strong and not self.c_cond:
-            return False
-        if self.nb_strict and not self.nb_transparent:
-            return False
-        if self.u_decisive and self.u_assistive != 1.0:
-            return False
-        return 0.0 <= self.u_assistive <= 1.0
+    def __init__(self, c_strong: bool, c_cond: bool, nb_strict: bool,
+                 nb_transparent: bool, u_decisive: bool, u_assistive: float,
+                 hidden_theta: bool):
+        object.__setattr__(self, "c_strong", c_strong)
+        object.__setattr__(self, "c_cond", c_cond)
+        object.__setattr__(self, "nb_strict", nb_strict)
+        object.__setattr__(self, "nb_transparent", nb_transparent)
+        object.__setattr__(self, "u_decisive", u_decisive)
+        object.__setattr__(self, "u_assistive", u_assistive)
+        object.__setattr__(self, "hidden_theta", hidden_theta)
 
 
 # Rubric weights for (relevance, informativeness, actionability, decisiveness).

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from operator import sub
 
 from . import _kernels
@@ -34,6 +33,7 @@ from .model import (
     NUMERIC,
     BoundConstraint,
     CriterionSpec,
+    Immutable,
     Instance,
     PinConstraint,
     WeightConstraint,
@@ -46,28 +46,33 @@ Vector = tuple[float, ...]
 BoolTable = tuple[tuple[bool, ...], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class ScoreMatrix:
-    """Min-max normalized scores, one row per candidate, one column per attribute."""
+class ScoreMatrix(Immutable, eq=False):
+    """Min-max normalized scores, one row per candidate, one column per
+    attribute: ``values[c][j]`` in [0, 1]."""
 
-    candidates: tuple[str, ...]
-    attributes: tuple[str, ...]
-    values: tuple[Vector, ...]  # values[c][j] in [0, 1]
+    __slots__ = ("candidates", "attributes", "values")
+
+    def __init__(self, candidates: tuple[str, ...], attributes: tuple[str, ...],
+                 values: tuple[Vector, ...]):
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "attributes", attributes)
+        object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class WinnerOutcome:
+class WinnerOutcome(Immutable):
     """The argmax set at one weight vector (nonempty, in candidate order)."""
 
-    winners: tuple[str, ...]
+    __slots__ = ("winners",)
+
+    def __init__(self, winners: tuple[str, ...]):
+        object.__setattr__(self, "winners", winners)
 
     @property
     def unique(self) -> str | None:
         return self.winners[0] if len(self.winners) == 1 else None
 
 
-@dataclass(frozen=True, eq=False)
-class AdmissibleSet:
+class AdmissibleSet(Immutable, eq=False):
     """The weight polytope P = {w : sum(w) = 1, lower <= w <= upper}.
 
     `lower` and `upper` hold one weight per attribute, in declared order.  A
@@ -75,33 +80,45 @@ class AdmissibleSet:
     `upper` of its attribute.
     """
 
-    attributes: tuple[str, ...]
-    lower: Vector
-    upper: Vector
+    __slots__ = ("attributes", "lower", "upper")
+
+    def __init__(self, attributes: tuple[str, ...], lower: Vector, upper: Vector):
+        object.__setattr__(self, "attributes", attributes)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
-@dataclass(frozen=True)
-class SemanticsResult:
+class SemanticsResult(Immutable):
     """Whole-instance outcome: compatible answers and what they determine."""
 
-    compatible: tuple[str, ...]
-    underdetermined: bool
-    entailed: str | None
-    preference_closure: tuple[tuple[str, str], ...]
+    __slots__ = ("compatible", "underdetermined", "entailed", "preference_closure")
+
+    def __init__(self, compatible: tuple[str, ...], underdetermined: bool,
+                 entailed: str | None, preference_closure: tuple[tuple[str, str], ...]):
+        object.__setattr__(self, "compatible", compatible)
+        object.__setattr__(self, "underdetermined", underdetermined)
+        object.__setattr__(self, "entailed", entailed)
+        object.__setattr__(self, "preference_closure", preference_closure)
 
 
-@dataclass(frozen=True, eq=False)
-class WinnerStats:
+class WinnerStats(Immutable, eq=False):
     """Aggregate winner facts across every admissible weight vector.
 
-    Tables are indexed by candidate position: ``beats_all[a][b]``.
+    Per candidate: `ever_unique`, the sole argmax somewhere, and
+    `in_winner_set`, within EPS_SCORE of some maximum.  Per pair, indexed by
+    candidate position as ``beats_all[a][b]``: `beats_all`, strictly ahead
+    everywhere, and `tie_all`, within EPS_SCORE everywhere.
     """
 
-    candidates: tuple[str, ...]
-    ever_unique: tuple[bool, ...]  # sole argmax somewhere
-    in_winner_set: tuple[bool, ...]  # within EPS_SCORE of some maximum
-    beats_all: BoolTable  # strictly ahead everywhere
-    tie_all: BoolTable  # within EPS_SCORE everywhere
+    __slots__ = ("candidates", "ever_unique", "in_winner_set", "beats_all", "tie_all")
+
+    def __init__(self, candidates: tuple[str, ...], ever_unique: tuple[bool, ...],
+                 in_winner_set: tuple[bool, ...], beats_all: BoolTable, tie_all: BoolTable):
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "ever_unique", ever_unique)
+        object.__setattr__(self, "in_winner_set", in_winner_set)
+        object.__setattr__(self, "beats_all", beats_all)
+        object.__setattr__(self, "tie_all", tie_all)
 
 
 def normalize(instance: Instance) -> ScoreMatrix:
@@ -457,8 +474,7 @@ def compatible_answers(instance: Instance, stats: WinnerStats,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Analysis:
+class Analysis(Immutable, eq=False):
     """Everything the later layers read about one instance, computed once.
 
     `closure[i][j]` is true when the premises order candidate i above j
@@ -468,14 +484,21 @@ class Analysis:
     `winners_at(matrix, criterion).winners`.
     """
 
-    instance: Instance
-    matrix: ScoreMatrix
-    adm: AdmissibleSet
-    stats: WinnerStats
-    closure: BoolTable
-    semantics: SemanticsResult
-    criterion_scores: dict[str, Vector]
-    criterion_winners: dict[str, tuple[str, ...]]
+    __slots__ = ("instance", "matrix", "adm", "stats", "closure", "semantics",
+                 "criterion_scores", "criterion_winners")
+
+    def __init__(self, instance: Instance, matrix: ScoreMatrix, adm: AdmissibleSet,
+                 stats: WinnerStats, closure: BoolTable, semantics: SemanticsResult,
+                 criterion_scores: dict[str, Vector],
+                 criterion_winners: dict[str, tuple[str, ...]]):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "adm", adm)
+        object.__setattr__(self, "stats", stats)
+        object.__setattr__(self, "closure", closure)
+        object.__setattr__(self, "semantics", semantics)
+        object.__setattr__(self, "criterion_scores", criterion_scores)
+        object.__setattr__(self, "criterion_winners", criterion_winners)
 
     @property
     def unique_winners(self) -> dict[str, str]:

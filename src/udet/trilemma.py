@@ -15,18 +15,15 @@ predicates, not of the paper's conjecture about language models.
 `check_trilemma` counts its report in closed form and computes, not
 assumes, the counterexamples: one would mean the premise failed.
 `evaluate_space` gives `udet analyze` the space as per-form key tables with
-one `Verdict` per distinct key; `enumerate_responses` builds every response
-object, in the same row order.
+one `Verdict` per distinct key, and builds no other response object.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain, combinations, compress, product
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -41,6 +38,7 @@ from .model import (
     BoundConstraint,
     CriterionSpec,
     Fact,
+    Immutable,
     Instance,
     OrdinalScale,
     PinConstraint,
@@ -72,8 +70,7 @@ PAIRWISE_FORMS = ("c_strong & nb_strict -> !u_decisive",
                   "c_strong & u_decisive -> !nb_strict")
 
 
-@dataclass(frozen=True)
-class PairwiseCheck:
+class PairwiseCheck(Immutable):
     """One pairwise implication, asserted only under underdetermination.
 
     `witnesses` counts the responses satisfying the antecedent; `violations`
@@ -81,17 +78,19 @@ class PairwiseCheck:
     instance is underdetermined.
     """
 
-    name: str
-    witnesses: int
-    violations: tuple[Response, ...]
+    __slots__ = ("name", "witnesses", "violations")
+
+    def __init__(self, name: str, witnesses: int, violations: tuple[Response, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "violations", violations)
 
     @property
     def holds(self) -> bool:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class TrilemmaReport:
+class TrilemmaReport(Immutable):
     """Outcome of checking one instance's response space.
 
     `responses_evaluated` is the size of the response space, counted in
@@ -99,12 +98,18 @@ class TrilemmaReport:
     The name stays because the JSON key and the text labels carry it.
     """
 
-    instance_id: str
-    underdetermined: bool
-    responses_evaluated: int
-    counterexamples: tuple[Response, ...]
-    pairwise: tuple[PairwiseCheck, ...]
-    conflict_free_witness: Response | None
+    __slots__ = ("instance_id", "underdetermined", "responses_evaluated",
+                 "counterexamples", "pairwise", "conflict_free_witness")
+
+    def __init__(self, instance_id: str, underdetermined: bool, responses_evaluated: int,
+                 counterexamples: tuple[Response, ...], pairwise: tuple[PairwiseCheck, ...],
+                 conflict_free_witness: Response | None):
+        object.__setattr__(self, "instance_id", instance_id)
+        object.__setattr__(self, "underdetermined", underdetermined)
+        object.__setattr__(self, "responses_evaluated", responses_evaluated)
+        object.__setattr__(self, "counterexamples", counterexamples)
+        object.__setattr__(self, "pairwise", pairwise)
+        object.__setattr__(self, "conflict_free_witness", conflict_free_witness)
 
 
 def clarify_for(instance: Instance) -> Clarify:
@@ -140,32 +145,6 @@ def _subsets(items: tuple) -> Iterator[tuple]:
 def _pairs(candidates: tuple[str, ...]) -> list[tuple[str, str]]:
     """Each unordered candidate pair, by `combinations`, its names sorted."""
     return [(a, b) if a < b else (b, a) for a, b in combinations(candidates, 2)]
-
-
-def enumerate_responses(analysis: Analysis) -> tuple[Response, ...]:
-    """All structured responses for the instance, deterministically ordered.
-
-    Order: Decisive by candidate (undisclosed criterion first, then each
-    declared criterion), Conditional over nonempty subsets of the criteria
-    that have a unique winner (by subset size, then declaration order),
-    Equivalence over candidate pairs, one Clarify, one Refuse.  Conditionals
-    and equivalences are built in their canonical form directly, without
-    the coercion of public construction.  `evaluate_space` lists the same
-    rows as key tables.
-
-    Raises ResponseSpaceTooLarge when more than MAX_ENUMERATED_CRITERIA
-    criteria are declared.
-    """
-    instance = analysis.instance
-    _check_enumerable(instance)
-    out: list[Response] = [Decisive(cand, theta)
-                           for cand, theta in product(instance.candidates, _thetas(instance))]
-    out += [_canonical(Conditional, "branches", subset)
-            for subset in _subsets(_decided_pairs(analysis))]
-    out += [_canonical(Equivalence, "candidates", pair) for pair in _pairs(instance.candidates)]
-    out.append(clarify_for(instance))
-    out.append(Refuse(REFUSE_REASON))
-    return tuple(out)
 
 
 # Verdict keys, one range per response form.  A response's verdict is a
@@ -277,28 +256,35 @@ def _equivalence_keys(analysis: Analysis) -> list[int]:
     return keys
 
 
-@dataclass(frozen=True)
-class VerdictTable:
+class VerdictTable(Immutable):
     """The response space of one instance as per-form key tables.
 
-    Rows run in the order of `enumerate_responses`: Decisive over
-    `candidates` x `thetas`, Conditional over the subsets of `decided`,
-    Equivalence over `pairs`, then `clarify` and `refuse`;
-    `decisive`, `conditional` and `equivalence` hold the keys of each
-    form's rows.  A row's integer key determines its verdict, and
+    Rows run in a fixed order: Decisive over `candidates` x `thetas`
+    (undisclosed criterion first), Conditional over the nonempty subsets of
+    `decided` (by size, then declaration order), Equivalence over `pairs`,
+    then `clarify` and `refuse`; `decisive`, `conditional` and `equivalence`
+    hold the keys of each form's rows.  A row's integer key determines its verdict, and
     `verdicts` maps each key that occurs to its `Verdict`.
     """
 
-    candidates: tuple[str, ...]
-    thetas: tuple[str | None, ...]
-    decisive: list[int]
-    decided: tuple[tuple[str, str], ...]
-    conditional: list[int]
-    pairs: list[tuple[str, str]]
-    equivalence: list[int]
-    clarify: Clarify
-    refuse: Refuse
-    verdicts: dict[int, Verdict]
+    __slots__ = ("candidates", "thetas", "decisive", "decided", "conditional", "pairs",
+                 "equivalence", "clarify", "refuse", "verdicts")
+
+    def __init__(self, candidates: tuple[str, ...], thetas: tuple[str | None, ...],
+                 decisive: list[int], decided: tuple[tuple[str, str], ...],
+                 conditional: list[int], pairs: list[tuple[str, str]],
+                 equivalence: list[int], clarify: Clarify, refuse: Refuse,
+                 verdicts: dict[int, Verdict]):
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "decisive", decisive)
+        object.__setattr__(self, "decided", decided)
+        object.__setattr__(self, "conditional", conditional)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "equivalence", equivalence)
+        object.__setattr__(self, "clarify", clarify)
+        object.__setattr__(self, "refuse", refuse)
+        object.__setattr__(self, "verdicts", verdicts)
 
     def decisive_rows(self) -> Iterator[tuple[tuple[str, str | None], int]]:
         """((candidate, theta), key) per Decisive."""
@@ -342,7 +328,8 @@ def evaluate_space(analysis: Analysis) -> VerdictTable:
     - Equivalence(a, b): its verdict reads only c_strong and c_cond
       (`_equivalence_keys`).
 
-    Raises ResponseSpaceTooLarge as `enumerate_responses` does.
+    Raises ResponseSpaceTooLarge when more than MAX_ENUMERATED_CRITERIA
+    criteria are declared.
     """
     instance = analysis.instance
     _check_enumerable(instance)
@@ -404,8 +391,7 @@ def check_trilemma(analysis: Analysis) -> TrilemmaReport:
     )
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Immutable):
     """Shape of randomly generated instances.
 
     Ranges are inclusive.  Pin and bound constraints are mutually exclusive
@@ -422,14 +408,23 @@ class GeneratorConfig:
     `import udet` does not.
     """
 
-    seed: int = 0
-    candidate_range: tuple[int, int] = (2, 4)
-    attribute_range: tuple[int, int] = (2, 4)
-    criteria_range: tuple[int, int] = (0, 3)
-    pin_probability: float = 0.15
-    bound_probability: float = 0.2
-    decision_probability: float = 0.2
-    preference_probability: float = 0.15
+    __slots__ = ("seed", "candidate_range", "attribute_range", "criteria_range",
+                 "pin_probability", "bound_probability", "decision_probability",
+                 "preference_probability")
+
+    def __init__(self, seed: int = 0, candidate_range: tuple[int, int] = (2, 4),
+                 attribute_range: tuple[int, int] = (2, 4),
+                 criteria_range: tuple[int, int] = (0, 3), pin_probability: float = 0.15,
+                 bound_probability: float = 0.2, decision_probability: float = 0.2,
+                 preference_probability: float = 0.15):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "candidate_range", candidate_range)
+        object.__setattr__(self, "attribute_range", attribute_range)
+        object.__setattr__(self, "criteria_range", criteria_range)
+        object.__setattr__(self, "pin_probability", pin_probability)
+        object.__setattr__(self, "bound_probability", bound_probability)
+        object.__setattr__(self, "decision_probability", decision_probability)
+        object.__setattr__(self, "preference_probability", preference_probability)
 
     def check(self) -> None:
         for label, (lo, hi), floor in (
@@ -533,8 +528,7 @@ def generate_instance(config: GeneratorConfig, index: int) -> Instance:
     if rng.random() < config.preference_probability:
         pair = _dominating_pair(instance, rng)
         if pair is not None:
-            instance = dataclasses.replace(
-                instance, preferences=(PreferencePremise(*pair),))
+            instance = instance.replace(preferences=(PreferencePremise(*pair),))
     return instance
 
 

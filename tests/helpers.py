@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -42,12 +41,26 @@ from udet.semantics import (
     normalize,
 )
 from udet.policy import decide
-from udet.responses import Conditional, Decisive, Equivalence, ResponseEvaluator, _canonical
+from udet.responses import (
+    Conditional,
+    Decisive,
+    Equivalence,
+    Refuse,
+    ResponseEvaluator,
+    Verdict,
+    _canonical,
+)
 from udet.trilemma import (
     PAIRWISE_FORMS,
+    REFUSE_REASON,
     GeneratorConfig,
+    _check_enumerable,
+    _decided_pairs,
+    _pairs,
+    _subsets,
+    _thetas,
     check_trilemma,
-    enumerate_responses,
+    clarify_for,
     evaluate_space,
     generate_instance,
 )
@@ -132,14 +145,13 @@ def wide_instance(shape: str, seed: int, index: int) -> Instance:
         # cannot contradict the scores.
         scales = {a.name: OrdinalScale(f"scale_{a.name}", ("lv0", "lv1", "lv2"))
                   for a in inst.attributes if a.kind == NUMERIC}
-        inst = dataclasses.replace(
-            inst,
+        inst = inst.replace(
             scales=inst.scales + tuple(scales.values()),
             attributes=tuple(
-                dataclasses.replace(a, kind=ORDINAL, scale=scales[a.name].name)
+                a.replace(kind=ORDINAL, scale=scales[a.name].name)
                 if a.name in scales else a for a in inst.attributes),
             facts=tuple(
-                dataclasses.replace(f, value=f"lv{min(2, int(f.value * 3 / 10))}")
+                f.replace(value=f"lv{min(2, int(f.value * 3 / 10))}")
                 if f.attribute in scales else f for f in inst.facts))
         assert validate(inst) == []
     return inst
@@ -391,6 +403,47 @@ def numpy_winner_statistics(matrix: ScoreMatrix, adm: AdmissibleSet):
 # row with `render_response`.
 
 
+def enumerate_responses(analysis) -> tuple:
+    """All structured responses for the instance, in the row order of
+    `evaluate_space`.
+
+    Order: Decisive by candidate (undisclosed criterion first, then each
+    declared criterion), Conditional over nonempty subsets of the criteria
+    that have a unique winner (by subset size, then declaration order),
+    Equivalence over candidate pairs, one Clarify, one Refuse.  Conditionals
+    and equivalences are built in their canonical form directly, without
+    the coercion of public construction.
+
+    Raises ResponseSpaceTooLarge as `evaluate_space` does.
+    """
+    instance = analysis.instance
+    _check_enumerable(instance)
+    out = [Decisive(cand, theta)
+           for cand, theta in product(instance.candidates, _thetas(instance))]
+    out += [_canonical(Conditional, "branches", subset)
+            for subset in _subsets(_decided_pairs(analysis))]
+    out += [_canonical(Equivalence, "candidates", pair) for pair in _pairs(instance.candidates)]
+    out.append(clarify_for(instance))
+    out.append(Refuse(REFUSE_REASON))
+    return tuple(out)
+
+
+def triple(verdict: Verdict) -> tuple[bool, bool, bool]:
+    """(c_strong, nb_strict, u_decisive): the three trilemma predicates."""
+    return (verdict.c_strong, verdict.nb_strict, verdict.u_decisive)
+
+
+def invariants_ok(verdict: Verdict) -> bool:
+    """The implications the `Verdict` docstring states, and u_assistive in [0, 1]."""
+    if verdict.c_strong and not verdict.c_cond:
+        return False
+    if verdict.nb_strict and not verdict.nb_transparent:
+        return False
+    if verdict.u_decisive and verdict.u_assistive != 1.0:
+        return False
+    return 0.0 <= verdict.u_assistive <= 1.0
+
+
 def evaluated_rows(analysis) -> list:
     """(response, verdict) for every enumerated response, each verdict
     from its own `evaluate` call."""
@@ -415,7 +468,7 @@ def _analysis_of(path: str, require_decision: bool):
     text = open(path, encoding="utf-8", errors="replace").read()
     instance = parse_instance(SourceDocument(text, path))
     if require_decision:
-        instance = dataclasses.replace(instance, decisiveness_required=True)
+        instance = instance.replace(decisiveness_required=True)
     return analyze(instance)
 
 
@@ -430,7 +483,8 @@ def analyze_json_oracle(path: str, require_decision: bool = False,
         "instance": cli._instance_json(analysis.instance),
         "semantics": cli._semantics_json(analysis.semantics),
         "verdicts": [
-            {"response": cli.response_to_json(r), "verdict": dataclasses.asdict(v)}
+            {"response": cli.response_to_json(r),
+             "verdict": {f: getattr(v, f) for f in Verdict.__slots__}}
             for r, v in evaluated_rows(analysis)
         ],
         "policy": {

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import datetime as datetime_module
 import io
 import json
 import os
@@ -169,7 +170,8 @@ def test_analyze_json_with_timestamps_is_the_oracle_document(corpus_dir, monkeyp
         def now(cls, tz=None):
             return datetime(2030, 1, 2, 3, 4, 5, 678901, tzinfo=tz)
 
-    monkeypatch.setattr(cli, "datetime", FixedClock)
+    # `cli` imports `datetime` only when a timestamp is asked for.
+    monkeypatch.setattr(datetime_module, "datetime", FixedClock)
     path = path_of(corpus_dir, "city_recommendation")
     assert_json_matches_oracle(path, "--timestamps")
     doc = json.loads(run_cli(["analyze", path, "--format", "json", "--timestamps"])[1])
@@ -474,9 +476,15 @@ def test_unbounded_margin_lp_exits_2_with_one_line(monkeypatch, tmp_path):
     assert (code, out, err) == (2, "", "error: the linear program is unbounded\n")
 
 
+# Modules a cold command must not load.  numpy's import is most of a cold
+# run; `dataclasses` brings `inspect`, `ast`, `dis` and `tokenize`, and
+# generates code on every import; `datetime` serves only ``--timestamps``.
+COLD_UNUSED = ("ast", "dataclasses", "datetime", "dis", "inspect", "numpy", "tokenize")
+
+
 def test_corpus_commands_never_import_numpy(corpus_dir):
-    # numpy's import is most of a cold run.  The margin LP, which no corpus
-    # file reaches, and `check --random` are the only paths that load it.
+    # The margin LP, which no corpus file reaches, and `check --random` are
+    # the only paths that load numpy.
     child = textwrap.dedent("""
         import io, sys
         from pathlib import Path
@@ -491,13 +499,24 @@ def test_corpus_commands_never_import_numpy(corpus_dir):
                          ["analyze", f, "--require-decision", "--format", "json"],
                          ["policy", f], ["check", f], ["sweep", f, *pair]):
                 codes.append(cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO()))
-        print(len(codes), sorted(set(codes)), "numpy" in sys.modules)
+        print(len(codes), sorted(set(codes)), [m for m in sys.argv[2:] if m in sys.modules])
         """)
     src = str(Path(udet.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", child, str(corpus_dir)],
-                          capture_output=True, text=True, check=False,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "49 [0] False\n", "")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", child, str(corpus_dir), *COLD_UNUSED],
+                          capture_output=True, text=True, check=False, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "49 [0] []\n", "")
+
+    # One request as a user runs it; -X importtime lists every module loaded.
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "udet.cli", "analyze",
+                           path_of(corpus_dir, "city_recommendation"), "--format", "json"],
+                          capture_output=True, text=True, check=False, env=env)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["schema_version"] == cli.JSON_SCHEMA_VERSION
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"udet.trilemma", "argparse", "json"} <= imported
+    assert sorted(imported.intersection(COLD_UNUSED)) == []
 
 
 def test_extreme_size_runs_every_command(tmp_path):

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,8 +227,7 @@ def test_non_finite_numbers_rejected(scholarship_text):
 
 
 def test_question_escapes_round_trip(scholarship):
-    tricky = dataclasses.replace(
-        scholarship, question='He said "hi"\nthen left \\ quickly')
+    tricky = scholarship.replace(question='He said "hi"\nthen left \\ quickly')
     assert parse(serialize_instance(tricky)) == tricky
 
 

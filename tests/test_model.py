@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from helpers import build_scholarship
@@ -37,9 +35,8 @@ def test_single_candidate_flagged():
 
 def test_missing_fact_flagged():
     base = build_scholarship()
-    inst = dataclasses.replace(
-        base, facts=tuple(f for f in base.facts
-                          if not (f.candidate == "B" and f.attribute == "gpa")))
+    inst = base.replace(facts=tuple(f for f in base.facts
+                                    if not (f.candidate == "B" and f.attribute == "gpa")))
     found = [v for v in validate(inst) if v.rule == "fact-missing"]
     assert len(found) == 1
     assert "B.gpa" in found[0].element
@@ -52,24 +49,24 @@ def test_no_attributes_flagged():
 
 def test_duplicate_fact_flagged():
     base = build_scholarship()
-    inst = dataclasses.replace(base, facts=base.facts + (Fact("A", "gpa", 1.0),))
+    inst = base.replace(facts=base.facts + (Fact("A", "gpa", 1.0),))
     assert "fact-duplicate" in rules(inst)
 
 
 def test_fact_reference_and_type_rules():
     base = build_scholarship()
     bad = base.facts + (Fact("Z", "gpa", 1.0),)
-    assert "fact-reference" in rules(dataclasses.replace(base, facts=bad))
+    assert "fact-reference" in rules(base.replace(facts=bad))
 
     swapped = tuple(
-        dataclasses.replace(f, value="high") if f.attribute == "gpa" and f.candidate == "A"
+        f.replace(value="high") if f.attribute == "gpa" and f.candidate == "A"
         else f for f in base.facts)
-    assert "fact-value-type" in rules(dataclasses.replace(base, facts=swapped))
+    assert "fact-value-type" in rules(base.replace(facts=swapped))
 
     bad_level = tuple(
-        dataclasses.replace(f, value="extreme") if f.attribute == "need" and f.candidate == "A"
+        f.replace(value="extreme") if f.attribute == "need" and f.candidate == "A"
         else f for f in base.facts)
-    assert "fact-ordinal-level" in rules(dataclasses.replace(base, facts=bad_level))
+    assert "fact-ordinal-level" in rules(base.replace(facts=bad_level))
 
 
 def test_duplicate_identifiers_flagged():
@@ -78,12 +75,12 @@ def test_duplicate_identifiers_flagged():
         candidates=("A", "A"),
         facts=(Fact("A", "gpa", 9.5), Fact("A", "need", "moderate"))))
     dup_scale = base.scales + (OrdinalScale("need_scale", ("a", "b")),)
-    assert "scale-duplicate" in rules(dataclasses.replace(base, scales=dup_scale))
+    assert "scale-duplicate" in rules(base.replace(scales=dup_scale))
     dup_attr = base.attributes + (AttributeSchema("gpa", NUMERIC),)
-    inst = dataclasses.replace(base, attributes=dup_attr)
+    inst = base.replace(attributes=dup_attr)
     assert "attribute-duplicate" in rules(inst)
     dup_crit = base.criteria + (CriterionSpec("merit_first", (("gpa", 0.5), ("need", 0.5))),)
-    assert "criterion-duplicate" in rules(dataclasses.replace(base, criteria=dup_crit))
+    assert "criterion-duplicate" in rules(base.replace(criteria=dup_crit))
 
 
 def test_scale_rules():
@@ -98,24 +95,24 @@ def test_scale_rules():
 def test_ordinal_scale_reference_rule():
     base = build_scholarship()
     attrs = tuple(
-        dataclasses.replace(a, scale="missing_scale") if a.name == "need" else a
+        a.replace(scale="missing_scale") if a.name == "need" else a
         for a in base.attributes)
-    assert "attribute-scale" in rules(dataclasses.replace(base, attributes=attrs))
+    assert "attribute-scale" in rules(base.replace(attributes=attrs))
 
 
 def test_criterion_weight_rules():
     base = build_scholarship()
     bad_sum = base.criteria + (CriterionSpec("lopsided", (("gpa", 0.7), ("need", 0.2))),)
-    assert "criterion-weight-sum" in rules(dataclasses.replace(base, criteria=bad_sum))
+    assert "criterion-weight-sum" in rules(base.replace(criteria=bad_sum))
     negative = base.criteria + (CriterionSpec("neg", (("gpa", 1.5), ("need", -0.5))),)
-    assert "criterion-weight-negative" in rules(dataclasses.replace(base, criteria=negative))
+    assert "criterion-weight-negative" in rules(base.replace(criteria=negative))
     partial = base.criteria + (CriterionSpec("partial", (("gpa", 1.0),)),)
-    assert "criterion-coverage" in rules(dataclasses.replace(base, criteria=partial))
+    assert "criterion-coverage" in rules(base.replace(criteria=partial))
     stray = base.criteria + (CriterionSpec("stray", (("gpa", 1.0), ("height", 0.0))),)
-    found = rules(dataclasses.replace(base, criteria=stray))
+    found = rules(base.replace(criteria=stray))
     assert "criterion-reference" in found
     twice = base.criteria + (CriterionSpec("twice", (("gpa", 0.5), ("gpa", 0.5), ("need", 0.0))),)
-    violations = validate(dataclasses.replace(base, criteria=twice))
+    violations = validate(base.replace(criteria=twice))
     assert [(v.rule, v.message, v.path) for v in violations] == [
         ("criterion-weight-duplicate", "duplicate weight for 'gpa'",
          ("criteria", 2, "weights", 1, 0))]
@@ -124,23 +121,23 @@ def test_criterion_weight_rules():
 def test_constraint_rules():
     base = build_scholarship()
     assert "constraint-pin-reference" in rules(
-        dataclasses.replace(base, constraints=(PinConstraint("nope"),)))
+        base.replace(constraints=(PinConstraint("nope"),)))
     assert "constraint-bound-reference" in rules(
-        dataclasses.replace(base, constraints=(BoundConstraint("height", ">=", 0.5),)))
+        base.replace(constraints=(BoundConstraint("height", ">=", 0.5),)))
     assert "constraint-bound-value" in rules(
-        dataclasses.replace(base, constraints=(BoundConstraint("gpa", ">=", 1.5),)))
+        base.replace(constraints=(BoundConstraint("gpa", ">=", 1.5),)))
     assert "constraint-bound-op" in rules(
-        dataclasses.replace(base, constraints=(BoundConstraint("gpa", "<", 0.5),)))
+        base.replace(constraints=(BoundConstraint("gpa", "<", 0.5),)))
 
 
 def test_preference_rules():
     base = build_scholarship()
     assert "preference-self" in rules(
-        dataclasses.replace(base, preferences=(PreferencePremise("A", "A"),)))
+        base.replace(preferences=(PreferencePremise("A", "A"),)))
     assert "preference-reference" in rules(
-        dataclasses.replace(base, preferences=(PreferencePremise("A", "Z"),)))
+        base.replace(preferences=(PreferencePremise("A", "Z"),)))
     cycle = (PreferencePremise("A", "B"), PreferencePremise("B", "A"))
-    assert "preference-cycle" in rules(dataclasses.replace(base, preferences=cycle))
+    assert "preference-cycle" in rules(base.replace(preferences=cycle))
 
 
 def test_preference_three_step_cycle():
@@ -179,16 +176,16 @@ def test_instance_accessors():
     assert inst.scale_by_name("need_scale").rank("severe") == 2
     assert inst.criterion_by_name("merit_first").weight("gpa") == 1.0
     assert inst.pinned_criterion() is None
-    pinned = dataclasses.replace(inst, constraints=(PinConstraint("merit_first"),))
+    pinned = inst.replace(constraints=(PinConstraint("merit_first"),))
     assert pinned.pinned_criterion() == "merit_first"
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10 ** 400])
 def test_non_finite_fact_flagged(value):
     base = build_scholarship()
-    facts = tuple(dataclasses.replace(f, value=value)
+    facts = tuple(f.replace(value=value)
                   if (f.candidate, f.attribute) == ("A", "gpa") else f for f in base.facts)
-    violations = validate(dataclasses.replace(base, facts=facts))
+    violations = validate(base.replace(facts=facts))
     assert [(v.element, v.rule, v.path) for v in violations] == [
         ("fact A.gpa", "fact-value-finite", ("facts", 0, "value"))]
 
@@ -199,7 +196,7 @@ def test_non_finite_fact_flagged(value):
 def test_non_finite_criterion_weight_flagged(weights):
     base = build_scholarship()
     crits = base.criteria + (CriterionSpec("odd", weights),)
-    found = rules(dataclasses.replace(base, criteria=crits))
+    found = rules(base.replace(criteria=crits))
     assert "criterion-weight-finite" in found
     assert "criterion-weight-negative" not in found
 
@@ -208,4 +205,4 @@ def test_non_finite_bound_flagged():
     base = build_scholarship()
     for value in (float("nan"), float("inf")):
         assert "constraint-bound-value" in rules(
-            dataclasses.replace(base, constraints=(BoundConstraint("gpa", ">=", value),)))
+            base.replace(constraints=(BoundConstraint("gpa", ">=", value),)))

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import dataclasses
-
-from helpers import build_scholarship, build_two_numeric
+from helpers import build_scholarship, build_two_numeric, triple
 
 from udet.model import CriterionSpec, PinConstraint
 from udet.policy import (
@@ -57,7 +55,7 @@ def test_no_criteria_asks_for_clarification():
 
 
 def test_require_decision_recommends_with_uniform_default(scholarship):
-    inst = dataclasses.replace(scholarship, decisiveness_required=True)
+    inst = scholarship.replace(decisiveness_required=True)
     decision, _ = run_policy(inst)
     assert decision.branch == RECOMMEND
     assert decision.response == Decisive("A", declared_theta=UNIFORM_DEFAULT)
@@ -126,9 +124,9 @@ def branch_verdict(analysis, decision):
 def assert_branch_sound(analysis, decision):
     v = branch_verdict(analysis, decision)
     if decision.branch == DIRECT:
-        assert v.triple() == (True, True, True)
+        assert triple(v) == (True, True, True)
     elif decision.branch == CLARIFY:
-        assert v.triple() == (True, True, False)
+        assert triple(v) == (True, True, False)
     elif decision.branch == CONDITIONAL:
         assert v.c_strong and not v.u_decisive
     else:

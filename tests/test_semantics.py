@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -64,7 +63,7 @@ def entry(matrix, candidate: str, attribute: str) -> float:
 
 def score(instance, theta: CriterionSpec, candidate: str) -> float:
     """The candidate's score under `theta`, as the analysis computes it."""
-    scores = analyze(dataclasses.replace(instance, criteria=(theta,))).criterion_scores
+    scores = analyze(instance.replace(criteria=(theta,))).criterion_scores
     return scores[theta.name][instance.candidates.index(candidate)]
 
 
@@ -89,9 +88,9 @@ def test_normalize_tie_gives_half():
 
 def test_normalize_lower_better_flips():
     inst = build_two_numeric("flip", {"A": (1.0, 5.0), "B": (3.0, 5.0)})
-    attrs = (dataclasses.replace(inst.attributes[0], direction=LOWER_BETTER),
+    attrs = (inst.attributes[0].replace(direction=LOWER_BETTER),
              inst.attributes[1])
-    inst = dataclasses.replace(inst, attributes=attrs)
+    inst = inst.replace(attributes=attrs)
     m = normalize(inst)
     assert entry(m, "A", "x") == 1.0  # cheapest wins a lower_better attribute
     assert entry(m, "B", "x") == 0.0
@@ -174,9 +173,9 @@ def test_admissible_pin_is_singleton():
 def test_admissible_grid_counts():
     # compositions of 10 into 3 parts: C(12, 2) = 66, verified by enumeration
     inst = build_two_numeric("three", {"A": (1, 2), "B": (2, 1), "C": (0, 0)})
-    attrs = inst.attributes + (dataclasses.replace(inst.attributes[0], name="z"),)
+    attrs = inst.attributes + (inst.attributes[0].replace(name="z"),)
     facts = inst.facts + tuple(Fact(c, "z", float(i)) for i, c in enumerate("ABC"))
-    inst = dataclasses.replace(inst, attributes=attrs, facts=facts)
+    inst = inst.replace(attributes=attrs, facts=facts)
     points = admissible_grid(admissible_set(inst), 10)
     assert points.shape == (66, 3)
     brute = [(i, j, 10 - i - j) for i in range(11) for j in range(11 - i)]
@@ -187,9 +186,9 @@ def test_admissible_grid_counts():
 
 def _three_attribute_instance(**overrides):
     inst = build_two_numeric("three", {"A": (1, 2), "B": (2, 1), "C": (0, 0)})
-    attrs = inst.attributes + (dataclasses.replace(inst.attributes[0], name="z"),)
+    attrs = inst.attributes + (inst.attributes[0].replace(name="z"),)
     facts = inst.facts + tuple(Fact(c, "z", float(i)) for i, c in enumerate("ABC"))
-    return dataclasses.replace(inst, attributes=attrs, facts=facts, **overrides)
+    return inst.replace(attributes=attrs, facts=facts, **overrides)
 
 
 def test_admissible_vectors_are_read_only():
@@ -222,8 +221,7 @@ def test_bounded_grid_keeps_the_rows_of_a_plain_filter():
 def test_admissible_bounds_filter_grid():
     inst = build_two_numeric("b", {"A": (1, 2), "B": (2, 1)})
     assert admissible_grid(admissible_set(inst), 10).shape[0] == 11
-    bounded = dataclasses.replace(
-        inst, constraints=(BoundConstraint("x", ">=", 0.7),))
+    bounded = inst.replace(constraints=(BoundConstraint("x", ">=", 0.7),))
     points = admissible_grid(admissible_set(bounded), 10)
     assert points.shape[0] == 4  # x weight in {0.7, 0.8, 0.9, 1.0}
     assert np.all(points[:, 0] >= 0.7)
@@ -245,11 +243,11 @@ def test_admissible_infeasible_raises():
     with pytest.raises(InfeasibleConstraints):
         admissible_set(inst)
     three = build_two_numeric("t", {"A": (1, 2), "B": (2, 1)})
-    attrs = three.attributes + (dataclasses.replace(three.attributes[0], name="z"),)
+    attrs = three.attributes + (three.attributes[0].replace(name="z"),)
     facts = three.facts + (Fact("A", "z", 0.0), Fact("B", "z", 1.0))
-    three = dataclasses.replace(three, attributes=attrs, facts=facts,
-                                constraints=(BoundConstraint("x", ">=", 0.8),
-                                             BoundConstraint("y", ">=", 0.8)))
+    three = three.replace(attributes=attrs, facts=facts,
+                          constraints=(BoundConstraint("x", ">=", 0.8),
+                                       BoundConstraint("y", ">=", 0.8)))
     with pytest.raises(InfeasibleConstraints, match="no admissible weight"):
         admissible_set(three)
     # upper bounds that leave the weights short of 1, and crossed bounds
@@ -271,8 +269,8 @@ def test_pinned_vector_must_satisfy_bounds():
 
 def test_single_attribute_grid_is_one_point():
     inst = build_two_numeric("one", {"A": (1, 0), "B": (2, 0)})
-    inst = dataclasses.replace(inst, attributes=inst.attributes[:1],
-                               facts=tuple(f for f in inst.facts if f.attribute == "x"))
+    inst = inst.replace(attributes=inst.attributes[:1],
+                        facts=tuple(f for f in inst.facts if f.attribute == "x"))
     adm = admissible_set(inst)
     assert adm.lower == (0.0,) and adm.upper == (1.0,)
     assert weight_range(adm, "x") == (1.0, 1.0)
@@ -441,10 +439,10 @@ def test_affine_invariance_sample():
         numeric = {a.name for a in inst.attributes if a.kind == "numeric"}
         for f in inst.facts:
             if f.attribute in numeric:
-                scaled_facts.append(dataclasses.replace(f, value=3.0 * f.value + 7.0))
+                scaled_facts.append(f.replace(value=3.0 * f.value + 7.0))
             else:
                 scaled_facts.append(f)
-        scaled = dataclasses.replace(inst, facts=tuple(scaled_facts))
+        scaled = inst.replace(facts=tuple(scaled_facts))
         sem, sem2 = analyze(inst).semantics, analyze(scaled).semantics
         assert sem.compatible == sem2.compatible
         assert sem.entailed == sem2.entailed
@@ -475,9 +473,9 @@ def test_winner_statistics_exact_matches_dense_grid(scholarship):
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
 def test_normalize_rejects_non_finite_fact(value):
     inst = build_two_numeric("nf", {"A": (1.0, 2.0), "B": (2.0, 1.0)})
-    facts = tuple(dataclasses.replace(f, value=value)
+    facts = tuple(f.replace(value=value)
                   if (f.candidate, f.attribute) == ("B", "y") else f for f in inst.facts)
-    inst = dataclasses.replace(inst, facts=facts)
+    inst = inst.replace(facts=facts)
     with pytest.raises(ValueError, match=r"fact B\.y is not finite"):
         normalize(inst)
 

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +10,7 @@ from helpers import (
     assert_report_is_the_evaluated_space,
     build_scholarship,
     build_two_numeric,
+    enumerate_responses,
     near_tie_instance,
     wide_instance,
 )
@@ -34,7 +33,6 @@ from udet.semantics import admissible_set, analyze, normalize
 from udet.trilemma import (
     GeneratorConfig,
     check_trilemma,
-    enumerate_responses,
     generate_instance,
 )
 
@@ -89,7 +87,7 @@ def test_response_space_single_criterion():
 def test_tied_criterion_excluded_from_conditionals():
     half = CriterionSpec("half", (("gpa", 0.5), ("need", 0.5)))
     inst = build_scholarship()
-    inst = dataclasses.replace(inst, criteria=inst.criteria + (half,))
+    inst = inst.replace(criteria=inst.criteria + (half,))
     space, _ = space_for(inst)
     conditionals = [r for r in space if isinstance(r, Conditional)]
     assert all("half" not in dict(r.branches) for r in conditionals)
@@ -240,7 +238,7 @@ def test_report_carries_the_evaluated_space(scholarship):
     # Two criteria share the winner A: a conditional naming only A's
     # criteria leaves B out and is not strictly non-biased.
     merit_too = CriterionSpec("merit_too", (("gpa", 0.9), ("need", 0.1)))
-    inst = dataclasses.replace(scholarship, criteria=scholarship.criteria + (merit_too,))
+    inst = scholarship.replace(criteria=scholarship.criteria + (merit_too,))
     analysis = analyze(inst)
     assert analysis.unique_winners == {"merit_first": "A", "need_first": "B",
                                        "merit_too": "A"}
@@ -280,7 +278,7 @@ def test_identical_candidates_ordered_by_a_premise():
     assert analysis.stats.tie_all[0][1] and analysis.closure[1][0]
     verdicts = _equivalence_verdicts(analysis)
     assert (verdicts[("A", "B")].c_strong, verdicts[("A", "B")].c_cond) == (False, True)
-    unordered = dataclasses.replace(inst, preferences=())
+    unordered = inst.replace(preferences=())
     verdicts = _equivalence_verdicts(analyze(unordered))
     assert (verdicts[("A", "B")].c_strong, verdicts[("A", "B")].c_cond) == (True, True)
 
