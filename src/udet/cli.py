@@ -30,7 +30,7 @@ from . import __version__, corpus
 from .dsl import ParseError, SourceDocument, format_number, parse_instance
 from .errors import UdetError
 from .model import EPS_WEIGHT, Immutable, Instance, ORDINAL
-from .policy import decide
+from .policy import PolicyDecision, decide
 from .responses import Clarify, Conditional, Decisive, Equivalence, Response, Verdict
 from .semantics import (
     EPS_SCORE,
@@ -137,6 +137,14 @@ def _semantics_json(semantics: SemanticsResult) -> dict:
     }
 
 
+def _policy_json(decision: PolicyDecision) -> dict:
+    return {
+        "branch": decision.branch,
+        "response": response_to_json(decision.response),
+        "rationale": decision.rationale,
+    }
+
+
 def _trilemma_json(report: TrilemmaReport) -> dict:
     return {
         "underdetermined": report.underdetermined,
@@ -158,10 +166,7 @@ _str = json.encoder.encode_basestring_ascii
 class _Json(Immutable):
     """Text that is already JSON, indented as a top-level value of a document."""
 
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        object.__setattr__(self, "text", text)
+    text: str
 
 
 def _emit(doc: dict, out) -> None:
@@ -299,11 +304,7 @@ def cmd_analyze(args, stdout, stderr) -> int:
             "instance": _instance_json(instance),
             "semantics": _semantics_json(semantics),
             "verdicts": _verdicts_json(table),
-            "policy": {
-                "branch": decision.branch,
-                "response": response_to_json(decision.response),
-                "rationale": decision.rationale,
-            },
+            "policy": _policy_json(decision),
             "trilemma": _trilemma_json(report),
         }
         _emit(doc, stdout)
@@ -341,21 +342,25 @@ def cmd_analyze(args, stdout, stderr) -> int:
     w(f"  underdetermined: {_bool(report.underdetermined)}\n")
     w(f"  responses evaluated: {report.responses_evaluated}\n")
     w(f"  counterexamples: {len(report.counterexamples)}\n")
-    for check in report.pairwise:
-        w(f"  {check.name}: {'holds' if check.holds else 'VIOLATED'} "
-          f"(witnesses {check.witnesses})\n")
-    witness = (render_response(report.conflict_free_witness)
-               if report.conflict_free_witness else "-")
-    w(f"  conflict-free witness: {witness}\n")
+    w(_pairwise_text(report))
+    w(f"  conflict-free witness: {_witness_text(report)}\n")
     return EXIT_OK
 
 
+def _witness_text(report: TrilemmaReport) -> str:
+    witness = report.conflict_free_witness
+    return render_response(witness) if witness else "-"
+
+
+def _pairwise_text(report: TrilemmaReport) -> str:
+    return "".join(f"  {check.name}: {'holds' if check.holds else 'VIOLATED'} "
+                   f"(witnesses {check.witnesses})\n" for check in report.pairwise)
+
+
 def _report_line(report: TrilemmaReport) -> str:
-    witness = (render_response(report.conflict_free_witness)
-               if report.conflict_free_witness else "-")
     return (f"{report.instance_id}: D={1 if report.underdetermined else 0} "
             f"responses={report.responses_evaluated} "
-            f"counterexamples={len(report.counterexamples)} witness={witness}")
+            f"counterexamples={len(report.counterexamples)} witness={_witness_text(report)}")
 
 
 def _report_json(report: TrilemmaReport) -> dict:
@@ -405,10 +410,7 @@ def cmd_check(args, stdout, stderr) -> int:
         for report in reports:
             stdout.write(_report_line(report) + "\n")
             if args.paths and args.random is None:
-                for check in report.pairwise:
-                    stdout.write(
-                        f"  {check.name}: {'holds' if check.holds else 'VIOLATED'} "
-                        f"(witnesses {check.witnesses})\n")
+                stdout.write(_pairwise_text(report))
         stdout.write(
             f"checked {len(reports)} instance(s), evaluated {total_responses} "
             f"response(s), counterexamples {total_counter}\n")
@@ -427,11 +429,7 @@ def cmd_policy(args, stdout, stderr) -> int:
         _emit({
             "schema_version": JSON_SCHEMA_VERSION,
             "instance": instance.id,
-            "policy": {
-                "branch": decision.branch,
-                "response": response_to_json(decision.response),
-                "rationale": decision.rationale,
-            },
+            "policy": _policy_json(decision),
         }, stdout)
     else:
         stdout.write(f"branch: {decision.branch}\n")

@@ -10,8 +10,6 @@ some weighting and verified against the engine before being frozen here.
 
 from __future__ import annotations
 
-from importlib import resources
-
 from ..dsl import ParseError, SourceDocument, parse_instance
 from ..errors import CorpusCorrupt
 from ..model import Immutable, Instance
@@ -20,24 +18,18 @@ from ..model import Immutable, Instance
 class ExpectedSummary(Immutable):
     """Frozen engine outputs for a corpus entry."""
 
-    __slots__ = ("compatible", "underdetermined", "branch")
-
-    def __init__(self, compatible: tuple[str, ...], underdetermined: bool, branch: str):
-        object.__setattr__(self, "compatible", compatible)
-        object.__setattr__(self, "underdetermined", underdetermined)
-        object.__setattr__(self, "branch", branch)
+    compatible: tuple[str, ...]
+    underdetermined: bool
+    branch: str
 
 
 class CorpusEntry(Immutable):
     """One bundled file: its id, its text, its frozen summary and its instance."""
 
-    __slots__ = ("id", "source", "expected", "instance")
-
-    def __init__(self, id: str, source: str, expected: ExpectedSummary, instance: Instance):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "instance", instance)
+    id: str
+    source: str
+    expected: ExpectedSummary
+    instance: Instance
 
 
 # Registry order is the load order; expected values were computed by running
@@ -65,6 +57,8 @@ def corpus_ids() -> tuple[str, ...]:
 
 
 def load_source(entry_id: str) -> str:
+    from importlib import resources  # only `corpus export` reads bundled files
+
     path = resources.files(__package__).joinpath("data", f"{entry_id}.udet")
     try:
         return path.read_text(encoding="utf-8")

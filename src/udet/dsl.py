@@ -43,11 +43,8 @@ from .model import (
 class SourceDocument(Immutable):
     """Raw DSL text plus where it came from (file path or ``<memory>``)."""
 
-    __slots__ = ("text", "origin")
-
-    def __init__(self, text: str, origin: str = "<memory>"):
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "origin", origin)
+    text: str
+    origin: str = "<memory>"
 
 
 class ParseError(UdetError):

@@ -24,12 +24,9 @@ UNIFORM_DEFAULT = "uniform_default"
 class PolicyDecision(Immutable):
     """Which branch fired, the response, and why."""
 
-    __slots__ = ("branch", "response", "rationale")
-
-    def __init__(self, branch: str, response: Response, rationale: str):
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "response", response)
-        object.__setattr__(self, "rationale", rationale)
+    branch: str
+    response: Response
+    rationale: str
 
 
 def uniform_criterion(instance: Instance, name: str = UNIFORM_DEFAULT) -> CriterionSpec:

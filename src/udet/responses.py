@@ -17,11 +17,8 @@ from .semantics import EPS_SCORE, Analysis
 class Decisive(Immutable):
     """Asserts one candidate unconditionally; may disclose the criterion used."""
 
-    __slots__ = ("candidate", "declared_theta")
-
-    def __init__(self, candidate: str, declared_theta: str | None = None):
-        object.__setattr__(self, "candidate", candidate)
-        object.__setattr__(self, "declared_theta", declared_theta)
+    candidate: str
+    declared_theta: str | None = None
 
 
 def _canonical(cls, field: str, value: tuple):
@@ -39,7 +36,7 @@ class Conditional(Immutable):
     each to a pair of `str`.
     """
 
-    __slots__ = ("branches",)
+    branches: tuple[tuple[str, str], ...]
 
     def __init__(self, branches: tuple[tuple[str, str], ...]):
         object.__setattr__(self, "branches", tuple((str(c), str(a)) for c, a in branches))
@@ -52,7 +49,7 @@ class Equivalence(Immutable):
     them.
     """
 
-    __slots__ = ("candidates",)
+    candidates: tuple[str, ...]
 
     def __init__(self, candidates: tuple[str, ...]):
         object.__setattr__(self, "candidates", tuple(sorted(set(map(str, candidates)))))
@@ -61,7 +58,7 @@ class Equivalence(Immutable):
 class Clarify(Immutable):
     """Asks for the missing information instead of answering."""
 
-    __slots__ = ("missing",)
+    missing: tuple[str, ...]
 
     def __init__(self, missing: tuple[str, ...]):
         object.__setattr__(self, "missing", tuple(map(str, missing)))
@@ -70,10 +67,7 @@ class Clarify(Immutable):
 class Refuse(Immutable):
     """Declines to answer, with a reason."""
 
-    __slots__ = ("reason",)
-
-    def __init__(self, reason: str):
-        object.__setattr__(self, "reason", reason)
+    reason: str
 
 
 Response = Decisive | Conditional | Equivalence | Clarify | Refuse
@@ -86,19 +80,13 @@ class Verdict(Immutable):
     nb_transparent, and u_decisive forces u_assistive == 1.0.
     """
 
-    __slots__ = ("c_strong", "c_cond", "nb_strict", "nb_transparent", "u_decisive",
-                 "u_assistive", "hidden_theta")
-
-    def __init__(self, c_strong: bool, c_cond: bool, nb_strict: bool,
-                 nb_transparent: bool, u_decisive: bool, u_assistive: float,
-                 hidden_theta: bool):
-        object.__setattr__(self, "c_strong", c_strong)
-        object.__setattr__(self, "c_cond", c_cond)
-        object.__setattr__(self, "nb_strict", nb_strict)
-        object.__setattr__(self, "nb_transparent", nb_transparent)
-        object.__setattr__(self, "u_decisive", u_decisive)
-        object.__setattr__(self, "u_assistive", u_assistive)
-        object.__setattr__(self, "hidden_theta", hidden_theta)
+    c_strong: bool
+    c_cond: bool
+    nb_strict: bool
+    nb_transparent: bool
+    u_decisive: bool
+    u_assistive: float
+    hidden_theta: bool
 
 
 # Rubric weights for (relevance, informativeness, actionability, decisiveness).

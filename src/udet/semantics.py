@@ -50,22 +50,15 @@ class ScoreMatrix(Immutable, eq=False):
     """Min-max normalized scores, one row per candidate, one column per
     attribute: ``values[c][j]`` in [0, 1]."""
 
-    __slots__ = ("candidates", "attributes", "values")
-
-    def __init__(self, candidates: tuple[str, ...], attributes: tuple[str, ...],
-                 values: tuple[Vector, ...]):
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "attributes", attributes)
-        object.__setattr__(self, "values", values)
+    candidates: tuple[str, ...]
+    attributes: tuple[str, ...]
+    values: tuple[Vector, ...]
 
 
 class WinnerOutcome(Immutable):
     """The argmax set at one weight vector (nonempty, in candidate order)."""
 
-    __slots__ = ("winners",)
-
-    def __init__(self, winners: tuple[str, ...]):
-        object.__setattr__(self, "winners", winners)
+    winners: tuple[str, ...]
 
     @property
     def unique(self) -> str | None:
@@ -80,25 +73,18 @@ class AdmissibleSet(Immutable, eq=False):
     `upper` of its attribute.
     """
 
-    __slots__ = ("attributes", "lower", "upper")
-
-    def __init__(self, attributes: tuple[str, ...], lower: Vector, upper: Vector):
-        object.__setattr__(self, "attributes", attributes)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+    attributes: tuple[str, ...]
+    lower: Vector
+    upper: Vector
 
 
 class SemanticsResult(Immutable):
     """Whole-instance outcome: compatible answers and what they determine."""
 
-    __slots__ = ("compatible", "underdetermined", "entailed", "preference_closure")
-
-    def __init__(self, compatible: tuple[str, ...], underdetermined: bool,
-                 entailed: str | None, preference_closure: tuple[tuple[str, str], ...]):
-        object.__setattr__(self, "compatible", compatible)
-        object.__setattr__(self, "underdetermined", underdetermined)
-        object.__setattr__(self, "entailed", entailed)
-        object.__setattr__(self, "preference_closure", preference_closure)
+    compatible: tuple[str, ...]
+    underdetermined: bool
+    entailed: str | None
+    preference_closure: tuple[tuple[str, str], ...]
 
 
 class WinnerStats(Immutable, eq=False):
@@ -110,15 +96,11 @@ class WinnerStats(Immutable, eq=False):
     everywhere, and `tie_all`, within EPS_SCORE everywhere.
     """
 
-    __slots__ = ("candidates", "ever_unique", "in_winner_set", "beats_all", "tie_all")
-
-    def __init__(self, candidates: tuple[str, ...], ever_unique: tuple[bool, ...],
-                 in_winner_set: tuple[bool, ...], beats_all: BoolTable, tie_all: BoolTable):
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "ever_unique", ever_unique)
-        object.__setattr__(self, "in_winner_set", in_winner_set)
-        object.__setattr__(self, "beats_all", beats_all)
-        object.__setattr__(self, "tie_all", tie_all)
+    candidates: tuple[str, ...]
+    ever_unique: tuple[bool, ...]
+    in_winner_set: tuple[bool, ...]
+    beats_all: BoolTable
+    tie_all: BoolTable
 
 
 def normalize(instance: Instance) -> ScoreMatrix:
@@ -484,25 +466,19 @@ class Analysis(Immutable, eq=False):
     `winners_at(matrix, criterion).winners`.
     """
 
-    __slots__ = ("instance", "matrix", "adm", "stats", "closure", "semantics",
-                 "criterion_scores", "criterion_winners")
-
-    def __init__(self, instance: Instance, matrix: ScoreMatrix, adm: AdmissibleSet,
-                 stats: WinnerStats, closure: BoolTable, semantics: SemanticsResult,
-                 criterion_scores: dict[str, Vector],
-                 criterion_winners: dict[str, tuple[str, ...]]):
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "adm", adm)
-        object.__setattr__(self, "stats", stats)
-        object.__setattr__(self, "closure", closure)
-        object.__setattr__(self, "semantics", semantics)
-        object.__setattr__(self, "criterion_scores", criterion_scores)
-        object.__setattr__(self, "criterion_winners", criterion_winners)
+    instance: Instance
+    matrix: ScoreMatrix
+    adm: AdmissibleSet
+    stats: WinnerStats
+    closure: BoolTable
+    semantics: SemanticsResult
+    criterion_scores: dict[str, Vector]
+    criterion_winners: dict[str, tuple[str, ...]]
 
     @property
     def unique_winners(self) -> dict[str, str]:
-        """Criterion name -> its sole winner, for criteria that have one."""
+        """Criterion name -> its sole winner, for the criteria that have one,
+        in declaration order."""
         return {name: ws[0] for name, ws in self.criterion_winners.items()
                 if len(ws) == 1}
 

@@ -78,12 +78,9 @@ class PairwiseCheck(Immutable):
     instance is underdetermined.
     """
 
-    __slots__ = ("name", "witnesses", "violations")
-
-    def __init__(self, name: str, witnesses: int, violations: tuple[Response, ...]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "violations", violations)
+    name: str
+    witnesses: int
+    violations: tuple[Response, ...]
 
     @property
     def holds(self) -> bool:
@@ -98,18 +95,12 @@ class TrilemmaReport(Immutable):
     The name stays because the JSON key and the text labels carry it.
     """
 
-    __slots__ = ("instance_id", "underdetermined", "responses_evaluated",
-                 "counterexamples", "pairwise", "conflict_free_witness")
-
-    def __init__(self, instance_id: str, underdetermined: bool, responses_evaluated: int,
-                 counterexamples: tuple[Response, ...], pairwise: tuple[PairwiseCheck, ...],
-                 conflict_free_witness: Response | None):
-        object.__setattr__(self, "instance_id", instance_id)
-        object.__setattr__(self, "underdetermined", underdetermined)
-        object.__setattr__(self, "responses_evaluated", responses_evaluated)
-        object.__setattr__(self, "counterexamples", counterexamples)
-        object.__setattr__(self, "pairwise", pairwise)
-        object.__setattr__(self, "conflict_free_witness", conflict_free_witness)
+    instance_id: str
+    underdetermined: bool
+    responses_evaluated: int
+    counterexamples: tuple[Response, ...]
+    pairwise: tuple[PairwiseCheck, ...]
+    conflict_free_witness: Response | None
 
 
 def clarify_for(instance: Instance) -> Clarify:
@@ -127,13 +118,6 @@ def _check_enumerable(instance: Instance) -> None:
 def _thetas(instance: Instance) -> tuple[str | None, ...]:
     """The criteria a Decisive may name: undisclosed first, then each declared."""
     return (None, *(crit.name for crit in instance.criteria))
-
-
-def _decided_pairs(analysis: Analysis) -> tuple[tuple[str, str], ...]:
-    """(criterion, unique winner) for each declared criterion that has one."""
-    unique_winner = analysis.unique_winners
-    return tuple((c.name, unique_winner[c.name]) for c in analysis.instance.criteria
-                 if c.name in unique_winner)
 
 
 def _subsets(items: tuple) -> Iterator[tuple]:
@@ -267,24 +251,16 @@ class VerdictTable(Immutable):
     `verdicts` maps each key that occurs to its `Verdict`.
     """
 
-    __slots__ = ("candidates", "thetas", "decisive", "decided", "conditional", "pairs",
-                 "equivalence", "clarify", "refuse", "verdicts")
-
-    def __init__(self, candidates: tuple[str, ...], thetas: tuple[str | None, ...],
-                 decisive: list[int], decided: tuple[tuple[str, str], ...],
-                 conditional: list[int], pairs: list[tuple[str, str]],
-                 equivalence: list[int], clarify: Clarify, refuse: Refuse,
-                 verdicts: dict[int, Verdict]):
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "decisive", decisive)
-        object.__setattr__(self, "decided", decided)
-        object.__setattr__(self, "conditional", conditional)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "equivalence", equivalence)
-        object.__setattr__(self, "clarify", clarify)
-        object.__setattr__(self, "refuse", refuse)
-        object.__setattr__(self, "verdicts", verdicts)
+    candidates: tuple[str, ...]
+    thetas: tuple[str | None, ...]
+    decisive: list[int]
+    decided: tuple[tuple[str, str], ...]
+    conditional: list[int]
+    pairs: list[tuple[str, str]]
+    equivalence: list[int]
+    clarify: Clarify
+    refuse: Refuse
+    verdicts: dict[int, Verdict]
 
     def decisive_rows(self) -> Iterator[tuple[tuple[str, str | None], int]]:
         """((candidate, theta), key) per Decisive."""
@@ -333,7 +309,7 @@ def evaluate_space(analysis: Analysis) -> VerdictTable:
     """
     instance = analysis.instance
     _check_enumerable(instance)
-    thetas, decided = _thetas(instance), _decided_pairs(analysis)
+    thetas, decided = _thetas(instance), tuple(analysis.unique_winners.items())
     pairs = _pairs(instance.candidates)
     decisive, conditional = _decisive_keys(analysis), _conditional_keys(decided)
     equivalence = _equivalence_keys(analysis)
@@ -408,23 +384,14 @@ class GeneratorConfig(Immutable):
     `import udet` does not.
     """
 
-    __slots__ = ("seed", "candidate_range", "attribute_range", "criteria_range",
-                 "pin_probability", "bound_probability", "decision_probability",
-                 "preference_probability")
-
-    def __init__(self, seed: int = 0, candidate_range: tuple[int, int] = (2, 4),
-                 attribute_range: tuple[int, int] = (2, 4),
-                 criteria_range: tuple[int, int] = (0, 3), pin_probability: float = 0.15,
-                 bound_probability: float = 0.2, decision_probability: float = 0.2,
-                 preference_probability: float = 0.15):
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "candidate_range", candidate_range)
-        object.__setattr__(self, "attribute_range", attribute_range)
-        object.__setattr__(self, "criteria_range", criteria_range)
-        object.__setattr__(self, "pin_probability", pin_probability)
-        object.__setattr__(self, "bound_probability", bound_probability)
-        object.__setattr__(self, "decision_probability", decision_probability)
-        object.__setattr__(self, "preference_probability", preference_probability)
+    seed: int = 0
+    candidate_range: tuple[int, int] = (2, 4)
+    attribute_range: tuple[int, int] = (2, 4)
+    criteria_range: tuple[int, int] = (0, 3)
+    pin_probability: float = 0.15
+    bound_probability: float = 0.2
+    decision_probability: float = 0.2
+    preference_probability: float = 0.15
 
     def check(self) -> None:
         for label, (lo, hi), floor in (

@@ -55,7 +55,6 @@ from udet.trilemma import (
     REFUSE_REASON,
     GeneratorConfig,
     _check_enumerable,
-    _decided_pairs,
     _pairs,
     _subsets,
     _thetas,
@@ -421,7 +420,7 @@ def enumerate_responses(analysis) -> tuple:
     out = [Decisive(cand, theta)
            for cand, theta in product(instance.candidates, _thetas(instance))]
     out += [_canonical(Conditional, "branches", subset)
-            for subset in _subsets(_decided_pairs(analysis))]
+            for subset in _subsets(tuple(analysis.unique_winners.items()))]
     out += [_canonical(Equivalence, "candidates", pair) for pair in _pairs(instance.candidates)]
     out.append(clarify_for(instance))
     out.append(Refuse(REFUSE_REASON))

@@ -1,9 +1,11 @@
-"""Value semantics of every `udet` value type: immutable, compared and hashed
-by class and fields, copied and pickled through `__init__`."""
+"""Value semantics of every `udet` value type: built from its declared fields
+like a Python function's parameters, immutable, compared and hashed by class
+and fields, copied and pickled through the constructor."""
 
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -86,7 +88,7 @@ BY_IDENTITY = {ScoreMatrix, AdmissibleSet, WinnerStats, Analysis}
 
 
 def fields(value) -> tuple:
-    return tuple(getattr(value, name) for name in type(value).__slots__)
+    return tuple(getattr(value, name) for name in type(value)._fields)
 
 
 def test_every_value_type_is_covered():
@@ -98,6 +100,26 @@ def test_every_value_type_is_covered():
 def test_value_semantics(cls, args, new):
     value, twin = cls(*args), cls(*copy.deepcopy(args))
     assert fields(value) == args
+    assert cls._fields == cls.__slots__
+
+    # Construction binds the fields as a Python function binds parameters.
+    names = cls._fields
+    first = names[0]
+    parameters = inspect.signature(cls).parameters.values()
+    assert tuple(p.name for p in parameters) == names
+    defaults = tuple(p.default for p in parameters if p.default is not p.empty)
+    required = len(names) - len(defaults)
+    assert fields(cls(**dict(zip(names, args)))) == args
+    assert fields(cls(*args[:1], **dict(zip(names[1:], args[1:])))) == args
+    assert fields(cls(*args[:required])) == args[:required] + defaults
+    calls = [(args, {"undeclared": 1}, "unexpected keyword argument 'undeclared'"),
+             (args, {first: new}, f"multiple values for argument '{first}'"),
+             ((*args, None), {}, "positional argument")]
+    if required:
+        calls.append((args[:required - 1], {}, f"missing .*'{names[required - 1]}'"))
+    for call_args, call_kwargs, message in calls:
+        with pytest.raises(TypeError, match=message):
+            cls(*call_args, **call_kwargs)
 
     if cls in BY_IDENTITY:
         assert value == value and value != twin
@@ -112,7 +134,6 @@ def test_value_semantics(cls, args, new):
             object.__setattr__(other, name, field)
         assert value != other and other != value
 
-    first = cls.__slots__[0]
     with pytest.raises(AttributeError):
         setattr(value, first, new)
     with pytest.raises(AttributeError):
@@ -149,6 +170,19 @@ def test_equality_needs_the_same_class():
     assert Refuse("x") != PinConstraint("x")
     assert repr(Decisive("A")) == "Decisive(candidate='A', declared_theta=None)"
     assert str(Violation("e", "rule", "message")) == "e [rule]: message"
+
+
+def test_subclass_without_fields():
+    class Mine(Decisive):
+        __slots__ = ()
+
+    value = Mine("A", declared_theta="c")
+    assert Mine._fields == ("candidate", "declared_theta")
+    assert value == Mine("A", "c") and hash(value) == hash(Mine("A", "c"))
+    assert value != Decisive("A", "c") and Mine("A") != Mine("B")
+    assert repr(value) == f"{Mine.__qualname__}(candidate='A', declared_theta='c')"
+    changed = value.replace(candidate="B")
+    assert type(changed) is Mine and changed == Mine("B", "c")
 
 
 def test_replace_goes_through_init():
