@@ -34,6 +34,7 @@ from .policy import PolicyDecision, decide
 from .responses import Clarify, Conditional, Decisive, Equivalence, Response, Verdict
 from .semantics import (
     EPS_SCORE,
+    ScoreMatrix,
     SemanticsResult,
     analyze,
     exact_thresholds,
@@ -368,22 +369,24 @@ def _report_json(report: TrilemmaReport) -> dict:
 
 
 def cmd_check(args, stdout, stderr) -> int:
-    instances: list[Instance] = []
     if args.random is not None:
+        if args.paths:
+            raise UsageError("give instance files or --random N, not both")
         if args.random < 1:
-            stderr.write("error: --random needs a positive count\n")
-            return EXIT_PARSE
-        config = GeneratorConfig(seed=args.seed)
+            raise UsageError("--random needs a positive count")
+        config = GeneratorConfig(seed=args.seed or 0)
         instances = [generate_instance(config, i) for i in range(args.random)]
-    elif args.paths:
+    elif args.seed is not None:
+        raise UsageError("--seed needs --random N")
+    elif not args.paths:
+        raise UsageError("give instance files or --random N")
+    else:
+        instances = []
         for path in args.paths:
             instance = _load(path, stderr)
             if instance is None:
                 return EXIT_PARSE
             instances.append(instance)
-    else:
-        stderr.write("error: give instance files or --random N\n")
-        return EXIT_PARSE
 
     reports = [check_trilemma(analyze(instance)) for instance in instances]
 
@@ -409,7 +412,7 @@ def cmd_check(args, stdout, stderr) -> int:
     else:
         for report in reports:
             stdout.write(_report_line(report) + "\n")
-            if args.paths and args.random is None:
+            if args.random is None:
                 stdout.write(_pairwise_text(report))
         stdout.write(
             f"checked {len(reports)} instance(s), evaluated {total_responses} "
@@ -438,27 +441,6 @@ def cmd_policy(args, stdout, stderr) -> int:
     return EXIT_OK
 
 
-def _project_two(instance: Instance, first: str, second: str) -> Instance:
-    """Sub-instance over two attributes: their facts and scales, no overlays."""
-    keep = {first, second}
-    attributes = tuple(sorted((a for a in instance.attributes if a.name in keep),
-                              key=lambda a: (a.name != first)))
-    scale_names = {a.scale for a in attributes if a.scale}
-    return Instance(
-        id=instance.id,
-        question=instance.question,
-        candidates=instance.candidates,
-        scales=tuple(s for s in instance.scales if s.name in scale_names),
-        attributes=attributes,
-        facts=tuple(f for c in instance.candidates for f in instance.facts
-                    if f.candidate == c and f.attribute in keep),
-        criteria=(),
-        constraints=(),
-        preferences=(),
-        decisiveness_required=False,
-    )
-
-
 def cmd_sweep(args, stdout, stderr) -> int:
     instance = _load(args.path, stderr)
     if instance is None:
@@ -466,7 +448,10 @@ def cmd_sweep(args, stdout, stderr) -> int:
     declared = instance.attribute_names
     pair = tuple(args.attributes)
     if not pair:
-        if len(declared) != 2:
+        if len(declared) < 2:
+            stderr.write(f"error: instance has {len(declared)} attribute; sweep needs 2\n")
+            return EXIT_SEMANTIC
+        if len(declared) > 2:
             stderr.write("error: instance has more than 2 attributes; "
                          "name the attribute pair to project onto\n")
             return EXIT_SEMANTIC
@@ -479,8 +464,11 @@ def cmd_sweep(args, stdout, stderr) -> int:
             stderr.write(f"error: unknown attribute '{name}'\n")
             return EXIT_SEMANTIC
 
-    projection = _project_two(instance, pair[0], pair[1])
-    matrix = normalize(projection)
+    # Min-max normalization scales each column on its own, so the pair's two
+    # columns are the whole score matrix of the 2-attribute projection.
+    full = normalize(instance)
+    i, j = declared.index(pair[0]), declared.index(pair[1])
+    matrix = ScoreMatrix(full.candidates, pair, tuple((row[i], row[j]) for row in full.values))
     thresholds = exact_thresholds(matrix, 0.0, 1.0)
     regions = winner_regions(matrix, thresholds)
 
@@ -584,7 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("paths", nargs="*")
     p_check.add_argument("--random", type=int, default=None, metavar="N",
                          help="check N generated instances instead of files")
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=int, default=None, metavar="S",
+                         help="generator seed for --random (default 0)")
     common(p_check)
 
     p_policy = sub.add_parser("policy", help="run the response policy")
@@ -592,7 +581,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_policy.add_argument("--require-decision", action="store_true")
     common(p_policy)
 
-    p_sweep = sub.add_parser("sweep", help="winner regions over a 2-attribute weight")
+    p_sweep = sub.add_parser(
+        "sweep", help="winner regions over a 2-attribute weight",
+        description="Winner regions as the weight alpha of the first attribute runs "
+                    "over [0, 1], with 1 - alpha on the second.  Only the two "
+                    "attributes' facts count: criteria, weight constraints and "
+                    "preferences are ignored.")
     p_sweep.add_argument("path")
     p_sweep.add_argument("attributes", nargs="*", metavar="ATTR",
                          help="attribute pair for the projection")

@@ -35,8 +35,6 @@ from .model import (
     CriterionSpec,
     Immutable,
     Instance,
-    PinConstraint,
-    WeightConstraint,
 )
 
 # Absolute tolerance for score comparisons (ties, strict wins).
@@ -165,69 +163,44 @@ def winners_at(matrix: ScoreMatrix, theta: CriterionSpec) -> WinnerOutcome:
     return WinnerOutcome(_winners(matrix.candidates, scores))
 
 
-def _bounds(constraints: tuple[WeightConstraint, ...]) -> list[BoundConstraint]:
-    return [c for c in constraints if isinstance(c, BoundConstraint)]
+def admissible_set(instance: Instance) -> AdmissibleSet:
+    """P, built in one pass over the weight premises.
 
-
-def _pin_vector(instance: Instance) -> Vector | None:
-    """Weight vector demanded by pin constraints, or None.
-
-    Multiple pins must agree within EPS_WEIGHT componentwise; a pinned vector
-    must also satisfy every bound constraint.
+    Each bound narrows its attribute's interval [lower, upper].  A pin makes
+    P its criterion's vector, exactly: that vector must agree with every
+    other pin and lie in the bounds' box, each within EPS_WEIGHT, so no
+    bound is tested on its own.  Raises InfeasibleConstraints when P is
+    empty: pins that disagree, a lower bound above an upper one (reported
+    before a pin outside it), a pin outside the box, or, with no pin, bounds
+    that leave no room for weights summing to 1 (each test within
+    EPS_WEIGHT).
     """
     attrs = instance.attribute_names
+    lower, upper = [0.0] * len(attrs), [1.0] * len(attrs)
     pinned: Vector | None = None
-    pinned_name = ""
     for con in instance.constraints:
-        if not isinstance(con, PinConstraint):
+        if isinstance(con, BoundConstraint):
+            j = attrs.index(con.attribute)
+            if con.op != "<=":
+                lower[j] = max(lower[j], con.value)
+            if con.op != ">=":
+                upper[j] = min(upper[j], con.value)
             continue
         vec = _weight_row(attrs, instance.criterion_by_name(con.criterion))
         if pinned is None:
-            pinned, pinned_name = vec, con.criterion
+            pinned, pin = vec, con.criterion
         elif any(abs(v - p) > EPS_WEIGHT for v, p in zip(vec, pinned)):
             raise InfeasibleConstraints(
-                f"pin constraints disagree: '{pinned_name}' vs '{con.criterion}'")
-    if pinned is None:
-        return None
-    for bound in _bounds(instance.constraints):
-        w = pinned[attrs.index(bound.attribute)]
-        if not _bound_holds(w, bound):
-            raise InfeasibleConstraints(
-                f"pinned criterion '{pinned_name}' violates "
-                f"weight {bound.attribute} {bound.op} {bound.value}")
-    return pinned
-
-
-def _bound_holds(w: float, bound: BoundConstraint) -> bool:
-    if bound.op == "<=":
-        return w <= bound.value + EPS_WEIGHT
-    if bound.op == ">=":
-        return w >= bound.value - EPS_WEIGHT
-    return abs(w - bound.value) <= EPS_WEIGHT
-
-
-def admissible_set(instance: Instance) -> AdmissibleSet:
-    """The box-simplex of weight vectors the declared constraints allow.
-
-    Raises InfeasibleConstraints when it is empty: pins that disagree, a pin
-    outside a bound, a lower bound above an upper one, or bounds that leave
-    no room for weights summing to 1 (each test within EPS_WEIGHT).
-    """
-    attrs = instance.attribute_names
-    pinned = _pin_vector(instance)
+                f"pin constraints disagree: '{pin}' vs '{con.criterion}'")
+    for name, lo, hi, w in zip(attrs, lower, upper, lower if pinned is None else pinned):
+        if lo - EPS_WEIGHT <= w <= hi + EPS_WEIGHT:
+            continue
+        if lo - hi > EPS_WEIGHT:
+            raise InfeasibleConstraints(f"no admissible weight for '{name}' in [{lo}, {hi}]")
+        raise InfeasibleConstraints(f"pinned criterion '{pin}' puts weight {w:.12g} on "
+                                    f"'{name}', outside [{lo:.12g}, {hi:.12g}]")
     if pinned is not None:
         return AdmissibleSet(attrs, pinned, pinned)
-    lower, upper = [0.0] * len(attrs), [1.0] * len(attrs)
-    for bound in _bounds(instance.constraints):
-        j = attrs.index(bound.attribute)
-        if bound.op != "<=":
-            lower[j] = max(lower[j], bound.value)
-        if bound.op != ">=":
-            upper[j] = min(upper[j], bound.value)
-    for j, (lo, hi) in enumerate(zip(lower, upper)):
-        if lo - hi > EPS_WEIGHT:
-            raise InfeasibleConstraints(
-                f"no admissible weight for '{attrs[j]}' in [{lo}, {hi}]")
     upper = [max(hi, lo) for lo, hi in zip(lower, upper)]
     if sum(lower) > 1.0 + EPS_WEIGHT or sum(upper) < 1.0 - EPS_WEIGHT:
         raise InfeasibleConstraints(

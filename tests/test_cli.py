@@ -229,6 +229,11 @@ def test_grid_below_one_is_a_usage_error(corpus_dir, command, grid):
      "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
     (["corpus"], "the following arguments are required: corpus_command"),
     ([], "the following arguments are required: command"),
+    (["check", "--random", "0"], "--random needs a positive count"),
+    # files and --random exclude each other; the file is never read
+    (["check", "x", "--random", "2"], "give instance files or --random N, not both"),
+    (["check", "--seed", "3", "x"], "--seed needs --random N"),
+    (["check", "--seed", "3"], "--seed needs --random N"),
 ])
 def test_usage_errors_exit_1_on_mains_stderr(argv, message):
     code, out, err = run_cli(argv)
@@ -423,6 +428,43 @@ def test_sweep_projection_and_errors(corpus_dir):
     assert "unknown attribute" in err
     code, _, err = run_cli(["sweep", city, "job"])
     assert code == 2
+
+
+def test_sweep_one_attribute_names_the_count(tmp_path):
+    path = tmp_path / "one.udet"
+    path.write_text('instance "one"\nattribute x: numeric, higher_better\n'
+                    "candidates A, B\nfact A.x = 1\nfact B.x = 2\n", encoding="utf-8")
+    code, out, err = run_cli(["sweep", str(path)])
+    assert (code, out, err) == (2, "", "error: instance has 1 attribute; sweep needs 2\n")
+
+
+def test_sweep_pair_equals_its_two_attribute_file(corpus_dir, tmp_path):
+    # The pair's regions come from the instance's own normalized columns;
+    # they equal those of a file holding only the two attributes' facts.
+    pair = tmp_path / "city_pair.udet"
+    pair.write_text(
+        'instance "city_pair"\n'
+        "attribute job: numeric, higher_better\n"
+        "attribute cost: numeric, lower_better\n"
+        "candidates bengaluru, mumbai, delhi\n"
+        "fact bengaluru.job = 9.5\nfact bengaluru.cost = 6.5\n"
+        "fact mumbai.job = 8.5\nfact mumbai.cost = 9\n"
+        "fact delhi.job = 7.5\nfact delhi.cost = 5\n", encoding="utf-8")
+    city = path_of(corpus_dir, "city_recommendation")
+
+    def sweep_json(*argv):
+        code, out, _ = run_cli(["sweep", *argv, "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        return doc["thresholds"], doc["regions"]
+
+    for attrs in (["job", "cost"], ["cost", "job"]):
+        thresholds, regions = sweep_json(city, *attrs)
+        assert (thresholds, regions) == sweep_json(str(pair), *attrs)
+        assert thresholds and len(regions) > 1
+    # a pin, like every criterion, constraint and preference, is ignored
+    assert (sweep_json(path_of(corpus_dir, "scholarship_pinned_merit"))
+            == sweep_json(path_of(corpus_dir, "scholarship")))
 
 
 def test_sweep_json_regions(corpus_dir):

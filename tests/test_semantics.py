@@ -29,6 +29,7 @@ from helpers import (
 from udet import _kernels
 from udet.errors import ContradictoryPremises, InfeasibleConstraints
 from udet.model import (
+    EPS_WEIGHT,
     HIGHER_BETTER,
     LOWER_BETTER,
     NUMERIC,
@@ -263,8 +264,77 @@ def test_admissible_infeasible_raises():
 def test_pinned_vector_must_satisfy_bounds():
     inst = build_scholarship(constraints=(
         PinConstraint("merit_first"), BoundConstraint("gpa", "<=", 0.5)))
-    with pytest.raises(InfeasibleConstraints):
+    with pytest.raises(InfeasibleConstraints, match=r"pinned criterion 'merit_first' "
+                       r"puts weight 1 on 'gpa', outside \[0, 0\.5\]"):
         admissible_set(inst)
+
+
+def test_pins_agree_within_eps_weight():
+    near = CriterionSpec("near_merit", (("gpa", 1.0 - 5e-10), ("need", 5e-10)))
+    far = CriterionSpec("far_merit", (("gpa", 1.0 - 2e-9), ("need", 2e-9)))
+    merit, need = build_scholarship().criteria
+    criteria = (merit, need, near, far)
+    adm = admissible_set(build_scholarship(criteria=criteria, constraints=(
+        PinConstraint("merit_first"), PinConstraint("near_merit"))))
+    assert adm.lower == adm.upper == (1.0, 0.0)
+    for second in ("far_merit", "need_first"):
+        with pytest.raises(InfeasibleConstraints,
+                           match=f"pin constraints disagree: 'merit_first' vs '{second}'"):
+            admissible_set(build_scholarship(criteria=criteria, constraints=(
+                PinConstraint("merit_first"), PinConstraint(second))))
+
+
+def test_pin_with_crossed_bounds_reports_the_bounds():
+    crossed = (BoundConstraint("gpa", ">=", 0.6), BoundConstraint("gpa", "<=", 0.4))
+    for constraints in (crossed + (PinConstraint("merit_first"),),
+                        (PinConstraint("merit_first"),) + crossed):
+        with pytest.raises(InfeasibleConstraints,
+                           match=r"no admissible weight for 'gpa' in \[0\.6, 0\.4\]"):
+            admissible_set(build_scholarship(constraints=constraints))
+    # bounds crossed by less than 2 * EPS_WEIGHT around the pin each hold
+    # within EPS_WEIGHT, so P is the pin; without the pin they leave P empty
+    barely = (BoundConstraint("gpa", ">=", 0.5 + 8e-10),
+              BoundConstraint("gpa", "<=", 0.5 - 8e-10))
+    half = CriterionSpec("half", (("gpa", 0.5), ("need", 0.5)))
+    adm = admissible_set(build_scholarship(
+        criteria=(half,), constraints=barely + (PinConstraint("half"),)))
+    assert adm.lower == adm.upper == (0.5, 0.5)
+    with pytest.raises(InfeasibleConstraints, match="no admissible weight for 'gpa'"):
+        admissible_set(build_scholarship(criteria=(half,), constraints=barely))
+
+
+# Bound offsets from the pinned weight: inside, within and beyond EPS_WEIGHT.
+_PIN_OFFSETS = (0.0, 5e-10, -5e-10, 9e-10, -9e-10, 3e-9, -3e-9, 1e-6, -1e-6, 0.25, -0.25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.tuples(st.integers(0, 20), st.integers(0, 20)).filter(lambda p: sum(p) <= 20),
+       bounds=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(("<=", ">=", "=")),
+                                 st.sampled_from(_PIN_OFFSETS)), max_size=2),
+       pin_first=st.booleans())
+def test_a_pin_is_p_exactly_or_some_bound_fails(parts, bounds, pin_first):
+    # P under a pin is the pinned vector itself, never a box snapped onto it:
+    # the criterion certificate compares a declared vector with P exactly.
+    attrs = tuple(AttributeSchema(a, NUMERIC, HIGHER_BETTER) for a in "xyz")
+    weights = (parts[0] / 20, parts[1] / 20, (20 - sum(parts)) / 20)
+    constraints = [BoundConstraint(attrs[j].name, op, min(1.0, max(0.0, weights[j] + offset)))
+                   for j, op, offset in bounds]
+    pin = [PinConstraint("k")]
+    inst = Instance(
+        id="pin", question="", candidates=("A", "B"), attributes=attrs,
+        facts=tuple(Fact(c, a.name, float(i)) for i, c in enumerate("AB") for a in attrs),
+        criteria=(CriterionSpec("k", tuple(zip("xyz", weights))),),
+        constraints=tuple(pin + constraints if pin_first else constraints + pin))
+    fails = [(op != "<=" and weights[j] < con.value - EPS_WEIGHT)
+             or (op != ">=" and weights[j] > con.value + EPS_WEIGHT)
+             for con, (j, op, _) in zip(constraints, bounds)]
+    try:
+        adm = admissible_set(inst)
+    except InfeasibleConstraints:
+        assert any(fails)
+    else:
+        assert not any(fails)
+        assert adm.lower == adm.upper == weights
 
 
 def test_single_attribute_grid_is_one_point():
