@@ -68,17 +68,9 @@ def render_response(response: Response) -> str:
 
 
 def response_to_json(response: Response) -> dict:
-    if isinstance(response, Decisive):
-        return {"form": "decisive", "candidate": response.candidate,
-                "declared_theta": response.declared_theta}
-    if isinstance(response, Conditional):
-        return {"form": "conditional",
-                "branches": [[c, a] for c, a in response.branches]}
-    if isinstance(response, Equivalence):
-        return {"form": "equivalence", "candidates": list(response.candidates)}
-    if isinstance(response, Clarify):
-        return {"form": "clarify", "missing": list(response.missing)}
-    return {"form": "refuse", "reason": response.reason}
+    """The response's `form` and its fields, by name; `json.dumps` writes
+    each tuple as an array."""
+    return {"form": response.form, **{name: getattr(response, name) for name in response._fields}}
 
 
 def _bool(value: bool) -> str:
@@ -195,17 +187,17 @@ def _str_list(items, indent: str) -> str:
     return "[" + inner + ("," + inner).join(map(_str, items)) + "\n" + indent + "]"
 
 
+def _verdict_values(verdict: Verdict, number) -> list[str]:
+    """Each field of `verdict` in `Verdict._fields` order, a bool as JSON
+    writes it and the number by `number`."""
+    return [_bool(value) if isinstance(value, bool) else number(value)
+            for value in (getattr(verdict, name) for name in Verdict._fields)]
+
+
 def _verdict_json(verdict: Verdict) -> str:
-    return (
-        "{\n"
-        f'        "c_strong": {_bool(verdict.c_strong)},\n'
-        f'        "c_cond": {_bool(verdict.c_cond)},\n'
-        f'        "nb_strict": {_bool(verdict.nb_strict)},\n'
-        f'        "nb_transparent": {_bool(verdict.nb_transparent)},\n'
-        f'        "u_decisive": {_bool(verdict.u_decisive)},\n'
-        f'        "u_assistive": {json.dumps(verdict.u_assistive)},\n'
-        f'        "hidden_theta": {_bool(verdict.hidden_theta)}\n'
-        "      }")
+    rows = [f"        {_str(name)}: {value}"
+            for name, value in zip(Verdict._fields, _verdict_values(verdict, json.dumps))]
+    return "{\n" + ",\n".join(rows) + "\n      }"
 
 
 _ROW = '    {\n      "response": {\n        "form": '
@@ -256,15 +248,9 @@ def _load(path: str, stderr) -> Instance | None:
 
 
 def _verdict_cells(verdict: Verdict) -> str:
-    return " ".join([
-        _bool(verdict.c_strong).ljust(6),
-        _bool(verdict.c_cond).ljust(6),
-        _bool(verdict.nb_strict).ljust(6),
-        _bool(verdict.nb_transparent).ljust(6),
-        _bool(verdict.u_decisive).ljust(6),
-        format_number(verdict.u_assistive).ljust(6),
-        _bool(verdict.hidden_theta),
-    ])
+    """The verdict's values, each but the last padded to 6 columns."""
+    *cells, last = _verdict_values(verdict, format_number)
+    return " ".join([*(cell.ljust(6) for cell in cells), last])
 
 
 def _verdicts_text(table: VerdictTable) -> str:
@@ -511,23 +497,21 @@ def _render_regions(regions, candidates: tuple[str, ...]) -> str:
 
 
 def cmd_corpus(args, stdout, stderr) -> int:
+    # `export` is the one corpus subcommand, and argparse requires one.
     entries = corpus.load_corpus()
-    if args.corpus_command == "export":
-        target = Path(args.directory)
-        target.mkdir(parents=True, exist_ok=True)
-        written = []
-        for entry in entries:
-            path = target / f"{entry.id}.udet"
-            path.write_text(entry.source, encoding="utf-8")
-            written.append(str(path))
-        if args.format == "json":
-            _emit({"schema_version": JSON_SCHEMA_VERSION, "exported": written}, stdout)
-        else:
-            for path in written:
-                stdout.write(path + "\n")
-        return EXIT_OK
-    stderr.write("error: unknown corpus subcommand\n")
-    return EXIT_PARSE
+    target = Path(args.directory)
+    target.mkdir(parents=True, exist_ok=True)
+    written = []
+    for entry in entries:
+        path = target / f"{entry.id}.udet"
+        path.write_text(entry.source, encoding="utf-8")
+        written.append(str(path))
+    if args.format == "json":
+        _emit({"schema_version": JSON_SCHEMA_VERSION, "exported": written}, stdout)
+    else:
+        for path in written:
+            stdout.write(path + "\n")
+    return EXIT_OK
 
 
 class UsageError(Exception):

@@ -88,9 +88,9 @@ class Immutable(metaclass=_ValueType):
     A subclass declares its fields once, as class annotations in positional
     order, each default as the class-level value::
 
-        class Decisive(Immutable):
-            candidate: str
-            declared_theta: str | None = None
+        class Point(Immutable):
+            x: float
+            y: float = 0.0
 
     The metaclass turns them into `__slots__`, the `_fields` tuple and the
     `_defaults` dict, and `__init__` takes the fields by position or by

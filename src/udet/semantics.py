@@ -169,11 +169,14 @@ def admissible_set(instance: Instance) -> AdmissibleSet:
     Each bound narrows its attribute's interval [lower, upper].  A pin makes
     P its criterion's vector, exactly: that vector must agree with every
     other pin and lie in the bounds' box, each within EPS_WEIGHT, so no
-    bound is tested on its own.  Raises InfeasibleConstraints when P is
-    empty: pins that disagree, a lower bound above an upper one (reported
-    before a pin outside it), a pin outside the box, or, with no pin, bounds
-    that leave no room for weights summing to 1 (each test within
-    EPS_WEIGHT).
+    bound is tested on its own.  Without a pin, the bounds must admit a
+    weight vector that meets each of them within EPS_WEIGHT and sums to 1
+    within EPS_WEIGHT, as a pinned vector must.  So two bounds may cross by
+    up to 2 * EPS_WEIGHT, and then fix their attribute at their midpoint.
+    Raises InfeasibleConstraints when P is empty: pins that disagree, bounds
+    that cross by more (reported before a pin outside them), a pin outside
+    the box, or, with no pin, bounds that leave no room for weights summing
+    to 1.
     """
     attrs = instance.attribute_names
     lower, upper = [0.0] * len(attrs), [1.0] * len(attrs)
@@ -192,17 +195,20 @@ def admissible_set(instance: Instance) -> AdmissibleSet:
         elif any(abs(v - p) > EPS_WEIGHT for v, p in zip(vec, pinned)):
             raise InfeasibleConstraints(
                 f"pin constraints disagree: '{pin}' vs '{con.criterion}'")
-    for name, lo, hi, w in zip(attrs, lower, upper, lower if pinned is None else pinned):
-        if lo - EPS_WEIGHT <= w <= hi + EPS_WEIGHT:
-            continue
-        if lo - hi > EPS_WEIGHT:
+    for j, (name, lo, hi) in enumerate(zip(attrs, lower, upper)):
+        if lo - hi > 2 * EPS_WEIGHT:
             raise InfeasibleConstraints(f"no admissible weight for '{name}' in [{lo}, {hi}]")
-        raise InfeasibleConstraints(f"pinned criterion '{pin}' puts weight {w:.12g} on "
-                                    f"'{name}', outside [{lo:.12g}, {hi:.12g}]")
+        if pinned is None:
+            if lo > hi:
+                lower[j] = upper[j] = (lo + hi) / 2
+        elif not lo - EPS_WEIGHT <= pinned[j] <= hi + EPS_WEIGHT:
+            raise InfeasibleConstraints(f"pinned criterion '{pin}' puts weight {pinned[j]:.12g} "
+                                        f"on '{name}', outside [{lo:.12g}, {hi:.12g}]")
     if pinned is not None:
         return AdmissibleSet(attrs, pinned, pinned)
-    upper = [max(hi, lo) for lo, hi in zip(lower, upper)]
-    if sum(lower) > 1.0 + EPS_WEIGHT or sum(upper) < 1.0 - EPS_WEIGHT:
+    # Each weight may miss its bounds by EPS_WEIGHT, and their sum 1 by EPS_WEIGHT.
+    if (sum(max(lo - EPS_WEIGHT, 0.0) for lo in lower) > 1.0 + EPS_WEIGHT
+            or sum(upper) + len(upper) * EPS_WEIGHT < 1.0 - EPS_WEIGHT):
         raise InfeasibleConstraints(
             f"no admissible weight: the bounds allow weight sums in "
             f"[{sum(lower):.12g}, {sum(upper):.12g}], not 1")
@@ -390,8 +396,9 @@ def compatible_answers(instance: Instance, stats: WinnerStats,
     weight vector; if no candidate ever wins uniquely the union of winner
     sets is used instead.  Candidates on the losing side of the preference
     `closure` (from `_closure_matrix`) are removed.  The entailed winner is
-    the candidate that wins uniquely everywhere (and is undominated), or the
-    sole compatible answer.
+    the sole compatible answer.  That covers a candidate that beats every
+    rival on all of P: it is the only one that ever wins uniquely, and a
+    premise against it would close a cycle, which `_closure_matrix` rejects.
 
     Raises ContradictoryPremises when preference filtering empties the
     compatible set.
@@ -411,14 +418,7 @@ def compatible_answers(instance: Instance, stats: WinnerStats,
         raise ContradictoryPremises(
             "preference premises exclude every achievable answer")
 
-    entailed: str | None = None
-    for i in range(n):
-        if all(stats.beats_all[i][j] for j in range(n) if j != i) and not dominated[i]:
-            entailed = cands[i]
-            break
-    if entailed is None and len(compatible) == 1:
-        entailed = cands[compatible[0]]
-
+    entailed = cands[compatible[0]] if len(compatible) == 1 else None
     pairs = tuple((cands[i], cands[j])
                   for i, row in enumerate(closure) for j in itertools.compress(range(n), row))
     return SemanticsResult(

@@ -5,10 +5,9 @@ is at once strongly correct, strictly non-biased and decisive.
 
 Proof.  Only `Decisive` is decisive, and `Decisive(a, theta)` is strongly
 correct only when a is the entailed winner.  `compatible_answers` sets
-`entailed` only when one candidate beats every other on all of P, which
-leaves it the only compatible answer, or when one answer is compatible;
-either way the instance is not underdetermined.  So under
-underdetermination `entailed` is None and no response is a counterexample.
+`entailed` only when one answer is compatible, and then the instance is not
+underdetermined.  So under underdetermination `entailed` is None and no
+response is a counterexample.
 
 The lemma speaks of this closed world, the five response forms and their
 predicates, not of the paper's conjecture about language models.
@@ -53,7 +52,6 @@ from .responses import (
     Response,
     ResponseEvaluator,
     Verdict,
-    _canonical,
 )
 from .semantics import EPS_SCORE, Analysis, Vector, normalize
 
@@ -318,9 +316,9 @@ def evaluate_space(analysis: Analysis) -> VerdictTable:
         key: Decisive(*row)
         for key, row in _one_row_per_key(decisive, list(product(instance.candidates, thetas)))}
     if decided:
-        examples[conditional[0]] = _canonical(Conditional, "branches", decided[:1])
-        examples[conditional[-1]] = _canonical(Conditional, "branches", decided)
-    examples.update((key, _canonical(Equivalence, "candidates", pair))
+        examples[conditional[0]] = Conditional(decided[:1])
+        examples[conditional[-1]] = Conditional(decided)
+    examples.update((key, Equivalence(pair))
                     for key, pair in _one_row_per_key(equivalence, pairs))
     examples[_CLARIFY_KEY], examples[_REFUSE_KEY] = clarify, refuse
     evaluator = ResponseEvaluator(analysis)

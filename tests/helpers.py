@@ -48,7 +48,6 @@ from udet.responses import (
     Refuse,
     ResponseEvaluator,
     Verdict,
-    _canonical,
 )
 from udet.trilemma import (
     PAIRWISE_FORMS,
@@ -400,6 +399,14 @@ def numpy_winner_statistics(matrix: ScoreMatrix, adm: AdmissibleSet):
 # each row's verdict from `ResponseEvaluator.evaluate`, and render the JSON
 # document with one `json.dumps(doc, indent=2)` and the text report row by
 # row with `render_response`.
+
+
+def _canonical(cls, field: str, value: tuple):
+    """A `cls` response whose one `field` is `value`, already in the form
+    its `__init__` would give it; skips the coercion.  For enumeration."""
+    response = object.__new__(cls)
+    object.__setattr__(response, field, value)
+    return response
 
 
 def enumerate_responses(analysis) -> tuple:

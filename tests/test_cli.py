@@ -29,7 +29,7 @@ import udet
 from udet import _kernels, cli, corpus
 from udet.dsl import serialize_instance
 from udet.errors import CorpusCorrupt
-from udet.responses import Decisive
+from udet.responses import Clarify, Conditional, Decisive, Equivalence, Refuse
 from udet.trilemma import GeneratorConfig, PairwiseCheck, TrilemmaReport, generate_instance
 
 
@@ -59,6 +59,28 @@ def test_corpus_export_files_parse(corpus_dir):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["exported"]) == len(files)
+
+
+class Mine(Decisive):
+    """A subclass of a form, written as the form."""
+
+
+@pytest.mark.parametrize("response, expected", [
+    (Decisive("A", "merit_first"),
+     '{\n  "form": "decisive",\n  "candidate": "A",\n  "declared_theta": "merit_first"\n}'),
+    (Conditional((("merit_first", "A"), ("need_first", "B"))),
+     '{\n  "form": "conditional",\n  "branches": [\n    [\n      "merit_first",\n      "A"\n'
+     '    ],\n    [\n      "need_first",\n      "B"\n    ]\n  ]\n}'),
+    (Equivalence(("B", "A")),
+     '{\n  "form": "equivalence",\n  "candidates": [\n    "A",\n    "B"\n  ]\n}'),
+    (Clarify(("weight for gpa", "weight for need")),
+     '{\n  "form": "clarify",\n  "missing": [\n    "weight for gpa",\n    "weight for need"\n'
+     '  ]\n}'),
+    (Refuse("no criterion"), '{\n  "form": "refuse",\n  "reason": "no criterion"\n}'),
+    (Mine("A"), '{\n  "form": "decisive",\n  "candidate": "A",\n  "declared_theta": null\n}'),
+], ids=["decisive", "conditional", "equivalence", "clarify", "refuse", "subclass"])
+def test_response_json_is_the_form_and_its_fields(response, expected):
+    assert json.dumps(cli.response_to_json(response), indent=2) == expected
 
 
 def test_analyze_text_report(corpus_dir):

@@ -176,6 +176,23 @@ def test_evaluate_is_pure(unconstrained):
     assert evaluate(unconstrained, r) == evaluate(unconstrained, r)
 
 
+def test_evaluate_rejects_a_non_response(unconstrained):
+    with pytest.raises(TypeError, match="not a response"):
+        evaluate(unconstrained, object())
+
+
+class Mine(Decisive):
+    """A subclass of a form, which keeps the form's rules."""
+
+
+def test_a_subclass_of_a_form_is_evaluated_as_the_form(unconstrained):
+    for theta in (None, "merit_first", "need_first"):
+        assert (evaluate(unconstrained, Mine("A", theta))
+                == evaluate(unconstrained, Decisive("A", theta)))
+    with pytest.raises(UndeclaredReference):
+        evaluate(unconstrained, Mine("Z"))
+
+
 def test_equivalence_members_normalized():
     assert Equivalence(("B", "A")) == Equivalence(("A", "B"))
     assert Equivalence(("A", "B", "A")).candidates == ("A", "B")

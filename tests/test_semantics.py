@@ -292,15 +292,22 @@ def test_pin_with_crossed_bounds_reports_the_bounds():
                            match=r"no admissible weight for 'gpa' in \[0\.6, 0\.4\]"):
             admissible_set(build_scholarship(constraints=constraints))
     # bounds crossed by less than 2 * EPS_WEIGHT around the pin each hold
-    # within EPS_WEIGHT, so P is the pin; without the pin they leave P empty
+    # within EPS_WEIGHT, so P is the pin; without the pin the same rule holds,
+    # and the bounds fix gpa at their midpoint
     barely = (BoundConstraint("gpa", ">=", 0.5 + 8e-10),
               BoundConstraint("gpa", "<=", 0.5 - 8e-10))
     half = CriterionSpec("half", (("gpa", 0.5), ("need", 0.5)))
     adm = admissible_set(build_scholarship(
         criteria=(half,), constraints=barely + (PinConstraint("half"),)))
     assert adm.lower == adm.upper == (0.5, 0.5)
-    with pytest.raises(InfeasibleConstraints, match="no admissible weight for 'gpa'"):
-        admissible_set(build_scholarship(criteria=(half,), constraints=barely))
+    adm = admissible_set(build_scholarship(criteria=(half,), constraints=barely))
+    assert (adm.lower, adm.upper) == ((0.5, 0.0), (0.5, 1.0))
+    # crossed by more than 2 * EPS_WEIGHT, they leave P empty with or without the pin
+    apart = (BoundConstraint("gpa", ">=", 0.5 + 1.1e-9),
+             BoundConstraint("gpa", "<=", 0.5 - 1.1e-9))
+    for pin in ((), (PinConstraint("half"),)):
+        with pytest.raises(InfeasibleConstraints, match="no admissible weight for 'gpa'"):
+            admissible_set(build_scholarship(criteria=(half,), constraints=apart + pin))
 
 
 # Bound offsets from the pinned weight: inside, within and beyond EPS_WEIGHT.
@@ -335,6 +342,27 @@ def test_a_pin_is_p_exactly_or_some_bound_fails(parts, bounds, pin_first):
     else:
         assert not any(fails)
         assert adm.lower == adm.upper == weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.tuples(st.integers(0, 20), st.integers(0, 20)).filter(lambda p: sum(p) <= 20),
+       bounds=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(("<=", ">=", "=")),
+                                 st.sampled_from((0.0, 5e-10, -5e-10, 9e-10, -9e-10))),
+                       max_size=6))
+def test_bounds_a_pin_meets_are_feasible_without_it(parts, bounds):
+    # One EPS_WEIGHT rule with and without a pin: bounds that a pinned vector
+    # meets within EPS_WEIGHT (each offset) leave P nonempty without the pin.
+    attrs = tuple(AttributeSchema(a, NUMERIC, HIGHER_BETTER) for a in "xyz")
+    weights = (parts[0] / 20, parts[1] / 20, (20 - sum(parts)) / 20)
+    constraints = tuple(BoundConstraint(attrs[j].name, op, min(1.0, max(0.0, weights[j] + offset)))
+                        for j, op, offset in bounds)
+    inst = Instance(
+        id="pin", question="", candidates=("A", "B"), attributes=attrs,
+        facts=tuple(Fact(c, a.name, float(i)) for i, c in enumerate("AB") for a in attrs),
+        criteria=(CriterionSpec("k", tuple(zip("xyz", weights))),), constraints=constraints)
+    assert admissible_set(inst.replace(constraints=constraints + (PinConstraint("k"),)))
+    adm = admissible_set(inst)
+    assert all(lo <= hi for lo, hi in zip(adm.lower, adm.upper))
 
 
 def test_single_attribute_grid_is_one_point():
@@ -435,15 +463,16 @@ def test_contradictory_premises_empty_filter():
         analyze(inst)
 
 
+def assert_entailed_is_the_sole_compatible(sem):
+    assert len(sem.compatible) >= 1
+    assert sem.underdetermined == (len(sem.compatible) > 1)
+    assert sem.entailed == (sem.compatible[0] if len(sem.compatible) == 1 else None)
+
+
 def test_compatible_never_empty_without_contradiction():
     config = GeneratorConfig(seed=5)
     for index in range(150):
-        inst = generate_instance(config, index)
-        sem = analyze(inst).semantics
-        assert len(sem.compatible) >= 1
-        if sem.entailed is not None:
-            assert sem.entailed in sem.compatible
-        assert sem.underdetermined == (len(sem.compatible) > 1)
+        assert_entailed_is_the_sole_compatible(analyze(generate_instance(config, index)).semantics)
 
 
 # --- exact threshold vs grid ------------------------------------------------
@@ -775,6 +804,18 @@ def test_certified_stats_are_the_reference(inst):
     except (InfeasibleConstraints, ContradictoryPremises):
         assume(False)
     assert_stats_are_the_reference(analysis)
+
+
+@PROPERTY_SETTINGS
+@given(constrained_instances())
+def test_entailed_is_the_sole_compatible_under_unimplied_preferences(inst):
+    # These preferences are not implied by the scores, so some of them
+    # dominate a candidate that would otherwise be compatible.
+    try:
+        sem = analyze(inst).semantics
+    except (InfeasibleConstraints, ContradictoryPremises):
+        assume(False)
+    assert_entailed_is_the_sole_compatible(sem)
 
 
 @pytest.mark.parametrize("shape", sorted(WIDE_SHAPES))
