@@ -125,12 +125,11 @@ def max_min_margin(coef: Sequence[Sequence[float]], lower: Sequence[float],
         return math.inf
     import numpy as np
 
+    room, budget = _room(lower, upper)
     coef = np.asarray(coef, dtype=np.float64)
     lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
+    room = np.asarray(room)
     m, k = coef.shape
-    room = upper - lower
-    budget = min(max(1.0 - float(lower.sum()), 0.0), float(room.sum()))
     capped = np.flatnonzero(room < budget)
     # Columns: y, mu = mu+ - mu-, z of the capped attributes, the surpluses s.
     surplus = m + 2 + capped.size

@@ -4,18 +4,20 @@ Every command that reads an instance computes its semantics exactly over
 the admissible weight polytope; no command takes a precision setting.
 Reports are byte-deterministic for identical inputs and flags: orderings are
 fixed, numbers render with at most 12 significant digits, and timestamps
-appear only under ``--timestamps``.  JSON output is byte-identical to
-``json.dumps(doc, indent=2)`` with its default ASCII escaping, plus a
+appear only under ``analyze --timestamps``.  JSON output is byte-identical
+to ``json.dumps(doc, indent=2)`` with its default ASCII escaping, plus a
 newline.  `analyze` builds no object per verdict row: it writes its verdict
 rows from the key tables of `trilemma.evaluate_space`, one template per
 response form, rendering each distinct verdict and conditional branch once.
-Exit codes: 0
-success, 1 parse or validation error, a usage error (an unknown flag or a
-bad flag value, with one ``error:`` line) or a file that cannot be read or
-written, 2 semantic error (infeasible constraints, contradictory premises,
-more declared criteria than `analyze` can list, a margin linear program
-that round-off leaves unbounded), 3 trilemma counterexample found, which
-means the premise of the lemma in `udet.trilemma` failed.
+Commands raise their errors, and `main` alone maps each error type to its
+exit code and message.  Exit codes: 0 success, 1 parse or validation error,
+a usage error (an unknown flag or a bad flag value, with one ``error:``
+line) or a file that cannot be read or written, 2 semantic error
+(infeasible constraints, contradictory premises, more declared criteria
+than `analyze` can list, a margin linear program that round-off leaves
+unbounded, a `sweep` attribute pair that does not fit the instance), 3
+trilemma counterexample found, which means the premise of the lemma in
+`udet.trilemma` failed.
 """
 
 from __future__ import annotations
@@ -232,19 +234,15 @@ def _verdicts_json(table: VerdictTable) -> _Json:
     return _Json(",\n".join(rows))
 
 
-def _load(path: str, stderr) -> Instance | None:
+def _load(path: str, require_decision: bool = False) -> Instance:
+    """The instance in the file at `path`, marked as requiring a decision if
+    asked.  Raises OSError if it cannot be read, ParseError if it is invalid."""
     try:
         text = Path(path).read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
-        stderr.write(f"error: cannot read {path}: {exc}\n")
-        return None
-    try:
-        return parse_instance(SourceDocument(text, path))
-    except ParseError as exc:
-        stderr.write(f"{exc.origin}:{exc.line}:{exc.column}: {exc.message}\n")
-        if exc.snippet:
-            stderr.write(f"  near: {exc.snippet}\n")
-        return None
+        raise OSError(f"cannot read {path}: {exc}")
+    instance = parse_instance(SourceDocument(text, path))
+    return instance.replace(decisiveness_required=True) if require_decision else instance
 
 
 def _verdict_cells(verdict: Verdict) -> str:
@@ -272,12 +270,8 @@ def _verdicts_text(table: VerdictTable) -> str:
     return "".join(rows)
 
 
-def cmd_analyze(args, stdout, stderr) -> int:
-    instance = _load(args.path, stderr)
-    if instance is None:
-        return EXIT_PARSE
-    if args.require_decision:
-        instance = instance.replace(decisiveness_required=True)
+def cmd_analyze(args, stdout) -> int:
+    instance = _load(args.path, args.require_decision)
     analysis = analyze(instance)
     table = evaluate_space(analysis)
     report = check_trilemma(analysis)
@@ -354,7 +348,7 @@ def _report_json(report: TrilemmaReport) -> dict:
     return {"instance": report.instance_id, **_trilemma_json(report)}
 
 
-def cmd_check(args, stdout, stderr) -> int:
+def cmd_check(args, stdout) -> int:
     if args.random is not None:
         if args.paths:
             raise UsageError("give instance files or --random N, not both")
@@ -367,12 +361,7 @@ def cmd_check(args, stdout, stderr) -> int:
     elif not args.paths:
         raise UsageError("give instance files or --random N")
     else:
-        instances = []
-        for path in args.paths:
-            instance = _load(path, stderr)
-            if instance is None:
-                return EXIT_PARSE
-            instances.append(instance)
+        instances = [_load(path) for path in args.paths]
 
     reports = [check_trilemma(analyze(instance)) for instance in instances]
 
@@ -407,12 +396,8 @@ def cmd_check(args, stdout, stderr) -> int:
     return EXIT_COUNTEREXAMPLE if total_counter else EXIT_OK
 
 
-def cmd_policy(args, stdout, stderr) -> int:
-    instance = _load(args.path, stderr)
-    if instance is None:
-        return EXIT_PARSE
-    if args.require_decision:
-        instance = instance.replace(decisiveness_required=True)
+def cmd_policy(args, stdout) -> int:
+    instance = _load(args.path, args.require_decision)
     decision = decide(analyze(instance))
     if args.format == "json":
         _emit({
@@ -427,28 +412,22 @@ def cmd_policy(args, stdout, stderr) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args, stdout, stderr) -> int:
-    instance = _load(args.path, stderr)
-    if instance is None:
-        return EXIT_PARSE
+def cmd_sweep(args, stdout) -> int:
+    instance = _load(args.path)
     declared = instance.attribute_names
     pair = tuple(args.attributes)
     if not pair:
         if len(declared) < 2:
-            stderr.write(f"error: instance has {len(declared)} attribute; sweep needs 2\n")
-            return EXIT_SEMANTIC
+            raise UdetError(f"instance has {len(declared)} attribute; sweep needs 2")
         if len(declared) > 2:
-            stderr.write("error: instance has more than 2 attributes; "
-                         "name the attribute pair to project onto\n")
-            return EXIT_SEMANTIC
+            raise UdetError("instance has more than 2 attributes; "
+                            "name the attribute pair to project onto")
         pair = declared
     if len(pair) != 2 or pair[0] == pair[1]:
-        stderr.write("error: exactly two distinct attribute names required\n")
-        return EXIT_SEMANTIC
+        raise UdetError("exactly two distinct attribute names required")
     for name in pair:
         if name not in declared:
-            stderr.write(f"error: unknown attribute '{name}'\n")
-            return EXIT_SEMANTIC
+            raise UdetError(f"unknown attribute '{name}'")
 
     # Min-max normalization scales each column on its own, so the pair's two
     # columns are the whole score matrix of the 2-attribute projection.
@@ -496,7 +475,7 @@ def _render_regions(regions, candidates: tuple[str, ...]) -> str:
     return "; ".join(parts)
 
 
-def cmd_corpus(args, stdout, stderr) -> int:
+def cmd_corpus(args, stdout) -> int:
     # `export` is the one corpus subcommand, and argparse requires one.
     entries = corpus.load_corpus()
     target = Path(args.directory)
@@ -534,16 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"udet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--timestamps", action="store_true",
-                       help="include a wall-clock timestamp in reports")
-
     p_analyze = sub.add_parser("analyze", help="full semantic and verdict report")
     p_analyze.add_argument("path")
     p_analyze.add_argument("--require-decision", action="store_true",
                            help="treat the instance as requiring a decision")
-    common(p_analyze)
 
     p_check = sub.add_parser(
         "check", help="verify the trilemma over the structured response space by counting",
@@ -558,12 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="check N generated instances instead of files")
     p_check.add_argument("--seed", type=int, default=None, metavar="S",
                          help="generator seed for --random (default 0)")
-    common(p_check)
 
     p_policy = sub.add_parser("policy", help="run the response policy")
     p_policy.add_argument("path")
     p_policy.add_argument("--require-decision", action="store_true")
-    common(p_policy)
 
     p_sweep = sub.add_parser(
         "sweep", help="winner regions over a 2-attribute weight",
@@ -574,13 +545,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("path")
     p_sweep.add_argument("attributes", nargs="*", metavar="ATTR",
                          help="attribute pair for the projection")
-    common(p_sweep)
 
     p_corpus = sub.add_parser("corpus", help="bundled example instances")
     corpus_sub = p_corpus.add_subparsers(dest="corpus_command", required=True)
     p_export = corpus_sub.add_parser("export", help="write corpus files to a directory")
     p_export.add_argument("directory")
-    common(p_export)
+
+    for p in (p_analyze, p_check, p_policy, p_sweep, p_export):
+        p.add_argument("--format", choices=("text", "json"), default="text")
+    p_analyze.add_argument("--timestamps", action="store_true",
+                           help="include a wall-clock timestamp in reports")
 
     return parser
 
@@ -596,18 +570,25 @@ _COMMANDS = {"analyze": cmd_analyze, "check": cmd_check, "policy": cmd_policy,
 
 
 def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
-    """Run one command.  A usage error or an OSError exits 1, and any other
-    UdetError or a ValueError from the numeric layers (the margin LP's
-    ``the linear program is unbounded``) exits 2, each with a one-line
-    ``error:`` message on `stderr`.  ``--help`` and ``--version`` print to
-    ``sys.stdout`` and exit 0."""
+    """Run one command.  Commands raise, and `main` alone maps each error
+    type to its exit code and message on `stderr`.  A usage error, an
+    OSError or a ParseError exits 1; any other UdetError or a ValueError from
+    the numeric layers (the margin LP's ``the linear program is unbounded``)
+    exits 2.  Each writes one ``error:`` line, except a ParseError, which
+    writes ``origin:line:col: message`` and, if it has one, a ``  near:``
+    line.  ``--help`` and ``--version`` print to ``sys.stdout`` and exit 0."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
         args = _parser().parse_args(argv)
-        return _COMMANDS[args.command](args, stdout, stderr)
+        return _COMMANDS[args.command](args, stdout)
     except (UsageError, OSError) as exc:
         stderr.write(f"error: {exc}\n")
+        return EXIT_PARSE
+    except ParseError as exc:
+        stderr.write(f"{exc}\n")
+        if exc.snippet:
+            stderr.write(f"  near: {exc.snippet}\n")
         return EXIT_PARSE
     except (UdetError, ValueError) as exc:
         stderr.write(f"error: {exc}\n")

@@ -9,7 +9,7 @@ otherwise give one conditional answer per declared criterion.
 from __future__ import annotations
 
 from .model import EPS_WEIGHT, CriterionSpec, Immutable, Instance
-from .responses import Clarify, Conditional, Decisive, Response
+from .responses import Conditional, Decisive, Response
 from .semantics import Analysis, winners_at
 from .trilemma import clarify_for
 

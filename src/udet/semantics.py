@@ -68,7 +68,7 @@ class AdmissibleSet(Immutable, eq=False):
 
     `lower` and `upper` hold one weight per attribute, in declared order.  A
     pin makes both the pinned weights; a bound raises `lower` or lowers
-    `upper` of its attribute.
+    `upper` of its attribute.  Always math.fsum(lower) <= 1 <= math.fsum(upper).
     """
 
     attributes: tuple[str, ...]
@@ -173,10 +173,11 @@ def admissible_set(instance: Instance) -> AdmissibleSet:
     weight vector that meets each of them within EPS_WEIGHT and sums to 1
     within EPS_WEIGHT, as a pinned vector must.  So two bounds may cross by
     up to 2 * EPS_WEIGHT, and then fix their attribute at their midpoint.
-    Raises InfeasibleConstraints when P is empty: pins that disagree, bounds
-    that cross by more (reported before a pin outside them), a pin outside
-    the box, or, with no pin, bounds that leave no room for weights summing
-    to 1.
+    If the tolerance leaves the box's lower corner above the simplex, or its
+    upper corner below it, P is that corner moved onto the simplex.  Raises
+    InfeasibleConstraints when P is empty: pins that disagree, bounds that
+    cross by more (reported before a pin outside them), a pin outside the
+    box, or, with no pin, bounds that leave no room for weights summing to 1.
     """
     attrs = instance.attribute_names
     lower, upper = [0.0] * len(attrs), [1.0] * len(attrs)
@@ -204,15 +205,33 @@ def admissible_set(instance: Instance) -> AdmissibleSet:
         elif not lo - EPS_WEIGHT <= pinned[j] <= hi + EPS_WEIGHT:
             raise InfeasibleConstraints(f"pinned criterion '{pin}' puts weight {pinned[j]:.12g} "
                                         f"on '{name}', outside [{lo:.12g}, {hi:.12g}]")
-    if pinned is not None:
-        return AdmissibleSet(attrs, pinned, pinned)
     # Each weight may miss its bounds by EPS_WEIGHT, and their sum 1 by EPS_WEIGHT.
-    if (sum(max(lo - EPS_WEIGHT, 0.0) for lo in lower) > 1.0 + EPS_WEIGHT
+    if pinned is not None:
+        lower = upper = pinned
+    elif (sum(max(lo - EPS_WEIGHT, 0.0) for lo in lower) > 1.0 + EPS_WEIGHT
             or sum(upper) + len(upper) * EPS_WEIGHT < 1.0 - EPS_WEIGHT):
         raise InfeasibleConstraints(
             f"no admissible weight: the bounds allow weight sums in "
             f"[{sum(lower):.12g}, {sum(upper):.12g}], not 1")
+    if math.fsum(lower) > 1.0:
+        lower = upper = _onto_simplex(lower)
+    elif math.fsum(upper) < 1.0:
+        lower = upper = _onto_simplex(upper)
     return AdmissibleSet(attrs, tuple(lower), tuple(upper))
+
+
+def _onto_simplex(v: Vector) -> Vector:
+    """The weight vector nearest `v`, max(v_i - t, 0) summing to 1, with the
+    largest weight set so that their `math.fsum` is exactly 1."""
+    t = total = 0.0
+    for rank, x in enumerate(sorted(v, reverse=True), 1):
+        total += x
+        if x > (total - 1.0) / rank:
+            t = (total - 1.0) / rank
+    w = [max(x - t, 0.0) for x in v]
+    j = w.index(max(w))
+    w[j] = math.fsum([1.0, *(-x for i, x in enumerate(w) if i != j)])
+    return tuple(w)
 
 
 def _in_polytope(w: Vector, adm: AdmissibleSet) -> bool:

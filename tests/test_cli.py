@@ -214,6 +214,41 @@ def test_analyze_missing_file_exit_1(tmp_path):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "check", "policy", "sweep"])
+def test_unreadable_and_unparsable_files_exit_1_with_mains_message(command, tmp_path):
+    missing = tmp_path / "absent.udet"
+    assert run_cli([command, str(missing)]) == (
+        1, "", f"error: cannot read {missing}: [Errno 2] No such file or directory: "
+               f"'{missing}'\n")
+    bad = tmp_path / "broken.udet"
+    bad.write_text('instance "broken"\nfact A.gpa = 1\n', encoding="utf-8")
+    assert run_cli([command, str(bad)]) == (
+        1, "", f"{bad}:2:6: undeclared candidate 'A'\n  near: A\n")
+
+
+def test_check_stops_at_a_bad_file_before_any_output(corpus_dir, tmp_path):
+    bad = tmp_path / "broken.udet"
+    bad.write_text('instance "broken"\nfact A.gpa = 1\n', encoding="utf-8")
+    code, out, _ = run_cli(["check", path_of(corpus_dir, "scholarship"), str(bad)])
+    assert (code, out) == (1, "")
+
+
+@pytest.mark.parametrize("attributes", [["gpa", "gpa"], ["gpa"]])
+def test_sweep_needs_two_distinct_attributes(corpus_dir, attributes):
+    path = path_of(corpus_dir, "scholarship")
+    assert run_cli(["sweep", path, *attributes]) == (
+        2, "", "error: exactly two distinct attribute names required\n")
+
+
+@pytest.mark.parametrize("argv", [["check", "{path}"], ["policy", "{path}"],
+                                  ["sweep", "{path}"], ["corpus", "export", "{dir}"]])
+def test_timestamps_is_a_usage_error_outside_analyze(corpus_dir, tmp_path, argv):
+    argv = [a.format(path=path_of(corpus_dir, "scholarship"), dir=tmp_path) for a in argv]
+    assert run_cli([*argv, "--timestamps"]) == (
+        1, "", "error: unrecognized arguments: --timestamps\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_infeasible_exit_2(corpus_dir, tmp_path):
     source = (corpus_dir / "scholarship.udet").read_text()
     source += "assume weight gpa >= 0.7\nassume weight need >= 0.7\n"
@@ -701,10 +736,10 @@ _FLAG_VALUES = {
 }
 _COMMAND_FLAGS = {
     "analyze": ("--format", "--require-decision", "--timestamps"),
-    "policy": ("--format", "--require-decision", "--timestamps"),
-    "check": ("--format", "--random", "--seed", "--timestamps"),
-    "sweep": ("--format", "--timestamps"),
-    "corpus": ("--format", "--timestamps"),
+    "policy": ("--format", "--require-decision"),
+    "check": ("--format", "--random", "--seed"),
+    "sweep": ("--format",),
+    "corpus": ("--format",),
 }
 _STRAY_FLAGS = ("--grid", "--bogus", "-x")
 

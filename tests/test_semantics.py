@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -44,6 +45,7 @@ from udet.model import (
 )
 from udet.semantics import (
     EPS_SCORE,
+    _in_polytope,
     admissible_set,
     analyze,
     exact_thresholds,
@@ -308,6 +310,18 @@ def test_pin_with_crossed_bounds_reports_the_bounds():
     for pin in ((), (PinConstraint("half"),)):
         with pytest.raises(InfeasibleConstraints, match="no admissible weight for 'gpa'"):
             admissible_set(build_scholarship(criteria=(half,), constraints=apart + pin))
+
+
+def test_bounds_past_the_simplex_make_p_its_nearest_weight_vector():
+    # Both bounds hold within EPS_WEIGHT at (0.5, 0.5), but the box's lower
+    # corner sums to 1.0000000018 (its upper corner to 0.999999999): P is
+    # that corner moved onto the simplex, where the criterion `half` lies.
+    half = CriterionSpec("half", (("gpa", 0.5), ("need", 0.5)))
+    for op, value in ((">=", 0.5000000009), ("<=", 0.4999999995)):
+        adm = admissible_set(build_scholarship(criteria=(half,), constraints=(
+            BoundConstraint("gpa", op, value), BoundConstraint("need", op, value))))
+        assert adm.lower == adm.upper == (0.5, 0.5)
+        assert _in_polytope((0.5, 0.5), adm)
 
 
 # Bound offsets from the pinned weight: inside, within and beyond EPS_WEIGHT.
@@ -804,6 +818,17 @@ def test_certified_stats_are_the_reference(inst):
     except (InfeasibleConstraints, ContradictoryPremises):
         assume(False)
     assert_stats_are_the_reference(analysis)
+
+
+@PROPERTY_SETTINGS
+@given(constrained_instances())
+def test_p_lies_on_the_simplex(inst):
+    try:
+        adm = admissible_set(inst)
+    except InfeasibleConstraints:
+        assume(False)
+    assert math.fsum(adm.lower) <= 1.0 <= math.fsum(adm.upper)
+    assert all(lo <= hi for lo, hi in zip(adm.lower, adm.upper))
 
 
 @PROPERTY_SETTINGS
