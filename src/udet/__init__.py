@@ -35,7 +35,7 @@ from .model import (
     WeightConstraint,
     validate,
 )
-from .policy import PolicyDecision, decide, uniform_criterion, with_default_criterion
+from .policy import PolicyDecision, decide
 from .responses import (
     Clarify,
     Conditional,
@@ -53,14 +53,12 @@ from .semantics import (
     Analysis,
     ScoreMatrix,
     SemanticsResult,
-    WinnerOutcome,
     WinnerStats,
     admissible_set,
     analyze,
     compatible_answers,
     normalize,
     winner_statistics,
-    winners_at,
 )
 from .trilemma import (
     GeneratorConfig,
@@ -79,14 +77,13 @@ __all__ = [
     "WeightConstraint", "validate", "EPS_WEIGHT",
     "ParseError", "SourceDocument", "parse_instance", "serialize_instance",
     "EPS_SCORE", "AdmissibleSet", "Analysis", "ScoreMatrix", "SemanticsResult",
-    "WinnerOutcome", "WinnerStats", "admissible_set", "analyze",
-    "compatible_answers", "normalize",
-    "winner_statistics", "winners_at",
+    "WinnerStats", "admissible_set", "analyze", "compatible_answers", "normalize",
+    "winner_statistics",
     "Clarify", "Conditional", "Decisive", "Equivalence", "Refuse", "Response",
     "ResponseEvaluator", "Verdict", "u_assistive_score",
     "GeneratorConfig", "PairwiseCheck", "TrilemmaReport", "VerdictTable", "check_trilemma",
     "evaluate_space", "generate_instance",
-    "PolicyDecision", "decide", "uniform_criterion", "with_default_criterion",
+    "PolicyDecision", "decide",
     "CorpusEntry", "ExpectedSummary", "load_corpus",
     "UdetError", "ContradictoryPremises", "CorpusCorrupt",
     "InfeasibleConstraints", "ResponseSpaceTooLarge",

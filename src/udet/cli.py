@@ -43,8 +43,8 @@ from .semantics import (
     normalize,
     winner_regions,
 )
-from .trilemma import (GeneratorConfig, TrilemmaReport, VerdictTable, check_trilemma,
-                       evaluate_space, generate_instance)
+from .trilemma import (GeneratorConfig, TrilemmaReport, VerdictTable, check_enumerable,
+                       check_trilemma, evaluate_space, generate_instance)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -273,9 +273,10 @@ def _verdicts_text(table: VerdictTable) -> str:
 def cmd_analyze(args, stdout) -> int:
     instance = _load(args.path, args.require_decision)
     analysis = analyze(instance)
+    check_enumerable(instance)
     table = evaluate_space(analysis)
     report = check_trilemma(analysis)
-    decision = decide(analysis)
+    decision = decide(analysis, table)
     semantics = analysis.semantics
 
     if args.format == "json":

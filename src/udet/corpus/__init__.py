@@ -52,10 +52,6 @@ EXPECTED: tuple[tuple[str, ExpectedSummary], ...] = (
 )
 
 
-def corpus_ids() -> tuple[str, ...]:
-    return tuple(name for name, _ in EXPECTED)
-
-
 def load_source(entry_id: str) -> str:
     from importlib import resources  # only `corpus export` reads bundled files
 

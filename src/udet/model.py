@@ -218,9 +218,6 @@ class CriterionSpec(Immutable):
     def weight_map(self) -> dict[str, float]:
         return dict(self.weights)
 
-    def weight(self, attribute: str) -> float:
-        return self.weight_map[attribute]
-
 
 class PinConstraint(Immutable):
     """Restricts the admissible criteria to one declared criterion."""
@@ -272,23 +269,11 @@ class Instance(Immutable):
                 return s
         raise KeyError(name)
 
-    def attribute_by_name(self, name: str) -> AttributeSchema:
-        for a in self.attributes:
-            if a.name == name:
-                return a
-        raise KeyError(name)
-
     def criterion_by_name(self, name: str) -> CriterionSpec:
         for c in self.criteria:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def fact_value(self, candidate: str, attribute: str) -> float | str:
-        for f in self.facts:
-            if f.candidate == candidate and f.attribute == attribute:
-                return f.value
-        raise KeyError((candidate, attribute))
 
     def pinned_criterion(self) -> str | None:
         """Name of the first pin constraint's criterion, if any."""

@@ -1,24 +1,45 @@
-"""Four-branch response policy: answer, clarify, condition, or recommend.
+"""The response policy: `decide` returns the best row of the verdict table.
 
-Branch order: a determined instance is answered directly; if a decision is
-required despite underdetermination, recommend under a disclosed uniform
-default criterion; with no declared criteria ask for clarification;
-otherwise give one conditional answer per declared criterion.
+The table (`trilemma.evaluate_space`, each verdict from
+`ResponseEvaluator.evaluate`) is the only rule set.  The candidate rows are
+every row, or the decisive ones when a decision is required.  They rank by
+(c_strong, nb_strict, c_cond, nb_transparent, u_assistive), highest first;
+ties go to the row that names the pinned criterion, then to the one that
+names the default criterion, then to the first in table order.  Of the
+conditionals only the one over every decided criterion competes, since none
+ranks above it.  The row names the branch: a Decisive of the entailed answer
+`direct`, another Decisive `recommend_with_assumptions`, a Conditional
+`conditional` and a Clarify `clarify`.  A criterion outside the admissible
+weights P decides nothing (`semantics.analyze`), so no row it names ranks
+first on its account.
 """
 
 from __future__ import annotations
 
-from .model import EPS_WEIGHT, CriterionSpec, Immutable, Instance
-from .responses import Conditional, Decisive, Response
-from .semantics import Analysis, winners_at
-from .trilemma import clarify_for
+from .dsl import format_number
+from .model import Immutable
+from .responses import Response
+from .semantics import EPS_SCORE, Analysis
+from .trilemma import VerdictTable, evaluate_space
 
 DIRECT = "direct"
 CLARIFY = "clarify"
 CONDITIONAL = "conditional"
 RECOMMEND = "recommend_with_assumptions"
 
-UNIFORM_DEFAULT = "uniform_default"
+# What each branch does, and why.
+_LEADS = {
+    DIRECT: "the premises determine '{answer}', so answer directly",
+    RECOMMEND: "a decision is required, so recommend '{answer}' under '{theta}'",
+    CONDITIONAL: "several criteria are plausible, so answer conditionally per declared "
+                 "criterion that has a unique winner",
+    CLARIFY: "no declared criterion yields a unique winner, so ask which attribute "
+             "weighting applies",
+}
+
+# The trilemma's three predicates, by `Verdict` field.
+_CORNERS = (("c_strong", "strong correctness"), ("nb_strict", "strict non-bias"),
+            ("u_decisive", "decisiveness"))
 
 
 class PolicyDecision(Immutable):
@@ -29,83 +50,47 @@ class PolicyDecision(Immutable):
     rationale: str
 
 
-def uniform_criterion(instance: Instance, name: str = UNIFORM_DEFAULT) -> CriterionSpec:
-    """Equal weight on every attribute; the only symmetry-respecting default."""
-    k = len(instance.attributes)
-    return CriterionSpec(name, tuple((a, 1.0 / k) for a in instance.attribute_names))
+def decide(analysis: Analysis, table: VerdictTable | None = None) -> PolicyDecision:
+    """The best row of `table`, the analysis's verdict table, built if not
+    given.  The rationale names what the row gives up of the trilemma, a
+    tie at its criterion, the default's weights and an excluded leader."""
+    table = evaluate_space(analysis) if table is None else table
+    instance, compat = analysis.instance, analysis.semantics.compatible
+    ranks = {key: (v.c_strong, v.nb_strict, v.c_cond, v.nb_transparent, v.u_assistive)
+             for key, v in table.verdicts.items()
+             if v.u_decisive or not instance.decisiveness_required}
+    best = max(ranks.values())
+    default = analysis.default.name if analysis.default else None
+    preferred = {theta: i for i, theta in enumerate((instance.pinned_criterion(), default))
+                 if theta is not None}
+    response, key = min(table.rows_in({key for key, rank in ranks.items() if rank == best}),
+                        key=lambda row: preferred.get(getattr(row[0], "declared_theta", None), 2))
+    verdict = table.verdicts[key]
+    theta = getattr(response, "declared_theta", None)
 
-
-def with_default_criterion(instance: Instance) -> tuple[Instance, str]:
-    """Instance with the uniform default registered as a criterion.
-
-    Reuses an existing criterion whose weights are already uniform; otherwise
-    appends one under the first free ``uniform_default``-based name.  Needed
-    to evaluate a recommend_with_assumptions response, whose declared
-    criterion must exist on the instance.
-    """
-    k = len(instance.attributes)
-    target = 1.0 / k
-    name = UNIFORM_DEFAULT
-    suffix = 1
-    while True:
-        try:
-            existing = instance.criterion_by_name(name)
-        except KeyError:
-            spec = uniform_criterion(instance, name)
-            return instance.replace(criteria=instance.criteria + (spec,)), name
-        wmap = existing.weight_map
-        if all(abs(wmap.get(a, -1.0) - target) <= EPS_WEIGHT
-               for a in instance.attribute_names):
-            return instance, name
-        suffix += 1
-        name = f"{UNIFORM_DEFAULT}_{suffix}"
-
-
-def decide(analysis: Analysis) -> PolicyDecision:
-    """Total, deterministic policy over an analyzed instance.
-
-    A recommend_with_assumptions response names the uniform default
-    criterion; use `with_default_criterion` to obtain the instance on which
-    that response evaluates.
-    """
-    instance = analysis.instance
-    compat = analysis.semantics.compatible
-    n_crit = len(instance.criteria)
+    branch = (DIRECT if verdict.c_strong else RECOMMEND) if verdict.u_decisive else response.form
     flag = "yes" if instance.decisiveness_required else "no"
-    context = (f"compatible answers: {len(compat)} ({', '.join(compat)}); "
-               f"declared criteria: {n_crit}; decision required: {flag}")
-
-    if len(compat) == 1:
-        pinned = instance.pinned_criterion()
-        response = Decisive(compat[0], declared_theta=pinned)
-        return PolicyDecision(DIRECT, response,
-                              f"{context}; the premises determine '{compat[0]}', "
-                              "so answer directly")
-
-    if instance.decisiveness_required:
-        _, name = with_default_criterion(instance)
-        outcome = winners_at(analysis.matrix, uniform_criterion(instance, name))
-        if outcome.unique is not None:
-            winner = outcome.unique
-            tie_note = ""
-        else:
-            winner = min(outcome.winners)
-            tie_note = (f"; uniform weights tie {', '.join(outcome.winners)}, "
-                        f"broken lexicographically to '{winner}'")
-        return PolicyDecision(
-            RECOMMEND, Decisive(winner, declared_theta=name),
-            f"{context}; a decision is required, so recommend '{winner}' "
-            f"under the disclosed uniform criterion '{name}'{tie_note}")
-
-    branches = tuple(analysis.unique_winners.items())
-    if n_crit == 0 or not branches:
-        note = ("no declared criterion yields a unique winner, so "
-                if n_crit else "")
-        return PolicyDecision(
-            CLARIFY, clarify_for(instance),
-            f"{context}; {note}ask which attribute weighting applies")
-
-    return PolicyDecision(
-        CONDITIONAL, Conditional(branches),
-        f"{context}; several criteria are plausible, so answer "
-        "conditionally per declared criterion")
+    notes = [f"compatible answers: {len(compat)} ({', '.join(compat)}); "
+             f"declared criteria: {len(instance.criteria)}; decision required: {flag}",
+             _LEADS[branch].format(answer=getattr(response, "candidate", None), theta=theta)]
+    if theta is not None and theta == default:
+        weights = ", ".join(f"{a}: {format_number(w)}" for a, w in analysis.default.weights)
+        notes.append(f"'{theta}' is the admissible weighting nearest equal weights ({weights})")
+        top = max(analysis.default_scores)
+        excluded = [c for c, s in zip(instance.candidates, analysis.default_scores)
+                    if s >= top - EPS_SCORE and c not in compat]
+        if excluded:
+            notes.append(f"there the top score goes to {', '.join(excluded)}, "
+                         "which the premises exclude")
+    winners = analysis.theta_winners.get(theta, ())
+    if len(winners) > 1:
+        notes.append(f"'{theta}' ties {', '.join(winners)}, broken in candidate order "
+                     f"to '{winners[0]}'")
+    outside = [name for name in analysis.criterion_winners
+               if name not in analysis.criterion_scores]
+    if outside:
+        notes.append(f"criteria outside the admissible weights decide nothing: "
+                     f"{', '.join(outside)}")
+    lost = " and ".join(label for field, label in _CORNERS if not getattr(verdict, field))
+    notes.append(f"this gives up {lost or 'no trilemma predicate'}")
+    return PolicyDecision(branch, response, "; ".join(notes))

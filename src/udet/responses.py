@@ -56,19 +56,20 @@ class Decisive(_Form):
     rubric = (1, 1, 1, 1)
 
     def check_structure(self, evaluator: ResponseEvaluator) -> None:
-        if self.candidate not in evaluator.candidates:
+        if self.candidate not in evaluator.index:
             raise UndeclaredReference(f"unknown candidate '{self.candidate}'")
-        if self.declared_theta is not None and self.declared_theta not in evaluator.criteria:
+        if self.declared_theta not in (None, *evaluator.analysis.theta_winners):
             raise UndeclaredReference(f"unknown criterion '{self.declared_theta}'")
 
     def verdict(self, evaluator: ResponseEvaluator) -> Verdict:
         a, theta = self.candidate, self.declared_theta
-        winners = evaluator.analysis.criterion_winners
-        c_strong = evaluator.analysis.semantics.entailed == a
+        analysis = evaluator.analysis
+        winners = analysis.theta_winners
+        c_strong = analysis.semantics.entailed == a
         wins_under_theta = theta is not None and winners[theta] == (a,)
         named_under_theta = theta is not None and a in winners[theta]
         c_cond = c_strong or wins_under_theta or (
-            theta is None and any(ws == (a,) for ws in winners.values()))
+            theta is None and any(ws == (a,) for ws in analysis.criterion_winners.values()))
         return Verdict(
             c_strong=c_strong,
             c_cond=c_cond,
@@ -102,9 +103,9 @@ class Conditional(_Form):
             if crit in seen:
                 raise ValueError(f"duplicate branch criterion '{crit}'")
             seen.add(crit)
-            if crit not in evaluator.criteria:
+            if crit not in evaluator.analysis.criterion_winners:
                 raise UndeclaredReference(f"unknown criterion '{crit}'")
-            if cand not in evaluator.candidates:
+            if cand not in evaluator.index:
                 raise UndeclaredReference(f"unknown candidate '{cand}'")
 
     def verdict(self, evaluator: ResponseEvaluator) -> Verdict:
@@ -143,7 +144,7 @@ class Equivalence(_Form):
         if len(self.candidates) < 2:
             raise ValueError("an equivalence claim needs at least two candidates")
         for cand in self.candidates:
-            if cand not in evaluator.candidates:
+            if cand not in evaluator.index:
                 raise UndeclaredReference(f"unknown candidate '{cand}'")
 
     def verdict(self, evaluator: ResponseEvaluator) -> Verdict:
@@ -227,16 +228,13 @@ def u_assistive_score(response: Response) -> float:
 
 
 class ResponseEvaluator:
-    """Evaluates responses against one instance's `Analysis`: the names
-    each form's `check_structure` reads, and the candidate index its
-    `verdict` reads, are built once."""
+    """Evaluates responses against one instance's `Analysis`; the candidate
+    index that each form's `check_structure` and `verdict` read is built
+    once."""
 
     def __init__(self, analysis: Analysis):
-        instance = analysis.instance
         self.analysis = analysis
-        self.index = {c: i for i, c in enumerate(instance.candidates)}
-        self.candidates = set(instance.candidates)
-        self.criteria = {c.name for c in instance.criteria}
+        self.index = {c: i for i, c in enumerate(analysis.instance.candidates)}
 
     def evaluate(self, response: Response) -> Verdict:
         if not isinstance(response, _Form):

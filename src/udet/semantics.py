@@ -40,6 +40,9 @@ from .model import (
 # Absolute tolerance for score comparisons (ties, strict wins).
 EPS_SCORE = 1e-9
 
+# The name of the default criterion, suffixed if a declared one has it.
+UNIFORM_DEFAULT = "uniform_default"
+
 Vector = tuple[float, ...]
 BoolTable = tuple[tuple[bool, ...], ...]
 
@@ -51,16 +54,6 @@ class ScoreMatrix(Immutable, eq=False):
     candidates: tuple[str, ...]
     attributes: tuple[str, ...]
     values: tuple[Vector, ...]
-
-
-class WinnerOutcome(Immutable):
-    """The argmax set at one weight vector (nonempty, in candidate order)."""
-
-    winners: tuple[str, ...]
-
-    @property
-    def unique(self) -> str | None:
-        return self.winners[0] if len(self.winners) == 1 else None
 
 
 class AdmissibleSet(Immutable, eq=False):
@@ -156,13 +149,6 @@ def _winners(candidates: tuple[str, ...], scores: Vector) -> tuple[str, ...]:
     return tuple(c for c, s in zip(candidates, scores) if s >= top - EPS_SCORE)
 
 
-def winners_at(matrix: ScoreMatrix, theta: CriterionSpec) -> WinnerOutcome:
-    """Candidates within EPS_SCORE of the maximum score under `theta`."""
-    weights = _weight_row(matrix.attributes, theta)
-    scores = _kernels.score_grid([weights], matrix.values)[0]
-    return WinnerOutcome(_winners(matrix.candidates, scores))
-
-
 def admissible_set(instance: Instance) -> AdmissibleSet:
     """P, built in one pass over the weight premises.
 
@@ -213,24 +199,40 @@ def admissible_set(instance: Instance) -> AdmissibleSet:
         raise InfeasibleConstraints(
             f"no admissible weight: the bounds allow weight sums in "
             f"[{sum(lower):.12g}, {sum(upper):.12g}], not 1")
+    simplex = ((0.0,) * len(attrs), (1.0,) * len(attrs))
     if math.fsum(lower) > 1.0:
-        lower = upper = _onto_simplex(lower)
+        lower = upper = _project(lower, *simplex)
     elif math.fsum(upper) < 1.0:
-        lower = upper = _onto_simplex(upper)
+        lower = upper = _project(upper, *simplex)
     return AdmissibleSet(attrs, tuple(lower), tuple(upper))
 
 
-def _onto_simplex(v: Vector) -> Vector:
-    """The weight vector nearest `v`, max(v_i - t, 0) summing to 1, with the
-    largest weight set so that their `math.fsum` is exactly 1."""
-    t = total = 0.0
-    for rank, x in enumerate(sorted(v, reverse=True), 1):
-        total += x
-        if x > (total - 1.0) / rank:
-            t = (total - 1.0) / rank
-    w = [max(x - t, 0.0) for x in v]
-    j = w.index(max(w))
-    w[j] = math.fsum([1.0, *(-x for i, x in enumerate(w) if i != j)])
+def _project(v: Vector, lower: Vector, upper: Vector) -> Vector:
+    """The point of {w : sum(w) = 1, lower <= w <= upper} nearest `v`, for
+    math.fsum(lower) <= 1 <= math.fsum(upper): w_i = clip(v_i + t, lower_i,
+    upper_i) summing to 1.  The sum bends in t where a weight meets a bound;
+    past the last bend where it is at most 1, the weights between their
+    bounds rise together.  If `math.fsum(w)` is not 1, the largest of them
+    with room for the difference takes it."""
+    low = [lo - x for x, lo in zip(v, lower)]
+    high = [hi - x for x, hi in zip(v, upper)]
+    t = min(low)
+    for bend in sorted({*low, *high}):
+        if math.fsum(min(max(x + bend, lo), hi) for x, lo, hi in zip(v, lower, upper)) > 1.0:
+            break
+        t = bend
+    # Below its segment a weight sits on its lower bound, above on its upper.
+    w = [lo if t < a else hi for lo, hi, a in zip(lower, upper, low)]
+    free = [i for i, (a, b) in enumerate(zip(low, high)) if a <= t < b]
+    if free:
+        rest = [x for i, x in enumerate(w) if i not in free]
+        shift = math.fsum([1.0, *(-x for x in rest), *(-v[i] for i in free)]) / len(free)
+        for i in free:
+            w[i] = min(max(v[i] + shift, lower[i]), upper[i])
+    if math.fsum(w) != 1.0:
+        r = math.fsum([1.0, *(-x for x in w)])
+        j = max(free or range(len(w)), key=lambda i: (lower[i] <= w[i] + r <= upper[i], w[i]))
+        w[j] = math.fsum([1.0, *(-x for i, x in enumerate(w) if i != j)])
     return tuple(w)
 
 
@@ -452,10 +454,18 @@ class Analysis(Immutable, eq=False):
     """Everything the later layers read about one instance, computed once.
 
     `closure[i][j]` is true when the premises order candidate i above j
-    (the table behind `semantics.preference_closure`).  `criterion_scores`
-    and `criterion_winners` map each declared criterion, in declaration
-    order, to its score per candidate and to
-    `winners_at(matrix, criterion).winners`.
+    (the table behind `semantics.preference_closure`).
+
+    A criterion outside P decides nothing.  A declared criterion lies in P
+    when its weights meet their bounds and sum to 1, each within EPS_WEIGHT.
+    `criterion_winners` maps every declared criterion, in order, to the
+    compatible answers within EPS_SCORE of the best compatible score under
+    it, or to none if it lies outside P; `criterion_scores` maps each one in
+    P to its score per candidate.  With a decision required and several
+    answers compatible, `default` is the point of P nearest equal weights,
+    named `uniform_default` (or `_2`, `_3`, ... past declared names), with
+    every candidate's `default_scores`; `theta_winners` adds its winners to
+    `criterion_winners`.  Without one they are None, () and the same map.
     """
 
     instance: Instance
@@ -466,6 +476,9 @@ class Analysis(Immutable, eq=False):
     semantics: SemanticsResult
     criterion_scores: dict[str, Vector]
     criterion_winners: dict[str, tuple[str, ...]]
+    default: CriterionSpec | None
+    default_scores: Vector
+    theta_winners: dict[str, tuple[str, ...]]
 
     @property
     def unique_winners(self) -> dict[str, str]:
@@ -481,7 +494,7 @@ def analyze(instance: Instance) -> Analysis:
     The criterion rows are scored in one `score_grid` call before the
     winner statistics, which take each criterion in P as a witness; each
     row is what scoring it alone gives, since every entry is accumulated on
-    its own.
+    its own.  The default is equal weights projected onto P (`_project`).
 
     Raises InfeasibleConstraints and ContradictoryPremises.
     """
@@ -493,9 +506,26 @@ def analyze(instance: Instance) -> Analysis:
     stats = winner_statistics(matrix, adm, zip(weights, scores))
     closure = _closure_matrix(instance, stats)
     semantics = compatible_answers(instance, stats, closure)
-    return Analysis(
-        instance, matrix, adm, stats, closure, semantics,
-        criterion_scores={c.name: scores[i] for i, c in enumerate(crits)},
-        criterion_winners={c.name: _winners(matrix.candidates, scores[i])
-                           for i, c in enumerate(crits)},
-    )
+    keep = list(map(set(semantics.compatible).__contains__, matrix.candidates))
+
+    def winners(row: Vector) -> tuple[str, ...]:
+        return _winners(semantics.compatible, tuple(itertools.compress(row, keep)))
+
+    inside = {c.name: row for c, w, row in zip(crits, weights, scores)
+              if abs(math.fsum(w) - 1.0) <= EPS_WEIGHT
+              and all(lo - EPS_WEIGHT <= x <= hi + EPS_WEIGHT
+                      for lo, x, hi in zip(adm.lower, w, adm.upper))}
+    criterion_winners = {c.name: winners(inside[c.name]) if c.name in inside else ()
+                         for c in crits}
+    theta_winners, default, default_scores = dict(criterion_winners), None, ()
+    if instance.decisiveness_required and semantics.underdetermined:
+        k = len(matrix.attributes)
+        uniform = (1.0 / k,) * k
+        vector = uniform if _in_polytope(uniform, adm) else _project(uniform, adm.lower, adm.upper)
+        names = [UNIFORM_DEFAULT, *(f"{UNIFORM_DEFAULT}_{i}" for i in range(2, len(crits) + 2))]
+        name = next(name for name in names if name not in criterion_winners)
+        default = CriterionSpec(name, tuple(zip(matrix.attributes, vector)))
+        default_scores = _kernels.score_grid([vector], matrix.values)[0]
+        theta_winners[name] = winners(default_scores)
+    return Analysis(instance, matrix, adm, stats, closure, semantics, inside,
+                    criterion_winners, default, default_scores, theta_winners)

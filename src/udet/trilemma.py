@@ -13,8 +13,9 @@ The lemma speaks of this closed world, the five response forms and their
 predicates, not of the paper's conjecture about language models.
 `check_trilemma` counts its report in closed form and computes, not
 assumes, the counterexamples: one would mean the premise failed.
-`evaluate_space` gives `udet analyze` the space as per-form key tables with
-one `Verdict` per distinct key, and builds no other response object.
+`evaluate_space` gives the space as per-form key tables with one `Verdict`
+per distinct key, and builds no other response object; `policy.decide`
+reads it too.
 """
 
 from __future__ import annotations
@@ -89,8 +90,9 @@ class TrilemmaReport(Immutable):
     """Outcome of checking one instance's response space.
 
     `responses_evaluated` is the size of the response space, counted in
-    closed form by `check_trilemma`; no response is evaluated to get it.
-    The name stays because the JSON key and the text labels carry it.
+    closed form by `check_trilemma`, the default criterion's column included;
+    no response is evaluated to get it.  The name stays because the JSON
+    key and the text labels carry it.
     """
 
     instance_id: str
@@ -101,21 +103,12 @@ class TrilemmaReport(Immutable):
     conflict_free_witness: Response | None
 
 
-def clarify_for(instance: Instance) -> Clarify:
-    """The canonical clarification: name each attribute's missing weight."""
-    return Clarify(tuple(f"weight for {a}" for a in instance.attribute_names))
-
-
-def _check_enumerable(instance: Instance) -> None:
+def check_enumerable(instance: Instance) -> None:
+    """Raise ResponseSpaceTooLarge if the space is too large to list."""
     if len(instance.criteria) > MAX_ENUMERATED_CRITERIA:
         raise ResponseSpaceTooLarge(
             f"{len(instance.criteria)} criteria declared; "
             f"enumeration is capped at {MAX_ENUMERATED_CRITERIA}")
-
-
-def _thetas(instance: Instance) -> tuple[str | None, ...]:
-    """The criteria a Decisive may name: undisclosed first, then each declared."""
-    return (None, *(crit.name for crit in instance.criteria))
 
 
 def _subsets(items: tuple) -> Iterator[tuple]:
@@ -132,6 +125,7 @@ def _pairs(candidates: tuple[str, ...]) -> list[tuple[str, str]]:
 # Verdict keys, one range per response form.  A response's verdict is a
 # function of its key; see `evaluate_space`.
 _CONDITIONAL_KEY = 16  # + whether its answers cover every unique winner
+_COVERING_KEY = _CONDITIONAL_KEY + 1
 _EQUIVALENCE_KEY = 18  # + 2 c_strong + c_cond
 _CLARIFY_KEY = 22
 _REFUSE_KEY = 23
@@ -140,14 +134,14 @@ _REFUSE_KEY = 23
 def _decisive_keys(analysis: Analysis) -> list[int]:
     """The verdict key of each Decisive(a, theta), in enumeration order.
 
-    Row a, column theta of an (n, m + 1) table, column 0 the undisclosed
-    criterion: 8 when a is entailed, + 4 when a wins theta alone (for the
-    undisclosed criterion: some criterion), + 2 when a is among theta's
-    winners, + 1 when theta is undisclosed.
+    Row a, column theta of an (n, 1 + len(theta_winners)) table, column 0
+    the undisclosed criterion: 8 when a is entailed, + 4 when a wins theta
+    alone (for the undisclosed criterion: some declared criterion), + 2
+    when a is among theta's winners, + 1 when theta is undisclosed.
     """
     codes = [dict.fromkeys(winners, 6 if len(winners) == 1 else 2)
-             for winners in analysis.criterion_winners.values()]
-    unique = {winner for code in codes for winner, c in code.items() if c == 6}
+             for winners in analysis.theta_winners.values()]
+    unique = set(analysis.unique_winners.values())
     entailed = analysis.semantics.entailed
     keys = []
     for cand in analysis.instance.candidates:
@@ -167,7 +161,7 @@ def _subset_reader(g: int) -> Callable[[bytes], tuple[int, ...]]:
 
 # The key of a conditional whose criteria cover every unique winner (binary
 # digit 0 of `missed`) or miss one (1).
-_KEY_OF_DIGIT = bytes.maketrans(b"01", bytes((_CONDITIONAL_KEY + 1, _CONDITIONAL_KEY)))
+_KEY_OF_DIGIT = bytes.maketrans(b"01", bytes((_COVERING_KEY, _CONDITIONAL_KEY)))
 
 
 def _conditional_keys(decided: tuple[tuple[str, str], ...]) -> list[int]:
@@ -244,8 +238,9 @@ class VerdictTable(Immutable):
     Rows run in a fixed order: Decisive over `candidates` x `thetas`
     (undisclosed criterion first), Conditional over the nonempty subsets of
     `decided` (by size, then declaration order), Equivalence over `pairs`,
-    then `clarify` and `refuse`; `decisive`, `conditional` and `equivalence`
-    hold the keys of each form's rows.  A row's integer key determines its verdict, and
+    then `clarify` and `refuse`; `decisive` and `equivalence` hold the keys
+    of those forms' rows, and the conditionals' keys are computed when
+    their rows are read.  A row's integer key determines its verdict, and
     `verdicts` maps each key that occurs to its `Verdict`.
     """
 
@@ -253,7 +248,6 @@ class VerdictTable(Immutable):
     thetas: tuple[str | None, ...]
     decisive: list[int]
     decided: tuple[tuple[str, str], ...]
-    conditional: list[int]
     pairs: list[tuple[str, str]]
     equivalence: list[int]
     clarify: Clarify
@@ -267,7 +261,7 @@ class VerdictTable(Immutable):
     def conditional_rows(self, items: Iterable) -> Iterator[tuple[tuple, int]]:
         """(subset of `items`, key) per Conditional, where `items` stands
         for `decided` one for one, e.g. a rendering of each branch."""
-        return zip(_subsets(tuple(items)), self.conditional)
+        return zip(_subsets(tuple(items)), _conditional_keys(self.decided))
 
     def equivalence_rows(self) -> Iterator[tuple[tuple[str, str], int]]:
         """((a, b), key) per Equivalence, a < b."""
@@ -277,6 +271,16 @@ class VerdictTable(Immutable):
         """(response, key) for the Clarify and the Refuse."""
         return ((self.clarify, _CLARIFY_KEY), (self.refuse, _REFUSE_KEY))
 
+    def rows_in(self, keys: set[int]) -> Iterator[tuple[Response, int]]:
+        """(response, key) for each row whose key is in `keys`, in row order,
+        reading of the conditionals only the one over every decided
+        criterion: it covers every unique winner, so none ranks above it."""
+        conditional = [(self.decided, _COVERING_KEY)] if self.decided else []
+        return chain(((Decisive(*row), key) for row, key in self.decisive_rows() if key in keys),
+                     ((Conditional(b), key) for b, key in conditional if key in keys),
+                     ((Equivalence(p), key) for p, key in self.equivalence_rows() if key in keys),
+                     ((r, key) for r, key in self.closing_rows() if key in keys))
+
 
 def _one_row_per_key(keys: list[int], rows: list) -> Iterator[tuple[int, object]]:
     """(key, the last row that has it) for each distinct key."""
@@ -284,10 +288,11 @@ def _one_row_per_key(keys: list[int], rows: list) -> Iterator[tuple[int, object]
 
 
 def evaluate_space(analysis: Analysis) -> VerdictTable:
-    """The response space of `udet analyze` as key tables, each distinct
-    key's verdict taken from `ResponseEvaluator.evaluate` on one response
-    that has the key.  So `evaluate` runs on at most 24 responses, the
-    Clarify and the Refuse among them, however large the space.
+    """The response space as key tables, each distinct key's verdict taken
+    from `ResponseEvaluator.evaluate` on one response that has the key.
+    So `evaluate` runs on at most 24 responses, the Clarify and the Refuse
+    among them, however large the space.  It lists no conditional, so any
+    number of criteria is served; `udet analyze` lists them.
 
     - Decisive(a, theta): its verdict reads only whether a is entailed,
       whether a wins theta alone, whether a is among theta's winners and
@@ -301,30 +306,28 @@ def evaluate_space(analysis: Analysis) -> VerdictTable:
       all of them, always covers, so the two represent every key.
     - Equivalence(a, b): its verdict reads only c_strong and c_cond
       (`_equivalence_keys`).
-
-    Raises ResponseSpaceTooLarge when more than MAX_ENUMERATED_CRITERIA
-    criteria are declared.
     """
     instance = analysis.instance
-    _check_enumerable(instance)
-    thetas, decided = _thetas(instance), tuple(analysis.unique_winners.items())
+    thetas, decided = (None, *analysis.theta_winners), tuple(analysis.unique_winners.items())
     pairs = _pairs(instance.candidates)
-    decisive, conditional = _decisive_keys(analysis), _conditional_keys(decided)
-    equivalence = _equivalence_keys(analysis)
-    clarify, refuse = clarify_for(instance), Refuse(REFUSE_REASON)
+    decisive, equivalence = _decisive_keys(analysis), _equivalence_keys(analysis)
+    # The clarification names each attribute's missing weight.
+    clarify = Clarify(tuple(f"weight for {a}" for a in instance.attribute_names))
+    refuse = Refuse(REFUSE_REASON)
     examples: dict[int, Response] = {
         key: Decisive(*row)
         for key, row in _one_row_per_key(decisive, list(product(instance.candidates, thetas)))}
     if decided:
-        examples[conditional[0]] = Conditional(decided[:1])
-        examples[conditional[-1]] = Conditional(decided)
+        one_winner = len({winner for _, winner in decided}) == 1
+        examples[_CONDITIONAL_KEY + one_winner] = Conditional(decided[:1])
+        examples[_COVERING_KEY] = Conditional(decided)
     examples.update((key, Equivalence(pair))
                     for key, pair in _one_row_per_key(equivalence, pairs))
     examples[_CLARIFY_KEY], examples[_REFUSE_KEY] = clarify, refuse
     evaluator = ResponseEvaluator(analysis)
     return VerdictTable(
         candidates=instance.candidates, thetas=thetas, decisive=decisive,
-        decided=decided, conditional=conditional, pairs=pairs, equivalence=equivalence,
+        decided=decided, pairs=pairs, equivalence=equivalence,
         clarify=clarify, refuse=refuse,
         verdicts={key: evaluator.evaluate(r) for key, r in examples.items()})
 
@@ -332,32 +335,35 @@ def evaluate_space(analysis: Analysis) -> VerdictTable:
 def check_trilemma(analysis: Analysis) -> TrilemmaReport:
     """The trilemma report of the response space, counted in closed form.
 
-    With n candidates, m criteria, g_w the criteria whose unique winner is
-    w (g in all), s the pairs in `_strong_ties`, and d = m + 1 Decisive
-    forms of the entailed winner, if any: the space holds n(m + 1) + 2^g - 1
-    + C(n, 2) + 2 responses; c_strong & nb_strict holds for d + s + 2 of
-    them plus the prod_w (2^g_w - 1) conditionals that cover every unique
-    winner (none when g = 0); the other two antecedents hold for the d
-    forms only, and under underdetermination those are the counterexamples
-    and every form's violations.  Builds no other response, so the count of
-    criteria is not capped.
+    With n candidates, m criteria, r = 1 with a default criterion and 0
+    without, g_w the criteria whose unique winner is w (g in all; one
+    outside P has none), s the pairs in `_strong_ties`, and d = m + 1
+    Decisive forms of the entailed winner, if any (then r = 0): the space
+    holds n(m + 1 + r) + 2^g - 1 + C(n, 2) + 2 responses; c_strong &
+    nb_strict holds for d + s + 2 of them plus the prod_w (2^g_w - 1)
+    conditionals that cover every unique winner (none when g = 0); the
+    other two antecedents hold for the d forms only, and under
+    underdetermination those are the counterexamples and every form's
+    violations.  Builds no other response, so the count of criteria is not
+    capped.
     """
     instance, semantics = analysis.instance, analysis.semantics
     n, m = len(instance.candidates), len(instance.criteria)
+    r = analysis.default is not None
     under, entailed = semantics.underdetermined, semantics.entailed
     won = Counter(analysis.unique_winners.values()).values()
     decided = sum(won)
     covering = math.prod(2 ** g_w - 1 for g_w in won) if decided else 0
     strong = len(_strong_ties(analysis))
     entailed_forms = () if entailed is None else tuple(
-        Decisive(entailed, theta) for theta in (None, *(c.name for c in instance.criteria)))
+        Decisive(entailed, theta) for theta in (None, *analysis.theta_winners))
     violations = entailed_forms if under else ()
     d = len(entailed_forms)
     witnesses = (d + covering + strong + 2, d, d)
     return TrilemmaReport(
         instance_id=instance.id,
         underdetermined=under,
-        responses_evaluated=n * (m + 1) + 2 ** decided - 1 + math.comb(n, 2) + 2,
+        responses_evaluated=n * (m + 1 + r) + 2 ** decided - 1 + math.comb(n, 2) + 2,
         counterexamples=violations,
         pairwise=tuple(PairwiseCheck(name, count, violations)
                        for name, count in zip(PAIRWISE_FORMS, witnesses)),

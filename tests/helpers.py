@@ -8,10 +8,11 @@ from functools import lru_cache
 from itertools import chain, combinations, product
 
 import numpy as np
+from hypothesis import strategies as st
 
 import udet
 from udet import cli
-from udet._kernels import max_min_margin
+from udet._kernels import max_min_margin, score
 from udet.dsl import SourceDocument, format_number, parse_instance
 from udet.model import (
     EPS_WEIGHT,
@@ -23,9 +24,11 @@ from udet.model import (
     BoundConstraint,
     CriterionSpec,
     Fact,
+    Immutable,
     Instance,
     OrdinalScale,
     PinConstraint,
+    PreferencePremise,
     validate,
 )
 from udet.semantics import (
@@ -35,6 +38,8 @@ from udet.semantics import (
     SemanticsResult,
     WinnerStats,
     _closure_matrix,
+    _weight_row,
+    _winners,
     admissible_set,
     compatible_answers,
     analyze,
@@ -42,6 +47,7 @@ from udet.semantics import (
 )
 from udet.policy import decide
 from udet.responses import (
+    Clarify,
     Conditional,
     Decisive,
     Equivalence,
@@ -53,17 +59,53 @@ from udet.trilemma import (
     PAIRWISE_FORMS,
     REFUSE_REASON,
     GeneratorConfig,
-    _check_enumerable,
     _pairs,
     _subsets,
-    _thetas,
+    check_enumerable,
     check_trilemma,
-    clarify_for,
     evaluate_space,
     generate_instance,
 )
 
 NEED_SCALE = OrdinalScale("need_scale", ("low", "moderate", "severe"))
+
+
+# --- lookups that only tests use ------------------------------------------------
+
+def attribute_by_name(instance: Instance, name: str) -> AttributeSchema:
+    return next(a for a in instance.attributes if a.name == name)
+
+
+def fact_value(instance: Instance, candidate: str, attribute: str) -> float | str:
+    return next(f.value for f in instance.facts
+                if f.candidate == candidate and f.attribute == attribute)
+
+
+def in_p(weights, adm: AdmissibleSet) -> bool:
+    """Whether `weights` lie in P within the tolerance a pin gets: each
+    weight within EPS_WEIGHT of its bounds, and their sum within EPS_WEIGHT
+    of 1."""
+    return (all(lo - EPS_WEIGHT <= w <= hi + EPS_WEIGHT
+                for lo, w, hi in zip(adm.lower, weights, adm.upper))
+            and abs(math.fsum(weights) - 1.0) <= EPS_WEIGHT)
+
+
+class WinnerOutcome(Immutable):
+    """The argmax set at one weight vector (nonempty, in candidate order)."""
+
+    winners: tuple[str, ...]
+
+    @property
+    def unique(self) -> str | None:
+        return self.winners[0] if len(self.winners) == 1 else None
+
+
+def winners_at(matrix: ScoreMatrix, theta: CriterionSpec) -> WinnerOutcome:
+    """Candidates within EPS_SCORE of the maximum score under `theta`, over
+    every candidate, whatever P and the compatible set are."""
+    weights = _weight_row(matrix.attributes, theta)
+    scores = [score(row, weights) for row in matrix.values]
+    return WinnerOutcome(_winners(matrix.candidates, scores))
 
 
 def build_scholarship(**overrides) -> Instance:
@@ -178,6 +220,73 @@ def near_tie_instance(drop: str = "", constraints: tuple = ()) -> Instance:
     inst = build_two_numeric("near", values, criteria=criteria, constraints=constraints)
     assert validate(inst) == []
     return inst
+
+
+@st.composite
+def constrained_instances(draw):
+    """Small instances with 1-6 attributes, coarse facts, criteria on
+    twentieths, and a pin or bounds on twentieths, plus preferences that
+    follow the candidate order, so they never form a cycle themselves, and
+    a decision required or not."""
+    n, k = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    cands = tuple(f"c{i + 1}" for i in range(n))
+    attrs = tuple(AttributeSchema(f"a{j + 1}", NUMERIC,
+                                  draw(st.sampled_from((HIGHER_BETTER, LOWER_BETTER))))
+                  for j in range(k))
+    facts = tuple(Fact(c, a.name, float(draw(st.integers(0, 4))))
+                  for c in cands for a in attrs)
+    criteria = []
+    for i in range(draw(st.integers(0, 3))):
+        cuts = sorted(draw(st.lists(st.integers(0, 20), min_size=k - 1, max_size=k - 1)))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, 20])]
+        criteria.append(CriterionSpec(f"k{i + 1}", tuple(
+            (a.name, p / 20) for a, p in zip(attrs, parts))))
+    if criteria and draw(st.booleans()):
+        constraints = (PinConstraint(draw(st.sampled_from(criteria)).name),)
+    else:
+        constraints = tuple(
+            BoundConstraint(a.name, draw(st.sampled_from(("<=", ">=", "="))),
+                            draw(st.integers(0, 20)) / 20)
+            for a in attrs if draw(st.booleans()) and draw(st.booleans()))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] < p[1]), max_size=2, unique=True))
+    inst = Instance(id="prop", question="", candidates=cands, attributes=attrs,
+                    facts=facts, criteria=tuple(criteria), constraints=constraints,
+                    preferences=tuple(PreferencePremise(cands[i], cands[j]) for i, j in pairs),
+                    decisiveness_required=draw(st.booleans()))
+    assert validate(inst) == []
+    return inst
+
+
+# Four instances where a criterion, or equal weights, outside P, or an answer
+# the premises exclude, could decide the response.  On x and y: A = (10, 0),
+# B = (0, 10), C = (6, 6), D = (7, 7), E = (4.5, 9.8).
+_POINTS = {"A": (10.0, 0.0), "B": (0.0, 10.0), "C": (6.0, 6.0), "D": (7.0, 7.0),
+           "E": (4.5, 9.8)}
+X_ONLY = CriterionSpec("x_only", (("x", 1.0), ("y", 0.0)))
+Y_ONLY = CriterionSpec("y_only", (("x", 0.0), ("y", 1.0)))
+EVEN = CriterionSpec("even", (("x", 0.5), ("y", 0.5)))
+
+
+def outside_p_instance(name: str) -> Instance:
+    """`bound`: A, B, D, E under x >= 0.6, a decision required; equal
+    weights lie outside P.  `preference`: A, B, C, A preferred to C, a
+    decision required; C leads at equal weights.  `conditional`: A, B, D
+    and the criteria x_only and y_only under x >= 0.4; y_only lies outside
+    P.  `verdicts`: A, B, C, the criteria x_only, y_only and even, under
+    x >= 0.4 with A preferred to C; A is entailed."""
+    cands, extra = {
+        "bound": ("ABDE", dict(constraints=(BoundConstraint("x", ">=", 0.6),),
+                               decisiveness_required=True)),
+        "preference": ("ABC", dict(preferences=(PreferencePremise("A", "C"),),
+                                   decisiveness_required=True)),
+        "conditional": ("ABD", dict(criteria=(X_ONLY, Y_ONLY),
+                                    constraints=(BoundConstraint("x", ">=", 0.4),))),
+        "verdicts": ("ABC", dict(criteria=(X_ONLY, Y_ONLY, EVEN),
+                                 constraints=(BoundConstraint("x", ">=", 0.4),),
+                                 preferences=(PreferencePremise("A", "C"),))),
+    }[name]
+    return build_two_numeric(name, {c: _POINTS[c] for c in cands}, **extra)
 
 
 @lru_cache(maxsize=1)
@@ -414,22 +523,22 @@ def enumerate_responses(analysis) -> tuple:
     `evaluate_space`.
 
     Order: Decisive by candidate (undisclosed criterion first, then each
-    declared criterion), Conditional over nonempty subsets of the criteria
+    declared criterion, then the default, if any), Conditional over nonempty subsets of the criteria
     that have a unique winner (by subset size, then declaration order),
     Equivalence over candidate pairs, one Clarify, one Refuse.  Conditionals
     and equivalences are built in their canonical form directly, without
     the coercion of public construction.
 
-    Raises ResponseSpaceTooLarge as `evaluate_space` does.
+    Raises ResponseSpaceTooLarge as `udet analyze` does (`check_enumerable`).
     """
     instance = analysis.instance
-    _check_enumerable(instance)
+    check_enumerable(instance)
     out = [Decisive(cand, theta)
-           for cand, theta in product(instance.candidates, _thetas(instance))]
+           for cand, theta in product(instance.candidates, (None, *analysis.theta_winners))]
     out += [_canonical(Conditional, "branches", subset)
             for subset in _subsets(tuple(analysis.unique_winners.items()))]
     out += [_canonical(Equivalence, "candidates", pair) for pair in _pairs(instance.candidates)]
-    out.append(clarify_for(instance))
+    out.append(Clarify(tuple(f"weight for {a}" for a in instance.attribute_names)))
     out.append(Refuse(REFUSE_REASON))
     return tuple(out)
 

@@ -353,6 +353,19 @@ def test_too_many_criteria_exit_2(corpus_dir, tmp_path):
     assert err == "error: 13 criteria declared; enumeration is capped at 12\n"
 
 
+def test_policy_serves_more_criteria_than_analyze_lists(corpus_dir, tmp_path):
+    source = (corpus_dir / "scholarship.udet").read_text()
+    source += "".join(f"criterion c{i} {{ gpa: {i / 16}, need: {1 - i / 16} }}\n"
+                      for i in range(11))  # 2 declared + 11 = 13 criteria
+    path = tmp_path / "crowded.udet"
+    path.write_text(source, encoding="utf-8")
+    for flags, branch in (([], "conditional"), (["--require-decision"],
+                                                "recommend_with_assumptions")):
+        code, out, err = run_cli(["policy", str(path), *flags])
+        assert (code, err) == (0, "")
+        assert out.startswith(f"branch: {branch}\n")
+
+
 def test_check_counts_past_the_enumeration_cap(corpus_dir, tmp_path):
     source = (corpus_dir / "scholarship.udet").read_text()
     source += "".join(f"criterion c{i} {{ gpa: {i / 16}, need: {1 - i / 16} }}\n"
@@ -440,16 +453,22 @@ def test_policy_branches(corpus_dir):
 
 
 def test_policy_require_decision_flag(corpus_dir):
+    # Equal weights tie A and B; merit_first is won by A alone, so its row
+    # ranks higher than the default column's.
     code, out, _ = run_cli(["policy", path_of(corpus_dir, "scholarship"),
                             "--require-decision"])
     assert code == 0
     assert "branch: recommend_with_assumptions" in out
-    assert "theta=uniform_default" in out
+    assert "response: decisive(A; theta=merit_first)" in out
     code, doc_out, _ = run_cli(["policy", path_of(corpus_dir, "scholarship"),
                                 "--require-decision", "--format", "json"])
     doc = json.loads(doc_out)
     assert doc["policy"]["branch"] == "recommend_with_assumptions"
-    assert doc["policy"]["response"]["declared_theta"] == "uniform_default"
+    assert doc["policy"]["response"]["declared_theta"] == "merit_first"
+    code, out, _ = run_cli(["policy", path_of(corpus_dir, "city_recommendation"),
+                            "--require-decision"])
+    assert code == 0
+    assert "response: decisive(bengaluru; theta=uniform_default)" in out
 
 
 def test_sweep_scholarship_exact_regions(corpus_dir):
@@ -628,7 +647,7 @@ def test_extreme_size_runs_every_command(tmp_path):
     path.write_text(serialize_instance(extreme_instance()), encoding="utf-8")
     outputs = []
     for argv in (["analyze", str(path), "--format", "json"], ["check", str(path)],
-                 ["policy", str(path)]):
+                 ["policy", str(path)], ["policy", str(path), "--require-decision"]):
         code, out, err = run_cli(argv)
         assert (code, err) == (0, ""), argv
         assert out and "error:" not in out and "Traceback" not in out
@@ -704,7 +723,7 @@ def fuzz_path(tmp_path_factory):
 
 
 @settings(max_examples=100, deadline=None)
-@given(entry=st.sampled_from(corpus.corpus_ids()), data=st.data())
+@given(entry=st.sampled_from([name for name, _ in corpus.EXPECTED]), data=st.data())
 def test_mutated_corpus_files_exit_cleanly_and_deterministically(fuzz_path, entry, data):
     lines = _mutate(corpus.load_source(entry).split("\n"), data)
     fuzz_path.write_text("\n".join(lines), encoding="utf-8")

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
-from udet.corpus import corpus_ids, load_corpus, load_source
+from helpers import winners_at
+
+from udet.corpus import EXPECTED, load_corpus, load_source
 from udet.dsl import parse_instance, serialize_instance
 from udet.model import validate
 from udet.policy import decide
-from udet.semantics import analyze, normalize, winners_at
+from udet.semantics import analyze, normalize
 
 
 def test_corpus_has_required_entries(corpus_entries):
@@ -15,7 +17,7 @@ def test_corpus_has_required_entries(corpus_entries):
                      "scholarship_pinned_need", "scholarship_require_decision",
                      "city_recommendation", "company_priorities"):
         assert required in ids
-    assert tuple(ids) == corpus_ids()
+    assert tuple(ids) == tuple(name for name, _ in EXPECTED)
 
 
 def test_every_entry_parses_and_validates(corpus_entries):

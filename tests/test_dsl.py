@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import attribute_by_name, fact_value
+
 from udet.dsl import ParseError, SourceDocument, parse_instance, serialize_instance
 from udet.model import NUMERIC, ORDINAL, validate
 from udet.trilemma import GeneratorConfig, generate_instance
@@ -24,11 +26,11 @@ def test_parses_scholarship_structure(scholarship):
     assert inst.id == "scholarship"
     assert inst.candidates == ("A", "B")
     assert inst.attribute_names == ("gpa", "need")
-    assert inst.attribute_by_name("gpa").kind == NUMERIC
-    assert inst.attribute_by_name("need").kind == ORDINAL
-    assert inst.attribute_by_name("need").scale == "need_scale"
-    assert inst.fact_value("A", "gpa") == 9.5
-    assert inst.fact_value("B", "need") == "severe"
+    assert attribute_by_name(inst, "gpa").kind == NUMERIC
+    assert attribute_by_name(inst, "need").kind == ORDINAL
+    assert attribute_by_name(inst, "need").scale == "need_scale"
+    assert fact_value(inst, "A", "gpa") == 9.5
+    assert fact_value(inst, "B", "need") == "severe"
     assert [c.name for c in inst.criteria] == ["merit_first", "need_first"]
     assert inst.criterion_by_name("merit_first").weight_map == {"gpa": 1.0, "need": 0.0}
     assert not inst.decisiveness_required
@@ -199,9 +201,9 @@ def test_comments_and_blank_lines(scholarship_text):
 
 def test_number_forms(scholarship_text):
     text = scholarship_text.replace("fact A.gpa = 9.5", "fact A.gpa = 9.5e0")
-    assert parse(text).fact_value("A", "gpa") == 9.5
+    assert fact_value(parse(text), "A", "gpa") == 9.5
     text = scholarship_text.replace("fact A.gpa = 9.5", "fact A.gpa = -2.5")
-    assert parse(text).fact_value("A", "gpa") == -2.5
+    assert fact_value(parse(text), "A", "gpa") == -2.5
 
 
 def test_numbers_take_ascii_digits_only(scholarship_text):
@@ -213,7 +215,7 @@ def test_numbers_take_ascii_digits_only(scholarship_text):
     assert (bad.line, bad.column) == (line, 16)
     for ascii_number, value in (("9.5", 9.5), ("09", 9.0), (".5", 0.5), ("1e1", 10.0)):
         text = scholarship_text.replace("fact A.gpa = 9.5", f"fact A.gpa = {ascii_number}")
-        assert parse(text).fact_value("A", "gpa") == value
+        assert fact_value(parse(text), "A", "gpa") == value
 
 
 def test_non_finite_numbers_rejected(scholarship_text):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import build_scholarship
+from helpers import build_scholarship, fact_value
 
 from udet.model import (
     NUMERIC,
@@ -172,9 +172,9 @@ def test_validation_is_order_stable():
 def test_instance_accessors():
     inst = build_scholarship()
     assert inst.attribute_names == ("gpa", "need")
-    assert inst.fact_value("A", "gpa") == 9.5
+    assert fact_value(inst, "A", "gpa") == 9.5
     assert inst.scale_by_name("need_scale").rank("severe") == 2
-    assert inst.criterion_by_name("merit_first").weight("gpa") == 1.0
+    assert inst.criterion_by_name("merit_first").weight_map["gpa"] == 1.0
     assert inst.pinned_criterion() is None
     pinned = inst.replace(constraints=(PinConstraint("merit_first"),))
     assert pinned.pinned_criterion() == "merit_first"

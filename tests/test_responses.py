@@ -8,10 +8,14 @@ from helpers import (
     build_scholarship,
     build_two_numeric,
     enumerate_responses,
+    evaluated_rows,
     invariants_ok,
+    outside_p_instance,
+    table_rows,
     triple,
 )
 
+from udet import cli
 from udet.errors import UndeclaredReference
 from udet.model import CriterionSpec, PinConstraint, PreferencePremise
 from udet.responses import (
@@ -24,7 +28,7 @@ from udet.responses import (
     u_assistive_score,
 )
 from udet.semantics import analyze
-from udet.trilemma import GeneratorConfig, check_trilemma, generate_instance
+from udet.trilemma import GeneratorConfig, check_trilemma, evaluate_space, generate_instance
 
 
 def evaluate(analysis, response):
@@ -232,3 +236,56 @@ def test_clarify_refuse_instance_independent(corpus_entries):
         for response in (Clarify(("criterion",)), Refuse("r")):
             v = evaluate(analysis, response)
             assert (v.c_strong, v.nb_strict, v.u_decisive) == (True, True, False)
+
+
+# --- verdicts stay inside the premises ------------------------------------------------
+
+def verdict_rows(name: str) -> dict:
+    """Each row of the listed space, rendered as `udet analyze` writes it, to
+    (C, Ccond, NB, NBt, Udec); the table's verdicts are `evaluate`'s."""
+    analysis = analyze(outside_p_instance(name))
+    rows = table_rows(evaluate_space(analysis))
+    assert rows == evaluated_rows(analysis)
+    assert check_trilemma(analysis).responses_evaluated == len(rows)
+    return {cli.render_response(r): (v.c_strong, v.c_cond, v.nb_strict, v.nb_transparent,
+                                     v.u_decisive) for r, v in rows}
+
+
+def test_the_default_column_rates_answers_at_the_nearest_admissible_weights():
+    # x >= 0.6 moves equal weights to (0.6, 0.4), where D leads A; E, which
+    # leads at equal weights, is not compatible.
+    rows = verdict_rows("bound")
+    assert len(rows) == 4 * 2 + 6 + 2
+    assert rows["decisive(D; theta=uniform_default)"] == (False, True, False, True, True)
+    for cand in "ABE":
+        assert rows[f"decisive({cand}; theta=uniform_default)"] == (
+            False, False, False, False, True)
+
+
+def test_the_default_column_names_only_compatible_leaders():
+    # C leads at equal weights, but A is preferred to it; A and B tie there.
+    rows = verdict_rows("preference")
+    for cand in "AB":
+        assert rows[f"decisive({cand}; theta=uniform_default)"] == (
+            False, False, False, True, True)
+    assert rows["decisive(C; theta=uniform_default)"] == (False, False, False, False, True)
+
+
+def test_a_criterion_outside_p_makes_no_conditional_branch():
+    rows = verdict_rows("conditional")
+    assert [r for r in rows if r.startswith("conditional")] == ["conditional(x_only->A)"]
+    assert rows["decisive(A; theta=x_only)"] == (False, True, False, True, True)
+    assert rows["decisive(B; theta=y_only)"] == (False, False, False, False, True)
+    assert rows["decisive(B)"] == (False, False, False, False, True)
+
+
+def test_a_criterion_outside_p_makes_no_answer_conditionally_correct():
+    # A is entailed; y_only lies outside P, and even, in P, is won by A
+    # once C is excluded.
+    rows = verdict_rows("verdicts")
+    assert not any("y_only->" in r for r in rows)
+    assert [r for r in rows if r.startswith("conditional")] == [
+        "conditional(x_only->A)", "conditional(even->A)", "conditional(x_only->A, even->A)"]
+    assert rows["decisive(C; theta=even)"] == (False, False, False, False, True)
+    assert rows["decisive(B; theta=y_only)"] == (False, False, False, False, True)
+    assert rows["decisive(A; theta=y_only)"] == (True, True, True, True, True)

@@ -15,16 +15,19 @@ from helpers import (
     admissible_grid,
     build_scholarship,
     build_two_numeric,
+    constrained_instances,
     dense_subdivisions,
     extreme_instance,
     grid_scores,
     grid_semantics,
     grid_statistics,
     grid_winner_stats,
+    in_p,
     near_tie_instance,
     numpy_winner_statistics,
     simplex_compositions,
     wide_instance,
+    winners_at,
 )
 
 from udet import _kernels
@@ -45,13 +48,13 @@ from udet.model import (
 )
 from udet.semantics import (
     EPS_SCORE,
+    ScoreMatrix,
     _in_polytope,
     admissible_set,
     analyze,
     exact_thresholds,
     normalize,
     winner_statistics,
-    winners_at,
 )
 from udet.trilemma import GeneratorConfig, generate_instance
 
@@ -604,12 +607,22 @@ def test_normalize_survives_a_range_that_overflows():
 # --- the analysis ---------------------------------------------------------------
 
 def test_criterion_winners_match_winners_at():
-    config = GeneratorConfig(seed=47, criteria_range=(0, 5))
+    # A criterion in P is won by the compatible answers that lead among the
+    # compatible ones (`winners_at` over their rows); one outside P by none.
+    config = GeneratorConfig(seed=47, criteria_range=(0, 5), bound_probability=0.4)
+    outside = 0
     for index in range(120):
         analysis = analyze(generate_instance(config, index))
         assert list(analysis.criterion_winners) == [c.name for c in analysis.instance.criteria]
+        compatible = analysis.semantics.compatible
+        rows = [analysis.matrix.values[analysis.matrix.candidates.index(c)] for c in compatible]
+        restricted = ScoreMatrix(compatible, analysis.matrix.attributes, tuple(rows))
         for crit in analysis.instance.criteria:
-            assert analysis.criterion_winners[crit.name] == winners_at(analysis.matrix, crit).winners
+            weights = [crit.weight_map[a] for a in analysis.adm.attributes]
+            expected = winners_at(restricted, crit).winners if in_p(weights, analysis.adm) else ()
+            outside += not expected
+            assert analysis.criterion_winners[crit.name] == expected
+    assert outside > 0
 
 
 def test_criterion_scores_are_bitwise_the_per_row_scores():
@@ -618,7 +631,12 @@ def test_criterion_scores_are_bitwise_the_per_row_scores():
     for index in range(60):
         analysis = analyze(generate_instance(config, index))
         attrs = analysis.matrix.attributes
+        assert list(analysis.criterion_scores) == [
+            c.name for c in analysis.instance.criteria
+            if in_p([c.weight_map[a] for a in attrs], analysis.adm)]
         for crit in analysis.instance.criteria:
+            if crit.name not in analysis.criterion_scores:
+                continue
             row = [crit.weight_map[a] for a in attrs]
             alone = _kernels.score_grid([row], analysis.matrix.values)[0]
             bits = list(map(float.hex, analysis.criterion_scores[crit.name]))
@@ -776,40 +794,6 @@ def assert_stats_are_the_reference(analysis):
         assert np.array_equal(np.array(got, dtype=bool), table), name
 
 
-@st.composite
-def constrained_instances(draw):
-    """Small instances with 1-6 attributes, coarse facts, criteria on
-    twentieths, and a pin or bounds on twentieths, plus preferences that
-    follow the candidate order, so they never form a cycle themselves."""
-    n, k = draw(st.integers(2, 6)), draw(st.integers(1, 6))
-    cands = tuple(f"c{i + 1}" for i in range(n))
-    attrs = tuple(AttributeSchema(f"a{j + 1}", NUMERIC,
-                                  draw(st.sampled_from((HIGHER_BETTER, LOWER_BETTER))))
-                  for j in range(k))
-    facts = tuple(Fact(c, a.name, float(draw(st.integers(0, 4))))
-                  for c in cands for a in attrs)
-    criteria = []
-    for i in range(draw(st.integers(0, 3))):
-        cuts = sorted(draw(st.lists(st.integers(0, 20), min_size=k - 1, max_size=k - 1)))
-        parts = [b - a for a, b in zip([0, *cuts], [*cuts, 20])]
-        criteria.append(CriterionSpec(f"k{i + 1}", tuple(
-            (a.name, p / 20) for a, p in zip(attrs, parts))))
-    if criteria and draw(st.booleans()):
-        constraints = (PinConstraint(draw(st.sampled_from(criteria)).name),)
-    else:
-        constraints = tuple(
-            BoundConstraint(a.name, draw(st.sampled_from(("<=", ">=", "="))),
-                            draw(st.integers(0, 20)) / 20)
-            for a in attrs if draw(st.booleans()) and draw(st.booleans()))
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                          .filter(lambda p: p[0] < p[1]), max_size=2, unique=True))
-    inst = Instance(id="prop", question="", candidates=cands, attributes=attrs,
-                    facts=facts, criteria=tuple(criteria), constraints=constraints,
-                    preferences=tuple(PreferencePremise(cands[i], cands[j]) for i, j in pairs))
-    assert validate(inst) == []
-    return inst
-
-
 @PROPERTY_SETTINGS
 @given(constrained_instances())
 def test_certified_stats_are_the_reference(inst):
@@ -872,7 +856,10 @@ def test_a_criterion_outside_the_polytope_certifies_nothing():
         constraints=(BoundConstraint("z", "<=", 0.1),))
     assert validate(inst) == []
     analysis = analyze(inst)
-    assert analysis.criterion_winners["z_heavy"] == ("D",)
+    assert winners_at(analysis.matrix, inst.criteria[0]).winners == ("D",)
+    # outside P, z_heavy decides nothing, and has no scores to tie
+    assert analysis.criterion_winners == {"z_heavy": ()}
+    assert analysis.criterion_scores == {}
     assert analysis.stats.ever_unique == (True, True, False)
     assert analysis.stats.in_winner_set == (True, True, False)
     assert analysis.semantics.compatible == ("A", "B")

@@ -42,10 +42,11 @@ def space_for(instance):
     return enumerate_responses(analysis), analysis.semantics
 
 
-def response_space_bound(n: int, m: int) -> int:
+def response_space_bound(n: int, m: int, r: int = 0) -> int:
     """Decisive forms, conditionals over criterion subsets, equivalence
-    pairs, clarify and refuse, for n candidates and m criteria."""
-    return n * (1 + m) + 2 ** m + (n * (n - 1)) // 2 + 2
+    pairs, clarify and refuse, for n candidates, m criteria and r = 1 when
+    the analysis has a default criterion."""
+    return n * (1 + m + r) + 2 ** m + (n * (n - 1)) // 2 + 2
 
 
 def test_scholarship_response_space(scholarship):
@@ -227,7 +228,7 @@ def test_response_space_bound_formula(scholarship):
         analysis = analyze(generate_instance(config, index))
         n, m = len(analysis.instance.candidates), len(analysis.instance.criteria)
         size = len(enumerate_responses(analysis))
-        bound = response_space_bound(n, m)
+        bound = response_space_bound(n, m, analysis.default is not None)
         assert size <= bound
         assert (size == bound - 1) == (len(analysis.unique_winners) == m)
 

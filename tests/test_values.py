@@ -33,7 +33,6 @@ from udet.semantics import (
     Analysis,
     ScoreMatrix,
     SemanticsResult,
-    WinnerOutcome,
     WinnerStats,
 )
 from udet.trilemma import GeneratorConfig, PairwiseCheck, TrilemmaReport, VerdictTable
@@ -66,15 +65,14 @@ VALUES = [
     (Refuse, ("reason",), "other"),
     (Verdict, (True, True, False, True, False, 0.75, False), False),
     (ScoreMatrix, (("A", "B"), ("x",), ((1.0,), (0.0,))), ("B", "A")),
-    (WinnerOutcome, (("A",),), ("B",)),
     (AdmissibleSet, (("x",), (1.0,), (1.0,)), ("y",)),
     (SemanticsResult, (("A",), False, "A", ()), ("B",)),
     (WinnerStats, tuple(getattr(STATS, f) for f in WinnerStats.__slots__), ("B", "A")),
     (Analysis, (INSTANCE, MATRIX, ADM, STATS, ((False, True), (False, False)), SEMANTICS,
-                {}, {}), INSTANCE.replace(id="j")),
+                {}, {}, None, (), {}), INSTANCE.replace(id="j")),
     (PairwiseCheck, ("p", 1, (Decisive("A"),)), "q"),
     (TrilemmaReport, ("i", False, 9, (), (), Decisive("A")), "j"),
-    (VerdictTable, (("A", "B"), (None,), (9, 1), (), (), (("A", "B"),), (18,),
+    (VerdictTable, (("A", "B"), (None,), (9, 1), (), (("A", "B"),), (18,),
                     Clarify(("weight for x",)), Refuse("reason"), ((22, VERDICT),)), ("B",)),
     (GeneratorConfig, (1, (2, 3), (1, 2), (0, 1), 0.1, 0.2, 0.3, 0.4), 2),
     (PolicyDecision, ("direct", Decisive("A"), "why"), "clarify"),
