@@ -12,11 +12,14 @@
   negative reduced cost and falls back to Bland's rule on a run of
   degenerate steps, so the same input always takes the same steps.
 
-All but the linear program run on plain Python floats, lists and tuples.
-The linear program uses numpy, imported on its first call: a run whose
-margins the pairwise bounds and the certifying weight vectors decide never
-loads numpy, whose import costs more than the rest of a cold ``udet
-analyze``.  Nothing here imports scipy.
+Everything runs on plain Python floats, lists and tuples, except a linear
+program of more than `_PLAIN_LP_SIZE` (64) coefficients, rows times
+attributes.  Such a program goes to numpy, imported on its first call,
+where it is faster from about 30 x 5 on; a smaller one runs up to 2.4
+times as fast on lists (`max_min_margin` gives the measured crossover).
+Both solvers take the same pivot rules.  So a desk-size ``udet analyze``
+never loads numpy, whose import costs more than the rest of a cold run.
+Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ _TOL = 1e-12
 
 # Degenerate simplex steps in a row after which pricing turns to Bland's rule.
 _DEGENERATE_RUN = 5
+
+# The most coefficients (rows times attributes) of a margin program solved
+# on plain Python lists; larger programs go to numpy.
+_PLAIN_LP_SIZE = 64
 
 
 def score(row: Sequence[float], weights: Sequence[float]) -> float:
@@ -120,9 +127,21 @@ def max_min_margin(coef: Sequence[Sequence[float]], lower: Sequence[float],
     out where room_i >= budget, since sum(v) = budget implies that bound.
     The search starts at y = the first row, mu = that row's largest
     coefficient and every other surplus s_i basic: a feasible basis.
+
+    A program with at most `_PLAIN_LP_SIZE` coefficients (rows times
+    attributes) is solved on plain Python lists (`_plain_simplex_min`), a
+    larger one by numpy (`_simplex_min`).  Both take the same columns in
+    the same order under the same pivot rules.  Measured per program on
+    one x86_64 core, plain Python was faster at 2 x 2 (29 against 70 us),
+    10 x 5, 30 x 2 and 16 x 4; numpy was faster at 30 x 5 (141 against
+    182 us) and 255 x 20 (1.4 against 10.5 ms).
     """
     if len(coef) == 0:
         return math.inf
+    if len(coef) * len(lower) <= _PLAIN_LP_SIZE:
+        lower, upper = list(map(float, lower)), list(map(float, upper))
+        return _plain_simplex_min([list(map(float, row)) for row in coef], lower,
+                                  *_room(lower, upper))
     import numpy as np
 
     room, budget = _room(lower, upper)
@@ -145,6 +164,89 @@ def max_min_margin(coef: Sequence[Sequence[float]], lower: Sequence[float],
     basis = [0, m if coef[0, top] >= 0.0 else m + 1]
     basis += [surplus + i for i in range(k) if i != top]
     return _simplex_min(cost, a, np.eye(k + 1)[0], np.array(basis))
+
+
+def _plain_simplex_min(coef: list[list[float]], lower: list[float], room: list[float],
+                       budget: float) -> float:
+    """The dual program of `max_min_margin` on Python lists: the revised
+    simplex of `_simplex_min`, with the same columns, starting basis and
+    pivot rules.
+
+    The inverse of the starting basis is written down in closed form; its
+    rows give y_0 = r_0, mu = sigma (c_0[top] r_0 + r_top) and s_i =
+    (c_0[top] - c_0[i]) r_0 + r_top - r_i for a right-hand side r, with
+    rows 1..k of r indexed by attribute.  Each pivot updates the inverse by
+    one rank-one step.  Pricing reads the dual vector pi = c_B B^-1: the
+    reduced cost of row r's column is ``coef[r] . (lower + pi[1:]) -
+    pi[0]``, one `score` per row.
+    """
+    m, k = len(coef), len(lower)
+    capped = [i for i in range(k) if room[i] < budget]
+    surplus = m + 2 + len(capped)
+    cost = [score(row, lower) for row in coef]
+    cost += [budget, -budget, *(room[i] for i in capped), *[0.0] * k]
+
+    def column(j: int) -> list[float]:
+        if j < m:
+            return [1.0, *(-c for c in coef[j])]
+        if j < m + 2:
+            return [0.0, *[1.0 if j == m else -1.0] * k]
+        col = [0.0] * (k + 1)
+        if j < surplus:
+            col[1 + capped[j - m - 2]] = 1.0
+        else:
+            col[1 + j - surplus] = -1.0
+        return col
+
+    first = coef[0]
+    top = first.index(max(first))
+    sign = 1.0 if first[top] >= 0.0 else -1.0
+    basis = [0, m if sign > 0.0 else m + 1] + [surplus + i for i in range(k) if i != top]
+    inverse = [[1.0] + [0.0] * k, [0.0] * (k + 1)]
+    inverse[1][0], inverse[1][1 + top] = sign * first[top], sign
+    for i in range(k):
+        if i != top:
+            row = [0.0] * (k + 1)
+            row[0], row[1 + top], row[1 + i] = first[top] - first[i], 1.0, -1.0
+            inverse.append(row)
+    skip = set()
+    degenerate = 0
+    while True:
+        cost_basis = [cost[j] for j in basis]
+        x = [max(row[0], 0.0) for row in inverse]  # basic values; below 0 only by round-off
+        pi = [score(cost_basis, col) for col in zip(*inverse)]
+        dual = pi[1:]
+        w = [lo + p for lo, p in zip(lower, dual)]
+        total = sum(dual)
+        reduced = [score(row, w) - pi[0] for row in coef]
+        reduced += [budget - total, total - budget, *(room[i] - dual[i] for i in capped), *dual]
+        for j in basis:
+            reduced[j] = 0.0
+        entering = [j for j, r in enumerate(reduced) if r < -_TOL and j not in skip]
+        if not entering:
+            return score(cost_basis, x)
+        if degenerate < _DEGENERATE_RUN:
+            col = min(entering, key=reduced.__getitem__)
+        else:
+            col = entering[0]
+        entering_column = column(col)
+        step = [score(row, entering_column) for row in inverse]
+        rows = [p for p, d in enumerate(step) if d > _PIVOT_TOL]
+        if not rows:
+            if reduced[col] < -_PIVOT_TOL:
+                raise ValueError("the linear program is unbounded")
+            skip.add(col)  # a reduced cost of round-off size
+            continue
+        ratios = [x[p] / step[p] for p in rows]
+        least = min(ratios)
+        leaving = min((p for p, r in zip(rows, ratios) if r <= least + _TOL),
+                      key=basis.__getitem__)
+        pivot = [v / step[leaving] for v in inverse[leaving]]
+        inverse = [pivot if p == leaving else [v - d * u for v, u in zip(row, pivot)]
+                   for p, (row, d) in enumerate(zip(inverse, step))]
+        basis[leaving] = col
+        skip.clear()
+        degenerate = degenerate + 1 if least <= _TOL else 0
 
 
 def _simplex_min(cost, a, b, basis) -> float:

@@ -579,19 +579,27 @@ def test_udet_error_exits_2_with_one_line(monkeypatch, tmp_path):
     assert (code, out, err) == (2, "", "error: entry 'x' failed to parse\n")
 
 
-def test_unbounded_margin_lp_exits_2_with_one_line(monkeypatch, tmp_path):
-    # The simplex raises this only on round-off; it must not end in a traceback.
+def middle_instance_text() -> str:
     # C wins only between the vertices, where no certificate looks, so its
-    # margin goes to the linear program.
+    # margin goes to the linear program, a desk-size one of 2 x 2.
+    return serialize_instance(build_two_numeric(
+        "middle", {"A": (10.0, 0.0), "B": (0.0, 10.0), "C": (6.0, 6.0)}))
+
+
+def test_unbounded_margin_lp_exits_2_with_one_line(monkeypatch, tmp_path):
+    # Either simplex raises this only on round-off; it must not end in a
+    # traceback.  The size rule sends the program to the patched solver.
     def unbounded(*args):
         raise ValueError("the linear program is unbounded")
 
-    monkeypatch.setattr(_kernels, "_simplex_min", unbounded)
     path = tmp_path / "middle.udet"
-    path.write_text(serialize_instance(build_two_numeric(
-        "middle", {"A": (10.0, 0.0), "B": (0.0, 10.0), "C": (6.0, 6.0)})), encoding="utf-8")
-    code, out, err = run_cli(["analyze", str(path)])
-    assert (code, out, err) == (2, "", "error: the linear program is unbounded\n")
+    path.write_text(middle_instance_text(), encoding="utf-8")
+    for solver, size in (("_plain_simplex_min", _kernels._PLAIN_LP_SIZE), ("_simplex_min", 0)):
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "_PLAIN_LP_SIZE", size)
+            patch.setattr(_kernels, solver, unbounded)
+            code, out, err = run_cli(["analyze", str(path)])
+        assert (code, out, err) == (2, "", "error: the linear program is unbounded\n"), solver
 
 
 # Modules a cold command must not load.  numpy's import is most of a cold
@@ -600,14 +608,23 @@ def test_unbounded_margin_lp_exits_2_with_one_line(monkeypatch, tmp_path):
 COLD_UNUSED = ("ast", "dataclasses", "datetime", "dis", "inspect", "numpy", "tokenize")
 
 
-def test_corpus_commands_never_import_numpy(corpus_dir):
-    # The margin LP, which no corpus file reaches, and `check --random` are
-    # the only paths that load numpy.
+def test_corpus_commands_never_import_numpy(corpus_dir, tmp_path):
+    # Only a margin LP of more than `_kernels._PLAIN_LP_SIZE` coefficients
+    # and `check --random` load numpy.  No corpus file reaches the LP; the
+    # middle file reaches a desk-size one, which plain Python solves.
+    middle = tmp_path / "middle.udet"
+    middle.write_text(middle_instance_text(), encoding="utf-8")
     child = textwrap.dedent("""
         import io, sys
         from pathlib import Path
-        from udet import cli
+        from udet import _kernels, cli
         from udet.dsl import SourceDocument, parse_instance
+        solved = []
+        solve = _kernels.max_min_margin
+        def counted(*args):
+            solved.append(args)
+            return solve(*args)
+        _kernels.max_min_margin = counted
         codes = []
         for path in sorted(Path(sys.argv[1]).glob("*.udet")):
             f = str(path)
@@ -617,13 +634,17 @@ def test_corpus_commands_never_import_numpy(corpus_dir):
                          ["analyze", f, "--require-decision", "--format", "json"],
                          ["policy", f], ["check", f], ["sweep", f, *pair]):
                 codes.append(cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO()))
-        print(len(codes), sorted(set(codes)), [m for m in sys.argv[2:] if m in sys.modules])
+        corpus_lps = len(solved)
+        for argv in (["analyze", sys.argv[2]], ["policy", sys.argv[2]], ["check", sys.argv[2]]):
+            codes.append(cli.main(argv, stdout=io.StringIO(), stderr=io.StringIO()))
+        print(len(codes), sorted(set(codes)), corpus_lps, len(solved),
+              [m for m in sys.argv[3:] if m in sys.modules])
         """)
     src = str(Path(udet.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", child, str(corpus_dir), *COLD_UNUSED],
-                          capture_output=True, text=True, check=False, env=env)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "49 [0] []\n", "")
+    proc = subprocess.run([sys.executable, "-c", child, str(corpus_dir), str(middle),
+                           *COLD_UNUSED], capture_output=True, text=True, check=False, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "52 [0] 0 3 []\n", "")
 
     # One request as a user runs it; -X importtime lists every module loaded.
     # `site` may load `importlib.resources` itself, so only a run without it

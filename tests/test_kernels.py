@@ -3,6 +3,7 @@ compare the exact semantics with."""
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -258,12 +259,25 @@ def highs_max_min_margin(optimize, coef, lower, upper) -> float:
     return -res.fun
 
 
-def test_max_min_margin_matches_highs():
+# `_PLAIN_LP_SIZE` values that send every margin program to numpy, and
+# every one to plain Python.
+LP_PATHS = {"numpy": 0, "plain": math.inf}
+
+
+def lp_paths(monkeypatch):
+    """Yield each path's name, with `max_min_margin` set to take that path."""
+    for name, size in LP_PATHS.items():
+        monkeypatch.setattr(K, "_PLAIN_LP_SIZE", size)
+        yield name
+
+
+def test_max_min_margin_matches_highs(monkeypatch):
     optimize = pytest.importorskip("scipy.optimize")
     for coef, lower, upper in random_box_simplex_lps(5, 600):
-        got = K.max_min_margin(coef, lower, upper)
-        assert abs(got - highs_max_min_margin(optimize, coef, lower, upper)) <= 1e-12, (
-            coef, lower, upper)
+        expected = highs_max_min_margin(optimize, coef, lower, upper)
+        for path in lp_paths(monkeypatch):
+            got = K.max_min_margin(coef, lower, upper)
+            assert abs(got - expected) <= 1e-12, (path, coef, lower, upper)
 
 
 @pytest.mark.parametrize("degenerate_run", [K._DEGENERATE_RUN, 0])
@@ -280,21 +294,60 @@ def test_max_min_margin_matches_highs_at_256_candidates(monkeypatch, degenerate_
     for lower, upper in boxes:
         for a in range(8):
             coef = values[a] - np.delete(values, a, axis=0)
-            got = K.max_min_margin(coef, lower, upper)
-            assert abs(got - highs_max_min_margin(optimize, coef, lower, upper)) <= 1e-12, a
+            expected = highs_max_min_margin(optimize, coef, lower, upper)
+            for path in lp_paths(monkeypatch):
+                got = K.max_min_margin(coef, lower, upper)
+                assert abs(got - expected) <= 1e-12, (path, a)
 
 
-def test_max_min_margin_lies_between_the_pairwise_bounds():
+def test_max_min_margin_lies_between_the_pairwise_bounds(monkeypatch):
     # without scipy: the margin is at least every vertex's worst row and at
     # most every row's best value, and repeats exactly
     for coef, lower, upper in random_box_simplex_lps(7, 200):
         vertices = box_simplex_vertices(lower, upper)
-        got = K.max_min_margin(coef, lower, upper)
-        assert got >= (coef @ vertices.T).min(axis=0).max() - 1e-12
-        assert got <= -max(K.box_simplex_min((-coef).tolist(), tuple(lower.tolist()),
-                                             tuple(upper.tolist()))) + 1e-12
-        assert got == K.max_min_margin(coef, lower, upper)
+        least = (coef @ vertices.T).min(axis=0).max() - 1e-12
+        most = -max(K.box_simplex_min((-coef).tolist(), tuple(lower.tolist()),
+                                      tuple(upper.tolist()))) + 1e-12
+        for path in lp_paths(monkeypatch):
+            got = K.max_min_margin(coef, lower, upper)
+            assert least <= got <= most, path
+            assert got == K.max_min_margin(coef, lower, upper), path
 
 
-def test_max_min_margin_without_rows_is_unbounded():
-    assert K.max_min_margin(np.empty((0, 3)), np.zeros(3), np.ones(3)) == np.inf
+def test_max_min_margin_without_rows_is_unbounded(monkeypatch):
+    for path in lp_paths(monkeypatch):
+        assert K.max_min_margin(np.empty((0, 3)), np.zeros(3), np.ones(3)) == np.inf, path
+
+
+def test_the_two_lp_paths_agree_and_repeat(monkeypatch):
+    # The paths pivot by the same rules, so they agree to round-off, and
+    # each gives the same value for arrays and for the lists `semantics`
+    # passes.  The degenerate 80-row programs exercise Bland's rule.
+    for coef, lower, upper in random_box_simplex_lps(11, 600):
+        got = {}
+        for path in lp_paths(monkeypatch):
+            got[path] = K.max_min_margin(coef, lower, upper)
+            assert K.max_min_margin(coef, lower, upper) == got[path], path
+            assert K.max_min_margin(coef.tolist(), tuple(lower.tolist()),
+                                    tuple(upper.tolist())) == got[path], path
+        assert abs(got["numpy"] - got["plain"]) <= 1e-12, (coef, lower, upper)
+
+
+def test_the_size_rule_picks_the_path(monkeypatch):
+    # Programs of at most `_PLAIN_LP_SIZE` coefficients never reach numpy's
+    # solver, larger ones never reach the plain one, such as one candidate
+    # against 255 rivals on 20 attributes.
+    def refuse(*args):
+        raise AssertionError("wrong path")
+
+    rng = np.random.default_rng(23)
+    size = K._PLAIN_LP_SIZE
+    for rows, attributes, solver in ((1, 2, "_simplex_min"), (size // 4, 4, "_simplex_min"),
+                                     (size // 4 + 1, 4, "_plain_simplex_min"),
+                                     (255, 20, "_plain_simplex_min")):
+        coef = rng.random((rows, attributes)) - 0.5
+        lower, upper = np.zeros(attributes), np.ones(attributes)
+        expected = K.max_min_margin(coef, lower, upper)
+        with monkeypatch.context() as patch:
+            patch.setattr(K, solver, refuse)
+            assert K.max_min_margin(coef, lower, upper) == expected
