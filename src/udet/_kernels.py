@@ -5,8 +5,6 @@
   order.
 - `box_simplex_min` gives min over P of ``c . w`` for many coefficient rows,
   in closed form: the greedy fill of a continuous knapsack.
-  `box_simplex_argmax` gives the vertex of P where the same fill, spent on
-  the largest coefficients first, maximizes ``c . w``.
 - `max_min_margin` gives max over P of min_r ``c_r . w``, a small linear
   program, solved as its dual by a revised simplex that prices by the most
   negative reduced cost and falls back to Bland's rule on a run of
@@ -93,21 +91,6 @@ def box_simplex_min(coef: Iterable[Sequence[float]], lower: Sequence[float],
     """
     room, budget = _room(lower, upper)
     return [score(row, lower) + _least_fill(row, room, budget) for row in coef]
-
-
-def box_simplex_argmax(row: Sequence[float], lower: Sequence[float],
-                       upper: Sequence[float]) -> list[float]:
-    """A vertex of P where ``row . w`` is greatest: start at `lower`, then
-    spend the budget on the largest coefficients first."""
-    room, budget = _room(lower, upper)
-    w = list(lower)
-    for j in sorted(range(len(row)), key=row.__getitem__, reverse=True):
-        if budget <= 0.0:
-            break
-        step = min(room[j], budget)
-        w[j] += step
-        budget -= step
-    return w
 
 
 def max_min_margin(coef: Sequence[Sequence[float]], lower: Sequence[float],

@@ -13,16 +13,14 @@ change them, and computing them needs no numpy.
 Every instance takes the same exact path, whatever its attribute count and
 whether a pin or bounds shape P: pairwise score differences are minimized
 over P in closed form, which brackets each candidate's winning margin.
-Where the bracket leaves a verdict open, a weight vector in P can certify
-it; only where none does, a small linear program decides where the
-candidate can win (`_kernels`).
+Where the bracket leaves a verdict open, a small linear program decides
+where the candidate can win (`_kernels`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable
 from operator import sub
 
 from . import _kernels
@@ -290,19 +288,7 @@ def _decided(t: float, t_hi: float) -> bool:
     return (t > EPS_SCORE) == (t_hi > EPS_SCORE) and (t >= -EPS_SCORE) == (t_hi >= -EPS_SCORE)
 
 
-def _least_clearing(leads: Iterable[float], strict: bool) -> float | None:
-    """The least of `leads` if each clears the threshold, > EPS_SCORE when
-    `strict` and >= -EPS_SCORE when not; None at the first that does not."""
-    least = math.inf
-    for lead in leads:
-        if not (lead > EPS_SCORE if strict else lead >= -EPS_SCORE):
-            return None
-        least = min(least, lead)
-    return least
-
-
-def winner_statistics(matrix: ScoreMatrix, adm: AdmissibleSet,
-                      witnesses: Iterable[tuple[Vector, Vector]] = ()) -> WinnerStats:
+def winner_statistics(matrix: ScoreMatrix, adm: AdmissibleSet) -> WinnerStats:
     """Exact winner facts over the admissible polytope P.
 
     `beats_all` and `tie_all` read the minimum and maximum over P of each
@@ -315,14 +301,7 @@ def winner_statistics(matrix: ScoreMatrix, adm: AdmissibleSet,
     to a candidate that some rival beats everywhere.  The rivals that some
     candidate beats everywhere never decide either test, so they are left
     out, and where one rival is left, t is its pairwise maximum.  Otherwise
-    a's least lead over the rivals at any w in P is a lower bound on t, an
-    exact certificate, which decides both tests when it clears the
-    threshold that the upper end lies above.  The certificates tried are,
-    in order, each of `witnesses`, (weight vector, scores) pairs such as
-    the declared criteria, whose vector lies in P (`_in_polytope`), and the
-    vertex of P that maximizes s_a - s_b for the rival b that binds the
-    upper end.  Only a bracket that none of them decides goes to the linear
-    program (`_kernels.max_min_margin`).
+    the linear program gives t (`_kernels.max_min_margin`).
     """
     m = matrix.values
     lo = [_kernels.box_simplex_min([list(map(sub, m_a, m_b)) for m_b in m], adm.lower, adm.upper)
@@ -332,46 +311,20 @@ def winner_statistics(matrix: ScoreMatrix, adm: AdmissibleSet,
     tie_all = tuple(tuple(d >= -EPS_SCORE and h <= EPS_SCORE for d, h in zip(row, row_hi))
                     for row, row_hi in zip(lo, hi))
     beaten = [any(col) for col in zip(*beats_all)]
-    certified = [scores for w, scores in witnesses if _in_polytope(w, adm)]
     margin = []
     for a, (row, row_hi) in enumerate(zip(lo, hi)):
-        rival_lo, rival_hi = row[:a] + row[a + 1:], row_hi[:a] + row_hi[a + 1:]
-        t = min(rival_lo, default=math.inf)
-        t_hi = min(rival_hi, default=math.inf)
+        t = min(row[:a] + row[a + 1:], default=math.inf)
+        t_hi = min(row_hi[:a] + row_hi[a + 1:], default=math.inf)
         if not _decided(t, t_hi):
             rivals = [b for b, out in enumerate(beaten) if b != a and not out]
             if len(rivals) == 1:
                 t = row_hi[rivals[0]]
             else:
-                binding = rival_hi.index(t_hi)
-                binding += binding >= a
-                t = _margin(matrix, adm, a, rivals, t_hi, binding, certified)
+                t = _kernels.max_min_margin([list(map(sub, m[a], m[b])) for b in rivals],
+                                            adm.lower, adm.upper)
         margin.append(t)
     return WinnerStats(matrix.candidates, tuple(t > EPS_SCORE for t in margin),
                        tuple(t >= -EPS_SCORE for t in margin), beats_all, tie_all)
-
-
-def _margin(matrix: ScoreMatrix, adm: AdmissibleSet, a: int, rivals: list[int],
-            t_hi: float, binding: int, certified: list[Vector]) -> float:
-    """Candidate a's margin over `rivals`, or a lower bound on it that
-    decides both winner tests, when its bracket straddles a threshold.
-    A weight vector in P decides them when a's lead over every rival there
-    clears the threshold that the upper end `t_hi` lies above; see
-    `winner_statistics`."""
-    m = matrix.values
-    strict = t_hi > EPS_SCORE
-    for scores in certified:
-        bound = _least_clearing((scores[a] - scores[b] for b in rivals), strict)
-        if bound is not None:
-            return bound
-    vertex = _kernels.box_simplex_argmax(list(map(sub, m[a], m[binding])),
-                                         adm.lower, adm.upper)
-    lead = _kernels.score(m[a], vertex)
-    bound = _least_clearing((lead - _kernels.score(m[b], vertex) for b in rivals), strict)
-    if bound is not None:
-        return bound
-    return _kernels.max_min_margin([list(map(sub, m[a], m[b])) for b in rivals],
-                                   adm.lower, adm.upper)
 
 
 # Maps a row of bools, as bytes, to its binary digits.
@@ -491,10 +444,9 @@ class Analysis(Immutable, eq=False):
 def analyze(instance: Instance) -> Analysis:
     """Compute the semantics of a validated instance once.
 
-    The criterion rows are scored in one `score_grid` call before the
-    winner statistics, which take each criterion in P as a witness; each
-    row is what scoring it alone gives, since every entry is accumulated on
-    its own.  The default is equal weights projected onto P (`_project`).
+    The criterion rows are scored in one `score_grid` call; each row is
+    what scoring it alone gives, since every entry is accumulated on its
+    own.  The default is equal weights projected onto P (`_project`).
 
     Raises InfeasibleConstraints and ContradictoryPremises.
     """
@@ -503,7 +455,7 @@ def analyze(instance: Instance) -> Analysis:
     crits = instance.criteria
     weights = [_weight_row(matrix.attributes, c) for c in crits]
     scores = _kernels.score_grid(weights, matrix.values)
-    stats = winner_statistics(matrix, adm, zip(weights, scores))
+    stats = winner_statistics(matrix, adm)
     closure = _closure_matrix(instance, stats)
     semantics = compatible_answers(instance, stats, closure)
     keep = list(map(set(semantics.compatible).__contains__, matrix.candidates))

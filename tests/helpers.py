@@ -464,8 +464,7 @@ def grid_semantics(instance: Instance, total: int) -> SemanticsResult:
 #
 # The vectorized form the program had before its semantics went to plain
 # Python: every pairwise extreme by one numpy greedy fill, and the margin
-# linear program for every candidate whose bracket straddles a threshold,
-# with no certificate first.
+# linear program for every candidate whose bracket straddles a threshold.
 
 
 def numpy_box_simplex_min(coef, lower, upper) -> np.ndarray:

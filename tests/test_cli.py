@@ -580,8 +580,8 @@ def test_udet_error_exits_2_with_one_line(monkeypatch, tmp_path):
 
 
 def middle_instance_text() -> str:
-    # C wins only between the vertices, where no certificate looks, so its
-    # margin goes to the linear program, a desk-size one of 2 x 2.
+    # C wins only between the vertices, where neither pairwise bracket
+    # decides, so its margin goes to the linear program, a desk-size 2 x 2.
     return serialize_instance(build_two_numeric(
         "middle", {"A": (10.0, 0.0), "B": (0.0, 10.0), "C": (6.0, 6.0)}))
 
@@ -610,8 +610,8 @@ COLD_UNUSED = ("ast", "dataclasses", "datetime", "dis", "inspect", "numpy", "tok
 
 def test_corpus_commands_never_import_numpy(corpus_dir, tmp_path):
     # Only a margin LP of more than `_kernels._PLAIN_LP_SIZE` coefficients
-    # and `check --random` load numpy.  No corpus file reaches the LP; the
-    # middle file reaches a desk-size one, which plain Python solves.
+    # and `check --random` load numpy.  The corpus files reach 36 LPs and the
+    # middle file 9, each of them desk-size, which plain Python solves.
     middle = tmp_path / "middle.udet"
     middle.write_text(middle_instance_text(), encoding="utf-8")
     child = textwrap.dedent("""
@@ -644,7 +644,7 @@ def test_corpus_commands_never_import_numpy(corpus_dir, tmp_path):
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", child, str(corpus_dir), str(middle),
                            *COLD_UNUSED], capture_output=True, text=True, check=False, env=env)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "52 [0] 0 3 []\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "52 [0] 36 45 []\n", "")
 
     # One request as a user runs it; -X importtime lists every module loaded.
     # `site` may load `importlib.resources` itself, so only a run without it

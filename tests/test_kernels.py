@@ -228,17 +228,6 @@ def test_box_simplex_min_is_the_least_vertex_value():
                            rtol=0.0, atol=1e-12)
 
 
-def test_box_simplex_argmax_is_a_greatest_vertex():
-    for coef, lower, upper in random_box_simplex_lps(17, 300):
-        vertices = box_simplex_vertices(lower, upper)
-        lower, upper = tuple(lower.tolist()), tuple(upper.tolist())
-        for row in coef[:3].tolist():
-            w = K.box_simplex_argmax(row, lower, upper)
-            assert abs(sum(w) - 1.0) <= 1e-12
-            assert all(lo <= x <= hi for lo, x, hi in zip(lower, w, upper))
-            assert abs(K.score(row, w) - (vertices @ row).max()) <= 1e-12
-
-
 def test_box_simplex_min_at_a_point_is_the_dot_product():
     rng = np.random.default_rng(19)
     coef = (rng.random((5, 4)) - 0.5).tolist()
@@ -317,6 +306,17 @@ def test_max_min_margin_lies_between_the_pairwise_bounds(monkeypatch):
 def test_max_min_margin_without_rows_is_unbounded(monkeypatch):
     for path in lp_paths(monkeypatch):
         assert K.max_min_margin(np.empty((0, 3)), np.zeros(3), np.ones(3)) == np.inf, path
+
+
+def test_simplex_skips_a_reduced_cost_of_round_off_size():
+    # x0 - x1 = 1 from the basis {x0}: column 1 prices below -_TOL and no row
+    # bounds its step.  At -5e-10, above -_PIVOT_TOL, its reduced cost is
+    # round-off, so it is skipped and the start is optimal; at -5e-9 the
+    # program is unbounded.
+    a, b = np.array([[1.0, -1.0]]), np.array([1.0])
+    assert K._simplex_min(np.array([0.0, -5e-10]), a, b, np.array([0])) == 0.0
+    with pytest.raises(ValueError, match="the linear program is unbounded"):
+        K._simplex_min(np.array([0.0, -5e-9]), a, b, np.array([0]))
 
 
 def test_the_two_lp_paths_agree_and_repeat(monkeypatch):

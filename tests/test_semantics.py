@@ -337,8 +337,8 @@ _PIN_OFFSETS = (0.0, 5e-10, -5e-10, 9e-10, -9e-10, 3e-9, -3e-9, 1e-6, -1e-6, 0.2
                                  st.sampled_from(_PIN_OFFSETS)), max_size=2),
        pin_first=st.booleans())
 def test_a_pin_is_p_exactly_or_some_bound_fails(parts, bounds, pin_first):
-    # P under a pin is the pinned vector itself, never a box snapped onto it:
-    # the criterion certificate compares a declared vector with P exactly.
+    # P under a pin is the pinned vector itself, never a box snapped onto it,
+    # so every weight vector in P scores as the pinned criterion does.
     attrs = tuple(AttributeSchema(a, NUMERIC, HIGHER_BETTER) for a in "xyz")
     weights = (parts[0] / 20, parts[1] / 20, (20 - sum(parts)) / 20)
     constraints = [BoundConstraint(attrs[j].name, op, min(1.0, max(0.0, weights[j] + offset)))
@@ -781,8 +781,8 @@ def test_two_attributes_exact_equals_the_crossing_regions(inst):
 
 # --- the numpy reference: a margin LP for every straddling bracket -------------
 #
-# `winner_statistics` settles most brackets with certificates, weight vectors
-# in P; the reference settles every one with the linear program.
+# `winner_statistics` on plain Python lists against the same rule vectorized
+# in numpy: the margin linear program for every straddling bracket.
 
 STAT_TABLES = ("ever_unique", "in_winner_set", "beats_all", "tie_all")
 
@@ -796,7 +796,7 @@ def assert_stats_are_the_reference(analysis):
 
 @PROPERTY_SETTINGS
 @given(constrained_instances())
-def test_certified_stats_are_the_reference(inst):
+def test_stats_are_the_reference(inst):
     try:
         analysis = analyze(inst)
     except (InfeasibleConstraints, ContradictoryPremises):
@@ -828,18 +828,18 @@ def test_entailed_is_the_sole_compatible_under_unimplied_preferences(inst):
 
 
 @pytest.mark.parametrize("shape", sorted(WIDE_SHAPES))
-def test_certified_stats_are_the_reference_on_wide_shapes(shape):
+def test_stats_are_the_reference_on_wide_shapes(shape):
     for index in range(6):
         assert_stats_are_the_reference(analyze(wide_instance(shape, 1, index)))
 
 
 @pytest.mark.parametrize("constraints", NEAR_TIE_CONSTRAINTS)
-def test_certified_stats_are_the_reference_on_dyadic_near_ties(constraints):
+def test_stats_are_the_reference_on_dyadic_near_ties(constraints):
     for drop in ("", "A", "C", "D"):
         assert_stats_are_the_reference(analyze(near_tie_instance(drop, constraints)))
 
 
-def test_certified_stats_are_the_reference_at_256_candidates():
+def test_stats_are_the_reference_at_256_candidates():
     assert_stats_are_the_reference(analyze(extreme_instance()))
 
 
