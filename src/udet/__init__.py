@@ -3,7 +3,7 @@
 Parse `.udet` instance files, compute the premise-compatible answer set and
 whether the instance is underdetermined, evaluate structured responses
 against correctness / non-bias / utility predicates, check the resulting
-trilemma over the structured response space by counting in closed form, and
+trilemma over the structured response space against those predicates, and
 run the recommended response policy.
 """
 

@@ -275,7 +275,7 @@ def cmd_analyze(args, stdout) -> int:
     analysis = analyze(instance)
     check_enumerable(instance)
     table = evaluate_space(analysis)
-    report = check_trilemma(analysis)
+    report = check_trilemma(analysis, table)
     decision = decide(analysis, table)
     semantics = analysis.semantics
 
@@ -521,12 +521,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser(
         "check", help="verify the trilemma over the structured response space by counting",
-        description="Verify by counting, in closed form, that no structured response "
-                    "is strongly correct, strictly non-biased and decisive on an "
-                    "underdetermined instance: a lemma about the five response forms, "
-                    "not the conjecture about language models.  The response count "
-                    "(responses=, JSON responses_evaluated) is the size of the "
-                    "response space, counted in closed form; no response is evaluated.")
+        description="Verify that no structured response is strongly correct, strictly "
+                    "non-biased and decisive on an underdetermined instance: a lemma "
+                    "about the five response forms, not the conjecture about language "
+                    "models.  One response per distinct verdict is evaluated, at most "
+                    "24 per instance, and each verdict counts the responses that share "
+                    "it.  The response count (responses=, JSON responses_evaluated) is "
+                    "the size of the response space.")
     p_check.add_argument("paths", nargs="*")
     p_check.add_argument("--random", type=int, default=None, metavar="N",
                          help="check N generated instances instead of files")

@@ -11,11 +11,12 @@ response is a counterexample.
 
 The lemma speaks of this closed world, the five response forms and their
 predicates, not of the paper's conjecture about language models.
-`check_trilemma` counts its report in closed form and computes, not
-assumes, the counterexamples: one would mean the premise failed.
 `evaluate_space` gives the space as per-form key tables with one `Verdict`
-per distinct key, and builds no other response object; `policy.decide`
-reads it too.
+per distinct key, and builds no other response object.  `check_trilemma`
+reads its report off that table, testing the three predicates on the
+verdicts that `ResponseEvaluator` gives, so it computes, not assumes, the
+counterexamples: one would mean the premise failed.  `policy.decide` reads
+the table too.
 """
 
 from __future__ import annotations
@@ -64,9 +65,11 @@ MAX_ENUMERATED_CRITERIA = 12
 
 REFUSE_REASON = "cannot determine the best candidate without a selection criterion"
 
-PAIRWISE_FORMS = ("c_strong & nb_strict -> !u_decisive",
-                  "nb_strict & u_decisive -> !c_strong",
-                  "c_strong & u_decisive -> !nb_strict")
+# The trilemma's pairwise forms a & b -> !c, by `Verdict` field.
+_PAIRWISE_FIELDS = (("c_strong", "nb_strict", "u_decisive"),
+                    ("nb_strict", "u_decisive", "c_strong"),
+                    ("c_strong", "u_decisive", "nb_strict"))
+PAIRWISE_FORMS = tuple(f"{a} & {b} -> !{c}" for a, b, c in _PAIRWISE_FIELDS)
 
 
 class PairwiseCheck(Immutable):
@@ -89,10 +92,10 @@ class PairwiseCheck(Immutable):
 class TrilemmaReport(Immutable):
     """Outcome of checking one instance's response space.
 
-    `responses_evaluated` is the size of the response space, counted in
-    closed form by `check_trilemma`, the default criterion's column included;
-    no response is evaluated to get it.  The name stays because the JSON
-    key and the text labels carry it.
+    `responses_evaluated` is the size of the response space, the default
+    criterion's column included: the rows of the verdict table, of which
+    only one per distinct verdict is evaluated.  The name stays because the
+    JSON key and the text labels carry it.
     """
 
     instance_id: str
@@ -188,16 +191,6 @@ def _conditional_keys(decided: tuple[tuple[str, str], ...]) -> list[int]:
     return list(_subset_reader(g)(table)[1:])
 
 
-def _strong_ties(analysis: Analysis) -> list[tuple[int, int]]:
-    """The candidate pairs (a, b), a < b in `combinations` order, tied
-    everywhere on P and left unordered by the closure: the pairs whose
-    `Equivalence` is strongly correct."""
-    closure = analysis.closure
-    return [(a, b) for a, row in enumerate(analysis.stats.tie_all)
-            for b in compress(range(a + 1, len(row)), row[a + 1:])
-            if not (closure[a][b] or closure[b][a])]
-
-
 def _tied_pairs(scores: Vector) -> Iterator[tuple[int, int]]:
     """The candidate pairs (a, b), a < b, whose scores lie within EPS_SCORE:
     each candidate against the ones that follow it in score order, until
@@ -213,18 +206,21 @@ def _tied_pairs(scores: Vector) -> Iterator[tuple[int, int]]:
 def _equivalence_keys(analysis: Analysis) -> list[int]:
     """The verdict key of each Equivalence(a, b), in enumeration order.
 
-    A pair in `_strong_ties` is strongly correct; a pair tied under some
-    criterion is conditionally correct.  `combinations` gives pair (a, b)
-    the position a (2n - a - 1) / 2 + b - a - 1.
+    A pair tied everywhere on P and left unordered by the closure is
+    strongly correct; a pair tied under some criterion is conditionally
+    correct.  `combinations` gives pair (a, b) the position
+    a (2n - a - 1) / 2 + b - a - 1.
     """
-    n = len(analysis.instance.candidates)
+    n, closure = len(analysis.instance.candidates), analysis.closure
 
     def position(a: int, b: int) -> int:
         return a * (2 * n - a - 1) // 2 + b - a - 1
 
     keys = [_EQUIVALENCE_KEY] * (n * (n - 1) // 2)
-    for a, b in _strong_ties(analysis):
-        keys[position(a, b)] = _EQUIVALENCE_KEY + 3
+    for a, row in enumerate(analysis.stats.tie_all):
+        for b in compress(range(a + 1, n), row[a + 1:]):
+            if not (closure[a][b] or closure[b][a]):
+                keys[position(a, b)] = _EQUIVALENCE_KEY + 3
     for scores in analysis.criterion_scores.values():
         for a, b in _tied_pairs(scores):
             at = position(a, b)
@@ -332,42 +328,39 @@ def evaluate_space(analysis: Analysis) -> VerdictTable:
         verdicts={key: evaluator.evaluate(r) for key, r in examples.items()})
 
 
-def check_trilemma(analysis: Analysis) -> TrilemmaReport:
-    """The trilemma report of the response space, counted in closed form.
+def check_trilemma(analysis: Analysis, table: VerdictTable | None = None) -> TrilemmaReport:
+    """The trilemma report of `table`, the analysis's verdict table, built
+    if not given.
 
-    With n candidates, m criteria, r = 1 with a default criterion and 0
-    without, g_w the criteria whose unique winner is w (g in all; one
-    outside P has none), s the pairs in `_strong_ties`, and d = m + 1
-    Decisive forms of the entailed winner, if any (then r = 0): the space
-    holds n(m + 1 + r) + 2^g - 1 + C(n, 2) + 2 responses; c_strong &
-    nb_strict holds for d + s + 2 of them plus the prod_w (2^g_w - 1)
-    conditionals that cover every unique winner (none when g = 0); the
-    other two antecedents hold for the d forms only, and under
-    underdetermination those are the counterexamples and every form's
-    violations.  Builds no other response, so the count of criteria is not
-    capped.
+    Each row counts once under its key.  The conditionals are counted, not
+    listed: prod_w (2^g_w - 1) of the 2^g - 1 cover every unique winner,
+    g_w the decided criteria that w wins, so the count of criteria is not
+    capped.  A pairwise form's witnesses are the rows whose verdict meets
+    its antecedent.  The rows whose verdict meets all three predicates, as
+    `rows_in` lists them, are the counterexamples and every form's
+    violations under underdetermination, and the first of them is the
+    conflict-free witness otherwise.
     """
-    instance, semantics = analysis.instance, analysis.semantics
-    n, m = len(instance.candidates), len(instance.criteria)
-    r = analysis.default is not None
-    under, entailed = semantics.underdetermined, semantics.entailed
-    won = Counter(analysis.unique_winners.values()).values()
-    decided = sum(won)
-    covering = math.prod(2 ** g_w - 1 for g_w in won) if decided else 0
-    strong = len(_strong_ties(analysis))
-    entailed_forms = () if entailed is None else tuple(
-        Decisive(entailed, theta) for theta in (None, *analysis.theta_winners))
-    violations = entailed_forms if under else ()
-    d = len(entailed_forms)
-    witnesses = (d + covering + strong + 2, d, d)
+    table = evaluate_space(analysis) if table is None else table
+    under = analysis.semantics.underdetermined
+    counts = Counter(chain(table.decisive, table.equivalence, (_CLARIFY_KEY, _REFUSE_KEY)))
+    if table.decided:
+        won = Counter(winner for _, winner in table.decided).values()
+        counts[_COVERING_KEY] = math.prod(2 ** g_w - 1 for g_w in won)
+        counts[_CONDITIONAL_KEY] = 2 ** len(table.decided) - 1 - counts[_COVERING_KEY]
+    conflict_free = tuple(response for response, _ in table.rows_in(
+        {key for key, v in table.verdicts.items() if v.c_strong and v.nb_strict and v.u_decisive}))
+    violations = conflict_free if under else ()
     return TrilemmaReport(
-        instance_id=instance.id,
+        instance_id=analysis.instance.id,
         underdetermined=under,
-        responses_evaluated=n * (m + 1 + r) + 2 ** decided - 1 + math.comb(n, 2) + 2,
+        responses_evaluated=sum(counts.values()),
         counterexamples=violations,
-        pairwise=tuple(PairwiseCheck(name, count, violations)
-                       for name, count in zip(PAIRWISE_FORMS, witnesses)),
-        conflict_free_witness=None if under else Decisive(entailed),
+        pairwise=tuple(
+            PairwiseCheck(name, sum(counts[key] for key, v in table.verdicts.items()
+                                    if getattr(v, a) and getattr(v, b)), violations)
+            for name, (a, b, _) in zip(PAIRWISE_FORMS, _PAIRWISE_FIELDS)),
+        conflict_free_witness=None if under else next(iter(conflict_free), None),
     )
 
 

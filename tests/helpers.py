@@ -656,9 +656,9 @@ def analyze_text_oracle(path: str, require_decision: bool = False) -> str:
 
 # --- trilemma oracle ------------------------------------------------------------
 #
-# `check_trilemma` counts its report in closed form; this derives the same
-# report from the enumerated rows, each verdict from `evaluate`, and the
-# three trilemma predicates tested on every row.
+# `check_trilemma` reads its report off the key tables of `evaluate_space`;
+# this derives the same report from the enumerated rows, each verdict from
+# `evaluate`, and the three trilemma predicates tested on every row.
 
 PAIRWISE_PREDICATES = (
     (lambda v: v.c_strong and v.nb_strict, lambda v: not v.u_decisive),

@@ -26,7 +26,7 @@ from helpers import (
 )
 
 import udet
-from udet import _kernels, cli, corpus
+from udet import _kernels, cli, corpus, policy, responses, trilemma
 from udet.dsl import serialize_instance
 from udet.errors import CorpusCorrupt
 from udet.responses import Clarify, Conditional, Decisive, Equivalence, Refuse
@@ -440,6 +440,42 @@ def test_check_counterexample_exit_3(monkeypatch, corpus_dir):
     code, out, _ = run_cli(["check", path_of(corpus_dir, "scholarship")])
     assert code == 3
     assert "counterexamples 1" in out
+
+
+def test_check_tests_the_evaluator_predicates(monkeypatch, corpus_dir):
+    # A Decisive verdict that calls every answer strongly correct and
+    # strictly non-biased breaks the trilemma on each of the 2 candidates x
+    # 3 thetas of the underdetermined scholarship instance.
+    verdict = responses.Decisive.verdict
+    monkeypatch.setattr(responses.Decisive, "verdict", lambda self, evaluator: verdict(
+        self, evaluator).replace(c_strong=True, c_cond=True, nb_strict=True, nb_transparent=True))
+    path = path_of(corpus_dir, "scholarship")
+    code, out, _ = run_cli(["check", path])
+    assert code == 3
+    assert "counterexamples=6" in out
+    code, out, _ = run_cli(["analyze", path, "--format", "json"])
+    assert code == 0
+    report = json.loads(out)["trilemma"]
+    rows = [{"form": "decisive", "candidate": c, "declared_theta": t}
+            for c in ("A", "B") for t in (None, "merit_first", "need_first")]
+    assert report["counterexamples"] == rows
+    assert [p["violations"] for p in report["pairwise"]] == [rows] * 3
+
+
+def test_analyze_evaluates_the_space_once(monkeypatch, corpus_dir):
+    # `cmd_analyze` hands its table to `check_trilemma` and `decide`, which
+    # would each build their own through their module's binding.
+    calls, evaluate_space = [], trilemma.evaluate_space
+
+    def counted(analysis):
+        calls.append(analysis.instance.id)
+        return evaluate_space(analysis)
+
+    for module in (cli, trilemma, policy):
+        monkeypatch.setattr(module, "evaluate_space", counted)
+    code, _, _ = run_cli(["analyze", path_of(corpus_dir, "scholarship"), "--format", "json"])
+    assert code == 0
+    assert calls == ["scholarship"]
 
 
 def test_policy_branches(corpus_dir):

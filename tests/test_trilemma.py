@@ -33,6 +33,7 @@ from udet.semantics import admissible_set, analyze, normalize
 from udet.trilemma import (
     GeneratorConfig,
     check_trilemma,
+    evaluate_space,
     generate_instance,
 )
 
@@ -135,6 +136,13 @@ def test_check_trilemma_pinned_witness():
 
 def test_check_trilemma_deterministic(scholarship):
     assert check_trilemma(analyze(scholarship)) == check_trilemma(analyze(scholarship))
+
+
+def test_check_trilemma_reads_the_given_table(corpus_entries):
+    assert len(corpus_entries) == 7
+    for entry in corpus_entries:
+        analysis = analyze(entry.instance)
+        assert check_trilemma(analysis) == check_trilemma(analysis, evaluate_space(analysis))
 
 
 def test_random_batch_has_no_counterexamples():
