@@ -70,8 +70,8 @@ def render_response(response: Response) -> str:
 
 
 def response_to_json(response: Response) -> dict:
-    """The response's `form` and its fields, by name; `json.dumps` writes
-    each tuple as an array."""
+    """The response's `form` and its fields, by name; `_dump` writes each
+    tuple as an array."""
     return {"form": response.form, **{name: getattr(response, name) for name in response._fields}}
 
 
@@ -164,42 +164,68 @@ class _Json(Immutable):
     text: str
 
 
+_INF = float("inf")
+
+
+def _float(value: float) -> str:
+    """A float as `json.dumps` writes it."""
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# By exact type; a subclass is found by `isinstance`, in this order.
+_SCALARS = {str: _str, bool: _bool, int: int.__repr__, float: _float,
+            type(None): lambda value: "null"}
+
+
+def _dump(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` with every newline followed by
+    `indent`, for str-keyed dicts, lists, tuples, strings, numbers, bools and
+    None.  It takes the C string escaper where ``indent=2`` would make
+    `json.dumps` fall back to its pure-Python encoder."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    deeper = indent + "  "
+    inner = "\n" + deeper
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_str(key)}: {_dump(item, deeper)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_dump(item, deeper) for item in value]
+        return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+    for kind, scalar in _SCALARS.items():
+        if isinstance(value, kind):
+            return scalar(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(doc: dict, out) -> None:
     """Write `doc` as ``json.dumps(doc, indent=2)`` followed by a newline.
 
-    Each top-level value is dumped on its own and every newline in it is
-    indented two more spaces, which is exact because a JSON string never
-    holds a raw newline.  A `_Json` value is written as it is.  Values are
-    written one by one, so a long one is not copied into a joined document.
+    Each top-level value is written by `_dump` nested two spaces deep, or as
+    it is if it is `_Json`.  Values are written one by one, so a long one is
+    not copied into a joined document.
     """
     opening = "{\n  "
     for key, value in doc.items():
         out.write(f"{opening}{_str(key)}: ")
-        out.write(value.text if isinstance(value, _Json)
-                  else json.dumps(value, indent=2).replace("\n", "\n  "))
+        out.write(value.text if isinstance(value, _Json) else _dump(value, "  "))
         opening = ",\n  "
     out.write("\n}\n")
 
 
-def _str_list(items, indent: str) -> str:
-    """``json.dumps(list(items), indent=2)`` for a nonempty sequence of
-    strings nested at `indent`.  Every list in a verdict row is nonempty:
-    `evaluate` rejects a response whose list is empty."""
-    inner = "\n" + indent + "  "
-    return "[" + inner + ("," + inner).join(map(_str, items)) + "\n" + indent + "]"
-
-
-def _verdict_values(verdict: Verdict, number) -> list[str]:
-    """Each field of `verdict` in `Verdict._fields` order, a bool as JSON
-    writes it and the number by `number`."""
-    return [_bool(value) if isinstance(value, bool) else number(value)
-            for value in (getattr(verdict, name) for name in Verdict._fields)]
-
-
 def _verdict_json(verdict: Verdict) -> str:
-    rows = [f"        {_str(name)}: {value}"
-            for name, value in zip(Verdict._fields, _verdict_values(verdict, json.dumps))]
-    return "{\n" + ",\n".join(rows) + "\n      }"
+    return _dump({name: getattr(verdict, name) for name in Verdict._fields}, " " * 6)
 
 
 _ROW = '    {\n      "response": {\n        "form": '
@@ -221,13 +247,13 @@ def _verdicts_json(table: VerdictTable) -> _Json:
     ends = {key: "\n        ]" + tail for key, tail in tails.items()}
     rows += [f"{head}{_BRANCH_SEP.join(branches)}{ends[key]}"
              for branches, key in table.conditional_rows(
-                 _str_list(branch, " " * 10) for branch in table.decided)]
+                 _dump(branch, " " * 10) for branch in table.decided)]
     head = _ROW + '"equivalence",\n        "candidates": [\n          '
     rows += [f"{head}{name[a]},\n          {name[b]}{ends[key]}"
              for (a, b), key in table.equivalence_rows()]
     (clarify, clarify_key), (refuse, refuse_key) = table.closing_rows()
     rows.append(f'{_ROW}"clarify",\n        "missing": '
-                f'{_str_list(clarify.missing, " " * 8)}{tails[clarify_key]}')
+                f'{_dump(clarify.missing, " " * 8)}{tails[clarify_key]}')
     rows.append(f'{_ROW}"refuse",\n        "reason": {_str(refuse.reason)}{tails[refuse_key]}')
     rows[0] = "[\n" + rows[0]
     rows[-1] += "\n  ]"
@@ -236,9 +262,10 @@ def _verdicts_json(table: VerdictTable) -> _Json:
 
 def _load(path: str, require_decision: bool = False) -> Instance:
     """The instance in the file at `path`, marked as requiring a decision if
-    asked.  Raises OSError if it cannot be read, ParseError if it is invalid."""
+    asked.  A leading UTF-8 byte order mark is dropped.  Raises OSError if it
+    cannot be read, ParseError if it is invalid."""
     try:
-        text = Path(path).read_text(encoding="utf-8", errors="replace")
+        text = Path(path).read_text(encoding="utf-8-sig", errors="replace")
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}")
     instance = parse_instance(SourceDocument(text, path))
@@ -247,7 +274,8 @@ def _load(path: str, require_decision: bool = False) -> Instance:
 
 def _verdict_cells(verdict: Verdict) -> str:
     """The verdict's values, each but the last padded to 6 columns."""
-    *cells, last = _verdict_values(verdict, format_number)
+    *cells, last = [_bool(value) if isinstance(value, bool) else format_number(value)
+                    for value in (getattr(verdict, name) for name in Verdict._fields)]
     return " ".join([*(cell.ljust(6) for cell in cells), last])
 
 

@@ -17,6 +17,7 @@ acyclic preferences, counts and a complete fact matrix) lives in
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -60,12 +61,15 @@ class ParseError(UdetError):
         super().__init__(f"{origin}:{line}:{column}: {message}")
 
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_NUMBER = r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?"
+
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r]+)
       | (?P<comment>\#.*)
       | (?P<string>"(?:[^"\\\n]|\\.)*")
-      | (?P<number>[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<number>""" + _NUMBER + r""")
+      | (?P<ident>""" + _IDENT + r""")
       | (?P<punct><=|>=|[(){}:,.=])
       | (?P<bad>.)
     """,
@@ -376,6 +380,71 @@ def _parse_statement(p: _LineParser, b: _Builder) -> None:
     p.finish()
 
 
+@functools.cache
+def _line_grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    """The patterns of a well-formed ``fact`` line, ``criterion`` line and
+    weight pair.  Each token ends where the token parser ends it, since
+    the pattern must go on with a character that cannot extend the token.
+    They are compiled on the first parse, not at import, which commands
+    that parse nothing would pay for."""
+    ws, end = r"[ \t\r]*", r"[ \t\r]*(?:#.*)?"
+    fact = (rf"{ws}fact[ \t\r]+(?P<candidate>{_IDENT}){ws}\.{ws}(?P<attribute>{_IDENT})"
+            rf"{ws}={ws}(?:(?P<number>{_NUMBER})|(?P<ident>{_IDENT})){end}")
+    pair = rf"{_IDENT}{ws}:{ws}{_NUMBER}"
+    criterion = (rf"{ws}criterion[ \t\r]+(?P<name>{_IDENT}){ws}\{{"
+                 rf"(?P<body>{ws}{pair}(?:{ws},{ws}{pair})*){ws}\}}{end}")
+    pair = rf"(?P<attribute>{_IDENT}){ws}:{ws}(?P<weight>{_NUMBER})"
+    return re.compile(fact), re.compile(criterion), re.compile(pair)
+
+
+def _token(m: re.Match, group: str, kind: str, line_no: int) -> _Token:
+    """The token of `kind` that `group` of a line grammar match spans."""
+    return _Token(kind, m.group(group), line_no, m.start(group) + 1)
+
+
+def _read_declaration(line_no: int, raw: str, b: _Builder) -> bool:
+    """Add the ``fact`` or ``criterion`` on the line to `b` and return True,
+    if the line grammar reads it.  The line grammar reads a line only as the
+    token parser would.  Any other line, a number beyond float range and a
+    line before the header are left to the token parser, which raises every
+    ParseError."""
+    if b.instance_id is None:
+        return False
+    fact, criterion, pair = _line_grammar()
+    m = fact.fullmatch(raw)
+    if m is not None:
+        number = m.group("number")
+        if number is None:
+            value_tok = _token(m, "ident", "ident", line_no)
+            value: float | str = value_tok.text
+        else:
+            value = float(number)
+            if not math.isfinite(value):
+                return False
+            value_tok = _token(m, "number", "number", line_no)
+        cand = _token(m, "candidate", "ident", line_no)
+        attr = _token(m, "attribute", "ident", line_no)
+        b.add("facts", Fact(cand.text, attr.text, value),
+              {"candidate": cand, "attribute": attr, "value": value_tok})
+        return True
+    m = criterion.fullmatch(raw)
+    if m is None:
+        return False
+    weights: list[tuple[str, float]] = []
+    tokens: list[list[_Token]] = []
+    for w in pair.finditer(raw, *m.span("body")):
+        weight = float(w.group("weight"))
+        if not math.isfinite(weight):
+            return False
+        weights.append((w.group("attribute"), weight))
+        tokens.append([_token(w, "attribute", "ident", line_no),
+                       _token(w, "weight", "number", line_no)])
+    name = _token(m, "name", "ident", line_no)
+    b.add("criteria", CriterionSpec(name.text, tuple(weights)),
+          {"name": name, "weights": tokens})
+    return True
+
+
 def parse_instance(doc: SourceDocument | str) -> Instance:
     """Parse DSL text into a validated Instance.
 
@@ -394,6 +463,8 @@ def parse_instance(doc: SourceDocument | str) -> Instance:
     b = _Builder()
     lines = doc.text.split("\n")
     for line_no, raw in enumerate(lines, start=1):
+        if _read_declaration(line_no, raw, b):
+            continue
         tokens = _tokenize(line_no, raw, origin)
         if not tokens:
             continue
