@@ -6,9 +6,12 @@ Reports are byte-deterministic for identical inputs and flags: orderings are
 fixed, numbers render with at most 12 significant digits, and timestamps
 appear only under ``analyze --timestamps``.  JSON output is byte-identical
 to ``json.dumps(doc, indent=2)`` with its default ASCII escaping, plus a
-newline.  `analyze` builds no object per verdict row: it writes its verdict
-rows from the key tables of `trilemma.evaluate_space`, one template per
-response form, rendering each distinct verdict and conditional branch once.
+newline.  One recursive writer, `_dump`, writes every value at its depth with
+`json`'s C string escaper: ``indent`` makes `json.dumps` take its
+pure-Python encoder, which cost as much as parsing the instance.  `analyze`
+builds no object per verdict row: it writes its verdict rows from the key
+tables of `trilemma.evaluate_space`, one template per response form,
+rendering each distinct verdict and conditional branch once.
 Commands raise their errors, and `main` alone maps each error type to its
 exit code and message.  Exit codes: 0 success, 1 parse or validation error,
 a usage error (an unknown flag or a bad flag value, with one ``error:``

@@ -6,6 +6,14 @@ The ``instance`` header comes first; the declarations after it may come in
 any order.  `serialize_instance` emits a canonical form whose re-parse is
 structurally identical.
 
+Lines are read two ways.  A well-formed ``fact`` or ``criterion`` line, most
+of the lines of a document, is read by one anchored match of its line
+grammar, which yields the same entity and tokens as the token parser.  Every
+other line goes to the token parser: `_tokenize` and `_LineParser`.  So does
+a fact or criterion line that the line grammar rejects or that holds a
+number beyond float range, and any line before the header.  The token parser
+raises every grammar error.
+
 This module holds the grammar and nothing else: tokens, keywords and
 punctuation, the float range of number literals, the header-first rule and
 the single ``instance``, ``question`` and ``require decision`` lines.  A

@@ -703,3 +703,32 @@ def assert_report_is_the_evaluated_space(analysis):
     assert report.conflict_free_witness == witness
     responses, verdicts = zip(*rows)
     return report, responses, verdicts
+
+
+# Mutations of a corpus file, for the fuzz tests of the CLI and the parser.
+TOKEN_POOL = ("A", "B", "Z", "gpa", "need", "over", "criterion", "weight", "numeric",
+              "-1", "0", "0.5", "2", "1e400", "{", "}", ",", ".", ":", "=", '"', '"x"', "")
+
+
+def mutate_lines(lines: list[str], data) -> list[str]:
+    """Drop, duplicate or swap lines, corrupt one token, or shuffle the
+    declarations after the first line."""
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(("drop", "duplicate", "swap", "corrupt", "shuffle")))
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "corrupt":
+            tokens = lines[i].split(" ")
+            k = data.draw(st.integers(0, len(tokens) - 1))
+            tokens[k] = data.draw(st.sampled_from(TOKEN_POOL) | st.text(max_size=3))
+            lines[i] = " ".join(tokens)
+        elif op == "shuffle":
+            lines[1:] = data.draw(st.permutations(lines[1:]))
+    return lines

@@ -22,6 +22,7 @@ from helpers import (
     build_distinct_winners,
     build_two_numeric,
     extreme_instance,
+    mutate_lines,
     wide_instance,
 )
 
@@ -130,6 +131,55 @@ def assert_json_matches_oracle(path, *flags: str) -> None:
     assert (code, err) == (0, "")
     assert out == analyze_json_oracle(str(path), "--require-decision" in flags,
                                       "--timestamps" in flags)
+
+
+_JSON_SCALARS = (st.booleans() | st.none() | st.integers(min_value=-10**30, max_value=10**30)
+                 | st.sampled_from((-0.0, 0.0, 1e-09, 1e16, 5e-324, 0.1, -2.5,
+                                    float("nan"), float("inf"), float("-inf")))
+                 | st.text(max_size=6)
+                 | st.sampled_from(('"', "\\", "\n\t\x00\x1f\x7f", "\ud800", "\udfff x",
+                                    "奨学金 ☃", "é")))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_dump_is_json_dumps_nested_at_any_depth(value):
+    expected = json.dumps(value, indent=2)
+    assert cli._dump(value, "") == expected
+    assert cli._dump(value, "  ") == expected.replace("\n", "\n  ")
+
+
+def test_dump_writes_subclasses_and_refuses_what_json_refuses():
+    class Count(int):
+        pass
+
+    class Name(str):
+        pass
+
+    value = {"n": Count(3), "s": Name("x"), "f": [Count(1), 2.5]}
+    assert cli._dump(value, "") == json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        cli._dump({"a": object()}, "")
+
+
+def test_json_outputs_are_json_dumps_indent_2(corpus_dir, tmp_path):
+    files = sorted(str(p) for p in corpus_dir.iterdir())
+    runs = [["check", *files], ["check", "--random", "5", "--seed", "3"],
+            ["corpus", "export", str(tmp_path)]]
+    for path in files:
+        runs += [["policy", path], ["policy", path, "--require-decision"], ["sweep", path]]
+    printed = set()
+    for argv in runs:
+        code, out, err = run_cli([*argv, "--format", "json"])
+        if code == 0:  # `sweep` exits 2 on a file with more than 2 attributes
+            assert err == "" and out == json.dumps(json.loads(out), indent=2) + "\n"
+            printed.add(argv[0])
+    assert printed == {"check", "corpus", "policy", "sweep"}
 
 
 def assert_text_matches_oracle(path, *flags: str) -> None:
@@ -340,6 +390,32 @@ def test_analyze_does_not_import_scipy(corpus_dir):
                           capture_output=True, text=True, check=False,
                           env={**os.environ, "PYTHONPATH": src})
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_import_compiles_no_line_grammar(corpus_dir):
+    # The patterns are compiled by the first parse, so a command that parses
+    # nothing does not pay for them.
+    src = str(Path(udet.__file__).resolve().parents[1])
+    code = ("import io, sys\n"
+            "from udet import cli, dsl\n"
+            "print(dsl._line_grammar.cache_info().currsize)\n"
+            "assert cli.main(['policy', sys.argv[1]], stdout=io.StringIO()) == 0\n"
+            "print(dsl._line_grammar.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", code, path_of(corpus_dir, "scholarship")],
+                          capture_output=True, text=True, check=False,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n1\n", "")
+
+
+def test_a_byte_order_mark_is_ignored(corpus_dir, tmp_path):
+    plain = path_of(corpus_dir, "scholarship")
+    marked = tmp_path / "scholarship.udet"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+    for argv in (["analyze"], ["analyze", "--format", "json"], ["policy"],
+                 ["policy", "--format", "json"], ["check"]):
+        expected = run_cli([*argv, plain])
+        assert expected[0] == 0
+        assert run_cli([*argv, str(marked)]) == expected
 
 
 def test_too_many_criteria_exit_2(corpus_dir, tmp_path):
@@ -746,34 +822,6 @@ def test_one_process_runs_commands_like_fresh_processes(corpus_dir, tmp_path):
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
-_TOKEN_POOL = ("A", "B", "Z", "gpa", "need", "over", "criterion", "weight", "numeric",
-               "-1", "0", "0.5", "2", "1e400", "{", "}", ",", ".", ":", "=", '"', '"x"', "")
-
-
-def _mutate(lines: list[str], data) -> list[str]:
-    """Drop, duplicate or swap lines, corrupt one token, or shuffle the
-    declarations after the first line."""
-    lines = list(lines)
-    for _ in range(data.draw(st.integers(1, 3))):
-        op = data.draw(st.sampled_from(("drop", "duplicate", "swap", "corrupt", "shuffle")))
-        i = data.draw(st.integers(0, len(lines) - 1))
-        if op == "drop" and len(lines) > 1:
-            del lines[i]
-        elif op == "duplicate":
-            lines.insert(i, lines[i])
-        elif op == "swap":
-            j = data.draw(st.integers(0, len(lines) - 1))
-            lines[i], lines[j] = lines[j], lines[i]
-        elif op == "corrupt":
-            tokens = lines[i].split(" ")
-            k = data.draw(st.integers(0, len(tokens) - 1))
-            tokens[k] = data.draw(st.sampled_from(_TOKEN_POOL) | st.text(max_size=3))
-            lines[i] = " ".join(tokens)
-        elif op == "shuffle":
-            lines[1:] = data.draw(st.permutations(lines[1:]))
-    return lines
-
-
 @pytest.fixture(scope="module")
 def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "mutant.udet"
@@ -782,7 +830,7 @@ def fuzz_path(tmp_path_factory):
 @settings(max_examples=100, deadline=None)
 @given(entry=st.sampled_from([name for name, _ in corpus.EXPECTED]), data=st.data())
 def test_mutated_corpus_files_exit_cleanly_and_deterministically(fuzz_path, entry, data):
-    lines = _mutate(corpus.load_source(entry).split("\n"), data)
+    lines = mutate_lines(corpus.load_source(entry).split("\n"), data)
     fuzz_path.write_text("\n".join(lines), encoding="utf-8")
     path = str(fuzz_path)
     for command in ("analyze", "policy", "sweep"):

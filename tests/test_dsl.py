@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import attribute_by_name, fact_value
+from helpers import attribute_by_name, fact_value, mutate_lines
 
+from udet import corpus, dsl
 from udet.dsl import ParseError, SourceDocument, parse_instance, serialize_instance
 from udet.model import NUMERIC, ORDINAL, validate
 from udet.trilemma import GeneratorConfig, generate_instance
@@ -342,3 +345,160 @@ def test_trailing_tokens_rejected(scholarship_text):
 def test_instance_id_must_be_identifier():
     e = err('instance "two words"\n')
     assert "identifier" in e.message
+
+
+# The line grammar reads most `fact` and `criterion` lines; the token parser
+# reads every other line.  Both must read a document the same way.
+
+def outcome(text: str):
+    """The parsed instance, or the ParseError's message, position and snippet."""
+    try:
+        return parse(text)
+    except ParseError as e:
+        return (e.message, e.line, e.column, e.snippet)
+
+
+def assert_both_paths_agree(text: str) -> None:
+    fast = outcome(text)
+    with mock.patch.object(dsl, "_read_declaration", return_value=False):
+        slow = outcome(text)
+    assert fast == slow
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        assert_line_read_as_the_token_parser_reads_it(raw, line_no)
+
+
+def _tokens(where):
+    """`where` with each token as (kind, text, line, column)."""
+    if isinstance(where, dsl._Token):
+        return (where.kind, where.text, where.line, where.column)
+    if isinstance(where, dict):
+        return {key: _tokens(value) for key, value in where.items()}
+    if isinstance(where, list):
+        return [_tokens(value) for value in where]
+    return where
+
+
+def assert_line_read_as_the_token_parser_reads_it(raw: str, line_no: int = 1) -> None:
+    """If the line grammar reads `raw` after a header, the token parser reads
+    the same entity from it, with the same tokens."""
+    fast, slow = dsl._Builder(), dsl._Builder()
+    fast.instance_id = slow.instance_id = "x"
+    if dsl._read_declaration(line_no, raw, fast):
+        tokens = dsl._tokenize(line_no, raw, "<test>")
+        dsl._parse_statement(dsl._LineParser(line_no, tokens, raw, "<test>"), slow)
+        assert fast.entities == slow.entities
+        assert _tokens(fast.where) == _tokens(slow.where)
+
+
+def test_both_parser_paths_agree_on_the_corpus():
+    for entry, _ in corpus.EXPECTED:
+        assert_both_paths_agree(corpus.load_source(entry))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=5000))
+def test_both_parser_paths_agree_on_generated_instances(index):
+    assert_both_paths_agree(serialize_instance(generate_instance(GeneratorConfig(seed=7), index)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(entry=st.sampled_from([name for name, _ in corpus.EXPECTED]), data=st.data())
+def test_both_parser_paths_agree_on_mutated_corpus_files(entry, data):
+    assert_both_paths_agree("\n".join(mutate_lines(corpus.load_source(entry).split("\n"), data)))
+
+
+_FRAGMENTS = ("fact", "criterion", "A", "gpa", "need", "severe", "_x1", ".", "=", "==", "<=",
+              "{", "}", ":", ",", "0", "-1", "+2.5", ".5", "5.", "1e3", "1E-2", "1e", "1e400",
+              "-1e999", "1.2.3", "#", "# c", '"x"', '"', "@", "\u0669", " ", "\t", "\r", "\f",
+              "\xa0", "")
+_GAPS = st.sampled_from(("", " ", "\t", "  ", "\r"))
+_NAMES = st.sampled_from(("A", "gpa", "need", "_x1", "severe"))
+_NUMBERS = st.sampled_from(("0", "-1", "+2.5", ".5", "5.", "1e3", "1E-2", "1e400", "-1e999"))
+
+
+@st.composite
+def near_declarations(draw) -> str:
+    """A fact or criterion line with random spacing, numbers and comment,
+    and up to two of its parts inserted, replaced or dropped."""
+    gap = lambda: draw(_GAPS)  # noqa: E731
+    if draw(st.booleans()):
+        parts = ["fact", " ", draw(_NAMES), gap(), ".", gap(), draw(_NAMES), gap(), "=", gap(),
+                 draw(_NUMBERS | _NAMES)]
+    else:
+        parts = ["criterion", " ", draw(_NAMES), gap(), "{"]
+        for i in range(draw(st.integers(1, 3))):
+            parts += [gap(), ","] * (i > 0) + [gap(), draw(_NAMES), gap(), ":", gap(),
+                                               draw(_NUMBERS)]
+        parts += [gap(), "}"]
+    parts = [gap()] + parts + [gap(), draw(st.sampled_from(("", "#", "# c")))]
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(("insert", "replace", "drop")))
+        i = draw(st.integers(0, len(parts) - (op != "insert")))
+        parts[i:i + (op != "insert")] = [] if op == "drop" else [draw(st.sampled_from(_FRAGMENTS))]
+    return "".join(parts)
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_declarations())
+def test_line_grammar_reads_a_line_only_as_the_token_parser_does(line):
+    assert_line_read_as_the_token_parser_reads_it(line)
+
+
+def _edit(text: str, old: str, new: str) -> str:
+    assert old in text
+    return text.replace(old, new)
+
+
+MERIT = "criterion merit_first { gpa: 1.0, need: 0.0 }"
+NEED = "criterion need_first { gpa: 0.0, need: 1.0 }"
+
+# (name, (line of scholarship.udet, what replaces it), whether the line
+# grammar reads the first replacing line)
+PATH_CASES = [
+    ("non-finite value", ("fact A.gpa = 9.5", "fact A.gpa = 1e400"), False),
+    ("non-finite weight",
+     (MERIT, "criterion merit_first { gpa: 1e999, need: 0.0 }"), False),
+    ("fact before the header",
+     ('instance "scholarship"', 'fact A.gpa = 9.5\ninstance "scholarship"'), False),
+    ("criterion before the header",
+     ('instance "scholarship"', 'criterion c { gpa: 1, need: 0 }\ninstance "scholarship"'),
+     False),
+    ("trailing comma", (MERIT, "criterion merit_first { gpa: 1.0, need: 0.0, }"), False),
+    ("comment after a fact", ("fact A.gpa = 9.5", "fact A.gpa = 9.5 # from the transcript"),
+     True),
+    ("comment after a criterion",
+     (MERIT, "criterion merit_first{gpa:1.0,need:0.0}# merit"), True),
+    ("tabs and carriage returns", ("fact A.gpa = 9.5", "\tfact\tA . gpa\t=9.5\r"), True),
+    ("level-name value", ("fact B.need = severe", "fact B.need=severe"), True),
+    ("undeclared level", ("fact B.need = severe", "fact B.need = dire"), True),
+    ("duplicated weight", (MERIT, "criterion merit_first { gpa: 1.0, gpa: 0.0 }"), True),
+    ("weights out of attribute order",
+     (NEED, "criterion need_first { need: 1.0, gpa: 0.0 }"), True),
+    ("missing weight", (MERIT, "criterion merit_first { gpa: 1.0 }"), True),
+    ("string value", ("fact A.gpa = 9.5", 'fact A.gpa = "9.5"'), False),
+    ("glued keyword", ("fact A.gpa = 9.5", "factA.gpa = 9.5"), False),
+    ("sign apart from its digits", ("fact A.gpa = 9.5", "fact A.gpa = - 9.5"), False),
+    ("missing equals sign", ("fact A.gpa = 9.5", "fact A.gpa 9.5"), False),
+    ("character after the value", ("fact A.gpa = 9.5", "fact A.gpa = 9.5 @"), False),
+    ("form feed", ("fact A.gpa = 9.5", "fact A.gpa =\f9.5"), False),
+    ("two decimal points", (MERIT, "criterion merit_first { gpa: 1.0.0, need: 0.0 }"), False),
+    ("missing colon", (MERIT, "criterion merit_first { gpa 1.0, need: 0.0 }"), False),
+    ("empty braces", (MERIT, "criterion merit_first { }"), False),
+]
+
+
+@pytest.mark.parametrize("edit, read", [case[1:] for case in PATH_CASES],
+                         ids=[case[0] for case in PATH_CASES])
+def test_both_parser_paths_agree_on_named_cases(scholarship_text, edit, read):
+    text = _edit(scholarship_text, *edit)
+    assert_both_paths_agree(text)
+    read_by_grammar = {}
+    real = dsl._read_declaration
+
+    def spy(line_no, raw, b):
+        read_by_grammar[raw] = real(line_no, raw, b)
+        return read_by_grammar[raw]
+
+    with mock.patch.object(dsl, "_read_declaration", spy):
+        outcome(text)
+    assert read_by_grammar[edit[1].split("\n")[0]] is read
