@@ -1,7 +1,7 @@
 """Parser and serializer for the `.udet` instance file format.
 
 The format is line-oriented: one declaration per line, `#` starts a comment,
-identifiers are ``[A-Za-z_][A-Za-z0-9_]*`` and free text is double-quoted.
+identifiers are as `model.IDENT` spells them and free text is double-quoted.
 The ``instance`` header comes first; the declarations after it may come in
 any order.  `serialize_instance` emits a canonical form whose re-parse is
 structurally identical.
@@ -33,6 +33,7 @@ from .errors import UdetError
 from .model import (
     BOUND_OPS,
     HIGHER_BETTER,
+    IDENT,
     LOWER_BETTER,
     NUMERIC,
     ORDINAL,
@@ -45,6 +46,7 @@ from .model import (
     OrdinalScale,
     PinConstraint,
     PreferencePremise,
+    format_number,
     validate,
 )
 
@@ -69,7 +71,6 @@ class ParseError(UdetError):
         super().__init__(f"{origin}:{line}:{column}: {message}")
 
 
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _NUMBER = r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
 _TOKEN_RE = re.compile(
@@ -77,7 +78,7 @@ _TOKEN_RE = re.compile(
       | (?P<comment>\#.*)
       | (?P<string>"(?:[^"\\\n]|\\.)*")
       | (?P<number>""" + _NUMBER + r""")
-      | (?P<ident>""" + _IDENT + r""")
+      | (?P<ident>""" + IDENT + r""")
       | (?P<punct><=|>=|[(){}:,.=])
       | (?P<bad>.)
     """,
@@ -85,7 +86,7 @@ _TOKEN_RE = re.compile(
 )
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n"}
-_UNESCAPES = {"\\\\": "\\", '\\"': '"', "\\n": "\n"}
+_UNESCAPES = {escaped: ch for ch, escaped in _ESCAPES.items()}
 
 
 class _Token:
@@ -181,7 +182,7 @@ class _LineParser:
             raise self.error(f"expected '{symbol}', got '{tok.text}'", tok)
         return tok
 
-    def number(self, what: str = "a number") -> tuple[float, _Token]:
+    def number(self, what: str) -> tuple[float, _Token]:
         tok = self.take(what)
         if tok.kind != "number":
             raise self.error(f"expected {what}, got '{tok.text}'", tok)
@@ -194,7 +195,7 @@ class _LineParser:
             raise self.error("number out of range", tok)
         return value
 
-    def string(self, what: str = "a quoted string") -> tuple[str, _Token]:
+    def string(self, what: str) -> tuple[str, _Token]:
         tok = self.take(what)
         if tok.kind != "string":
             raise self.error(f"expected {what}, got '{tok.text}'", tok)
@@ -396,12 +397,12 @@ def _line_grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
     They are compiled on the first parse, not at import, which commands
     that parse nothing would pay for."""
     ws, end = r"[ \t\r]*", r"[ \t\r]*(?:#.*)?"
-    fact = (rf"{ws}fact[ \t\r]+(?P<candidate>{_IDENT}){ws}\.{ws}(?P<attribute>{_IDENT})"
-            rf"{ws}={ws}(?:(?P<number>{_NUMBER})|(?P<ident>{_IDENT})){end}")
-    pair = rf"{_IDENT}{ws}:{ws}{_NUMBER}"
-    criterion = (rf"{ws}criterion[ \t\r]+(?P<name>{_IDENT}){ws}\{{"
+    fact = (rf"{ws}fact[ \t\r]+(?P<candidate>{IDENT}){ws}\.{ws}(?P<attribute>{IDENT})"
+            rf"{ws}={ws}(?:(?P<number>{_NUMBER})|(?P<ident>{IDENT})){end}")
+    pair = rf"{IDENT}{ws}:{ws}{_NUMBER}"
+    criterion = (rf"{ws}criterion[ \t\r]+(?P<name>{IDENT}){ws}\{{"
                  rf"(?P<body>{ws}{pair}(?:{ws},{ws}{pair})*){ws}\}}{end}")
-    pair = rf"(?P<attribute>{_IDENT}){ws}:{ws}(?P<weight>{_NUMBER})"
+    pair = rf"(?P<attribute>{IDENT}){ws}:{ws}(?P<weight>{_NUMBER})"
     return re.compile(fact), re.compile(criterion), re.compile(pair)
 
 
@@ -496,11 +497,6 @@ def parse_instance(doc: SourceDocument | str) -> Instance:
         tok = b.token_at(first.path)
         raise ParseError(*position(first), first.message, tok.text if tok else "", origin)
     return instance
-
-
-def format_number(value: float) -> str:
-    """Canonical number rendering: up to 12 significant digits, no trailing zeros."""
-    return f"{value:.12g}"
 
 
 def serialize_instance(instance: Instance) -> str:

@@ -16,7 +16,10 @@ from operator import attrgetter, itemgetter
 # Tolerance for "weights sum to 1" checks.
 EPS_WEIGHT = 1e-9
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# The syntax of every name: instance ids, candidates, scales, levels,
+# attributes and criteria.
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(IDENT)
 
 NUMERIC = "numeric"
 ORDINAL = "ordinal"
@@ -59,27 +62,16 @@ class _ValueType(type):
                           for field in cls._fields])
 
 
-def _bind(cls, args: tuple, kwargs: dict) -> list:
-    """The field values of a call that mixes positions and keywords, or a
-    TypeError where a Python function would raise one."""
-    fields, name = cls._fields, cls.__qualname__
-    if len(args) > len(fields):
-        raise TypeError(f"{name}() takes {len(fields)} positional arguments "
-                        f"but {len(args)} were given")
-    for key in kwargs:
-        if key not in fields:
-            raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-        if fields.index(key) < len(args):
-            raise TypeError(f"{name}() got multiple values for argument {key!r}")
-    values = list(args)
-    for field in fields[len(args):]:
-        if field in kwargs:
-            values.append(kwargs[field])
-        elif field in cls._defaults:
-            values.append(cls._defaults[field])
-        else:
-            raise TypeError(f"{name}() missing required argument {field!r}")
-    return values
+def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+    """The field values of a call that mixes positions and keywords, bound
+    through the class's signature as a Python function binds its
+    parameters; a TypeError names the class."""
+    try:
+        bound = cls.__signature__.bind(*args, **kwargs)
+    except TypeError as exc:
+        raise TypeError(f"{cls.__qualname__}() {exc}") from None
+    bound.apply_defaults()
+    return bound.args
 
 
 class Immutable(metaclass=_ValueType):
@@ -306,7 +298,12 @@ class Violation(Immutable):
 
 
 def _is_ident(name: str) -> bool:
-    return bool(IDENT_RE.match(name))
+    return _IDENT_RE.fullmatch(name) is not None
+
+
+def format_number(value: float) -> str:
+    """Canonical number rendering: up to 12 significant digits, no trailing zeros."""
+    return f"{value:.12g}"
 
 
 def _is_number(value: object) -> bool:
@@ -502,7 +499,7 @@ def validate(instance: Instance) -> list[Violation]:
                               ("constraints", i, "op")))
             if not (0.0 <= con.value <= 1.0):
                 add(Violation(where, "constraint-bound-value",
-                              f"bound value {con.value:.12g} outside [0, 1]",
+                              f"bound value {format_number(con.value)} outside [0, 1]",
                               ("constraints", i, "value")))
         else:
             add(Violation(f"constraint {con!r}", "constraint-kind", "unknown constraint kind",

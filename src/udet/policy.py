@@ -8,23 +8,24 @@ ties go to the row that names the pinned criterion, then to the one that
 names the default criterion, then to the first in table order.  Of the
 conditionals only the one over every decided criterion competes, since none
 ranks above it.  The row names the branch: a Decisive of the entailed answer
-`direct`, another Decisive `recommend_with_assumptions`, a Conditional
-`conditional` and a Clarify `clarify`.  A criterion outside the admissible
+`direct`, another Decisive `recommend_with_assumptions`, and any other row
+its `form`, `conditional` or `clarify`.  A criterion outside the admissible
 weights P decides nothing (`semantics.analyze`), so no row it names ranks
-first on its account.
+first on its account.  The rationale reads the trilemma's predicates from
+`trilemma.CORNERS` and the leaders under the default from
+`semantics._winners`.
 """
 
 from __future__ import annotations
 
-from .dsl import format_number
-from .model import Immutable
-from .responses import Response
-from .semantics import EPS_SCORE, Analysis
-from .trilemma import VerdictTable, evaluate_space
+from .model import Immutable, format_number
+from .responses import Clarify, Conditional, Response
+from .semantics import Analysis, _winners
+from .trilemma import CORNERS, VerdictTable, evaluate_space
 
 DIRECT = "direct"
-CLARIFY = "clarify"
-CONDITIONAL = "conditional"
+CLARIFY = Clarify.form
+CONDITIONAL = Conditional.form
 RECOMMEND = "recommend_with_assumptions"
 
 # What each branch does, and why.
@@ -36,10 +37,6 @@ _LEADS = {
     CLARIFY: "no declared criterion yields a unique winner, so ask which attribute "
              "weighting applies",
 }
-
-# The trilemma's three predicates, by `Verdict` field.
-_CORNERS = (("c_strong", "strong correctness"), ("nb_strict", "strict non-bias"),
-            ("u_decisive", "decisiveness"))
 
 
 class PolicyDecision(Immutable):
@@ -76,9 +73,8 @@ def decide(analysis: Analysis, table: VerdictTable | None = None) -> PolicyDecis
     if theta is not None and theta == default:
         weights = ", ".join(f"{a}: {format_number(w)}" for a, w in analysis.default.weights)
         notes.append(f"'{theta}' is the admissible weighting nearest equal weights ({weights})")
-        top = max(analysis.default_scores)
-        excluded = [c for c, s in zip(instance.candidates, analysis.default_scores)
-                    if s >= top - EPS_SCORE and c not in compat]
+        excluded = [c for c in _winners(instance.candidates, analysis.default_scores)
+                    if c not in compat]
         if excluded:
             notes.append(f"there the top score goes to {', '.join(excluded)}, "
                          "which the premises exclude")
@@ -91,6 +87,6 @@ def decide(analysis: Analysis, table: VerdictTable | None = None) -> PolicyDecis
     if outside:
         notes.append(f"criteria outside the admissible weights decide nothing: "
                      f"{', '.join(outside)}")
-    lost = " and ".join(label for field, label in _CORNERS if not getattr(verdict, field))
+    lost = " and ".join(label for field, label in CORNERS if not getattr(verdict, field))
     notes.append(f"this gives up {lost or 'no trilemma predicate'}")
     return PolicyDecision(branch, response, "; ".join(notes))

@@ -33,6 +33,7 @@ from .model import (
     CriterionSpec,
     Immutable,
     Instance,
+    format_number,
 )
 
 # Absolute tolerance for score comparisons (ties, strict wins).
@@ -187,8 +188,9 @@ def admissible_set(instance: Instance) -> AdmissibleSet:
             if lo > hi:
                 lower[j] = upper[j] = (lo + hi) / 2
         elif not lo - EPS_WEIGHT <= pinned[j] <= hi + EPS_WEIGHT:
-            raise InfeasibleConstraints(f"pinned criterion '{pin}' puts weight {pinned[j]:.12g} "
-                                        f"on '{name}', outside [{lo:.12g}, {hi:.12g}]")
+            raise InfeasibleConstraints(
+                f"pinned criterion '{pin}' puts weight {format_number(pinned[j])} on "
+                f"'{name}', outside [{format_number(lo)}, {format_number(hi)}]")
     # Each weight may miss its bounds by EPS_WEIGHT, and their sum 1 by EPS_WEIGHT.
     if pinned is not None:
         lower = upper = pinned
@@ -196,7 +198,7 @@ def admissible_set(instance: Instance) -> AdmissibleSet:
             or sum(upper) + len(upper) * EPS_WEIGHT < 1.0 - EPS_WEIGHT):
         raise InfeasibleConstraints(
             f"no admissible weight: the bounds allow weight sums in "
-            f"[{sum(lower):.12g}, {sum(upper):.12g}], not 1")
+            f"[{format_number(sum(lower))}, {format_number(sum(upper))}], not 1")
     simplex = ((0.0,) * len(attrs), (1.0,) * len(attrs))
     if math.fsum(lower) > 1.0:
         lower = upper = _project(lower, *simplex)

@@ -13,10 +13,10 @@ The lemma speaks of this closed world, the five response forms and their
 predicates, not of the paper's conjecture about language models.
 `evaluate_space` gives the space as per-form key tables with one `Verdict`
 per distinct key, and builds no other response object.  `check_trilemma`
-reads its report off that table, testing the three predicates on the
-verdicts that `ResponseEvaluator` gives, so it computes, not assumes, the
-counterexamples: one would mean the premise failed.  `policy.decide` reads
-the table too.
+reads its report off that table, testing the three predicates, `CORNERS`,
+on the verdicts that `ResponseEvaluator` gives, so it computes, not assumes,
+the counterexamples: one would mean the premise failed.  `policy.decide`
+reads the table too, and names what its row gives up from `CORNERS`.
 """
 
 from __future__ import annotations
@@ -64,6 +64,11 @@ if TYPE_CHECKING:
 MAX_ENUMERATED_CRITERIA = 12
 
 REFUSE_REASON = "cannot determine the best candidate without a selection criterion"
+
+# The trilemma's three predicates, by `Verdict` field, with their names in
+# a rationale.
+CORNERS = (("c_strong", "strong correctness"), ("nb_strict", "strict non-bias"),
+           ("u_decisive", "decisiveness"))
 
 # The trilemma's pairwise forms a & b -> !c, by `Verdict` field.
 _PAIRWISE_FIELDS = (("c_strong", "nb_strict", "u_decisive"),
@@ -349,7 +354,8 @@ def check_trilemma(analysis: Analysis, table: VerdictTable | None = None) -> Tri
         counts[_COVERING_KEY] = math.prod(2 ** g_w - 1 for g_w in won)
         counts[_CONDITIONAL_KEY] = 2 ** len(table.decided) - 1 - counts[_COVERING_KEY]
     conflict_free = tuple(response for response, _ in table.rows_in(
-        {key for key, v in table.verdicts.items() if v.c_strong and v.nb_strict and v.u_decisive}))
+        {key for key, v in table.verdicts.items()
+         if all(getattr(v, field) for field, _ in CORNERS)}))
     violations = conflict_free if under else ()
     return TrilemmaReport(
         instance_id=analysis.instance.id,

@@ -444,6 +444,23 @@ def test_line_grammar_reads_a_line_only_as_the_token_parser_does(line):
     assert_line_read_as_the_token_parser_reads_it(line)
 
 
+@settings(max_examples=500, deadline=None)
+@given(near_declarations())
+def test_line_grammar_reads_every_line_the_token_parser_reads(line):
+    """A fact or criterion that the token parser reads after a header, the
+    line grammar reads too, so no well-formed line takes the slower path."""
+    slow, fast = dsl._Builder(), dsl._Builder()
+    slow.instance_id = fast.instance_id = "x"
+    try:
+        tokens = dsl._tokenize(1, line, "<test>")
+        if tokens:
+            dsl._parse_statement(dsl._LineParser(1, tokens, line, "<test>"), slow)
+    except ParseError:
+        return
+    if slow.entities["facts"] or slow.entities["criteria"]:
+        assert dsl._read_declaration(1, line, fast)
+
+
 def _edit(text: str, old: str, new: str) -> str:
     assert old in text
     return text.replace(old, new)

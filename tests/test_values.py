@@ -7,6 +7,7 @@ from __future__ import annotations
 import copy
 import inspect
 import pickle
+import re
 
 import pytest
 
@@ -121,8 +122,10 @@ def test_value_semantics(cls, args, new):
     if required:
         calls.append((args[:required - 1], {}, f"missing .*'{names[required - 1]}'"))
     for call_args, call_kwargs, message in calls:
-        with pytest.raises(TypeError, match=message):
+        with pytest.raises(TypeError, match=message) as raised:
             cls(*call_args, **call_kwargs)
+        # The class's own `__init__`, where it has one, is bound by Python.
+        assert re.match(rf"{cls.__qualname__}(\.__init__)?\(\) ", str(raised.value))
 
     if cls in BY_IDENTITY:
         assert value == value and value != twin
