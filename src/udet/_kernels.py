@@ -6,18 +6,13 @@
 - `box_simplex_min` gives min over P of ``c . w`` for many coefficient rows,
   in closed form: the greedy fill of a continuous knapsack.
 - `max_min_margin` gives max over P of min_r ``c_r . w``, a small linear
-  program, solved as its dual by a revised simplex that prices by the most
-  negative reduced cost and falls back to Bland's rule on a run of
-  degenerate steps, so the same input always takes the same steps.
+  program, solved as its dual by one deterministic revised simplex.
 
-Everything runs on plain Python floats, lists and tuples, except a linear
-program of more than `_PLAIN_LP_SIZE` (64) coefficients, rows times
-attributes.  Such a program goes to numpy, imported on its first call,
-where it is faster from about 30 x 5 on; a smaller one runs up to 2.4
-times as fast on lists (`max_min_margin` gives the measured crossover).
-Both solvers take the same pivot rules.  So a desk-size ``udet analyze``
-never loads numpy, whose import costs more than the rest of a cold run.
-Nothing here imports scipy.
+Everything runs on plain Python floats, lists and tuples, except that the
+simplex keeps a program of more than `_PLAIN_LP_SIZE` (64) coefficients,
+rows times attributes, on numpy arrays, imported on the first such program.
+So a desk-size ``udet analyze`` never loads numpy, whose import costs more
+than the rest of a cold run.  Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -33,8 +28,8 @@ _TOL = 1e-12
 # Degenerate simplex steps in a row after which pricing turns to Bland's rule.
 _DEGENERATE_RUN = 5
 
-# The most coefficients (rows times attributes) of a margin program solved
-# on plain Python lists; larger programs go to numpy.
+# The most coefficients (rows times attributes) of a margin program kept on
+# plain Python lists; larger programs are kept on numpy arrays.
 _PLAIN_LP_SIZE = 64
 
 
@@ -98,8 +93,8 @@ def max_min_margin(coef: Sequence[Sequence[float]], lower: Sequence[float],
     """max over w in P of min_r ``coef[r] . w``; +inf when `coef` has no rows.
 
     With w = lower + v, budget = 1 - sum(lower) and room = upper - lower,
-    this linear program is solved as its dual, which has one row per
-    attribute plus one, however many rows `coef` has:
+    this linear program is solved as its dual (`_simplex_dual`), which has
+    one row per attribute plus one, however many rows `coef` has:
 
         min  y . (coef lower) + budget mu + room . z
         s.t. sum(y) = 1,  mu + z_i - s_i = (coef^T y)_i for every attribute i,
@@ -108,80 +103,105 @@ def max_min_margin(coef: Sequence[Sequence[float]], lower: Sequence[float],
     That is the least, over mixtures y of the rows, of the mixture's
     greatest value over P.  z_i prices the bound v_i <= room_i and is left
     out where room_i >= budget, since sum(v) = budget implies that bound.
-    The search starts at y = the first row, mu = that row's largest
-    coefficient and every other surplus s_i basic: a feasible basis.
 
     A program with at most `_PLAIN_LP_SIZE` coefficients (rows times
-    attributes) is solved on plain Python lists (`_plain_simplex_min`), a
-    larger one by numpy (`_simplex_min`).  Both take the same columns in
-    the same order under the same pivot rules.  Measured per program on
-    one x86_64 core, plain Python was faster at 2 x 2 (29 against 70 us),
-    10 x 5, 30 x 2 and 16 x 4; numpy was faster at 30 x 5 (141 against
-    182 us) and 255 x 20 (1.4 against 10.5 ms).
+    attributes) keeps its rows and B^-1 on Python lists (`_Lists`), a
+    larger one on numpy arrays (`_Arrays`).  On one x86_64 core a 2 x 2
+    program took 25 us on lists (30 on arrays), a 255 x 20 one 1.05 ms on
+    arrays (9.5 on lists).  Arrays win from about 10 x 5, but lists spare a
+    desk-size run numpy's import.
     """
     if len(coef) == 0:
         return math.inf
-    if len(coef) * len(lower) <= _PLAIN_LP_SIZE:
-        lower, upper = list(map(float, lower)), list(map(float, upper))
-        return _plain_simplex_min([list(map(float, row)) for row in coef], lower,
-                                  *_room(lower, upper))
-    import numpy as np
-
-    room, budget = _room(lower, upper)
-    coef = np.asarray(coef, dtype=np.float64)
-    lower = np.asarray(lower, dtype=np.float64)
-    room = np.asarray(room)
-    m, k = coef.shape
-    capped = np.flatnonzero(room < budget)
-    # Columns: y, mu = mu+ - mu-, z of the capped attributes, the surpluses s.
-    surplus = m + 2 + capped.size
-    a = np.zeros((k + 1, surplus + k))
-    a[0, :m] = 1.0
-    a[1:, :m] = -coef.T
-    a[1:, m] = 1.0
-    a[1:, m + 1] = -1.0
-    a[1 + capped, m + 2 + np.arange(capped.size)] = 1.0
-    a[1:, surplus:] = -np.eye(k)
-    cost = np.concatenate((coef @ lower, [budget, -budget], room[capped], np.zeros(k)))
-    top = int(np.argmax(coef[0]))
-    basis = [0, m if coef[0, top] >= 0.0 else m + 1]
-    basis += [surplus + i for i in range(k) if i != top]
-    return _simplex_min(cost, a, np.eye(k + 1)[0], np.array(basis))
+    lower, upper = list(map(float, lower)), list(map(float, upper))
+    if len(coef) * len(lower) > _PLAIN_LP_SIZE:
+        return _simplex_dual(_Arrays, coef, lower, *_room(lower, upper))
+    coef = [list(map(float, row)) for row in coef]
+    return _simplex_dual(_Lists, coef, lower, *_room(lower, upper))
 
 
-def _plain_simplex_min(coef: list[list[float]], lower: list[float], room: list[float],
-                       budget: float) -> float:
-    """The dual program of `max_min_margin` on Python lists: the revised
-    simplex of `_simplex_min`, with the same columns, starting basis and
-    pivot rules.
+class _Lists:
+    """A margin program's rows and basis inverse B^-1 on Python lists, with
+    the row prices ``coef[r] . w - pi0``, pi = c_B B^-1, a column's step
+    B^-1 a, the rank-one pivot and the basic values, B^-1's first column."""
 
-    The inverse of the starting basis is written down in closed form; its
-    rows give y_0 = r_0, mu = sigma (c_0[top] r_0 + r_top) and s_i =
-    (c_0[top] - c_0[i]) r_0 + r_top - r_i for a right-hand side r, with
-    rows 1..k of r indexed by attribute.  Each pivot updates the inverse by
-    one rank-one step.  Pricing reads the dual vector pi = c_B B^-1: the
-    reduced cost of row r's column is ``coef[r] . (lower + pi[1:]) -
-    pi[0]``, one `score` per row.
+    def __init__(self, coef: list[list[float]], inverse: list[list[float]]):
+        self.coef, self.inverse = coef, inverse
+
+    def prices(self, w: list[float], pi0: float) -> list[float]:
+        return [score(row, w) - pi0 for row in self.coef]
+
+    def dual(self, cost_basis: list[float]) -> list[float]:
+        return [score(cost_basis, col) for col in zip(*self.inverse)]
+
+    def step(self, column: list[float]) -> list[float]:
+        return [score(row, column) for row in self.inverse]
+
+    def pivot(self, leaving: int, step: list[float]) -> None:
+        pivot = [v / step[leaving] for v in self.inverse[leaving]]
+        self.inverse = [pivot if p == leaving else [v - d * u for v, u in zip(row, pivot)]
+                        for p, (row, d) in enumerate(zip(self.inverse, step))]
+
+    def values(self) -> list[float]:
+        return [row[0] for row in self.inverse]
+
+
+class _Arrays:
+    """`_Lists` on numpy arrays; each operation returns a list."""
+
+    def __init__(self, coef: Sequence[Sequence[float]], inverse: list[list[float]]):
+        import numpy as np
+        self.coef, self.inverse = np.array(coef, dtype=np.float64), np.array(inverse)
+
+    def prices(self, w: list[float], pi0: float) -> list[float]:
+        return (self.coef @ w - pi0).tolist()
+
+    def dual(self, cost_basis: list[float]) -> list[float]:
+        return (cost_basis @ self.inverse).tolist()
+
+    def step(self, column: list[float]) -> list[float]:
+        return (self.inverse @ column).tolist()
+
+    def pivot(self, leaving: int, step: list[float]) -> None:
+        import numpy as np
+        pivot = self.inverse[leaving] / step[leaving]
+        self.inverse -= np.multiply.outer(step, pivot)
+        self.inverse[leaving] = pivot
+
+    def values(self) -> list[float]:
+        return self.inverse[:, 0].tolist()
+
+
+def _simplex_dual(storage: type[_Lists] | type[_Arrays], coef: Sequence[Sequence[float]],
+                  lower: list[float], room: list[float], budget: float) -> float:
+    """The dual program of `max_min_margin` by a revised simplex on `storage`.
+
+    Columns: y, mu = mu+ - mu-, z of the capped attributes, surpluses s.
+    The start, y = the first row, mu = its largest coefficient and every
+    other s_i basic, is feasible; on a right-hand side r, with rows 1..k
+    indexed by attribute, its inverse gives y_0 = r_0, mu = sigma (c_0[top]
+    r_0 + r_top) and s_i = (c_0[top] - c_0[i]) r_0 + r_top - r_i.  The most
+    negative reduced cost enters, the lowest column on ties; after
+    `_DEGENERATE_RUN` steps of length zero in a row, the lowest negative one
+    (Bland's rule), until a step of positive length.  Of the rows tied in
+    the ratio test, the lowest basic column leaves.  A column whose step no
+    row bounds is skipped until the next pivot if its reduced cost is
+    round-off, else the program is unbounded.  So it terminates, and the
+    same input always takes the same steps.
     """
     m, k = len(coef), len(lower)
     capped = [i for i in range(k) if room[i] < budget]
     surplus = m + 2 + len(capped)
-    cost = [score(row, lower) for row in coef]
-    cost += [budget, -budget, *(room[i] for i in capped), *[0.0] * k]
 
     def column(j: int) -> list[float]:
         if j < m:
-            return [1.0, *(-c for c in coef[j])]
+            return [1.0] + [-c for c in coef[j]]
         if j < m + 2:
             return [0.0, *[1.0 if j == m else -1.0] * k]
-        col = [0.0] * (k + 1)
-        if j < surplus:
-            col[1 + capped[j - m - 2]] = 1.0
-        else:
-            col[1 + j - surplus] = -1.0
-        return col
+        i, unit = (capped[j - m - 2], 1.0) if j < surplus else (j - surplus, -1.0)
+        return [unit if p == 1 + i else 0.0 for p in range(k + 1)]
 
-    first = coef[0]
+    first = list(map(float, coef[0]))
     top = first.index(max(first))
     sign = 1.0 if first[top] >= 0.0 else -1.0
     basis = [0, m if sign > 0.0 else m + 1] + [surplus + i for i in range(k) if i != top]
@@ -192,28 +212,27 @@ def _plain_simplex_min(coef: list[list[float]], lower: list[float], room: list[f
             row = [0.0] * (k + 1)
             row[0], row[1 + top], row[1 + i] = first[top] - first[i], 1.0, -1.0
             inverse.append(row)
-    skip = set()
-    degenerate = 0
+    store = storage(coef, inverse)
+    cost = store.prices(lower, 0.0)
+    cost += [budget, -budget, *(room[i] for i in capped), *[0.0] * k]
+    skip, degenerate = set(), 0
     while True:
         cost_basis = [cost[j] for j in basis]
-        x = [max(row[0], 0.0) for row in inverse]  # basic values; below 0 only by round-off
-        pi = [score(cost_basis, col) for col in zip(*inverse)]
+        x = [0.0 if v < 0.0 else v for v in store.values()]  # below 0 only by round-off
+        pi = store.dual(cost_basis)
         dual = pi[1:]
         w = [lo + p for lo, p in zip(lower, dual)]
         total = sum(dual)
-        reduced = [score(row, w) - pi[0] for row in coef]
+        reduced = store.prices(w, pi[0])  # row r: coef[r] . (lower + pi[1:]) - pi[0]
         reduced += [budget - total, total - budget, *(room[i] - dual[i] for i in capped), *dual]
-        for j in basis:
+        for j in (*basis, *skip):
             reduced[j] = 0.0
-        entering = [j for j, r in enumerate(reduced) if r < -_TOL and j not in skip]
-        if not entering:
+        best = min(reduced)
+        if best >= -_TOL:
             return score(cost_basis, x)
-        if degenerate < _DEGENERATE_RUN:
-            col = min(entering, key=reduced.__getitem__)
-        else:
-            col = entering[0]
-        entering_column = column(col)
-        step = [score(row, entering_column) for row in inverse]
+        col = (reduced.index(best) if degenerate < _DEGENERATE_RUN  # else Bland's rule
+               else next(j for j, r in enumerate(reduced) if r < -_TOL))
+        step = store.step(column(col))
         rows = [p for p, d in enumerate(step) if d > _PIVOT_TOL]
         if not rows:
             if reduced[col] < -_PIVOT_TOL:
@@ -224,57 +243,7 @@ def _plain_simplex_min(coef: list[list[float]], lower: list[float], room: list[f
         least = min(ratios)
         leaving = min((p for p, r in zip(rows, ratios) if r <= least + _TOL),
                       key=basis.__getitem__)
-        pivot = [v / step[leaving] for v in inverse[leaving]]
-        inverse = [pivot if p == leaving else [v - d * u for v, u in zip(row, pivot)]
-                   for p, (row, d) in enumerate(zip(inverse, step))]
+        store.pivot(leaving, step)
         basis[leaving] = col
         skip.clear()
-        degenerate = degenerate + 1 if least <= _TOL else 0
-
-
-def _simplex_min(cost, a, b, basis) -> float:
-    """min ``cost . x`` subject to ``a x = b`` and x >= 0, from the feasible
-    `basis` (one column per row) of a bounded program; numpy arrays.
-
-    A revised simplex.  The column with the most negative reduced cost
-    enters, the lowest on ties (Dantzig's rule).  After `_DEGENERATE_RUN`
-    degenerate steps in a row, steps of length zero, it switches to Bland's
-    rule: the lowest column with a negative reduced cost enters.  The first
-    non-degenerate step switches back.  Under either rule, of the rows tied
-    in the ratio test the one with the lowest basic column leaves.
-
-    It terminates: a non-degenerate step strictly lowers the objective, so
-    no basis recurs across one, and there are finitely many bases; a run of
-    degenerate steps ends, since Bland's rule cannot cycle.  Every step
-    inverts the basis afresh, so round-off does not build up over degenerate
-    steps.  The rule is deterministic: the same input takes the same steps.
-    """
-    import numpy as np
-
-    skip = np.zeros(a.shape[1], dtype=bool)
-    degenerate = 0
-    while True:
-        inverse = np.linalg.inv(a[:, basis])
-        x = np.maximum(inverse @ b, 0.0)  # basic values; below 0 only by round-off
-        reduced = cost - (cost[basis] @ inverse) @ a
-        reduced[basis] = 0.0
-        entering = np.flatnonzero(~skip & (reduced < -_TOL))
-        if entering.size == 0:
-            return float(cost[basis] @ x)
-        if degenerate < _DEGENERATE_RUN:
-            col = entering[np.argmin(reduced[entering])]
-        else:
-            col = entering[0]
-        step = inverse @ a[:, col]
-        rows = np.flatnonzero(step > _PIVOT_TOL)
-        if rows.size == 0:
-            if reduced[col] < -_PIVOT_TOL:
-                raise ValueError("the linear program is unbounded")
-            skip[col] = True  # a reduced cost of round-off size
-            continue
-        ratios = x[rows] / step[rows]
-        least = ratios.min()
-        ties = rows[ratios <= least + _TOL]
-        basis[ties[np.argmin(basis[ties])]] = col
-        skip[:] = False
         degenerate = degenerate + 1 if least <= _TOL else 0

@@ -86,9 +86,9 @@ class Immutable(metaclass=_ValueType):
 
     The metaclass turns them into `__slots__`, the `_fields` tuple and the
     `_defaults` dict, and `__init__` takes the fields by position or by
-    keyword as a Python function takes its parameters.  A class may write
-    its own `__init__` instead, to coerce, and set each field with
-    `object.__setattr__`.
+    keyword as a Python function takes its parameters.  A class that
+    coerces a field writes an `__init__` that calls this one and then sets
+    the coerced value with `object.__setattr__`, so it binds the same way.
 
     One `__init__` serves every class, and nothing is compiled.  On a
     2-CPU x86-64 host with Python 3.11, generating an `__init__` per class

@@ -92,8 +92,9 @@ class Conditional(_Form):
     form = "conditional"
     rubric = (1, 1, 1, 0)
 
-    def __init__(self, branches: tuple[tuple[str, str], ...]):
-        object.__setattr__(self, "branches", tuple((str(c), str(a)) for c, a in branches))
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "branches", tuple((str(c), str(a)) for c, a in self.branches))
 
     def check_structure(self, evaluator: ResponseEvaluator) -> None:
         if not self.branches:
@@ -137,8 +138,9 @@ class Equivalence(_Form):
     form = "equivalence"
     rubric = (1, 1, 0, 0)
 
-    def __init__(self, candidates: tuple[str, ...]):
-        object.__setattr__(self, "candidates", tuple(sorted(set(map(str, candidates)))))
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "candidates", tuple(sorted(set(map(str, self.candidates)))))
 
     def check_structure(self, evaluator: ResponseEvaluator) -> None:
         if len(self.candidates) < 2:
@@ -174,8 +176,9 @@ class Clarify(_Form):
     missing: tuple[str, ...]
     form = "clarify"
 
-    def __init__(self, missing: tuple[str, ...]):
-        object.__setattr__(self, "missing", tuple(map(str, missing)))
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "missing", tuple(map(str, self.missing)))
 
     @property
     def rubric(self) -> tuple[int, int, int, int]:

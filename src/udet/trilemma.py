@@ -70,10 +70,10 @@ REFUSE_REASON = "cannot determine the best candidate without a selection criteri
 CORNERS = (("c_strong", "strong correctness"), ("nb_strict", "strict non-bias"),
            ("u_decisive", "decisiveness"))
 
-# The trilemma's pairwise forms a & b -> !c, by `Verdict` field.
-_PAIRWISE_FIELDS = (("c_strong", "nb_strict", "u_decisive"),
-                    ("nb_strict", "u_decisive", "c_strong"),
-                    ("c_strong", "u_decisive", "nb_strict"))
+# The trilemma's pairwise forms a & b -> !c, by `Verdict` field: c runs
+# through `CORNERS` from its last, and a and b are the other two in order.
+_PAIRWISE_FIELDS = tuple((*(a for a, _ in CORNERS if a != c), c)
+                         for c, _ in CORNERS[-1:] + CORNERS[:-1])
 PAIRWISE_FORMS = tuple(f"{a} & {b} -> !{c}" for a, b, c in _PAIRWISE_FIELDS)
 
 

@@ -699,19 +699,20 @@ def middle_instance_text() -> str:
 
 
 def test_unbounded_margin_lp_exits_2_with_one_line(monkeypatch, tmp_path):
-    # Either simplex raises this only on round-off; it must not end in a
-    # traceback.  The size rule sends the program to the patched solver.
-    def unbounded(*args):
-        raise ValueError("the linear program is unbounded")
+    # The simplex raises this only on round-off; it must not end in a
+    # traceback.  The size rule sends the program to each storage in turn,
+    # whose patched step no row bounds.
+    def unbounded_step(self, column):
+        return [0.0] * len(column)
 
     path = tmp_path / "middle.udet"
     path.write_text(middle_instance_text(), encoding="utf-8")
-    for solver, size in (("_plain_simplex_min", _kernels._PLAIN_LP_SIZE), ("_simplex_min", 0)):
+    for storage, size in ((_kernels._Lists, _kernels._PLAIN_LP_SIZE), (_kernels._Arrays, 0)):
         with monkeypatch.context() as patch:
             patch.setattr(_kernels, "_PLAIN_LP_SIZE", size)
-            patch.setattr(_kernels, solver, unbounded)
+            patch.setattr(storage, "step", unbounded_step)
             code, out, err = run_cli(["analyze", str(path)])
-        assert (code, out, err) == (2, "", "error: the linear program is unbounded\n"), solver
+        assert (code, out, err) == (2, "", "error: the linear program is unbounded\n"), storage
 
 
 # Modules a cold command must not load.  numpy's import is most of a cold

@@ -248,8 +248,8 @@ def highs_max_min_margin(optimize, coef, lower, upper) -> float:
     return -res.fun
 
 
-# `_PLAIN_LP_SIZE` values that send every margin program to numpy, and
-# every one to plain Python.
+# `_PLAIN_LP_SIZE` values that store every margin program on numpy
+# arrays, and every one on Python lists.
 LP_PATHS = {"numpy": 0, "plain": math.inf}
 
 
@@ -309,18 +309,19 @@ def test_max_min_margin_without_rows_is_unbounded(monkeypatch):
 
 
 def test_simplex_skips_a_reduced_cost_of_round_off_size():
-    # x0 - x1 = 1 from the basis {x0}: column 1 prices below -_TOL and no row
-    # bounds its step.  At -5e-10, above -_PIVOT_TOL, its reduced cost is
-    # round-off, so it is skipped and the start is optimal; at -5e-9 the
-    # program is unbounded.
-    a, b = np.array([[1.0, -1.0]]), np.array([1.0])
-    assert K._simplex_min(np.array([0.0, -5e-10]), a, b, np.array([0])) == 0.0
-    with pytest.raises(ValueError, match="the linear program is unbounded"):
-        K._simplex_min(np.array([0.0, -5e-9]), a, b, np.array([0]))
+    # One zero row on two attributes, with a budget below 0: the surplus of
+    # the top attribute prices at `budget` and no row bounds its step.  At
+    # -5e-10, above -_PIVOT_TOL, its reduced cost is round-off, so it is
+    # skipped and the start is optimal; at -5e-9 the program is unbounded.
+    program = ([[0.0, 0.0]], [0.0, 0.0], [1.0, 1.0])
+    for storage in (K._Lists, K._Arrays):
+        assert K._simplex_dual(storage, *program, -5e-10) == 0.0, storage
+        with pytest.raises(ValueError, match="the linear program is unbounded"):
+            K._simplex_dual(storage, *program, -5e-9)
 
 
 def test_the_two_lp_paths_agree_and_repeat(monkeypatch):
-    # The paths pivot by the same rules, so they agree to round-off, and
+    # Both storages run the same simplex, so they agree to round-off, and
     # each gives the same value for arrays and for the lists `semantics`
     # passes.  The degenerate 80-row programs exercise Bland's rule.
     for coef, lower, upper in random_box_simplex_lps(11, 600):
@@ -334,20 +335,19 @@ def test_the_two_lp_paths_agree_and_repeat(monkeypatch):
 
 
 def test_the_size_rule_picks_the_path(monkeypatch):
-    # Programs of at most `_PLAIN_LP_SIZE` coefficients never reach numpy's
-    # solver, larger ones never reach the plain one, such as one candidate
-    # against 255 rivals on 20 attributes.
+    # Programs of at most `_PLAIN_LP_SIZE` coefficients never reach the
+    # numpy storage, larger ones never reach the list storage, such as one
+    # candidate against 255 rivals on 20 attributes.
     def refuse(*args):
         raise AssertionError("wrong path")
 
     rng = np.random.default_rng(23)
     size = K._PLAIN_LP_SIZE
-    for rows, attributes, solver in ((1, 2, "_simplex_min"), (size // 4, 4, "_simplex_min"),
-                                     (size // 4 + 1, 4, "_plain_simplex_min"),
-                                     (255, 20, "_plain_simplex_min")):
+    for rows, attributes, storage in ((1, 2, "_Arrays"), (size // 4, 4, "_Arrays"),
+                                      (size // 4 + 1, 4, "_Lists"), (255, 20, "_Lists")):
         coef = rng.random((rows, attributes)) - 0.5
         lower, upper = np.zeros(attributes), np.ones(attributes)
         expected = K.max_min_margin(coef, lower, upper)
         with monkeypatch.context() as patch:
-            patch.setattr(K, solver, refuse)
+            patch.setattr(K, storage, refuse)
             assert K.max_min_margin(coef, lower, upper) == expected

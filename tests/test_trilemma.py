@@ -31,6 +31,7 @@ from udet.responses import (
 )
 from udet.semantics import admissible_set, analyze, normalize
 from udet.trilemma import (
+    PAIRWISE_FORMS,
     GeneratorConfig,
     check_trilemma,
     evaluate_space,
@@ -117,10 +118,11 @@ def test_check_trilemma_scholarship(scholarship):
     assert report.conflict_free_witness is None
     assert report.responses_evaluated == 12
     assert all(check.holds for check in report.pairwise)
-    names = [check.name for check in report.pairwise]
-    assert names == ["c_strong & nb_strict -> !u_decisive",
-                     "nb_strict & u_decisive -> !c_strong",
-                     "c_strong & u_decisive -> !nb_strict"]
+    # The forms, and so the order of `check` output, are fixed.
+    names = tuple(check.name for check in report.pairwise)
+    assert names == PAIRWISE_FORMS == ("c_strong & nb_strict -> !u_decisive",
+                                       "nb_strict & u_decisive -> !c_strong",
+                                       "c_strong & u_decisive -> !nb_strict")
     first = report.pairwise[0]
     assert first.witnesses == 3  # full conditional, clarify, refuse
     assert first.violations == ()
