@@ -11,10 +11,12 @@ and tables are tuples of plain Python floats and bools, so no reader can
 change them, and computing them needs no numpy.
 
 Every instance takes the same exact path, whatever its attribute count and
-whether a pin or bounds shape P: pairwise score differences are minimized
-over P in closed form, which brackets each candidate's winning margin.
-Where the bracket leaves a verdict open, a small linear program decides
-where the candidate can win (`_kernels`).
+whether a pin or bounds shape P.  Pairwise score differences are minimized
+over P in closed form.  Over the rivals that no candidate beats everywhere,
+they bracket each candidate's winning margin; against one such rival the
+bracket's upper end is the margin itself.  Where the bracket leaves a
+verdict open, a small linear program gives the margin (`_kernels`).  The
+default criterion is equal weights projected onto P.
 """
 
 from __future__ import annotations
@@ -211,9 +213,9 @@ def _project(v: Vector, lower: Vector, upper: Vector) -> Vector:
     """The point of {w : sum(w) = 1, lower <= w <= upper} nearest `v`, for
     math.fsum(lower) <= 1 <= math.fsum(upper): w_i = clip(v_i + t, lower_i,
     upper_i) summing to 1.  The sum bends in t where a weight meets a bound;
-    past the last bend where it is at most 1, the weights between their
-    bounds rise together.  If `math.fsum(w)` is not 1, the largest of them
-    with room for the difference takes it."""
+    past the last bend where it is at most 1, unless it is 1 there, the
+    weights between their bounds rise together.  If `math.fsum(w)` is not
+    1, the largest of them with room for the difference takes it."""
     low = [lo - x for x, lo in zip(v, lower)]
     high = [hi - x for x, hi in zip(v, upper)]
     t = min(low)
@@ -221,10 +223,9 @@ def _project(v: Vector, lower: Vector, upper: Vector) -> Vector:
         if math.fsum(min(max(x + bend, lo), hi) for x, lo, hi in zip(v, lower, upper)) > 1.0:
             break
         t = bend
-    # Below its segment a weight sits on its lower bound, above on its upper.
-    w = [lo if t < a else hi for lo, hi, a in zip(lower, upper, low)]
+    w = [min(max(x + t, lo), hi) for x, lo, hi in zip(v, lower, upper)]
     free = [i for i, (a, b) in enumerate(zip(low, high)) if a <= t < b]
-    if free:
+    if free and math.fsum(w) != 1.0:
         rest = [x for i, x in enumerate(w) if i not in free]
         shift = math.fsum([1.0, *(-x for x in rest), *(-v[i] for i in free)]) / len(free)
         for i in free:
@@ -234,13 +235,6 @@ def _project(v: Vector, lower: Vector, upper: Vector) -> Vector:
         j = max(free or range(len(w)), key=lambda i: (lower[i] <= w[i] + r <= upper[i], w[i]))
         w[j] = math.fsum([1.0, *(-x for i, x in enumerate(w) if i != j)])
     return tuple(w)
-
-
-def _in_polytope(w: Vector, adm: AdmissibleSet) -> bool:
-    """Whether `w` lies in P: within every bound with no EPS_WEIGHT slack,
-    and summing to 1 when the sum is rounded exactly (`math.fsum`)."""
-    return (all(lo <= x <= hi for lo, x, hi in zip(adm.lower, w, adm.upper))
-            and math.fsum(w) == 1.0)
 
 
 def exact_thresholds(matrix: ScoreMatrix, lo: float = 0.0, hi: float = 1.0) -> list[float]:
@@ -297,13 +291,12 @@ def winner_statistics(matrix: ScoreMatrix, adm: AdmissibleSet) -> WinnerStats:
     difference s_a - s_b (`_kernels.box_simplex_min`).  A candidate's
     margin t = max over P of min over rivals b of (s_a - s_b) decides the
     rest: `ever_unique` is t > EPS_SCORE and `in_winner_set` is
-    t >= -EPS_SCORE.  The pairwise extremes bracket t: it lies between the
-    least over rivals of min over P of s_a - s_b and the least over rivals
-    of its max over P.  A bracket that straddles a threshold never belongs
-    to a candidate that some rival beats everywhere.  The rivals that some
-    candidate beats everywhere never decide either test, so they are left
-    out, and where one rival is left, t is its pairwise maximum.  Otherwise
-    the linear program gives t (`_kernels.max_min_margin`).
+    t >= -EPS_SCORE.  A rival that some candidate beats everywhere never
+    decides either test, so only the unbeaten rivals count.  The pairwise
+    extremes bracket t: it lies between the least over those rivals of min
+    over P of s_a - s_b and the least of its max over P, which is t itself
+    when one rival is left.  Where the bracket straddles a threshold, the
+    linear program gives t (`_kernels.max_min_margin`).
     """
     m = matrix.values
     lo = [_kernels.box_simplex_min([list(map(sub, m_a, m_b)) for m_b in m], adm.lower, adm.upper)
@@ -312,18 +305,14 @@ def winner_statistics(matrix: ScoreMatrix, adm: AdmissibleSet) -> WinnerStats:
     beats_all = tuple(tuple(d > EPS_SCORE for d in row) for row in lo)
     tie_all = tuple(tuple(d >= -EPS_SCORE and h <= EPS_SCORE for d, h in zip(row, row_hi))
                     for row, row_hi in zip(lo, hi))
-    beaten = [any(col) for col in zip(*beats_all)]
+    unbeaten = [b for b, col in enumerate(zip(*beats_all)) if not any(col)]
     margin = []
     for a, (row, row_hi) in enumerate(zip(lo, hi)):
-        t = min(row[:a] + row[a + 1:], default=math.inf)
-        t_hi = min(row_hi[:a] + row_hi[a + 1:], default=math.inf)
-        if not _decided(t, t_hi):
-            rivals = [b for b, out in enumerate(beaten) if b != a and not out]
-            if len(rivals) == 1:
-                t = row_hi[rivals[0]]
-            else:
-                t = _kernels.max_min_margin([list(map(sub, m[a], m[b])) for b in rivals],
-                                            adm.lower, adm.upper)
+        rivals = [b for b in unbeaten if b != a]
+        t = min((row_hi[b] for b in rivals), default=math.inf)
+        if len(rivals) > 1 and not _decided(min(row[b] for b in rivals), t):
+            t = _kernels.max_min_margin([list(map(sub, m[a], m[b])) for b in rivals],
+                                        adm.lower, adm.upper)
         margin.append(t)
     return WinnerStats(matrix.candidates, tuple(t > EPS_SCORE for t in margin),
                        tuple(t >= -EPS_SCORE for t in margin), beats_all, tie_all)
@@ -474,8 +463,7 @@ def analyze(instance: Instance) -> Analysis:
     theta_winners, default, default_scores = dict(criterion_winners), None, ()
     if instance.decisiveness_required and semantics.underdetermined:
         k = len(matrix.attributes)
-        uniform = (1.0 / k,) * k
-        vector = uniform if _in_polytope(uniform, adm) else _project(uniform, adm.lower, adm.upper)
+        vector = _project((1.0 / k,) * k, adm.lower, adm.upper)
         names = [UNIFORM_DEFAULT, *(f"{UNIFORM_DEFAULT}_{i}" for i in range(2, len(crits) + 2))]
         name = next(name for name in names if name not in criterion_winners)
         default = CriterionSpec(name, tuple(zip(matrix.attributes, vector)))

@@ -283,11 +283,6 @@ class VerdictTable(Immutable):
                      ((r, key) for r, key in self.closing_rows() if key in keys))
 
 
-def _one_row_per_key(keys: list[int], rows: list) -> Iterator[tuple[int, object]]:
-    """(key, the last row that has it) for each distinct key."""
-    return ((key, rows[i]) for key, i in dict(zip(keys, range(len(keys)))).items())
-
-
 def evaluate_space(analysis: Analysis) -> VerdictTable:
     """The response space as key tables, each distinct key's verdict taken
     from `ResponseEvaluator.evaluate` on one response that has the key.
@@ -317,13 +312,13 @@ def evaluate_space(analysis: Analysis) -> VerdictTable:
     refuse = Refuse(REFUSE_REASON)
     examples: dict[int, Response] = {
         key: Decisive(*row)
-        for key, row in _one_row_per_key(decisive, list(product(instance.candidates, thetas)))}
+        for key, row in dict(zip(decisive, product(instance.candidates, thetas))).items()}
     if decided:
         one_winner = len({winner for _, winner in decided}) == 1
         examples[_CONDITIONAL_KEY + one_winner] = Conditional(decided[:1])
         examples[_COVERING_KEY] = Conditional(decided)
     examples.update((key, Equivalence(pair))
-                    for key, pair in _one_row_per_key(equivalence, pairs))
+                    for key, pair in dict(zip(equivalence, pairs)).items())
     examples[_CLARIFY_KEY], examples[_REFUSE_KEY] = clarify, refuse
     evaluator = ResponseEvaluator(analysis)
     return VerdictTable(

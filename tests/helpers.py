@@ -90,6 +90,13 @@ def in_p(weights, adm: AdmissibleSet) -> bool:
             and abs(math.fsum(weights) - 1.0) <= EPS_WEIGHT)
 
 
+def exactly_in_p(weights, adm: AdmissibleSet) -> bool:
+    """Whether `weights` lie in P with no slack: within every bound, and
+    summing to 1 when the sum is rounded exactly (`math.fsum`)."""
+    return (all(lo <= w <= hi for lo, w, hi in zip(adm.lower, weights, adm.upper))
+            and math.fsum(weights) == 1.0)
+
+
 class WinnerOutcome(Immutable):
     """The argmax set at one weight vector (nonempty, in candidate order)."""
 

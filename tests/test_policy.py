@@ -7,6 +7,7 @@ from helpers import (
     build_two_numeric,
     constrained_instances,
     evaluated_rows,
+    exactly_in_p,
     in_p,
     outside_p_instance,
     triple,
@@ -27,7 +28,7 @@ from udet.responses import (
     Decisive,
     ResponseEvaluator,
 )
-from udet.semantics import UNIFORM_DEFAULT, _in_polytope, analyze
+from udet.semantics import UNIFORM_DEFAULT, analyze
 from udet.trilemma import GeneratorConfig, generate_instance
 
 
@@ -292,8 +293,8 @@ def test_default_is_equal_weights_projected_onto_p(inst):
     w = tuple(weight for _, weight in analysis.default.weights)
     k = len(w)
     assert tuple(a for a, _ in analysis.default.weights) == adm.attributes
-    assert _in_polytope(w, adm)
-    if _in_polytope((1.0 / k,) * k, adm):
+    assert exactly_in_p(w, adm)
+    if exactly_in_p((1.0 / k,) * k, adm):
         assert w == (1.0 / k,) * k
     if inst.pinned_criterion() is not None:
         assert w == adm.lower == adm.upper

@@ -17,6 +17,7 @@ from helpers import (
     build_two_numeric,
     constrained_instances,
     dense_subdivisions,
+    exactly_in_p,
     extreme_instance,
     grid_scores,
     grid_semantics,
@@ -49,7 +50,7 @@ from udet.model import (
 from udet.semantics import (
     EPS_SCORE,
     ScoreMatrix,
-    _in_polytope,
+    _project,
     admissible_set,
     analyze,
     exact_thresholds,
@@ -324,7 +325,19 @@ def test_bounds_past_the_simplex_make_p_its_nearest_weight_vector():
         adm = admissible_set(build_scholarship(criteria=(half,), constraints=(
             BoundConstraint("gpa", op, value), BoundConstraint("need", op, value))))
         assert adm.lower == adm.upper == (0.5, 0.5)
-        assert _in_polytope((0.5, 0.5), adm)
+        assert exactly_in_p((0.5, 0.5), adm)
+
+
+def test_equal_weights_in_p_are_their_own_projection():
+    # Five 0.2s sum to 1 once rounded, though not exactly.  With a bound at
+    # 0.2 the sum reaches 1 at a bend of the projection; spreading what the
+    # exact sum misses over the free weights moved them by an ulp.
+    for lower, upper in (((0.0, 0.0, 0.1, 0.0, 0.0), (0.2, 0.75, 0.85, 1.0, 0.2)),
+                         ((0.2, 0.2, 0.0, 0.0, 0.0), (0.2, 0.2, 1.0, 1.0, 1.0)),
+                         ((0.0,) * 5, (0.2, 0.2, 0.2, 0.2, 1.0)),
+                         ((0.0,) * 3, (1.0 / 3.0, 1.0, 1.0))):
+        k = len(lower)
+        assert _project((1.0 / k,) * k, lower, upper) == (1.0 / k,) * k
 
 
 # Bound offsets from the pinned weight: inside, within and beyond EPS_WEIGHT.
@@ -781,8 +794,9 @@ def test_two_attributes_exact_equals_the_crossing_regions(inst):
 
 # --- the numpy reference: a margin LP for every straddling bracket -------------
 #
-# `winner_statistics` on plain Python lists against the same rule vectorized
-# in numpy: the margin linear program for every straddling bracket.
+# `winner_statistics` on plain Python lists against the rule vectorized in
+# numpy: a bracket over every rival, and the margin linear program against
+# the unbeaten rivals for every bracket that straddles a threshold.
 
 STAT_TABLES = ("ever_unique", "in_winner_set", "beats_all", "tie_all")
 
@@ -841,6 +855,42 @@ def test_stats_are_the_reference_on_dyadic_near_ties(constraints):
 
 def test_stats_are_the_reference_at_256_candidates():
     assert_stats_are_the_reference(analyze(extreme_instance()))
+
+
+# --- an oracle that prunes nothing --------------------------------------------
+#
+# The engine and the numpy reference both leave out the rivals that some
+# candidate beats everywhere and settle a margin from its bracket where they
+# can.  Here every candidate's margin is the LP against every rival.
+
+
+def assert_winner_tests_need_no_pruning(analysis):
+    m, adm = analysis.matrix.values, analysis.adm
+    margins = [_kernels.max_min_margin([[x - y for x, y in zip(m_a, m_b)]
+                                        for b, m_b in enumerate(m) if b != a],
+                                       adm.lower, adm.upper)
+               for a, m_a in enumerate(m)]
+    assert analysis.stats.ever_unique == tuple(t > EPS_SCORE for t in margins)
+    assert analysis.stats.in_winner_set == tuple(t >= -EPS_SCORE for t in margins)
+
+
+@PROPERTY_SETTINGS
+@given(constrained_instances())
+def test_winner_tests_need_no_pruning(inst):
+    try:
+        analysis = analyze(inst)
+    except (InfeasibleConstraints, ContradictoryPremises):
+        assume(False)
+    assert_winner_tests_need_no_pruning(analysis)
+
+
+def test_winner_tests_need_no_pruning_on_wide_shapes_and_near_ties():
+    for shape in sorted(WIDE_SHAPES):
+        for index in range(6):
+            assert_winner_tests_need_no_pruning(analyze(wide_instance(shape, 1, index)))
+    for constraints in NEAR_TIE_CONSTRAINTS:
+        for drop in ("", "A", "C", "D"):
+            assert_winner_tests_need_no_pruning(analyze(near_tie_instance(drop, constraints)))
 
 
 def test_a_criterion_outside_the_polytope_certifies_nothing():
