@@ -215,7 +215,10 @@ def _project(v: Vector, lower: Vector, upper: Vector) -> Vector:
     upper_i) summing to 1.  The sum bends in t where a weight meets a bound;
     past the last bend where it is at most 1, unless it is 1 there, the
     weights between their bounds rise together.  If `math.fsum(w)` is not
-    1, the largest of them with room for the difference takes it."""
+    1, the largest of them with room for the difference takes it.  A `v`
+    in P, within its bounds and of `math.fsum` 1, is its own projection."""
+    if math.fsum(v) == 1.0 and all(lo <= x <= hi for x, lo, hi in zip(v, lower, upper)):
+        return tuple(v)
     low = [lo - x for x, lo in zip(v, lower)]
     high = [hi - x for x, hi in zip(v, upper)]
     t = min(low)
@@ -246,7 +249,7 @@ def exact_thresholds(matrix: ScoreMatrix, lo: float = 0.0, hi: float = 1.0) -> l
     m = matrix.values
     tilt = [row[0] - row[1] for row in m]
     alphas = set()
-    for a, b in itertools.permutations(range(len(m)), 2):
+    for a, b in itertools.combinations(range(len(m)), 2):
         slope = tilt[a] - tilt[b]
         if slope != 0.0:
             alpha = (m[b][1] - m[a][1]) / slope

@@ -347,6 +347,20 @@ def test_instance_id_must_be_identifier():
     assert "identifier" in e.message
 
 
+@pytest.mark.parametrize("line, expected", [
+    ('question "a\\qb"', (12, "unknown escape sequence '\\q'", '"a\\qb"')),
+    ("prefer A under B", (10, "expected 'over', got 'under'", "under")),
+    ("require nothing", (9, "expected 'decision', got 'nothing'", "nothing")),
+    ("attribute x: fuzzy, higher_better",
+     (14, "expected 'numeric' or 'ordinal', got 'fuzzy'", "fuzzy")),
+    ("assume weight x : 0.5", (17, "expected '<=', '>=' or '=', got ':'", ":")),
+    ("assume foo", (8, "expected 'criterion' or 'weight', got 'foo'", "foo")),
+], ids=["escape", "over", "decision", "kind", "bound-op", "assume"])
+def test_grammar_errors_name_their_token(line, expected):
+    e = err(f'instance "i"\n{line}')
+    assert (e.line, e.column, e.message, e.snippet) == (2, *expected)
+
+
 # The line grammar reads most `fact` and `criterion` lines; the token parser
 # reads every other line.  Both must read a document the same way.
 

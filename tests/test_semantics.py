@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -335,9 +336,40 @@ def test_equal_weights_in_p_are_their_own_projection():
     for lower, upper in (((0.0, 0.0, 0.1, 0.0, 0.0), (0.2, 0.75, 0.85, 1.0, 0.2)),
                          ((0.2, 0.2, 0.0, 0.0, 0.0), (0.2, 0.2, 1.0, 1.0, 1.0)),
                          ((0.0,) * 5, (0.2, 0.2, 0.2, 0.2, 1.0)),
-                         ((0.0,) * 3, (1.0 / 3.0, 1.0, 1.0))):
+                         ((0.0,) * 3, (1.0 / 3.0, 1.0, 1.0)),
+                         # Raised to the bound an ulp above 1/3, the three
+                         # weights sum to 1 + 2**-53, which rounds to 1.
+                         ((0.0,) * 3, (0.33333333333333337, 1.0, 1.0))):
         k = len(lower)
         assert _project((1.0 / k,) * k, lower, upper) == (1.0 / k,) * k
+
+
+def _exact_projection(v, lower, upper) -> list[Fraction]:
+    """The projection onto {sum(w) = 1, lower <= w <= upper} in exact
+    arithmetic: clip(v + t) at the t where the clipped sum is 1."""
+    v, lower, upper = ([Fraction(x) for x in xs] for xs in (v, lower, upper))
+
+    def at(t):
+        return [min(max(x + t, lo), hi) for x, lo, hi in zip(v, lower, upper)]
+
+    bends = sorted({lo - x for x, lo in zip(v, lower)} | {hi - x for x, hi in zip(v, upper)})
+    for a, b in zip(bends, bends[1:]):
+        sa, sb = sum(at(a)), sum(at(b))
+        if sa <= 1 <= sb and sa < sb:
+            return at(a + (1 - sa) / (sb - sa) * (b - a))
+    raise AssertionError("the bounds do not straddle 1")
+
+
+def test_projection_gives_the_remainder_to_the_largest_free_weight():
+    # Spread evenly, the shift leaves the clipped sum an ulp off 1, so the
+    # largest free weight takes the remainder.
+    v, lower, upper = (0.55, 0.95, 0.4, 0.75), (0.0,) * 4, (1.0,) * 4
+    w = _project(v, lower, upper)
+    assert w == (0.13333333333333336, 0.5333333333333333, 0.0, 0.3333333333333333)
+    assert all(lo <= x <= hi for x, lo, hi in zip(w, lower, upper))
+    assert math.fsum(w) == 1.0
+    for x, exact in zip(w, _exact_projection(v, lower, upper)):
+        assert abs(Fraction(x) - exact) <= Fraction(math.ulp(float(exact)))
 
 
 # Bound offsets from the pinned weight: inside, within and beyond EPS_WEIGHT.
