@@ -12,7 +12,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .corpus import CorpusEntry, ExpectedSummary, load_corpus
-from .dsl import ParseError, SourceDocument, parse_instance, serialize_instance
+from .dsl import ParseError, parse_instance, serialize_instance
 from .errors import (
     ContradictoryPremises,
     CorpusCorrupt,
@@ -75,7 +75,7 @@ __all__ = [
     "AttributeSchema", "BoundConstraint", "CriterionSpec", "Fact", "Instance",
     "OrdinalScale", "PinConstraint", "PreferencePremise", "Violation",
     "WeightConstraint", "validate", "EPS_WEIGHT",
-    "ParseError", "SourceDocument", "parse_instance", "serialize_instance",
+    "ParseError", "parse_instance", "serialize_instance",
     "EPS_SCORE", "AdmissibleSet", "Analysis", "ScoreMatrix", "SemanticsResult",
     "WinnerStats", "admissible_set", "analyze", "compatible_answers", "normalize",
     "winner_statistics",

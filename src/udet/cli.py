@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, corpus
-from .dsl import ParseError, SourceDocument, format_number, parse_instance
+from .dsl import ParseError, format_number, parse_instance
 from .errors import UdetError
 from .model import EPS_WEIGHT, Immutable, Instance, ORDINAL
 from .policy import PolicyDecision, decide
@@ -271,7 +271,7 @@ def _load(path: str, require_decision: bool = False) -> Instance:
         text = Path(path).read_text(encoding="utf-8-sig", errors="replace")
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}")
-    instance = parse_instance(SourceDocument(text, path))
+    instance = parse_instance(text, path)
     return instance.replace(decisiveness_required=True) if require_decision else instance
 
 

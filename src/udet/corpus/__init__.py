@@ -10,7 +10,7 @@ some weighting and verified against the engine before being frozen here.
 
 from __future__ import annotations
 
-from ..dsl import ParseError, SourceDocument, parse_instance
+from ..dsl import ParseError, parse_instance
 from ..errors import CorpusCorrupt
 from ..model import Immutable, Instance
 
@@ -72,7 +72,7 @@ def load_corpus() -> list[CorpusEntry]:
     for entry_id, expected in EXPECTED:
         source = load_source(entry_id)
         try:
-            instance = parse_instance(SourceDocument(source, f"corpus:{entry_id}"))
+            instance = parse_instance(source, f"corpus:{entry_id}")
         except ParseError as exc:
             raise CorpusCorrupt(f"corpus entry '{entry_id}' does not parse: {exc}") from exc
         if instance.id != entry_id:

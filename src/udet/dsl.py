@@ -6,13 +6,16 @@ The ``instance`` header comes first; the declarations after it may come in
 any order.  `serialize_instance` emits a canonical form whose re-parse is
 structurally identical.
 
-Lines are read two ways.  A well-formed ``fact`` or ``criterion`` line, most
-of the lines of a document, is read by one anchored match of its line
-grammar, which yields the same entity and tokens as the token parser.  Every
-other line goes to the token parser: `_tokenize` and `_LineParser`.  So does
-a fact or criterion line that the line grammar rejects or that holds a
-number beyond float range, and any line before the header.  The token parser
-raises every grammar error.
+Lines are read two ways, which differ only in how they find the tokens.
+A well-formed ``fact`` or ``criterion`` line, most of the lines of a
+document, is read by one anchored match of its line grammar.  Every other
+line goes to the token parser: `_tokenize` splits it and `_LineParser`
+reads it, asking for each token with `expect`, which names what it wanted
+in the error.  So does a fact or criterion line that the line grammar
+rejects or that holds a number beyond float range, and any line before the
+header.  Both readers hand a fact's or criterion's tokens to the same
+`_Builder` method, which makes the entity and records where each part was
+declared.  The token parser raises every grammar error.
 
 This module holds the grammar and nothing else: tokens, keywords and
 punctuation, the float range of number literals, the header-first rule and
@@ -41,7 +44,6 @@ from .model import (
     BoundConstraint,
     CriterionSpec,
     Fact,
-    Immutable,
     Instance,
     OrdinalScale,
     PinConstraint,
@@ -49,13 +51,6 @@ from .model import (
     format_number,
     validate,
 )
-
-
-class SourceDocument(Immutable):
-    """Raw DSL text plus where it came from (file path or ``<memory>``)."""
-
-    text: str
-    origin: str = "<memory>"
 
 
 class ParseError(UdetError):
@@ -99,22 +94,15 @@ class _Token:
         self.column = column  # 1-based
 
 
-def _unescape(line: int, col: int, raw: str, origin: str) -> str:
-    body = raw[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        if body[i] == "\\":
-            seq = body[i:i + 2]
-            if seq not in _UNESCAPES:
-                raise ParseError(line, col + 1 + i, f"unknown escape sequence '{seq}'",
-                                 raw, origin)
-            out.append(_UNESCAPES[seq])
-            i += 2
-        else:
-            out.append(body[i])
-            i += 1
-    return "".join(out)
+def _unescape(tok: _Token, origin: str) -> str:
+    """The text of a string token, its escape sequences replaced."""
+    def replace(m: re.Match) -> str:
+        seq = m.group()
+        if seq not in _UNESCAPES:
+            raise ParseError(tok.line, tok.column + 1 + m.start(),
+                             f"unknown escape sequence '{seq}'", tok.text, origin)
+        return _UNESCAPES[seq]
+    return re.sub(r"\\.", replace, tok.text[1:-1])
 
 
 def _escape(text: str) -> str:
@@ -164,29 +152,24 @@ class _LineParser:
         self.i += 1
         return tok
 
-    def ident(self, what: str) -> _Token:
+    def expect(self, kind: str, what: str, text: tuple[str, ...] | None = None) -> _Token:
+        """The next token, which must be of `kind` and, if `text` is given,
+        spell one of its words; `what` names it in the error."""
         tok = self.take(what)
-        if tok.kind != "ident":
+        if tok.kind != kind or text is not None and tok.text not in text:
             raise self.error(f"expected {what}, got '{tok.text}'", tok)
-        return tok
-
-    def keyword(self, word: str) -> _Token:
-        tok = self.take(f"'{word}'")
-        if tok.kind != "ident" or tok.text != word:
-            raise self.error(f"expected '{word}', got '{tok.text}'", tok)
         return tok
 
     def punct(self, symbol: str) -> _Token:
-        tok = self.take(f"'{symbol}'")
-        if tok.kind != "punct" or tok.text != symbol:
-            raise self.error(f"expected '{symbol}', got '{tok.text}'", tok)
-        return tok
+        return self.expect("punct", f"'{symbol}'", (symbol,))
 
-    def number(self, what: str) -> tuple[float, _Token]:
-        tok = self.take(what)
-        if tok.kind != "number":
-            raise self.error(f"expected {what}, got '{tok.text}'", tok)
-        return self.value(tok), tok
+    def comma_list(self, what: str) -> list[_Token]:
+        """Identifiers separated by commas up to the end of the line."""
+        items = [self.expect("ident", what)]
+        while self.peek() is not None:
+            self.punct(",")
+            items.append(self.expect("ident", what))
+        return items
 
     def value(self, tok: _Token) -> float:
         """The number token's value; literals beyond float range are errors."""
@@ -194,12 +177,6 @@ class _LineParser:
         if not math.isfinite(value):
             raise self.error("number out of range", tok)
         return value
-
-    def string(self, what: str) -> tuple[str, _Token]:
-        tok = self.take(what)
-        if tok.kind != "string":
-            raise self.error(f"expected {what}, got '{tok.text}'", tok)
-        return _unescape(self.line_no, tok.column, tok.text, self.origin), tok
 
     def finish(self) -> None:
         tok = self.peek()
@@ -229,6 +206,16 @@ class _Builder:
     def add(self, key: str, entity, tokens) -> None:
         self.entities[key].append(entity)
         self.where[key].append(tokens)
+
+    def fact(self, cand: _Token, attr: _Token, value_tok: _Token, value: float | str) -> None:
+        self.add("facts", Fact(cand.text, attr.text, value),
+                 {"candidate": cand, "attribute": attr, "value": value_tok})
+
+    def criterion(self, name: _Token, pairs: list[list[_Token]], weights: list[float]) -> None:
+        """`pairs` holds the attribute and weight tokens of each weight."""
+        self.add("criteria", CriterionSpec(
+            name.text, tuple((attr.text, w) for (attr, _), w in zip(pairs, weights))),
+            {"name": name, "weights": pairs})
 
     def canonicalize(self) -> None:
         """Put facts in candidate-major, attribute order and each criterion's
@@ -275,7 +262,7 @@ def _ranks(names) -> dict[str, int]:
 
 
 def _parse_statement(p: _LineParser, b: _Builder) -> None:
-    head = p.ident("a declaration keyword")
+    head = p.expect("ident", "a declaration keyword")
     kw = head.text
 
     if b.instance_id is None and kw != "instance":
@@ -284,50 +271,40 @@ def _parse_statement(p: _LineParser, b: _Builder) -> None:
     if kw == "instance":
         if b.instance_id is not None:
             raise p.error("duplicate instance header", head)
-        b.instance_id, b.where["id"] = p.string("the instance id as a quoted string")
+        tok = p.expect("string", "the instance id as a quoted string")
+        b.instance_id, b.where["id"] = _unescape(tok, p.origin), tok
     elif kw == "question":
         if b.question is not None:
             raise p.error("duplicate question", head)
-        b.question, _ = p.string("the question text")
+        b.question = _unescape(p.expect("string", "the question text"), p.origin)
     elif kw == "scale":
-        name = p.ident("a scale name")
+        name = p.expect("ident", "a scale name")
         p.punct(":")
-        levels = [p.ident("a level name")]
-        while p.peek() is not None:
-            p.punct(",")
-            levels.append(p.ident("a level name"))
+        levels = p.comma_list("a level name")
         b.add("scales", OrdinalScale(name.text, tuple(t.text for t in levels)),
               {"name": name, "levels": levels})
     elif kw == "attribute":
-        name = p.ident("an attribute name")
+        name = p.expect("ident", "an attribute name")
         p.punct(":")
-        kind = p.ident("'numeric' or 'ordinal'")
+        kind = p.expect("ident", "'numeric' or 'ordinal'", (NUMERIC, ORDINAL))
         scale = None
         if kind.text == ORDINAL:
             p.punct("(")
-            scale = p.ident("a scale name")
+            scale = p.expect("ident", "a scale name")
             p.punct(")")
-        elif kind.text != NUMERIC:
-            raise p.error(f"expected 'numeric' or 'ordinal', got '{kind.text}'", kind)
         p.punct(",")
-        direction = p.ident("'higher_better' or 'lower_better'")
-        if direction.text not in (HIGHER_BETTER, LOWER_BETTER):
-            raise p.error(
-                f"expected 'higher_better' or 'lower_better', got '{direction.text}'", direction)
+        direction = p.expect("ident", "'higher_better' or 'lower_better'",
+                             (HIGHER_BETTER, LOWER_BETTER))
         b.add("attributes",
               AttributeSchema(name.text, kind.text, direction.text, scale and scale.text),
               {"name": name, "kind": kind, "direction": direction, "scale": scale})
     elif kw == "candidates":
-        names = [p.ident("a candidate id")]
-        while p.peek() is not None:
-            p.punct(",")
-            names.append(p.ident("a candidate id"))
-        for tok in names:
+        for tok in p.comma_list("a candidate id"):
             b.add("candidates", tok.text, tok)
     elif kw == "fact":
-        cand = p.ident("a candidate id")
+        cand = p.expect("ident", "a candidate id")
         p.punct(".")
-        attr = p.ident("an attribute name")
+        attr = p.expect("ident", "an attribute name")
         p.punct("=")
         tok = p.take("a value")
         if tok.kind == "number":
@@ -336,50 +313,41 @@ def _parse_statement(p: _LineParser, b: _Builder) -> None:
             value = tok.text
         else:
             raise p.error(f"expected a number or a level name, got '{tok.text}'", tok)
-        b.add("facts", Fact(cand.text, attr.text, value),
-              {"candidate": cand, "attribute": attr, "value": tok})
+        b.fact(cand, attr, tok, value)
     elif kw == "criterion":
-        name = p.ident("a criterion name")
+        name = p.expect("ident", "a criterion name")
         p.punct("{")
-        weights: list[tuple[str, float]] = []
-        tokens: list[list[_Token]] = []
+        pairs: list[list[_Token]] = []
+        weights: list[float] = []
         while True:
-            attr = p.ident("an attribute name")
+            attr = p.expect("ident", "an attribute name")
             p.punct(":")
-            w, wtok = p.number("a weight")
-            weights.append((attr.text, w))
-            tokens.append([attr, wtok])
-            tok = p.take("',' or '}'")
-            if tok.kind == "punct" and tok.text == "}":
+            wtok = p.expect("number", "a weight")
+            pairs.append([attr, wtok])
+            weights.append(p.value(wtok))
+            if p.expect("punct", "',' or '}'", (",", "}")).text == "}":
                 break
-            if not (tok.kind == "punct" and tok.text == ","):
-                raise p.error(f"expected ',' or '}}', got '{tok.text}'", tok)
-        b.add("criteria", CriterionSpec(name.text, tuple(weights)),
-              {"name": name, "weights": tokens})
+        b.criterion(name, pairs, weights)
     elif kw == "assume":
-        which = p.ident("'criterion' or 'weight'")
+        which = p.expect("ident", "'criterion' or 'weight'", ("criterion", "weight"))
         if which.text == "criterion":
             p.punct("=")
-            crit = p.ident("a criterion name")
+            crit = p.expect("ident", "a criterion name")
             b.add("constraints", PinConstraint(crit.text), {"criterion": crit})
-        elif which.text == "weight":
-            attr = p.ident("an attribute name")
-            op = p.take("'<=', '>=' or '='")
-            if not (op.kind == "punct" and op.text in BOUND_OPS):
-                raise p.error(f"expected '<=', '>=' or '=', got '{op.text}'", op)
-            value, vtok = p.number("a bound value")
-            b.add("constraints", BoundConstraint(attr.text, op.text, value),
-                  {"attribute": attr, "op": op, "value": vtok})
         else:
-            raise p.error(f"expected 'criterion' or 'weight', got '{which.text}'", which)
+            attr = p.expect("ident", "an attribute name")
+            op = p.expect("punct", "'<=', '>=' or '='", BOUND_OPS)
+            vtok = p.expect("number", "a bound value")
+            b.add("constraints", BoundConstraint(attr.text, op.text, p.value(vtok)),
+                  {"attribute": attr, "op": op, "value": vtok})
     elif kw == "prefer":
-        winner = p.ident("a candidate id")
-        p.keyword("over")
-        loser = p.ident("a candidate id")
+        winner = p.expect("ident", "a candidate id")
+        p.expect("ident", "'over'", ("over",))
+        loser = p.expect("ident", "a candidate id")
         b.add("preferences", PreferencePremise(winner.text, loser.text),
               {"winner": winner, "loser": loser})
     elif kw == "require":
-        p.keyword("decision")
+        p.expect("ident", "'decision'", ("decision",))
         if b.decisiveness_required:
             raise p.error("duplicate 'require decision'", head)
         b.decisiveness_required = True
@@ -413,49 +381,45 @@ def _token(m: re.Match, group: str, kind: str, line_no: int) -> _Token:
 
 def _read_declaration(line_no: int, raw: str, b: _Builder) -> bool:
     """Add the ``fact`` or ``criterion`` on the line to `b` and return True,
-    if the line grammar reads it.  The line grammar reads a line only as the
-    token parser would.  Any other line, a number beyond float range and a
-    line before the header are left to the token parser, which raises every
-    ParseError."""
+    if the line grammar reads it.  It finds the tokens that the token parser
+    would find and hands them to the same `_Builder` method.  Any other
+    line, a number beyond float range and a line before the header are left
+    to the token parser, which raises every ParseError."""
     if b.instance_id is None:
         return False
     fact, criterion, pair = _line_grammar()
     m = fact.fullmatch(raw)
     if m is not None:
-        number = m.group("number")
-        if number is None:
+        if m.group("number") is None:
             value_tok = _token(m, "ident", "ident", line_no)
             value: float | str = value_tok.text
         else:
-            value = float(number)
+            value_tok = _token(m, "number", "number", line_no)
+            value = float(value_tok.text)
             if not math.isfinite(value):
                 return False
-            value_tok = _token(m, "number", "number", line_no)
-        cand = _token(m, "candidate", "ident", line_no)
-        attr = _token(m, "attribute", "ident", line_no)
-        b.add("facts", Fact(cand.text, attr.text, value),
-              {"candidate": cand, "attribute": attr, "value": value_tok})
+        b.fact(_token(m, "candidate", "ident", line_no), _token(m, "attribute", "ident", line_no),
+               value_tok, value)
         return True
     m = criterion.fullmatch(raw)
     if m is None:
         return False
-    weights: list[tuple[str, float]] = []
-    tokens: list[list[_Token]] = []
+    pairs: list[list[_Token]] = []
+    weights: list[float] = []
     for w in pair.finditer(raw, *m.span("body")):
         weight = float(w.group("weight"))
         if not math.isfinite(weight):
             return False
-        weights.append((w.group("attribute"), weight))
-        tokens.append([_token(w, "attribute", "ident", line_no),
-                       _token(w, "weight", "number", line_no)])
-    name = _token(m, "name", "ident", line_no)
-    b.add("criteria", CriterionSpec(name.text, tuple(weights)),
-          {"name": name, "weights": tokens})
+        weights.append(weight)
+        pairs.append([_token(w, "attribute", "ident", line_no),
+                      _token(w, "weight", "number", line_no)])
+    b.criterion(_token(m, "name", "ident", line_no), pairs, weights)
     return True
 
 
-def parse_instance(doc: SourceDocument | str) -> Instance:
-    """Parse DSL text into a validated Instance.
+def parse_instance(text: str, origin: str = "<memory>") -> Instance:
+    """Parse DSL text into a validated Instance; `origin` names where the
+    text came from (a file path or ``<memory>``) in every ParseError.
 
     Raises ParseError on the first grammar error, where the line loop meets
     it, even when an earlier line breaks a rule.  On a document that is
@@ -466,11 +430,8 @@ def parse_instance(doc: SourceDocument | str) -> Instance:
     empty document is a missing header at 1:1.  Never raises anything else,
     regardless of input text.
     """
-    if isinstance(doc, str):
-        doc = SourceDocument(doc)
-    origin = doc.origin
     b = _Builder()
-    lines = doc.text.split("\n")
+    lines = text.split("\n")
     for line_no, raw in enumerate(lines, start=1):
         if _read_declaration(line_no, raw, b):
             continue

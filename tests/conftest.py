@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from udet import corpus
-from udet.dsl import SourceDocument, parse_instance
+from udet.dsl import parse_instance
 
 
 @pytest.fixture(scope="session")
@@ -18,4 +18,4 @@ def scholarship_text() -> str:
 
 @pytest.fixture
 def scholarship(scholarship_text):
-    return parse_instance(SourceDocument(scholarship_text, "scholarship.udet"))
+    return parse_instance(scholarship_text, "scholarship.udet")

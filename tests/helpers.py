@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import udet
 from udet import cli
 from udet._kernels import max_min_margin, score
-from udet.dsl import SourceDocument, format_number, parse_instance
+from udet.dsl import format_number, parse_instance
 from udet.model import (
     EPS_WEIGHT,
     HIGHER_BETTER,
@@ -587,7 +587,7 @@ def table_rows(table) -> list:
 
 def _analysis_of(path: str, require_decision: bool):
     text = open(path, encoding="utf-8", errors="replace").read()
-    instance = parse_instance(SourceDocument(text, path))
+    instance = parse_instance(text, path)
     if require_decision:
         instance = instance.replace(decisiveness_required=True)
     return analyze(instance)

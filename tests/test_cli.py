@@ -731,7 +731,7 @@ def test_corpus_commands_never_import_numpy(corpus_dir, tmp_path):
         import io, sys
         from pathlib import Path
         from udet import _kernels, cli
-        from udet.dsl import SourceDocument, parse_instance
+        from udet.dsl import parse_instance
         solved = []
         solve = _kernels.max_min_margin
         def counted(*args):
@@ -741,7 +741,7 @@ def test_corpus_commands_never_import_numpy(corpus_dir, tmp_path):
         codes = []
         for path in sorted(Path(sys.argv[1]).glob("*.udet")):
             f = str(path)
-            pair = parse_instance(SourceDocument(path.read_text(), f)).attribute_names[:2]
+            pair = parse_instance(path.read_text(), f).attribute_names[:2]
             for argv in (["analyze", f], ["analyze", f, "--format", "json"],
                          ["analyze", f, "--require-decision"],
                          ["analyze", f, "--require-decision", "--format", "json"],

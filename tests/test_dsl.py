@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from helpers import attribute_by_name, fact_value, mutate_lines
 
 from udet import corpus, dsl
-from udet.dsl import ParseError, SourceDocument, parse_instance, serialize_instance
+from udet.dsl import ParseError, parse_instance, serialize_instance
 from udet.model import NUMERIC, ORDINAL, validate
 from udet.trilemma import GeneratorConfig, generate_instance
 
 
 def parse(text: str):
-    return parse_instance(SourceDocument(text, "<test>"))
+    return parse_instance(text, "<test>")
 
 
 def err(text: str) -> ParseError:

@@ -12,7 +12,6 @@ import re
 import pytest
 
 from udet import cli, corpus
-from udet.dsl import SourceDocument
 from udet.model import (
     LOWER_BETTER,
     NUMERIC,
@@ -77,7 +76,6 @@ VALUES = [
                     Clarify(("weight for x",)), Refuse("reason"), ((22, VERDICT),)), ("B",)),
     (GeneratorConfig, (1, (2, 3), (1, 2), (0, 1), 0.1, 0.2, 0.3, 0.4), 2),
     (PolicyDecision, ("direct", Decisive("A"), "why"), "clarify"),
-    (SourceDocument, ("instance i", "i.udet"), "instance j"),
     (cli._Json, ("[]",), "{}"),
     (corpus.ExpectedSummary, (("A",), False, "direct"), ("B",)),
     (corpus.CorpusEntry, ("i", "instance i", SUMMARY, INSTANCE), "j"),
