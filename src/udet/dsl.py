@@ -211,11 +211,11 @@ class _Builder:
         self.add("facts", Fact(cand.text, attr.text, value),
                  {"candidate": cand, "attribute": attr, "value": value_tok})
 
-    def criterion(self, name: _Token, pairs: list[list[_Token]], weights: list[float]) -> None:
-        """`pairs` holds the attribute and weight tokens of each weight."""
-        self.add("criteria", CriterionSpec(
-            name.text, tuple((attr.text, w) for (attr, _), w in zip(pairs, weights))),
-            {"name": name, "weights": pairs})
+    def criterion(self, name: _Token, weights: list[tuple[str, float]],
+                  tokens: list[list[_Token]]) -> None:
+        """`tokens` holds the attribute and weight tokens of each weight."""
+        self.add("criteria", CriterionSpec(name.text, tuple(weights)),
+                 {"name": name, "weights": tokens})
 
     def canonicalize(self) -> None:
         """Put facts in candidate-major, attribute order and each criterion's
@@ -317,17 +317,17 @@ def _parse_statement(p: _LineParser, b: _Builder) -> None:
     elif kw == "criterion":
         name = p.expect("ident", "a criterion name")
         p.punct("{")
-        pairs: list[list[_Token]] = []
-        weights: list[float] = []
+        weights: list[tuple[str, float]] = []
+        tokens: list[list[_Token]] = []
         while True:
             attr = p.expect("ident", "an attribute name")
             p.punct(":")
             wtok = p.expect("number", "a weight")
-            pairs.append([attr, wtok])
-            weights.append(p.value(wtok))
+            weights.append((attr.text, p.value(wtok)))
+            tokens.append([attr, wtok])
             if p.expect("punct", "',' or '}'", (",", "}")).text == "}":
                 break
-        b.criterion(name, pairs, weights)
+        b.criterion(name, weights, tokens)
     elif kw == "assume":
         which = p.expect("ident", "'criterion' or 'weight'", ("criterion", "weight"))
         if which.text == "criterion":
@@ -404,16 +404,16 @@ def _read_declaration(line_no: int, raw: str, b: _Builder) -> bool:
     m = criterion.fullmatch(raw)
     if m is None:
         return False
-    pairs: list[list[_Token]] = []
-    weights: list[float] = []
+    weights: list[tuple[str, float]] = []
+    tokens: list[list[_Token]] = []
     for w in pair.finditer(raw, *m.span("body")):
         weight = float(w.group("weight"))
         if not math.isfinite(weight):
             return False
-        weights.append(weight)
-        pairs.append([_token(w, "attribute", "ident", line_no),
-                      _token(w, "weight", "number", line_no)])
-    b.criterion(_token(m, "name", "ident", line_no), pairs, weights)
+        weights.append((w.group("attribute"), weight))
+        tokens.append([_token(w, "attribute", "ident", line_no),
+                       _token(w, "weight", "number", line_no)])
+    b.criterion(_token(m, "name", "ident", line_no), weights, tokens)
     return True
 
 

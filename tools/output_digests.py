@@ -43,22 +43,19 @@ COMMANDS = [
 ]
 
 
-def _inputs() -> list[tuple[str, str, str]]:
-    """(directory, name, text) for every input."""
-    items = [("corpus", name, text) for name, text in workload_inputs("corpus-cli", 0)]
+def _inputs() -> dict[str, list[tuple[str, str]]]:
+    """(name, text) pairs by directory: the corpus, then each workload and seed."""
+    groups = {"corpus": workload_inputs("corpus-cli", 0)}
     for workload in ("generated-mix", "wide-responses"):
         for seed in SEEDS:
-            items += [(f"{workload}-{seed}", name, text)
-                      for name, text in workload_inputs(workload, seed)]
-    return items
+            groups[f"{workload}-{seed}"] = workload_inputs(workload, seed)
+    return groups
 
 
 def digests() -> list[tuple[str, str]]:
     """(command, sha256) for each of `COMMANDS`, run from the current directory."""
-    paths = []
-    for directory, name, text in _inputs():
-        [path] = write_inputs([(name, text)], Path(directory))
-        paths.append(str(path))
+    paths = [str(path) for directory, inputs in _inputs().items()
+             for path in write_inputs(inputs, Path(directory))]
     out = []
     for command in COMMANDS:
         h = hashlib.sha256()
