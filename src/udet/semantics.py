@@ -249,6 +249,7 @@ def exact_thresholds(matrix: ScoreMatrix, lo: float = 0.0, hi: float = 1.0) -> l
     m = matrix.values
     tilt = [row[0] - row[1] for row in m]
     alphas = set()
+    # (b, a) crosses where (a, b) does, with both signs of the quotient flipped.
     for a, b in itertools.combinations(range(len(m)), 2):
         slope = tilt[a] - tilt[b]
         if slope != 0.0:
