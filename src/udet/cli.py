@@ -101,31 +101,6 @@ def _parameters(timestamps: bool) -> dict:
     return params
 
 
-def _instance_json(instance: Instance) -> dict:
-    return {
-        "id": instance.id,
-        "question": instance.question,
-        "candidates": list(instance.candidates),
-        "scales": [{"name": s.name, "levels": list(s.levels)} for s in instance.scales],
-        "attributes": [
-            {"name": a.name, "kind": a.kind, "direction": a.direction,
-             **({"scale": a.scale} if a.kind == ORDINAL else {})}
-            for a in instance.attributes
-        ],
-        "facts": [{"candidate": f.candidate, "attribute": f.attribute, "value": f.value}
-                  for f in instance.facts],
-        "criteria": [{"name": c.name, "weights": {a: w for a, w in c.weights}}
-                     for c in instance.criteria],
-        "constraints": [
-            {"kind": "pin", "criterion": c.criterion} if hasattr(c, "criterion")
-            else {"kind": "bound", "attribute": c.attribute, "op": c.op, "value": c.value}
-            for c in instance.constraints
-        ],
-        "preferences": [[p.winner, p.loser] for p in instance.preferences],
-        "decisiveness_required": instance.decisiveness_required,
-    }
-
-
 def _semantics_json(semantics: SemanticsResult) -> dict:
     return {
         "compatible": list(semantics.compatible),
@@ -140,21 +115,6 @@ def _policy_json(decision: PolicyDecision) -> dict:
         "branch": decision.branch,
         "response": response_to_json(decision.response),
         "rationale": decision.rationale,
-    }
-
-
-def _trilemma_json(report: TrilemmaReport) -> dict:
-    return {
-        "underdetermined": report.underdetermined,
-        "responses_evaluated": report.responses_evaluated,
-        "counterexamples": [response_to_json(r) for r in report.counterexamples],
-        "pairwise": [
-            {"name": p.name, "witnesses": p.witnesses, "holds": p.holds,
-             "violations": [response_to_json(r) for r in p.violations]}
-            for p in report.pairwise
-        ],
-        "conflict_free_witness": (None if report.conflict_free_witness is None
-                                  else response_to_json(report.conflict_free_witness)),
     }
 
 
@@ -186,6 +146,21 @@ _SCALARS = {str: _str, bool: _bool, int: int.__repr__, float: _float,
             type(None): lambda value: "null"}
 
 
+def _items(texts: list[str], indent: str, brackets: str = "[]") -> str:
+    """JSON texts, each already indented to sit one level below `indent`,
+    as the elements of an array (or, with ``"{}"``, the members of an
+    object) at `indent`, as ``json.dumps(indent=2)`` lays them out."""
+    if not texts:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(texts) + "\n" + indent + brackets[1]
+
+
+def _strings(texts, indent: str) -> str:
+    """An array of strings at `indent`."""
+    return _items(list(map(_str, texts)), indent)
+
+
 def _dump(value, indent: str) -> str:
     """``json.dumps(value, indent=2)`` with every newline followed by
     `indent`, for str-keyed dicts, lists, tuples, strings, numbers, bools and
@@ -195,17 +170,11 @@ def _dump(value, indent: str) -> str:
     if scalar is not None:
         return scalar(value)
     deeper = indent + "  "
-    inner = "\n" + deeper
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f"{_str(key)}: {_dump(item, deeper)}" for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + "\n" + indent + "}"
+        return _items([f"{_str(key)}: {_dump(item, deeper)}" for key, item in value.items()],
+                      indent, "{}")
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_dump(item, deeper) for item in value]
-        return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+        return _items([_dump(item, deeper) for item in value], indent)
     for kind, scalar in _SCALARS.items():
         if isinstance(value, kind):
             return scalar(value)
@@ -227,8 +196,85 @@ def _emit(doc: dict, out) -> None:
     out.write("\n}\n")
 
 
+# The sections below are written from templates, each as `_dump` would
+# write the dict it spells out, at its depth in the document.
+
+def _instance_json(instance: Instance) -> str:
+    """The ``instance`` value of the analyze document: the instance's
+    fields, each fact, criterion and constraint as an object."""
+    attributes = [f'{{\n        "name": {_str(a.name)},\n        "kind": {_str(a.kind)},\n'
+                  f'        "direction": {_str(a.direction)}'
+                  + (f',\n        "scale": {_str(a.scale)}' if a.kind == ORDINAL else "")
+                  + "\n      }" for a in instance.attributes]
+    facts = [f'{{\n        "candidate": {_str(f.candidate)},\n        "attribute": '
+             f'{_str(f.attribute)},\n        "value": {_dump(f.value, "")}\n      }}'
+             for f in instance.facts]
+    criteria = [f'{{\n        "name": {_str(c.name)},\n        "weights": '
+                + _items([f"{_str(a)}: {_dump(w, '')}" for a, w in c.weights], " " * 8, "{}")
+                + "\n      }" for c in instance.criteria]
+    constraints = [
+        f'{{\n        "kind": "pin",\n        "criterion": {_str(c.criterion)}\n      }}'
+        if hasattr(c, "criterion") else
+        f'{{\n        "kind": "bound",\n        "attribute": {_str(c.attribute)},\n'
+        f'        "op": {_str(c.op)},\n        "value": {_dump(c.value, "")}\n      }}'
+        for c in instance.constraints]
+    return _items([
+        f'"id": {_str(instance.id)}',
+        f'"question": {_str(instance.question)}',
+        f'"candidates": {_strings(instance.candidates, "    ")}',
+        '"scales": ' + _items([f'{{\n        "name": {_str(s.name)},\n        "levels": '
+                               f'{_strings(s.levels, " " * 8)}\n      }}'
+                               for s in instance.scales], "    "),
+        f'"attributes": {_items(attributes, "    ")}',
+        f'"facts": {_items(facts, "    ")}',
+        f'"criteria": {_items(criteria, "    ")}',
+        f'"constraints": {_items(constraints, "    ")}',
+        '"preferences": ' + _items([f'[\n        {_str(p.winner)},\n        {_str(p.loser)}\n      ]'
+                                    for p in instance.preferences], "    "),
+        f'"decisiveness_required": {_bool(instance.decisiveness_required)}',
+    ], "  ", "{}")
+
+
+def _response_json(response: Response, indent: str) -> str:
+    """`response_to_json` of the response, written at `indent`."""
+    deeper = indent + "  "
+    return _items([f'"form": {_str(response.form)}',
+                   *(f"{_str(name)}: {_dump(getattr(response, name), deeper)}"
+                     for name in response._fields)], indent, "{}")
+
+
+def _trilemma_json(report: TrilemmaReport, indent: str = "  ",
+                   instance: bool = False) -> str:
+    """The trilemma report at `indent`, led by its instance's id if
+    `instance` is true (as `check` lists it)."""
+    deeper = indent + "  "
+    inner = deeper + "  "
+    member = inner + "  "
+    pairwise = [f'{{\n{member}"name": {_str(p.name)},\n{member}"witnesses": {p.witnesses},\n'
+                f'{member}"holds": {_bool(p.holds)},\n{member}"violations": '
+                + _items([_response_json(r, member + "  ") for r in p.violations], member)
+                + f"\n{inner}}}" for p in report.pairwise]
+    witness = report.conflict_free_witness
+    return _items([
+        *([f'"instance": {_str(report.instance_id)}'] if instance else []),
+        f'"underdetermined": {_bool(report.underdetermined)}',
+        f'"responses_evaluated": {report.responses_evaluated}',
+        '"counterexamples": ' + _items([_response_json(r, inner)
+                                        for r in report.counterexamples], deeper),
+        f'"pairwise": {_items(pairwise, deeper)}',
+        '"conflict_free_witness": '
+        + ("null" if witness is None else _response_json(witness, deeper)),
+    ], indent, "{}")
+
+
 def _verdict_json(verdict: Verdict) -> str:
-    return _dump({name: getattr(verdict, name) for name in Verdict._fields}, " " * 6)
+    return (f'{{\n        "c_strong": {_bool(verdict.c_strong)},\n'
+            f'        "c_cond": {_bool(verdict.c_cond)},\n'
+            f'        "nb_strict": {_bool(verdict.nb_strict)},\n'
+            f'        "nb_transparent": {_bool(verdict.nb_transparent)},\n'
+            f'        "u_decisive": {_bool(verdict.u_decisive)},\n'
+            f'        "u_assistive": {_dump(verdict.u_assistive, "")},\n'
+            f'        "hidden_theta": {_bool(verdict.hidden_theta)}\n      }}')
 
 
 _ROW = '    {\n      "response": {\n        "form": '
@@ -250,13 +296,14 @@ def _verdicts_json(table: VerdictTable) -> _Json:
     ends = {key: "\n        ]" + tail for key, tail in tails.items()}
     rows += [f"{head}{_BRANCH_SEP.join(branches)}{ends[key]}"
              for branches, key in table.conditional_rows(
-                 _dump(branch, " " * 10) for branch in table.decided)]
+                 f'[\n            {_str(crit)},\n            {_str(cand)}\n          ]'
+                 for crit, cand in table.decided)]
     head = _ROW + '"equivalence",\n        "candidates": [\n          '
     rows += [f"{head}{name[a]},\n          {name[b]}{ends[key]}"
              for (a, b), key in table.equivalence_rows()]
     (clarify, clarify_key), (refuse, refuse_key) = table.closing_rows()
     rows.append(f'{_ROW}"clarify",\n        "missing": '
-                f'{_dump(clarify.missing, " " * 8)}{tails[clarify_key]}')
+                f'{_strings(clarify.missing, " " * 8)}{tails[clarify_key]}')
     rows.append(f'{_ROW}"refuse",\n        "reason": {_str(refuse.reason)}{tails[refuse_key]}')
     rows[0] = "[\n" + rows[0]
     rows[-1] += "\n  ]"
@@ -314,11 +361,11 @@ def cmd_analyze(args, stdout) -> int:
         doc = {
             "schema_version": JSON_SCHEMA_VERSION,
             "parameters": _parameters(args.timestamps),
-            "instance": _instance_json(instance),
+            "instance": _Json(_instance_json(instance)),
             "semantics": _semantics_json(semantics),
             "verdicts": _verdicts_json(table),
             "policy": _policy_json(decision),
-            "trilemma": _trilemma_json(report),
+            "trilemma": _Json(_trilemma_json(report)),
         }
         _emit(doc, stdout)
         return EXIT_OK
@@ -376,10 +423,6 @@ def _report_line(report: TrilemmaReport) -> str:
             f"counterexamples={len(report.counterexamples)} witness={_witness_text(report)}")
 
 
-def _report_json(report: TrilemmaReport) -> dict:
-    return {"instance": report.instance_id, **_trilemma_json(report)}
-
-
 def cmd_check(args, stdout) -> int:
     if args.random is not None:
         if args.paths:
@@ -406,7 +449,8 @@ def cmd_check(args, stdout) -> int:
     if args.format == "json":
         doc = {
             "schema_version": JSON_SCHEMA_VERSION,
-            "reports": [_report_json(r) for r in reports],
+            "reports": _Json(_items([_trilemma_json(r, "    ", instance=True)
+                                     for r in reports], "  ")),
             "summary": {
                 "instances": len(reports),
                 "responses": total_responses,

@@ -68,15 +68,18 @@ class ParseError(UdetError):
 
 _NUMBER = r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
+# Blanks, then one token; the alternatives are tried in order, and no two
+# of them start with the same character but a number and the punctuation
+# mark "." (".5" is a number).
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<comment>\#.*)
-      | (?P<string>"(?:[^"\\\n]|\\.)*")
+    r"""[ \t\r]*
+    (?: (?P<ident>""" + IDENT + r""")
       | (?P<number>""" + _NUMBER + r""")
-      | (?P<ident>""" + IDENT + r""")
       | (?P<punct><=|>=|[(){}:,.=])
-      | (?P<bad>.)
-    """,
+      | (?P<string>"[^"\\\n]*(?:\\.[^"\\\n]*)*")
+      | (?P<comment>\#.*)
+      | (?P<bad>[^ \t\r\n])
+    )""",
     re.VERBOSE,
 )
 
@@ -96,6 +99,9 @@ class _Token:
 
 def _unescape(tok: _Token, origin: str) -> str:
     """The text of a string token, its escape sequences replaced."""
+    if "\\" not in tok.text:
+        return tok.text[1:-1]
+
     def replace(m: re.Match) -> str:
         seq = m.group()
         if seq not in _UNESCAPES:
@@ -110,20 +116,25 @@ def _escape(text: str) -> str:
 
 
 def _tokenize(line_no: int, line: str, origin: str) -> list[_Token]:
-    """The line's tokens in one pass; the last alternative of `_TOKEN_RE`
-    catches any character that starts no token."""
+    """The line's tokens in one pass.  Each match of `_TOKEN_RE` skips the
+    blanks before its token, and its last alternative catches any
+    character that starts no token."""
     tokens: list[_Token] = []
     for m in _TOKEN_RE.finditer(line):
         kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
+        if kind == "comment":
+            break
         if kind == "bad":
-            ch = m.group()
+            ch = m[kind]
             msg = ("unterminated string literal" if ch == '"'
                    else f"unexpected character {ch!r}")
-            raise ParseError(line_no, m.start() + 1, msg, line.strip(), origin)
-        tokens.append(_Token(kind, m.group(), line_no, m.start() + 1))
+            raise ParseError(line_no, m.start(kind) + 1, msg, line.strip(), origin)
+        tokens.append(_Token(kind, m[kind], line_no, m.start(kind) + 1))
     return tokens
+
+
+# Each punctuation mark as `_LineParser.expect` names and spells it.
+_PUNCT = {symbol: (f"'{symbol}'", (symbol,)) for symbol in "(){}:,.="}
 
 
 class _LineParser:
@@ -146,22 +157,26 @@ class _LineParser:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
     def take(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
+        i = self.i
+        if i == len(self.tokens):
             raise self.error(f"expected {what} before end of line")
-        self.i += 1
-        return tok
+        self.i = i + 1
+        return self.tokens[i]
 
     def expect(self, kind: str, what: str, text: tuple[str, ...] | None = None) -> _Token:
         """The next token, which must be of `kind` and, if `text` is given,
         spell one of its words; `what` names it in the error."""
-        tok = self.take(what)
+        i = self.i
+        if i == len(self.tokens):
+            raise self.error(f"expected {what} before end of line")
+        tok = self.tokens[i]
         if tok.kind != kind or text is not None and tok.text not in text:
             raise self.error(f"expected {what}, got '{tok.text}'", tok)
+        self.i = i + 1
         return tok
 
     def punct(self, symbol: str) -> _Token:
-        return self.expect("punct", f"'{symbol}'", (symbol,))
+        return self.expect("punct", *_PUNCT[symbol])
 
     def comma_list(self, what: str) -> list[_Token]:
         """Identifiers separated by commas up to the end of the line."""
@@ -189,68 +204,95 @@ _COLLECTIONS = ("candidates", "scales", "attributes", "facts", "criteria",
 
 
 class _Builder:
-    """Records each declared entity and the tokens that declared it.
+    """Records each declared entity and the line that declared it.
 
-    `where` mirrors the instance being built, key for key and index for
-    index, with a token in place of each name or value, so that a
-    `Violation.path` looks up the token to report.
+    `where` mirrors the entity lists key for key and index for index, with
+    the number of the line that declared each entity; ``where["id"]`` holds
+    the header's line.  No token is kept: `token_at` finds one by reading
+    its line again.
     """
 
-    def __init__(self):
-        self.instance_id: str | None = None
+    def __init__(self, instance_id: str | None = None):
+        self.instance_id = instance_id
         self.question: str | None = None
         self.decisiveness_required = False
+        self.line_no = 0  # the line being read
         self.entities: dict[str, list] = {key: [] for key in _COLLECTIONS}
-        self.where: dict[str, object] = {key: [] for key in _COLLECTIONS}
+        self.where: dict[str, list] = {key: [] for key in ("id", *_COLLECTIONS)}
+
+    def add(self, key: str, entity, tokens) -> None:
+        """Add `entity`, declared on the line being read by `tokens`."""
+        self.entities[key].append(entity)
+        self.where[key].append(self.line_no)
+
+    def mark(self, key: str, tokens) -> None:
+        """Record where `tokens` declared the element `key` names."""
+        self.where[key].append(self.line_no)
+
+    def attribute_order(self, weights) -> list[int]:
+        """The indices of (attribute, weight) pairs in declared attribute
+        order; undeclared names sort last and equal keys keep their order."""
+        rank = self.attr_rank
+        last = len(rank)
+        return sorted(range(len(weights)), key=lambda j: rank.get(weights[j][0], last))
+
+    def canonicalize(self) -> None:
+        """Put facts in candidate-major, attribute order and each criterion's
+        weights in attribute order.  Undeclared names sort last; equal keys
+        keep their document order.  Lists already in order are kept."""
+        cand_rank = _ranks(self.entities["candidates"])
+        self.attr_rank = attr_rank = _ranks(a.name for a in self.entities["attributes"])
+        cand_last, attr_last = len(cand_rank), len(attr_rank)
+        facts, lines = self.entities["facts"], self.where["facts"]
+        keys = [(cand_rank.get(f.candidate, cand_last), attr_rank.get(f.attribute, attr_last))
+                for f in facts]
+        if keys != sorted(keys):
+            order = sorted(range(len(facts)), key=keys.__getitem__)
+            self.entities["facts"] = [facts[i] for i in order]
+            self.where["facts"] = [lines[i] for i in order]
+        names = tuple(attr_rank)
+        self.entities["criteria"] = [
+            crit if tuple(a for a, _ in crit.weights) == names
+            else CriterionSpec(crit.name, tuple(crit.weights[j]
+                                                for j in self.attribute_order(crit.weights)))
+            for crit in self.entities["criteria"]]
+
+    def token_at(self, path: tuple, lines: list[str], origin: str) -> _Token | None:
+        """The token that declared the element at `path`, or None when the
+        path names a whole collection.  The token parser reads the
+        element's line again, into a `_TokenBuilder` past its header unless
+        the line is the header."""
+        if path == ("id",):
+            path = ("id", 0)
+        if len(path) < 2:
+            return None
+        key, i, *rest = path
+        spots = self.where[key]
+        line_no, raw = spots[i], lines[spots[i] - 1]
+        again = _TokenBuilder(None if key == "id" else self.instance_id)
+        again.line_no = line_no
+        _parse_statement(_LineParser(line_no, _tokenize(line_no, raw, origin), raw, origin),
+                         again)
+        node = again.where[key][spots[:i].count(line_no)]
+        if key == "criteria" and rest[0] == "weights":
+            rest[1] = self.attribute_order(again.entities["criteria"][0].weights)[rest[1]]
+        for step in rest:
+            if isinstance(node, _Token):
+                break
+            node = node[step]
+        return node if isinstance(node, _Token) else None
+
+
+class _TokenBuilder(_Builder):
+    """A builder that keeps in `where` the tokens that declared each entity,
+    as `_parse_statement` hands them over, in place of their lines."""
 
     def add(self, key: str, entity, tokens) -> None:
         self.entities[key].append(entity)
         self.where[key].append(tokens)
 
-    def fact(self, cand: _Token, attr: _Token, value_tok: _Token, value: float | str) -> None:
-        self.add("facts", Fact(cand.text, attr.text, value),
-                 {"candidate": cand, "attribute": attr, "value": value_tok})
-
-    def criterion(self, name: _Token, weights: list[tuple[str, float]],
-                  tokens: list[list[_Token]]) -> None:
-        """`tokens` holds the attribute and weight tokens of each weight."""
-        self.add("criteria", CriterionSpec(name.text, tuple(weights)),
-                 {"name": name, "weights": tokens})
-
-    def canonicalize(self) -> None:
-        """Put facts in candidate-major, attribute order and each criterion's
-        weights in attribute order.  Undeclared names sort last; equal keys
-        keep their document order."""
-        cand_rank = _ranks(self.entities["candidates"])
-        attr_rank = _ranks(a.name for a in self.entities["attributes"])
-
-        def attr_key(name: str) -> int:
-            return attr_rank.get(name, len(attr_rank))
-
-        self.entities["facts"], self.where["facts"] = _sort_together(
-            self.entities["facts"], self.where["facts"],
-            lambda f: (cand_rank.get(f.candidate, len(cand_rank)), attr_key(f.attribute)))
-        criteria = self.entities["criteria"]
-        for i, (crit, where) in enumerate(zip(criteria, self.where["criteria"])):
-            weights, where["weights"] = _sort_together(
-                crit.weights, where["weights"], lambda w: attr_key(w[0]))
-            criteria[i] = CriterionSpec(crit.name, tuple(weights))
-
-    def token_at(self, path: tuple) -> _Token | None:
-        """The token that declared the element at `path`, or None when the
-        path names a whole collection."""
-        node = self.where
-        for key in path:
-            node = node[key]
-            if isinstance(node, _Token):
-                return node
-        return None
-
-
-def _sort_together(items, tokens, key) -> tuple[list, list]:
-    """`items` stably sorted by `key`, and `tokens` in the same order."""
-    order = sorted(range(len(items)), key=lambda i: key(items[i]))
-    return [items[i] for i in order], [tokens[i] for i in order]
+    def mark(self, key: str, tokens) -> None:
+        self.where[key].append(tokens)
 
 
 def _ranks(names) -> dict[str, int]:
@@ -272,7 +314,8 @@ def _parse_statement(p: _LineParser, b: _Builder) -> None:
         if b.instance_id is not None:
             raise p.error("duplicate instance header", head)
         tok = p.expect("string", "the instance id as a quoted string")
-        b.instance_id, b.where["id"] = _unescape(tok, p.origin), tok
+        b.instance_id = _unescape(tok, p.origin)
+        b.mark("id", tok)
     elif kw == "question":
         if b.question is not None:
             raise p.error("duplicate question", head)
@@ -313,7 +356,8 @@ def _parse_statement(p: _LineParser, b: _Builder) -> None:
             value = tok.text
         else:
             raise p.error(f"expected a number or a level name, got '{tok.text}'", tok)
-        b.fact(cand, attr, tok, value)
+        b.add("facts", Fact(cand.text, attr.text, value),
+              {"candidate": cand, "attribute": attr, "value": tok})
     elif kw == "criterion":
         name = p.expect("ident", "a criterion name")
         p.punct("{")
@@ -327,7 +371,8 @@ def _parse_statement(p: _LineParser, b: _Builder) -> None:
             tokens.append([attr, wtok])
             if p.expect("punct", "',' or '}'", (",", "}")).text == "}":
                 break
-        b.criterion(name, weights, tokens)
+        b.add("criteria", CriterionSpec(name.text, tuple(weights)),
+              {"name": name, "weights": tokens})
     elif kw == "assume":
         which = p.expect("ident", "'criterion' or 'weight'", ("criterion", "weight"))
         if which.text == "criterion":
@@ -358,62 +403,49 @@ def _parse_statement(p: _LineParser, b: _Builder) -> None:
 
 
 @functools.cache
-def _line_grammar() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
-    """The patterns of a well-formed ``fact`` line, ``criterion`` line and
-    weight pair.  Each token ends where the token parser ends it, since
-    the pattern must go on with a character that cannot extend the token.
-    They are compiled on the first parse, not at import, which commands
-    that parse nothing would pay for."""
-    ws, end = r"[ \t\r]*", r"[ \t\r]*(?:#.*)?"
-    fact = (rf"{ws}fact[ \t\r]+(?P<candidate>{IDENT}){ws}\.{ws}(?P<attribute>{IDENT})"
-            rf"{ws}={ws}(?:(?P<number>{_NUMBER})|(?P<ident>{IDENT})){end}")
+def _line_grammar() -> re.Pattern:
+    """The pattern of a well-formed ``fact`` or ``criterion`` line.  Each
+    token ends where the token parser ends it, since the pattern must go on
+    with a character that cannot extend the token.  It is compiled on the
+    first parse, not at import, which commands that parse nothing would pay
+    for."""
+    ws = r"[ \t\r]*"
     pair = rf"{IDENT}{ws}:{ws}{_NUMBER}"
-    criterion = (rf"{ws}criterion[ \t\r]+(?P<name>{IDENT}){ws}\{{"
-                 rf"(?P<body>{ws}{pair}(?:{ws},{ws}{pair})*){ws}\}}{end}")
-    pair = rf"(?P<attribute>{IDENT}){ws}:{ws}(?P<weight>{_NUMBER})"
-    return re.compile(fact), re.compile(criterion), re.compile(pair)
+    return re.compile(
+        rf"{ws}(?:fact[ \t\r]+({IDENT}){ws}\.{ws}({IDENT}){ws}={ws}(?:({_NUMBER})|({IDENT}))"
+        rf"|criterion[ \t\r]+({IDENT}){ws}\{{({ws}{pair}(?:{ws},{ws}{pair})*){ws}\}})"
+        rf"{ws}(?:#.*)?")
 
 
-def _token(m: re.Match, group: str, kind: str, line_no: int) -> _Token:
-    """The token of `kind` that `group` of a line grammar match spans."""
-    return _Token(kind, m.group(group), line_no, m.start(group) + 1)
-
-
-def _read_declaration(line_no: int, raw: str, b: _Builder) -> bool:
+def _read_declaration(raw: str, b: _Builder) -> bool:
     """Add the ``fact`` or ``criterion`` on the line to `b` and return True,
-    if the line grammar reads it.  It finds the tokens that the token parser
-    would find and hands them to the same `_Builder` method.  Any other
-    line, a number beyond float range and a line before the header are left
-    to the token parser, which raises every ParseError."""
+    if the line grammar reads it.  Its pattern fixes the line's shape, so a
+    criterion's body splits at its commas and colons.  Any other line, a
+    number beyond float range and a line before the header are left to the
+    token parser, which raises every ParseError."""
     if b.instance_id is None:
         return False
-    fact, criterion, pair = _line_grammar()
-    m = fact.fullmatch(raw)
-    if m is not None:
-        if m.group("number") is None:
-            value_tok = _token(m, "ident", "ident", line_no)
-            value: float | str = value_tok.text
-        else:
-            value_tok = _token(m, "number", "number", line_no)
-            value = float(value_tok.text)
-            if not math.isfinite(value):
-                return False
-        b.fact(_token(m, "candidate", "ident", line_no), _token(m, "attribute", "ident", line_no),
-               value_tok, value)
-        return True
-    m = criterion.fullmatch(raw)
+    m = _line_grammar().fullmatch(raw)
     if m is None:
         return False
+    candidate, attribute, number, level, name, body = m.groups()
+    if name is None:
+        if number is None:
+            value: float | str = level
+        else:
+            value = float(number)
+            if not math.isfinite(value):
+                return False
+        b.add("facts", Fact(candidate, attribute, value), None)
+        return True
     weights: list[tuple[str, float]] = []
-    tokens: list[list[_Token]] = []
-    for w in pair.finditer(raw, *m.span("body")):
-        weight = float(w.group("weight"))
-        if not math.isfinite(weight):
+    for pair in body.split(","):
+        attribute, weight = pair.split(":")
+        value = float(weight)
+        if not math.isfinite(value):
             return False
-        weights.append((w.group("attribute"), weight))
-        tokens.append([_token(w, "attribute", "ident", line_no),
-                       _token(w, "weight", "number", line_no)])
-    b.criterion(_token(m, "name", "ident", line_no), weights, tokens)
+        weights.append((attribute.strip(), value))
+    b.add("criteria", CriterionSpec(name, tuple(weights)), None)
     return True
 
 
@@ -433,30 +465,26 @@ def parse_instance(text: str, origin: str = "<memory>") -> Instance:
     b = _Builder()
     lines = text.split("\n")
     for line_no, raw in enumerate(lines, start=1):
-        if _read_declaration(line_no, raw, b):
+        b.line_no = line_no
+        if _read_declaration(raw, b):
             continue
         tokens = _tokenize(line_no, raw, origin)
-        if not tokens:
-            continue
-        _parse_statement(_LineParser(line_no, tokens, raw, origin), b)
+        if tokens:
+            _parse_statement(_LineParser(line_no, tokens, raw, origin), b)
     if b.instance_id is None:
         raise ParseError(1, 1, "missing instance header", "", origin)
 
     b.canonicalize()
-    instance = Instance(
-        id=b.instance_id,
-        question=b.question or "",
-        decisiveness_required=b.decisiveness_required,
-        **{key: tuple(items) for key, items in b.entities.items()},
-    )
+    instance = Instance(b.instance_id, b.question or "", *map(tuple, b.entities.values()),
+                        b.decisiveness_required)
     violations = validate(instance)
     if violations:
-        def position(v):
-            tok = b.token_at(v.path)
-            return (tok.line, tok.column) if tok else (len(lines), 1)
-        first = min(violations, key=position)
-        tok = b.token_at(first.path)
-        raise ParseError(*position(first), first.message, tok.text if tok else "", origin)
+        tokens = [b.token_at(v.path, lines, origin) for v in violations]
+        positions = [(tok.line, tok.column) if tok else (len(lines), 1) for tok in tokens]
+        first = min(range(len(violations)), key=positions.__getitem__)
+        tok = tokens[first]
+        raise ParseError(*positions[first], violations[first].message,
+                         tok.text if tok else "", origin)
     return instance
 
 

@@ -593,6 +593,44 @@ def _analysis_of(path: str, require_decision: bool):
     return analyze(instance)
 
 
+def instance_doc(instance: Instance) -> dict:
+    """The ``instance`` value of the analyze document, from the model's fields."""
+    return {
+        "id": instance.id,
+        "question": instance.question,
+        "candidates": list(instance.candidates),
+        "scales": [{"name": s.name, "levels": list(s.levels)} for s in instance.scales],
+        "attributes": [
+            {"name": a.name, "kind": a.kind, "direction": a.direction,
+             **({"scale": a.scale} if a.kind == ORDINAL else {})}
+            for a in instance.attributes],
+        "facts": [{"candidate": f.candidate, "attribute": f.attribute, "value": f.value}
+                  for f in instance.facts],
+        "criteria": [{"name": c.name, "weights": dict(c.weights)} for c in instance.criteria],
+        "constraints": [
+            {"kind": "pin", "criterion": c.criterion} if isinstance(c, PinConstraint)
+            else {"kind": "bound", "attribute": c.attribute, "op": c.op, "value": c.value}
+            for c in instance.constraints],
+        "preferences": [[p.winner, p.loser] for p in instance.preferences],
+        "decisiveness_required": instance.decisiveness_required,
+    }
+
+
+def trilemma_doc(report) -> dict:
+    """The ``trilemma`` value of the analyze document, from the report's fields."""
+    return {
+        "underdetermined": report.underdetermined,
+        "responses_evaluated": report.responses_evaluated,
+        "counterexamples": [cli.response_to_json(r) for r in report.counterexamples],
+        "pairwise": [
+            {"name": p.name, "witnesses": p.witnesses, "holds": not p.violations,
+             "violations": [cli.response_to_json(r) for r in p.violations]}
+            for p in report.pairwise],
+        "conflict_free_witness": (None if report.conflict_free_witness is None
+                                  else cli.response_to_json(report.conflict_free_witness)),
+    }
+
+
 def analyze_json_oracle(path: str, require_decision: bool = False,
                         timestamps: bool = False) -> str:
     """What `udet analyze PATH --format json` must print."""
@@ -601,7 +639,7 @@ def analyze_json_oracle(path: str, require_decision: bool = False,
     doc = {
         "schema_version": cli.JSON_SCHEMA_VERSION,
         "parameters": cli._parameters(timestamps),
-        "instance": cli._instance_json(analysis.instance),
+        "instance": instance_doc(analysis.instance),
         "semantics": cli._semantics_json(analysis.semantics),
         "verdicts": [
             {"response": cli.response_to_json(r),
@@ -613,7 +651,7 @@ def analyze_json_oracle(path: str, require_decision: bool = False,
             "response": cli.response_to_json(decision.response),
             "rationale": decision.rationale,
         },
-        "trilemma": cli._trilemma_json(check_trilemma(analysis)),
+        "trilemma": trilemma_doc(check_trilemma(analysis)),
     }
     return json.dumps(doc, indent=2) + "\n"
 

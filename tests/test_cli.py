@@ -23,6 +23,7 @@ from helpers import (
     build_two_numeric,
     extreme_instance,
     mutate_lines,
+    trilemma_doc,
     wide_instance,
 )
 
@@ -236,6 +237,65 @@ def test_analyze_json_escapes_strings_as_the_oracle_does(corpus_dir, tmp_path):
         'Qui gagne "la bourse" ?\tC:\\dossier — 奨学金 ☃\nsecond line')
 
 
+MIXED = """\
+instance "mixed"
+question "Which one?"
+scale level: low, mid, high
+attribute size: numeric, higher_better
+attribute grade: ordinal(level), lower_better
+candidates A, B, C
+fact A.size = 1e16
+fact A.grade = low
+fact B.size = 1.0
+fact B.grade = high
+fact C.size = 1e-5
+fact C.grade = mid
+criterion even { size: 0.5, grade: 0.5 }
+criterion sized { size: 1.0, grade: 0.0 }
+assume criterion = even
+assume weight size >= 0.25
+prefer A over C
+"""
+
+
+def test_analyze_json_echoes_every_kind_of_declaration_as_the_oracle_does(tmp_path):
+    # Ordinal facts, a bound, a pin, a preference, and floats that print as
+    # 1.0, 1e-05 and 1e+16.
+    path = tmp_path / "mixed.udet"
+    path.write_text(MIXED, encoding="utf-8")
+    assert_json_matches_oracle(path)
+    out = run_cli(["analyze", str(path), "--format", "json"])[1]
+    for text in ('"value": 1e+16', '"value": 1.0', '"value": 1e-05', '"value": "mid"',
+                 '"kind": "pin"', '"op": ">="', '"scale": "level"'):
+        assert text in out
+    assert json.loads(out)["instance"]["preferences"] == [["A", "C"]]
+
+
+def test_check_json_is_the_oracle_document(corpus_dir, tmp_path):
+    mixed = tmp_path / "mixed.udet"
+    mixed.write_text(MIXED, encoding="utf-8")
+    paths = [*sorted(str(p) for p in corpus_dir.glob("*.udet")), str(mixed)]
+    code, out, err = run_cli(["check", *paths, "--format", "json"])
+    reports = [trilemma.check_trilemma(udet.semantics.analyze(
+        udet.dsl.parse_instance(Path(path).read_text(encoding="utf-8"), path)))
+        for path in paths]
+    doc = {
+        "schema_version": cli.JSON_SCHEMA_VERSION,
+        "reports": [{"instance": r.instance_id, **trilemma_doc(r)} for r in reports],
+        "summary": {
+            "instances": len(reports),
+            "responses": sum(r.responses_evaluated for r in reports),
+            "counterexamples": sum(len(r.counterexamples) for r in reports),
+            "determined": sum(not r.underdetermined for r in reports),
+            "determined_with_witness": sum(not r.underdetermined
+                                           and r.conflict_free_witness is not None
+                                           for r in reports),
+        },
+    }
+    assert (code, err) == (0, "")
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
 def test_analyze_json_with_timestamps_is_the_oracle_document(corpus_dir, monkeypatch):
     class FixedClock(datetime):
         @classmethod
@@ -248,6 +308,38 @@ def test_analyze_json_with_timestamps_is_the_oracle_document(corpus_dir, monkeyp
     assert_json_matches_oracle(path, "--timestamps")
     doc = json.loads(run_cli(["analyze", path, "--format", "json", "--timestamps"])[1])
     assert doc["parameters"]["timestamp"] == "2030-01-02T03:04:05.678901+00:00"
+
+
+@pytest.fixture(scope="module")
+def output_digests():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+    try:
+        import output_digests
+    finally:
+        sys.path.pop(0)
+    return output_digests
+
+
+def test_each_mutated_corpus_file_gets_one_diagnostic(output_digests, tmp_path):
+    # The inputs whose errors `tools/output_digests.py` digests: each exits
+    # 1 or 2 with one line, and a `near:` line exactly when the error has a
+    # snippet.
+    for kind in output_digests.MUTATIONS:
+        inputs = output_digests.mutated_inputs(kind)
+        assert len(inputs) == 7 * output_digests.VARIANTS
+        for name, text in inputs:
+            path = tmp_path / f"{kind}-{name}.udet"
+            path.write_text(text, encoding="utf-8")
+            code, out, err = run_cli(["analyze", str(path)])
+            assert code in (1, 2) and out == "", (kind, name)
+            try:
+                udet.dsl.parse_instance(text, str(path))
+                snippet = ""
+            except udet.dsl.ParseError as exc:
+                snippet = exc.snippet
+            lines = err.split("\n")
+            assert lines.pop() == "" and lines[0] and not lines[0].startswith(" ")
+            assert lines[1:] == ([f"  near: {snippet}"] if snippet else []), (kind, name)
 
 
 def test_analyze_parse_error_exit_1(tmp_path):

@@ -381,27 +381,16 @@ def assert_both_paths_agree(text: str) -> None:
         assert_line_read_as_the_token_parser_reads_it(raw, line_no)
 
 
-def _tokens(where):
-    """`where` with each token as (kind, text, line, column)."""
-    if isinstance(where, dsl._Token):
-        return (where.kind, where.text, where.line, where.column)
-    if isinstance(where, dict):
-        return {key: _tokens(value) for key, value in where.items()}
-    if isinstance(where, list):
-        return [_tokens(value) for value in where]
-    return where
-
-
 def assert_line_read_as_the_token_parser_reads_it(raw: str, line_no: int = 1) -> None:
     """If the line grammar reads `raw` after a header, the token parser reads
-    the same entity from it, with the same tokens."""
-    fast, slow = dsl._Builder(), dsl._Builder()
-    fast.instance_id = slow.instance_id = "x"
-    if dsl._read_declaration(line_no, raw, fast):
+    the same entity from it, declared on the same line."""
+    fast, slow = dsl._Builder("x"), dsl._Builder("x")
+    fast.line_no = slow.line_no = line_no
+    if dsl._read_declaration(raw, fast):
         tokens = dsl._tokenize(line_no, raw, "<test>")
         dsl._parse_statement(dsl._LineParser(line_no, tokens, raw, "<test>"), slow)
         assert fast.entities == slow.entities
-        assert _tokens(fast.where) == _tokens(slow.where)
+        assert fast.where == slow.where
 
 
 def test_both_parser_paths_agree_on_the_corpus():
@@ -463,8 +452,7 @@ def test_line_grammar_reads_a_line_only_as_the_token_parser_does(line):
 def test_line_grammar_reads_every_line_the_token_parser_reads(line):
     """A fact or criterion that the token parser reads after a header, the
     line grammar reads too, so no well-formed line takes the slower path."""
-    slow, fast = dsl._Builder(), dsl._Builder()
-    slow.instance_id = fast.instance_id = "x"
+    slow, fast = dsl._Builder("x"), dsl._Builder("x")
     try:
         tokens = dsl._tokenize(1, line, "<test>")
         if tokens:
@@ -472,7 +460,7 @@ def test_line_grammar_reads_every_line_the_token_parser_reads(line):
     except ParseError:
         return
     if slow.entities["facts"] or slow.entities["criteria"]:
-        assert dsl._read_declaration(1, line, fast)
+        assert dsl._read_declaration(line, fast)
 
 
 def _edit(text: str, old: str, new: str) -> str:
@@ -526,8 +514,8 @@ def test_both_parser_paths_agree_on_named_cases(scholarship_text, edit, read):
     read_by_grammar = {}
     real = dsl._read_declaration
 
-    def spy(line_no, raw, b):
-        read_by_grammar[raw] = real(line_no, raw, b)
+    def spy(raw, b):
+        read_by_grammar[raw] = real(raw, b)
         return read_by_grammar[raw]
 
     with mock.patch.object(dsl, "_read_declaration", spy):

@@ -3,8 +3,12 @@
 Runs `udet.cli.main` in-process over the benchmark's inputs: the 7 corpus
 files and every `generated-mix` and `wide-responses` input of seeds 0-3,
 as `benchmarks/bench_inputs.py` builds them.  For each command it prints
-one sha256 over (input, exit code, stdout, stderr) of every input.  Run it
-in two checkouts and diff the outputs:
+one sha256 over (input, exit code, stdout, stderr) of every input.  Then,
+for each kind of one-line mutation of the corpus files (`MUTATIONS`), it
+prints one sha256 over what `analyze` prints on every mutated file, each
+of which is invalid: the digests cover the line, column, message and
+``near:`` snippet of every error.  Run it in two checkouts and diff the
+outputs:
 
     python tools/output_digests.py > digests.txt
 
@@ -17,6 +21,8 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -43,6 +49,78 @@ COMMANDS = [
 ]
 
 
+# Mutated copies of each corpus file per kind of mutation.
+VARIANTS = 4
+
+# Lines whose copy breaks a rule, each declaring a name or a fact; the
+# loss of one breaks a rule too, unless it is the question or a criterion.
+_DECLARING = ("instance ", "scale ", "attribute ", "candidates ", "fact ", "question ",
+              "criterion ")
+# A name that the line refers to rather than declares.
+_REFERENCE = re.compile(r"(?<=^fact )\w+|(?<=\.)\w+(?= =)|(?<== )[A-Za-z_]\w*$"
+                        r"|\w+(?=:)|(?<=^assume criterion = )\w+|(?<=^assume weight )\w+"
+                        r"|(?<=^prefer )\w+|(?<= over )\w+")
+_NUMBER = re.compile(r"(?<=[=:] )[+-]?[0-9.][0-9.eE+-]*")
+_WEIGHT = re.compile(r"(?<=: )[0-9.][0-9.eE+-]*")
+_BAD_NUMBERS = ("1e999", "-1e400", "1.2.3", "1e", "0x1", "1,5", "--1", "\u0663")
+
+
+def _delete(lines, rng):
+    i = rng.choice([i for i, line in enumerate(lines) if line.startswith(_DECLARING[:5])])
+    del lines[i]
+
+
+def _duplicate(lines, rng):
+    i = rng.choice([i for i, line in enumerate(lines) if line.startswith(_DECLARING)])
+    lines.insert(i + 1, lines[i])
+
+
+def _swap(lines, rng):
+    """Swap a line's keyword with another of its space-separated words."""
+    i = rng.choice([i for i, line in enumerate(lines) if " " in line])
+    words = lines[i].split(" ")
+    j = rng.randrange(1, len(words))
+    words[0], words[j] = words[j], words[0]
+    lines[i] = " ".join(words)
+
+
+def _replace(lines, rng, pattern, new):
+    """Replace one match of `pattern` on a random line that has one with
+    `new(match text)`."""
+    i = rng.choice([i for i, line in enumerate(lines) if pattern.search(line)])
+    m = rng.choice(list(pattern.finditer(lines[i])))
+    lines[i] = lines[i][:m.start()] + new(m.group()) + lines[i][m.end():]
+
+
+def _rename(lines, rng):
+    _replace(lines, rng, _REFERENCE, lambda name: "undeclared")
+
+
+def _bad_number(lines, rng):
+    _replace(lines, rng, _NUMBER, lambda number: rng.choice(_BAD_NUMBERS))
+
+
+def _bad_weight(lines, rng):
+    """A negative weight, or one that no longer sums to 1 with the others."""
+    _replace(lines, rng, _WEIGHT,
+             lambda weight: rng.choice(("-0.5", repr(float(weight) + 0.25))))
+
+
+MUTATIONS = {"delete-line": _delete, "duplicate-line": _duplicate, "swap-tokens": _swap,
+             "undeclared-name": _rename, "bad-number": _bad_number, "bad-weight": _bad_weight}
+
+
+def mutated_inputs(kind: str) -> list[tuple[str, str]]:
+    """(name, text) of `VARIANTS` seeded mutations of each corpus file."""
+    out = []
+    for name, text in workload_inputs("corpus-cli", 0):
+        for n in range(VARIANTS):
+            lines = text.split("\n")
+            MUTATIONS[kind](lines, random.Random(f"{name} {kind} {n}"))
+            out.append((f"{name}-{n}", "\n".join(lines)))
+    return out
+
+
 def _inputs() -> dict[str, list[tuple[str, str]]]:
     """(name, text) pairs by directory: the corpus, then each workload and seed."""
     groups = {"corpus": workload_inputs("corpus-cli", 0)}
@@ -52,19 +130,25 @@ def _inputs() -> dict[str, list[tuple[str, str]]]:
     return groups
 
 
+def _digest(command: list[str], paths: list[str]) -> str:
+    h = hashlib.sha256()
+    for path in paths:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        code = main([command[0], path, *command[1:]], stdout=stdout, stderr=stderr)
+        for part in (path, str(code), stdout.getvalue(), stderr.getvalue()):
+            h.update(hashlib.sha256(part.encode()).digest())
+    return h.hexdigest()
+
+
 def digests() -> list[tuple[str, str]]:
-    """(command, sha256) for each of `COMMANDS`, run from the current directory."""
+    """(command, sha256) for each of `COMMANDS`, then for `analyze` on each
+    kind of mutation, run from the current directory."""
     paths = [str(path) for directory, inputs in _inputs().items()
              for path in write_inputs(inputs, Path(directory))]
-    out = []
-    for command in COMMANDS:
-        h = hashlib.sha256()
-        for path in paths:
-            stdout, stderr = io.StringIO(), io.StringIO()
-            code = main([command[0], path, *command[1:]], stdout=stdout, stderr=stderr)
-            for part in (path, str(code), stdout.getvalue(), stderr.getvalue()):
-                h.update(hashlib.sha256(part.encode()).digest())
-        out.append((" ".join(command), h.hexdigest()))
+    out = [(" ".join(command), _digest(command, paths)) for command in COMMANDS]
+    for kind in MUTATIONS:
+        paths = [str(path) for path in write_inputs(mutated_inputs(kind), Path(kind))]
+        out.append((f"analyze ({kind})", _digest(["analyze"], paths)))
     return out
 
 
