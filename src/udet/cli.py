@@ -6,12 +6,17 @@ Reports are byte-deterministic for identical inputs and flags: orderings are
 fixed, numbers render with at most 12 significant digits, and timestamps
 appear only under ``analyze --timestamps``.  JSON output is byte-identical
 to ``json.dumps(doc, indent=2)`` with its default ASCII escaping, plus a
-newline.  One recursive writer, `_dump`, writes every value at its depth with
-`json`'s C string escaper: ``indent`` makes `json.dumps` take its
-pure-Python encoder, which cost as much as parsing the instance.  `analyze`
-builds no object per verdict row: it writes its verdict rows from the key
-tables of `trilemma.evaluate_space`, one template per response form,
-rendering each distinct verdict and conditional branch once.
+newline, written with `json`'s C string escaper: ``indent`` makes
+`json.dumps` take its pure-Python encoder, which cost as much as parsing
+the instance.  The sections that grow with the instance are written from
+fixed templates, each shaped as ``json.dumps`` would lay out its dict: the
+``instance`` echo of `analyze` (candidates, scales, attributes, facts,
+criteria, constraints, preferences), its ``verdicts`` rows and its
+``trilemma`` block, which `check` lists as well.  `analyze` builds no
+object per verdict row: it writes its rows from the key tables of
+`trilemma.evaluate_space`, one template per response form, and renders
+each distinct verdict and conditional branch once.  One recursive writer,
+`_dump`, writes every other value at its depth.
 Commands raise their errors, and `main` alone maps each error type to its
 exit code and message.  Exit codes: 0 success, 1 parse or validation error,
 a usage error (an unknown flag or a bad flag value, with one ``error:``
@@ -127,18 +132,14 @@ class _Json(Immutable):
     text: str
 
 
-_INF = float("inf")
+# The floats that `float.__repr__` spells with letters, as `json.dumps` does.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _float(value: float) -> str:
     """A float as `json.dumps` writes it."""
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
+    text = float.__repr__(value)
+    return text if text[-1] in "0123456789" else _NON_FINITE[text]
 
 
 # By exact type; a subclass is found by `isinstance`, in this order.
@@ -229,18 +230,11 @@ def _instance_json(instance: Instance) -> str:
         f'"facts": {_items(facts, "    ")}',
         f'"criteria": {_items(criteria, "    ")}',
         f'"constraints": {_items(constraints, "    ")}',
-        '"preferences": ' + _items([f'[\n        {_str(p.winner)},\n        {_str(p.loser)}\n      ]'
+        '"preferences": ' + _items([f'[\n        {_str(p.winner)},\n        '
+                                    f'{_str(p.loser)}\n      ]'
                                     for p in instance.preferences], "    "),
         f'"decisiveness_required": {_bool(instance.decisiveness_required)}',
     ], "  ", "{}")
-
-
-def _response_json(response: Response, indent: str) -> str:
-    """`response_to_json` of the response, written at `indent`."""
-    deeper = indent + "  "
-    return _items([f'"form": {_str(response.form)}',
-                   *(f"{_str(name)}: {_dump(getattr(response, name), deeper)}"
-                     for name in response._fields)], indent, "{}")
 
 
 def _trilemma_json(report: TrilemmaReport, indent: str = "  ",
@@ -252,22 +246,24 @@ def _trilemma_json(report: TrilemmaReport, indent: str = "  ",
     member = inner + "  "
     pairwise = [f'{{\n{member}"name": {_str(p.name)},\n{member}"witnesses": {p.witnesses},\n'
                 f'{member}"holds": {_bool(p.holds)},\n{member}"violations": '
-                + _items([_response_json(r, member + "  ") for r in p.violations], member)
+                + _items([_dump(response_to_json(r), member + "  ") for r in p.violations],
+                         member)
                 + f"\n{inner}}}" for p in report.pairwise]
     witness = report.conflict_free_witness
     return _items([
         *([f'"instance": {_str(report.instance_id)}'] if instance else []),
         f'"underdetermined": {_bool(report.underdetermined)}',
         f'"responses_evaluated": {report.responses_evaluated}',
-        '"counterexamples": ' + _items([_response_json(r, inner)
+        '"counterexamples": ' + _items([_dump(response_to_json(r), inner)
                                         for r in report.counterexamples], deeper),
         f'"pairwise": {_items(pairwise, deeper)}',
         '"conflict_free_witness": '
-        + ("null" if witness is None else _response_json(witness, deeper)),
+        + ("null" if witness is None else _dump(response_to_json(witness), deeper)),
     ], indent, "{}")
 
 
 def _verdict_json(verdict: Verdict) -> str:
+    """The verdict's fields as the ``verdict`` of a row of `_verdicts_json`."""
     return (f'{{\n        "c_strong": {_bool(verdict.c_strong)},\n'
             f'        "c_cond": {_bool(verdict.c_cond)},\n'
             f'        "nb_strict": {_bool(verdict.nb_strict)},\n'

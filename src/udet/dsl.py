@@ -8,14 +8,19 @@ structurally identical.
 
 Lines are read two ways, which differ only in how they find the tokens.
 A well-formed ``fact`` or ``criterion`` line, most of the lines of a
-document, is read by one anchored match of its line grammar.  Every other
-line goes to the token parser: `_tokenize` splits it and `_LineParser`
-reads it, asking for each token with `expect`, which names what it wanted
-in the error.  So does a fact or criterion line that the line grammar
-rejects or that holds a number beyond float range, and any line before the
-header.  Both readers hand a fact's or criterion's tokens to the same
-`_Builder` method, which makes the entity and records where each part was
-declared.  The token parser raises every grammar error.
+document, is read by one anchored match of the line grammar, whose pattern
+fixes the line's shape, so a criterion's body splits at its commas and
+colons.  Every other line goes to the token parser: `_tokenize` splits it
+into tokens and `_LineParser` reads them, asking for each with `expect`,
+which names what it wanted in the error.  So does a fact or criterion line
+that the line grammar rejects or that holds a number beyond float range,
+and any line before the header.  The token parser raises every grammar
+error, and tokens are made only for the lines it reads.
+
+`_Builder` keeps, for each entity, only the number of the line that
+declared it.  Positions are needed only when `model.validate` finds a
+violation: then the token parser reads each blamed line again, and the
+tokens it hands over name the line, column and text of the error.
 
 This module holds the grammar and nothing else: tokens, keywords and
 punctuation, the float range of number literals, the header-first rule and
@@ -88,6 +93,8 @@ _UNESCAPES = {escaped: ch for ch, escaped in _ESCAPES.items()}
 
 
 class _Token:
+    """One token of a line that the token parser reads."""
+
     __slots__ = ("kind", "text", "line", "column")
 
     def __init__(self, kind: str, text: str, line: int, column: int):
@@ -133,10 +140,6 @@ def _tokenize(line_no: int, line: str, origin: str) -> list[_Token]:
     return tokens
 
 
-# Each punctuation mark as `_LineParser.expect` names and spells it.
-_PUNCT = {symbol: (f"'{symbol}'", (symbol,)) for symbol in "(){}:,.="}
-
-
 class _LineParser:
     """Consumes one line's token stream with precise error positions."""
 
@@ -176,12 +179,18 @@ class _LineParser:
         return tok
 
     def punct(self, symbol: str) -> _Token:
-        return self.expect("punct", *_PUNCT[symbol])
+        """The next token, which must be `symbol`; no other kind of token
+        spells a punctuation mark."""
+        tokens, i = self.tokens, self.i
+        if i < len(tokens) and tokens[i].text == symbol:
+            self.i = i + 1
+            return tokens[i]
+        return self.expect("punct", f"'{symbol}'", (symbol,))
 
     def comma_list(self, what: str) -> list[_Token]:
         """Identifiers separated by commas up to the end of the line."""
         items = [self.expect("ident", what)]
-        while self.peek() is not None:
+        while self.i < len(self.tokens):
             self.punct(",")
             items.append(self.expect("ident", what))
         return items
@@ -199,6 +208,7 @@ class _LineParser:
             raise self.error(f"unexpected trailing '{tok.text}'", tok)
 
 
+# The entity lists, in the order of `Instance`'s fields.
 _COLLECTIONS = ("candidates", "scales", "attributes", "facts", "criteria",
                 "constraints", "preferences")
 
@@ -261,7 +271,10 @@ class _Builder:
         """The token that declared the element at `path`, or None when the
         path names a whole collection.  The token parser reads the
         element's line again, into a `_TokenBuilder` past its header unless
-        the line is the header."""
+        the line is the header.  Among that line's entities of its kind, the
+        element's is the one after those declared before it on the line, and
+        a criterion's weights are put in attribute order as `canonicalize`
+        put them."""
         if path == ("id",):
             path = ("id", 0)
         if len(path) < 2:
@@ -274,7 +287,7 @@ class _Builder:
         _parse_statement(_LineParser(line_no, _tokenize(line_no, raw, origin), raw, origin),
                          again)
         node = again.where[key][spots[:i].count(line_no)]
-        if key == "criteria" and rest[0] == "weights":
+        if key == "criteria" and rest[:1] == ["weights"]:
             rest[1] = self.attribute_order(again.entities["criteria"][0].weights)[rest[1]]
         for step in rest:
             if isinstance(node, _Token):
@@ -324,7 +337,7 @@ def _parse_statement(p: _LineParser, b: _Builder) -> None:
         name = p.expect("ident", "a scale name")
         p.punct(":")
         levels = p.comma_list("a level name")
-        b.add("scales", OrdinalScale(name.text, tuple(t.text for t in levels)),
+        b.add("scales", OrdinalScale(name.text, tuple([t.text for t in levels])),
               {"name": name, "levels": levels})
     elif kw == "attribute":
         name = p.expect("ident", "an attribute name")
@@ -466,7 +479,7 @@ def parse_instance(text: str, origin: str = "<memory>") -> Instance:
     lines = text.split("\n")
     for line_no, raw in enumerate(lines, start=1):
         b.line_no = line_no
-        if _read_declaration(raw, b):
+        if not raw or _read_declaration(raw, b):
             continue
         tokens = _tokenize(line_no, raw, origin)
         if tokens:

@@ -69,69 +69,86 @@ def test_undeclared_candidate_and_scale_level(scholarship_text):
 # One edit of the scholarship document (12 lines and a final newline) per
 # rule of `validate` that text can reach: {line number: new text}, where ""
 # blanks a line and line 13 onwards append.  Each rule is reported at the
-# token that declared what it blames; counts and missing facts at 13:1.
+# token that declared what it blames, with that token as its snippet;
+# counts and missing facts at 13:1, with none.
 RULE_CASES = [
     ("identifier-syntax", {1: 'instance "two words"'},
-     ("instance id must be an identifier, got 'two words'", 1, 10)),
+     ("instance id must be an identifier, got 'two words'", 1, 10, '"two words"')),
     ("candidate-count", {6: "candidates A", 9: "", 10: ""},
-     ("at least 2 candidates required, found 1", 13, 1)),
+     ("at least 2 candidates required, found 1", 13, 1, "")),
     ("attribute-count", {4: "", 5: "", 7: "", 8: "", 9: "", 10: "", 11: "", 12: ""},
-     ("at least 1 attribute required", 13, 1)),
-    ("candidate-duplicate", {6: "candidates A, B, A"}, ("duplicate candidate 'A'", 6, 18)),
+     ("at least 1 attribute required", 13, 1, "")),
+    ("candidate-duplicate", {6: "candidates A, B, A"}, ("duplicate candidate 'A'", 6, 18, "A")),
     ("scale-duplicate", {13: "scale need_scale: a, b"},
-     ("duplicate scale 'need_scale'", 13, 7)),
-    ("scale-level-count", {13: "scale tiny: only"}, ("a scale needs at least 2 levels", 13, 7)),
+     ("duplicate scale 'need_scale'", 13, 7, "need_scale")),
+    ("scale-level-count", {13: "scale tiny: only"},
+     ("a scale needs at least 2 levels", 13, 7, "tiny")),
     ("scale-level-duplicate", {3: "scale need_scale: low, moderate, severe, low"},
-     ("duplicate level 'low'", 3, 42)),
+     ("duplicate level 'low'", 3, 42, "low")),
     ("attribute-duplicate", {13: "attribute gpa: numeric, higher_better"},
-     ("duplicate attribute 'gpa'", 13, 11)),
+     ("duplicate attribute 'gpa'", 13, 11, "gpa")),
     ("attribute-scale", {5: "attribute need: ordinal(nope), higher_better"},
-     ("undeclared scale 'nope'", 5, 25)),
-    ("fact-reference-candidate", {13: "fact Z.gpa = 1"}, ("undeclared candidate 'Z'", 13, 6)),
+     ("undeclared scale 'nope'", 5, 25, "nope")),
+    ("fact-reference-candidate", {13: "fact Z.gpa = 1"}, ("undeclared candidate 'Z'", 13, 6, "Z")),
     ("fact-reference-attribute", {7: "fact A.height = 9.5"},
-     ("undeclared attribute 'height'", 7, 8)),
+     ("undeclared attribute 'height'", 7, 8, "height")),
     ("fact-value-type-numeric", {7: "fact A.gpa = high"},
-     ("numeric attribute 'gpa' requires a number", 7, 14)),
+     ("numeric attribute 'gpa' requires a number", 7, 14, "high")),
     ("fact-value-type-ordinal", {8: "fact A.need = 2"},
-     ("ordinal attribute 'need' requires a level name", 8, 15)),
+     ("ordinal attribute 'need' requires a level name", 8, 15, "2")),
     ("fact-ordinal-level", {8: "fact A.need = extreme"},
-     ("'extreme' is not a level of scale 'need_scale'", 8, 15)),
-    ("fact-duplicate", {13: "fact B.gpa = 1"}, ("duplicate fact for B.gpa", 13, 6)),
-    ("fact-missing", {9: ""}, ("incomplete fact matrix: missing fact B.gpa", 13, 1)),
+     ("'extreme' is not a level of scale 'need_scale'", 8, 15, "extreme")),
+    ("fact-duplicate", {13: "fact B.gpa = 1"}, ("duplicate fact for B.gpa", 13, 6, "B")),
+    ("fact-missing", {9: ""}, ("incomplete fact matrix: missing fact B.gpa", 13, 1, "")),
     ("criterion-duplicate", {13: "criterion merit_first { gpa: 0.5, need: 0.5 }"},
-     ("duplicate criterion 'merit_first'", 13, 11)),
+     ("duplicate criterion 'merit_first'", 13, 11, "merit_first")),
     ("criterion-reference", {13: "criterion tall { gpa: 1, need: 0, height: 0 }"},
-     ("undeclared attribute 'height'", 13, 35)),
+     ("undeclared attribute 'height'", 13, 35, "height")),
     ("criterion-weight-duplicate", {13: "criterion twice { gpa: 0.5, gpa: 0.5, need: 0 }"},
-     ("duplicate weight for 'gpa'", 13, 29)),
+     ("duplicate weight for 'gpa'", 13, 29, "gpa")),
     ("criterion-coverage", {13: "criterion partial { gpa: 1.0 }"},
-     ("criterion 'partial' missing weight for: need", 13, 11)),
+     ("criterion 'partial' missing weight for: need", 13, 11, "partial")),
     ("criterion-weight-negative", {13: "criterion neg { gpa: 1.5, need: -0.5 }"},
-     ("weight for 'need' is negative", 13, 33)),
+     ("weight for 'need' is negative", 13, 33, "-0.5")),
     ("criterion-weight-sum", {13: "criterion off { gpa: 0.7, need: 0.2 }"},
-     ("criterion 'off' weights sum to 0.8999999999999999, expected 1", 13, 11)),
+     ("criterion 'off' weights sum to 0.8999999999999999, expected 1", 13, 11, "off")),
     ("constraint-pin-reference", {13: "assume criterion = nope"},
-     ("undeclared criterion 'nope'", 13, 20)),
+     ("undeclared criterion 'nope'", 13, 20, "nope")),
     ("constraint-bound-reference", {13: "assume weight height <= 0.5"},
-     ("undeclared attribute 'height'", 13, 15)),
+     ("undeclared attribute 'height'", 13, 15, "height")),
     ("constraint-bound-value", {13: "assume weight gpa >= 1.5"},
-     ("bound value 1.5 outside [0, 1]", 13, 22)),
-    ("preference-reference", {13: "prefer A over Z"}, ("undeclared candidate 'Z'", 13, 15)),
+     ("bound value 1.5 outside [0, 1]", 13, 22, "1.5")),
+    ("preference-reference", {13: "prefer A over Z"}, ("undeclared candidate 'Z'", 13, 15, "Z")),
     ("preference-self", {13: "prefer A over A"},
-     ("preference winner and loser must differ", 13, 15)),
+     ("preference winner and loser must differ", 13, 15, "A")),
     ("preference-cycle", {13: "prefer A over B", 14: "prefer B over A"},
-     ("preference B over A creates a cycle", 14, 8)),
+     ("preference B over A creates a cycle", 14, 8, "B")),
     # The violation that comes first in the document wins, ...
     ("first-line-wins", {7: "fact A.gpa = high", 13: "fact Z.gpa = 1"},
-     ("numeric attribute 'gpa' requires a number", 7, 14)),
+     ("numeric attribute 'gpa' requires a number", 7, 14, "high")),
     ("leftmost-token-wins", {13: "criterion neg { gpa: 0.5, need: -0.5 }"},
-     ("criterion 'neg' weights sum to 0.0, expected 1", 13, 11)),
+     ("criterion 'neg' weights sum to 0.0, expected 1", 13, 11, "neg")),
     # ... ties keep validate's order, ...
     ("tie-keeps-validate-order", {6: "candidates A", 8: "", 9: "", 10: ""},
-     ("at least 2 candidates required, found 1", 13, 1)),
+     ("at least 2 candidates required, found 1", 13, 1, "")),
     # ... and a grammar error anywhere beats every rule violation.
     ("grammar-beats-rules", {7: "fact Z.gpa = 1", 13: "fact A.gpa = 1e400"},
-     ("number out of range", 13, 14)),
+     ("number out of range", 13, 14, "1e400")),
+    # The token is found by reading the blamed line again, so the place of
+    # the element on its line counts: after the canonical sort, ...
+    ("fact-moved-by-the-sort", {7: "fact B.gpa = 8.7", 9: "fact A.gpa = high"},
+     ("numeric attribute 'gpa' requires a number", 9, 14, "high")),
+    ("second-weight-sorted-first", {13: "criterion rev { need: 1.5, gpa: -0.5 }"},
+     ("weight for 'gpa' is negative", 13, 33, "-0.5")),
+    # ... among the names of a line, ...
+    ("third-name-on-a-candidates-line", {13: "candidates C, D, A", 14: ""},
+     ("duplicate candidate 'A'", 13, 18, "A")),
+    ("fourth-name-on-the-first-candidates-line", {6: "candidates A, B, C, A"},
+     ("duplicate candidate 'A'", 6, 21, "A")),
+    # ... and among two violations on one line, which `validate` lists in the
+    # other order, since the sort puts `gpa` before the undeclared `height`.
+    ("earlier-column-wins", {13: "criterion mix { height: 0.5, gpa: -0.5, need: 1 }"},
+     ("undeclared attribute 'height'", 13, 17, "height")),
 ]
 
 
@@ -145,7 +162,7 @@ def test_each_rule_reported_at_its_token(scholarship_text, edits, expected):
         else:
             lines.append(text)
     e = err("\n".join(lines))
-    assert (e.message, e.line, e.column) == expected
+    assert (e.message, e.line, e.column, e.snippet) == expected
 
 
 def test_header_required_first():
