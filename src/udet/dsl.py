@@ -156,10 +156,8 @@ class _LineParser:
         snippet = token.text if token else self.raw.strip()
         return ParseError(self.line_no, col, message, snippet, self.origin)
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
     def take(self, what: str) -> _Token:
+        """The next token, of any kind; `what` names it in the error."""
         i = self.i
         if i == len(self.tokens):
             raise self.error(f"expected {what} before end of line")
@@ -203,8 +201,8 @@ class _LineParser:
         return value
 
     def finish(self) -> None:
-        tok = self.peek()
-        if tok is not None:
+        if self.i < len(self.tokens):
+            tok = self.tokens[self.i]
             raise self.error(f"unexpected trailing '{tok.text}'", tok)
 
 

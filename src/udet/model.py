@@ -318,6 +318,10 @@ def _is_finite(value: int | float) -> bool:
         return False
 
 
+def _fact_element(fact: Fact) -> str:
+    return f"fact {fact.candidate}.{fact.attribute}"
+
+
 def validate(instance: Instance) -> list[Violation]:
     """Check every structural invariant; return an empty list iff all hold.
 
@@ -397,37 +401,37 @@ def validate(instance: Instance) -> list[Violation]:
             add(Violation(where, "attribute-scale", f"undeclared scale '{attr.scale}'",
                           ("attributes", i, "scale")))
 
-    # Facts: references, value types, duplicates, completeness.
+    # Facts: references, value types, duplicates, completeness.  A fact's
+    # element text is written only for a violation.
     seen_facts: set[tuple[str, str]] = set()
     for i, fact in enumerate(instance.facts):
-        where = f"fact {fact.candidate}.{fact.attribute}"
         if fact.candidate not in seen_c:
-            add(Violation(where, "fact-reference",
+            add(Violation(_fact_element(fact), "fact-reference",
                           f"undeclared candidate '{fact.candidate}'", ("facts", i, "candidate")))
             continue
         if fact.attribute not in attrs:
-            add(Violation(where, "fact-reference",
+            add(Violation(_fact_element(fact), "fact-reference",
                           f"undeclared attribute '{fact.attribute}'", ("facts", i, "attribute")))
             continue
         attr = attrs[fact.attribute]
         path = ("facts", i, "value")
         if attr.kind == NUMERIC:
             if not _is_number(fact.value):
-                add(Violation(where, "fact-value-type",
+                add(Violation(_fact_element(fact), "fact-value-type",
                               f"numeric attribute '{attr.name}' requires a number", path))
             elif not _is_finite(fact.value):
-                add(Violation(where, "fact-value-finite",
+                add(Violation(_fact_element(fact), "fact-value-finite",
                               f"numeric value must be finite, got {fact.value!r}", path))
         elif attr.kind == ORDINAL:
             if not isinstance(fact.value, str):
-                add(Violation(where, "fact-value-type",
+                add(Violation(_fact_element(fact), "fact-value-type",
                               f"ordinal attribute '{attr.name}' requires a level name", path))
             elif attr.scale in levels_of and fact.value not in levels_of[attr.scale]:
-                add(Violation(where, "fact-ordinal-level",
+                add(Violation(_fact_element(fact), "fact-ordinal-level",
                               f"'{fact.value}' is not a level of scale '{attr.scale}'", path))
         key = (fact.candidate, fact.attribute)
         if key in seen_facts:
-            add(Violation(where, "fact-duplicate",
+            add(Violation(_fact_element(fact), "fact-duplicate",
                           f"duplicate fact for {fact.candidate}.{fact.attribute}",
                           ("facts", i, "candidate")))
         seen_facts.add(key)

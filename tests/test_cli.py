@@ -312,11 +312,13 @@ def test_analyze_json_with_timestamps_is_the_oracle_document(corpus_dir, monkeyp
 
 @pytest.fixture(scope="module")
 def output_digests():
+    # The tool puts `src` and `benchmarks` on the path as it is imported.
+    saved = list(sys.path)
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
     try:
         import output_digests
     finally:
-        sys.path.pop(0)
+        sys.path[:] = saved
     return output_digests
 
 
