@@ -15,12 +15,13 @@ into tokens and `_LineParser` reads them, asking for each with `expect`,
 which names what it wanted in the error.  So does a fact or criterion line
 that the line grammar rejects or that holds a number beyond float range,
 and any line before the header.  The token parser raises every grammar
-error, and tokens are made only for the lines it reads.
+error.
 
-`_Builder` keeps, for each entity, only the number of the line that
-declared it.  Positions are needed only when `model.validate` finds a
-violation: then the token parser reads each blamed line again, and the
-tokens it hands over name the line, column and text of the error.
+`_Builder` keeps, for each entity, the tokens the token parser handed over
+for it, and none for a line the line grammar read.  Positions are needed
+only when `model.validate` finds a violation: then the token parser alone
+reads the whole document again, and the tokens it hands over name the
+line, column and text of the error.
 
 This module holds the grammar and nothing else: tokens, keywords and
 punctuation, the float range of number literals, the header-first rule and
@@ -212,98 +213,62 @@ _COLLECTIONS = ("candidates", "scales", "attributes", "facts", "criteria",
 
 
 class _Builder:
-    """Records each declared entity and the line that declared it.
+    """Records each declared entity and the tokens that declared it.
 
     `where` mirrors the entity lists key for key and index for index, with
-    the number of the line that declared each entity; ``where["id"]`` holds
-    the header's line.  No token is kept: `token_at` finds one by reading
-    its line again.
+    whatever `_parse_statement` handed over for each entity: its tokens, or
+    None for a line the line grammar read.  ``where["id"]`` holds the
+    header's token.
     """
 
     def __init__(self, instance_id: str | None = None):
         self.instance_id = instance_id
         self.question: str | None = None
         self.decisiveness_required = False
-        self.line_no = 0  # the line being read
         self.entities: dict[str, list] = {key: [] for key in _COLLECTIONS}
-        self.where: dict[str, list] = {key: [] for key in ("id", *_COLLECTIONS)}
+        self.where: dict = {"id": None, **{key: [] for key in _COLLECTIONS}}
 
     def add(self, key: str, entity, tokens) -> None:
-        """Add `entity`, declared on the line being read by `tokens`."""
+        """Add `entity`, declared by `tokens`."""
         self.entities[key].append(entity)
-        self.where[key].append(self.line_no)
-
-    def mark(self, key: str, tokens) -> None:
-        """Record where `tokens` declared the element `key` names."""
-        self.where[key].append(self.line_no)
-
-    def attribute_order(self, weights) -> list[int]:
-        """The indices of (attribute, weight) pairs in declared attribute
-        order; undeclared names sort last and equal keys keep their order."""
-        rank = self.attr_rank
-        last = len(rank)
-        return sorted(range(len(weights)), key=lambda j: rank.get(weights[j][0], last))
+        self.where[key].append(tokens)
 
     def canonicalize(self) -> None:
         """Put facts in candidate-major, attribute order and each criterion's
-        weights in attribute order.  Undeclared names sort last; equal keys
-        keep their document order.  Lists already in order are kept."""
+        weights in attribute order, with their tokens in `where`.  Undeclared
+        names sort last; equal keys keep their document order.  Lists
+        already in order are kept."""
         cand_rank = _ranks(self.entities["candidates"])
-        self.attr_rank = attr_rank = _ranks(a.name for a in self.entities["attributes"])
+        attr_rank = _ranks(a.name for a in self.entities["attributes"])
         cand_last, attr_last = len(cand_rank), len(attr_rank)
-        facts, lines = self.entities["facts"], self.where["facts"]
+        facts, spots = self.entities["facts"], self.where["facts"]
         keys = [(cand_rank.get(f.candidate, cand_last), attr_rank.get(f.attribute, attr_last))
                 for f in facts]
         if keys != sorted(keys):
             order = sorted(range(len(facts)), key=keys.__getitem__)
             self.entities["facts"] = [facts[i] for i in order]
-            self.where["facts"] = [lines[i] for i in order]
+            self.where["facts"] = [spots[i] for i in order]
         names = tuple(attr_rank)
-        self.entities["criteria"] = [
-            crit if tuple(a for a, _ in crit.weights) == names
-            else CriterionSpec(crit.name, tuple(crit.weights[j]
-                                                for j in self.attribute_order(crit.weights)))
-            for crit in self.entities["criteria"]]
-
-    def token_at(self, path: tuple, lines: list[str], origin: str) -> _Token | None:
-        """The token that declared the element at `path`, or None when the
-        path names a whole collection.  The token parser reads the
-        element's line again, into a `_TokenBuilder` past its header unless
-        the line is the header.  Among that line's entities of its kind, the
-        element's is the one after those declared before it on the line, and
-        a criterion's weights are put in attribute order as `canonicalize`
-        put them."""
-        if path == ("id",):
-            path = ("id", 0)
-        if len(path) < 2:
-            return None
-        key, i, *rest = path
-        spots = self.where[key]
-        line_no, raw = spots[i], lines[spots[i] - 1]
-        again = _TokenBuilder(None if key == "id" else self.instance_id)
-        again.line_no = line_no
-        _parse_statement(_LineParser(line_no, _tokenize(line_no, raw, origin), raw, origin),
-                         again)
-        node = again.where[key][spots[:i].count(line_no)]
-        if key == "criteria" and rest[:1] == ["weights"]:
-            rest[1] = self.attribute_order(again.entities["criteria"][0].weights)[rest[1]]
-        for step in rest:
-            if isinstance(node, _Token):
-                break
-            node = node[step]
-        return node if isinstance(node, _Token) else None
+        criteria = self.entities["criteria"]
+        for i, crit in enumerate(criteria):
+            weights = crit.weights
+            if tuple(a for a, _ in weights) == names:
+                continue
+            order = sorted(range(len(weights)),
+                           key=lambda j: attr_rank.get(weights[j][0], attr_last))
+            criteria[i] = CriterionSpec(crit.name, tuple(weights[j] for j in order))
+            spot = self.where["criteria"][i]
+            if spot is not None:
+                spot["weights"] = [spot["weights"][j] for j in order]
 
 
-class _TokenBuilder(_Builder):
-    """A builder that keeps in `where` the tokens that declared each entity,
-    as `_parse_statement` hands them over, in place of their lines."""
-
-    def add(self, key: str, entity, tokens) -> None:
-        self.entities[key].append(entity)
-        self.where[key].append(tokens)
-
-    def mark(self, key: str, tokens) -> None:
-        self.where[key].append(tokens)
+def _token_at(where: dict, path: tuple) -> _Token | None:
+    """The token that declared the element at `path`, or None when the
+    path names a whole collection or an entity but none of its parts."""
+    node = where
+    for step in path:
+        node = node[step]
+    return node if isinstance(node, _Token) else None
 
 
 def _ranks(names) -> dict[str, int]:
@@ -326,7 +291,7 @@ def _parse_statement(p: _LineParser, b: _Builder) -> None:
             raise p.error("duplicate instance header", head)
         tok = p.expect("string", "the instance id as a quoted string")
         b.instance_id = _unescape(tok, p.origin)
-        b.mark("id", tok)
+        b.where["id"] = tok
     elif kw == "question":
         if b.question is not None:
             raise p.error("duplicate question", head)
@@ -460,6 +425,23 @@ def _read_declaration(raw: str, b: _Builder) -> bool:
     return True
 
 
+def _read(lines: list[str], origin: str, grammar: bool) -> _Builder:
+    """A builder of every entity the lines declare, in canonical order.
+    With `grammar`, the line grammar reads the lines it can; the token
+    parser reads the rest and raises every grammar error."""
+    b = _Builder()
+    for line_no, raw in enumerate(lines, start=1):
+        if not raw or grammar and _read_declaration(raw, b):
+            continue
+        tokens = _tokenize(line_no, raw, origin)
+        if tokens:
+            _parse_statement(_LineParser(line_no, tokens, raw, origin), b)
+    if b.instance_id is None:
+        raise ParseError(1, 1, "missing instance header", "", origin)
+    b.canonicalize()
+    return b
+
+
 def parse_instance(text: str, origin: str = "<memory>") -> Instance:
     """Parse DSL text into a validated Instance; `origin` names where the
     text came from (a file path or ``<memory>``) in every ParseError.
@@ -469,28 +451,20 @@ def parse_instance(text: str, origin: str = "<memory>") -> Instance:
     grammatical, ParseError carries the message of the `validate` violation
     whose token comes first in the document, at that token's line and
     column; a violation of no single element (a count, a missing fact) sits
-    at column 1 of the last line, and ties keep `validate`'s order.  An
-    empty document is a missing header at 1:1.  Never raises anything else,
-    regardless of input text.
+    at column 1 of the last line, and ties keep `validate`'s order.  The
+    tokens come from a second read of the whole document by the token
+    parser alone, made only when there is a violation.  An empty document
+    is a missing header at 1:1.  Never raises anything else, regardless of
+    input text.
     """
-    b = _Builder()
     lines = text.split("\n")
-    for line_no, raw in enumerate(lines, start=1):
-        b.line_no = line_no
-        if not raw or _read_declaration(raw, b):
-            continue
-        tokens = _tokenize(line_no, raw, origin)
-        if tokens:
-            _parse_statement(_LineParser(line_no, tokens, raw, origin), b)
-    if b.instance_id is None:
-        raise ParseError(1, 1, "missing instance header", "", origin)
-
-    b.canonicalize()
+    b = _read(lines, origin, grammar=True)
     instance = Instance(b.instance_id, b.question or "", *map(tuple, b.entities.values()),
                         b.decisiveness_required)
     violations = validate(instance)
     if violations:
-        tokens = [b.token_at(v.path, lines, origin) for v in violations]
+        where = _read(lines, origin, grammar=False).where
+        tokens = [_token_at(where, v.path) for v in violations]
         positions = [(tok.line, tok.column) if tok else (len(lines), 1) for tok in tokens]
         first = min(range(len(violations)), key=positions.__getitem__)
         tok = tokens[first]

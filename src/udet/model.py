@@ -504,10 +504,16 @@ def validate(instance: Instance) -> list[Violation]:
                 add(Violation(where, "constraint-bound-op",
                               f"operator must be one of {', '.join(BOUND_OPS)}",
                               ("constraints", i, "op")))
-            if not (0.0 <= con.value <= 1.0):
+            path = ("constraints", i, "value")
+            if not _is_number(con.value):
+                add(Violation(where, "constraint-bound-type", "bound value must be a number",
+                              path))
+            elif not _is_finite(con.value):
                 add(Violation(where, "constraint-bound-value",
-                              f"bound value {format_number(con.value)} outside [0, 1]",
-                              ("constraints", i, "value")))
+                              f"bound value {con.value!r} outside [0, 1]", path))
+            elif not 0.0 <= con.value <= 1.0:
+                add(Violation(where, "constraint-bound-value",
+                              f"bound value {format_number(con.value)} outside [0, 1]", path))
         else:
             add(Violation(f"constraint {con!r}", "constraint-kind", "unknown constraint kind",
                           ("constraints", i)))

@@ -202,7 +202,16 @@ def test_non_finite_criterion_weight_flagged(weights):
 
 
 def test_non_finite_bound_flagged():
+    # Reported, never raised: a non-number, a bool, an int beyond float range.
     base = build_scholarship()
-    for value in (float("nan"), float("inf")):
-        assert "constraint-bound-value" in rules(
-            base.replace(constraints=(BoundConstraint("gpa", ">=", value),)))
+    for value, rule, message in [
+            (float("nan"), "constraint-bound-value", "bound value nan outside [0, 1]"),
+            (float("inf"), "constraint-bound-value", "bound value inf outside [0, 1]"),
+            (float("-inf"), "constraint-bound-value", "bound value -inf outside [0, 1]"),
+            (10 ** 400, "constraint-bound-value", f"bound value {10 ** 400!r} outside [0, 1]"),
+            ("a", "constraint-bound-type", "bound value must be a number"),
+            (None, "constraint-bound-type", "bound value must be a number"),
+            (True, "constraint-bound-type", "bound value must be a number")]:
+        inst = base.replace(constraints=(BoundConstraint("gpa", ">=", value),))
+        assert [(v.rule, v.message, v.path) for v in validate(inst)] == [
+            (rule, message, ("constraints", 0, "value"))], value

@@ -7,8 +7,10 @@ one sha256 over (input, exit code, stdout, stderr) of every input.  Then,
 for each kind of one-line mutation of the corpus files (`MUTATIONS`), it
 prints one sha256 over what `analyze` prints on every mutated file, each
 of which is invalid: the digests cover the line, column, message and
-``near:`` snippet of every error.  Run it in two checkouts and diff the
-outputs:
+``near:`` snippet of every error.  It does the same for mutations of one
+large generated document (`LARGE`: seed 1, 256 candidates, 20 attributes,
+5153 lines), whose errors may sit far from its first lines.  Run it in two
+checkouts and diff the outputs:
 
     python tools/output_digests.py > digests.txt
 
@@ -33,6 +35,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 from bench_inputs import workload_inputs, write_inputs  # noqa: E402
 
 from udet.cli import main  # noqa: E402
+from udet.dsl import serialize_instance  # noqa: E402
+from udet.trilemma import GeneratorConfig, generate_instance  # noqa: E402
 
 SEEDS = range(4)
 COMMANDS = [
@@ -49,8 +53,12 @@ COMMANDS = [
 ]
 
 
-# Mutated copies of each corpus file per kind of mutation.
+# Mutated copies of each document per kind of mutation.
 VARIANTS = 4
+
+# The largest shape the benchmark sweeps.
+LARGE = GeneratorConfig(seed=1, candidate_range=(256, 256), attribute_range=(20, 20),
+                        criteria_range=(2, 2))
 
 # Lines whose copy breaks a rule, each declaring a name or a fact; the
 # loss of one breaks a rule too, unless it is the question or a criterion.
@@ -110,10 +118,12 @@ MUTATIONS = {"delete-line": _delete, "duplicate-line": _duplicate, "swap-tokens"
              "undeclared-name": _rename, "bad-number": _bad_number, "bad-weight": _bad_weight}
 
 
-def mutated_inputs(kind: str) -> list[tuple[str, str]]:
-    """(name, text) of `VARIANTS` seeded mutations of each corpus file."""
+def mutated_inputs(kind: str, inputs: list[tuple[str, str]] | None = None
+                   ) -> list[tuple[str, str]]:
+    """(name, text) of `VARIANTS` seeded mutations of each of `inputs`, by
+    default the corpus files."""
     out = []
-    for name, text in workload_inputs("corpus-cli", 0):
+    for name, text in inputs or workload_inputs("corpus-cli", 0):
         for n in range(VARIANTS):
             lines = text.split("\n")
             MUTATIONS[kind](lines, random.Random(f"{name} {kind} {n}"))
@@ -142,13 +152,16 @@ def _digest(command: list[str], paths: list[str]) -> str:
 
 def digests() -> list[tuple[str, str]]:
     """(command, sha256) for each of `COMMANDS`, then for `analyze` on each
-    kind of mutation, run from the current directory."""
+    kind of mutation of the corpus and of the `LARGE` document, run from the
+    current directory."""
     paths = [str(path) for directory, inputs in _inputs().items()
              for path in write_inputs(inputs, Path(directory))]
     out = [(" ".join(command), _digest(command, paths)) for command in COMMANDS]
-    for kind in MUTATIONS:
-        paths = [str(path) for path in write_inputs(mutated_inputs(kind), Path(kind))]
-        out.append((f"analyze ({kind})", _digest(["analyze"], paths)))
+    large = [("large", serialize_instance(generate_instance(LARGE, 0)))]
+    for label, inputs in (("", None), ("large-", large)):
+        for kind in MUTATIONS:
+            mutated = write_inputs(mutated_inputs(kind, inputs), Path(label + kind))
+            out.append((f"analyze ({label}{kind})", _digest(["analyze"], list(map(str, mutated)))))
     return out
 
 
